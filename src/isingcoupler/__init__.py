@@ -42,12 +42,10 @@ from .constructions import (
 )
 from .exactopt import (
     BigM,
-    CompleteFlipMatrix,
     OptResult,
     big_m,
     solve_l0,
     solve_l1,
-    subsample_solve,
 )
 from .timing import TimingParams, estimate_time_us
 from .qaoa import (

@@ -1,10 +1,9 @@
 """Command-line surface: compile, optimize, verify, cost, simulate, sweep, gen.
 
 Exit codes: 0 success, 1 verification/parse failure, 2 finished with an
-unproven incumbent (timeout or subsampled search), 3 usage error.  Every
-file-producing command writes a ``<output>.manifest.json`` sidecar recording
-the invocation, seed, config overrides, version, and wall time, so runs can
-be replayed.
+unproven incumbent (time limit reached), 3 usage error.  Every file-producing
+command writes a ``<output>.manifest.json`` sidecar recording the invocation,
+seed, config overrides, version, and wall time, so runs can be replayed.
 """
 
 from __future__ import annotations
@@ -22,13 +21,13 @@ from . import __version__
 from .constructions import union_of_stars, weighted_edge_by_edge
 from .exactopt import (
     INCUMBENT_TIMEOUT,
+    MAX_EXACT_N,
     OPTIMAL,
     PRACTICAL_SUM,
     THEOREM_BOUND,
     big_m,
     solve_l0,
     solve_l1,
-    subsample_solve,
 )
 from .graphs import (
     Graph,
@@ -38,12 +37,12 @@ from .graphs import (
     random_er_graph,
     serialize_edge_list,
     graph_to_json,
+    to_adjacency,
 )
 from .pulses import evaluate, sequence_from_json, sequence_to_json, verify
 from .qaoa import CX, MS, NoiseSpec, maxcut_brute_force, optimize_angles, simulate_qaoa_p1
 from .rng import SplitMix64
 from .timing import TimingParams, estimate_time_us
-from .graphs import to_adjacency
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -123,10 +122,10 @@ def _write_manifest(out_path: Path, args_ns, started: float, seed=None, override
 
 
 def _cmd_gen(args) -> int:
+    started = time.monotonic()
     weights = [Fraction(w) for w in args.weights.split(",")] if args.weights else []
     g = random_er_graph(args.n, args.p, weights, args.seed)
     text = graph_to_json(g) + "\n" if args.json else serialize_edge_list(g)
-    started = time.monotonic()
     if args.out:
         Path(args.out).write_text(text)
         _write_manifest(Path(args.out), args, started, seed=args.seed)
@@ -164,21 +163,20 @@ def _cmd_optimize(args) -> int:
     started = time.monotonic()
     g = _load_graph(args.graph)
     args._inputs = [args.graph]
-    if args.subsample:
-        result = subsample_solve(g, args.subsample, seed=args.seed, time_limit=args.time_limit)
-    elif g.n > 8:
+    if g.n > MAX_EXACT_N:
         raise CommandError(
-            f"n={g.n} exceeds the exact-solve limit of 8; use --subsample BUDGET",
+            f"n={g.n} exceeds the exact-solve limit of {MAX_EXACT_N}; "
+            "use compile for a construction",
             EXIT_USAGE,
         )
-    elif args.objective == "l1":
+    if args.objective == "l1":
         result = solve_l1(g, time_limit=args.time_limit)
     else:
         kind = THEOREM_BOUND if args.big_m == "theorem" else PRACTICAL_SUM
         result = solve_l0(g, m=big_m(g, kind), time_limit=args.time_limit)
     if args.out:
         Path(args.out).write_text(result.to_json() + "\n")
-        _write_manifest(Path(args.out), args, started, seed=args.seed)
+        _write_manifest(Path(args.out), args, started)
     print(
         f"objective={result.objective} kind={result.objective_kind} "
         f"status={result.status} nodes={result.nodes_explored} "
@@ -426,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=["l0", "l1"], default="l0")
     p.add_argument("--big-m", dest="big_m", choices=["sum", "theorem"], default="sum")
     p.add_argument("--time-limit", dest="time_limit", type=float, default=600.0)
-    p.add_argument("--subsample", type=int, default=0, help="row budget for n > 8")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_optimize)
 

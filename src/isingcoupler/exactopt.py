@@ -12,8 +12,11 @@ Because negating a row never changes the realized coupling, only the
 
 The search is float-guided for speed, but every decision that discards a
 subtree (bound prune, infeasibility, integral closure) is certified in exact
-rational arithmetic, and incumbent strengths are exact solutions of the
-coupling equations, so reported optima are exact.  M must upper-bound the
+rational arithmetic by ``simplex.certify_or_repair``, and incumbent strengths
+are exact solutions of the coupling equations, so reported optima are exact.
+The L1 program goes through ``simplex.solve_lp`` (float first, then
+certified) at every n.  Instances above MAX_EXACT_N qubits are refused; the
+constructions in ``constructions`` cover them.  M must upper-bound the
 optimal strengths for the formulation to be exact; both the provable bound
 (via Hadamard's inequality) and the practical sum-of-weights choice are
 available.
@@ -32,25 +35,11 @@ import numpy as np
 
 from .constructions import union_of_stars, weighted_edge_by_edge
 from .graphs import Graph, to_adjacency
-from .pulses import FlipRow, PulseSequence, canonicalize, sequence_to_json, verify
-from .rng import SplitMix64
-from .simplex import (
-    LPResult,
-    certify_basis,
-    exact_resume,
-    exact_solve,
-    float_solve,
-    solve_lp,
-    SimplexError,
-)
+from .pulses import FlipRow, PulseSequence, canonicalize, sequence_to_json
+from .simplex import certify_or_repair, float_solve, solve_lp
 
 MAX_EXACT_N = 8
-MAX_SUBSAMPLE_N = 16
 DEFAULT_TIME_LIMIT = 600.0
-
-# Hybrid (float-first) LP for the one-shot L1 program at n >= 7; the
-# branch-and-bound L0 search is always float-guided with certified prunes.
-_FLOAT_LP_MIN_N = 7
 
 _SUPPORT_EPS = 1e-7
 _PRUNE_MARGIN = 1e-7
@@ -75,26 +64,6 @@ class BigM:
             raise ValueError(f"unknown big-M kind {self.kind!r}")
         if self.value <= 0:
             raise ValueError("big-M must be positive")
-
-
-@dataclass(frozen=True)
-class CompleteFlipMatrix:
-    """All canonical flip rows on n qubits (leading sign +1)."""
-
-    n: int
-
-    @property
-    def row_count(self) -> int:
-        return 1 << (self.n - 1)
-
-    def row(self, index: int) -> FlipRow:
-        if not 0 <= index < self.row_count:
-            raise IndexError(index)
-        return FlipRow.from_mask(index << 1, self.n)
-
-    @property
-    def rows(self) -> tuple[FlipRow, ...]:
-        return tuple(self.row(i) for i in range(self.row_count))
 
 
 @dataclass
@@ -218,22 +187,18 @@ def _solve_support_system(cols: list[list[int]], b: list[Fraction]):
 class _NodeRelaxation:
     """Per-solve relaxation data shared by all branch-and-bound nodes."""
 
-    def __init__(self, pairs, target_rows, columns, m_value):
-        self.pairs = pairs
-        self.columns = columns
+    def __init__(self, pairs, target_rows, k, m_value):
+        self.k = k
         self.m_value = m_value
         self.mf = float(m_value)
-        self.q = [
-            [_coupling_sign(col, i, j) for col in columns] for (i, j) in pairs
-        ]
+        self.q = [[_coupling_sign(t, i, j) for t in range(k)] for (i, j) in pairs]
         self.qf = np.array(self.q, dtype=float)
         self.b = [target_rows[i][j] for (i, j) in pairs]
         self.bf = np.array([float(v) for v in self.b])
-        self.art_signs = [1 if v >= 0 else -1 for v in self.b]
         self.m_rows = len(pairs)
 
     def _active(self, zeros_mask):
-        return [t for t in range(len(self.columns)) if not zeros_mask >> t & 1]
+        return [t for t in range(self.k) if not zeros_mask >> t & 1]
 
     def float_node(self, zeros_mask, ones_mask):
         active = self._active(zeros_mask)
@@ -245,17 +210,6 @@ class _NodeRelaxation:
         free = np.array([not ones_mask >> t & 1 for t in active], dtype=float)
         cost = np.repeat(free / self.mf, 2)
         return float_solve(a, self.bf, ub, cost), active
-
-    def _colfn(self, active):
-        q = self.q
-
-        def col(j):
-            t = active[j // 2]
-            if j % 2 == 0:
-                return [q[r][t] for r in range(self.m_rows)]
-            return [-q[r][t] for r in range(self.m_rows)]
-
-        return col
 
     def _exact_cost_ub(self, active, ones_mask):
         inv_m = 1 / self.m_value
@@ -276,39 +230,12 @@ class _NodeRelaxation:
         return rows
 
     def certify_node(self, active, ones_mask, outcome):
-        """Exact LP value and strengths for a node, from the float basis.
+        """Exact LP value and strengths for a node, from its float outcome.
 
         Returns ("infeasible", None) or ("optimal", (objective, weights)).
         """
         cost, ub = self._exact_cost_ub(active, ones_mask)
-        ns = len(cost)
-        res = None
-        if outcome is not None and outcome.feasible:
-            cert = certify_basis(
-                self._colfn(active), self.m_rows, ns, self.b,
-                cost + [Fraction(0)] * self.m_rows,
-                ub + [Fraction(0)] * self.m_rows,
-                outcome.basis, outcome.vstat, self.art_signs,
-            )
-            if cert == "resume":
-                res = exact_resume(
-                    self._exact_rows(active), self.b, cost, ub,
-                    outcome.basis, [int(v) for v in outcome.vstat],
-                )
-            elif cert is not None:
-                x, obj = cert
-                res = LPResult("optimal", obj, x[:ns])
-        elif outcome is not None:
-            cost1 = [Fraction(0)] * ns + [Fraction(1)] * self.m_rows
-            cert = certify_basis(
-                self._colfn(active), self.m_rows, ns, self.b, cost1,
-                ub + [None] * self.m_rows,
-                outcome.basis, outcome.vstat, self.art_signs,
-            )
-            if cert not in (None, "resume") and cert[1] > 0:
-                return "infeasible", None
-        if res is None:
-            res = exact_solve(self._exact_rows(active), self.b, cost, ub)
+        res = certify_or_repair(self._exact_rows(active), self.b, cost, ub, outcome)
         if res.status != "optimal":
             return "infeasible", None
         weights = {}
@@ -347,33 +274,22 @@ class _NodeRelaxation:
         return self.support_weights(support)
 
 
-def _minimize_l0(
-    g: Graph,
-    m: BigM,
-    columns: list[int],
-    time_limit: float,
-    incumbent: PulseSequence,
-    trace: list | None = None,
-):
+def _minimize_l0(g: Graph, m: BigM, time_limit: float):
     """Best-bound branch-and-bound over row-activation binaries.
 
-    Branches on the most fractional activation (ties toward the lowest row
-    index); every relaxation solution also serves as a rounding incumbent,
-    since its support is a feasible activation pattern.  When a trace list
-    is supplied every node is certified exactly and records its bound.
+    Seeded with the construction incumbent.  Branches on the most fractional
+    activation (ties toward the lowest row index); every relaxation solution
+    also serves as a rounding incumbent, since its support is a feasible
+    activation pattern.
     """
     start = time.monotonic()
     deadline = start + time_limit
     pairs = _pair_list(g.n)
     target = to_adjacency(g).rows
 
-    col_pos = {c: t for t, c in enumerate(columns)}
-    entries = _incumbent_entries(incumbent)
-    for idx, w in entries:
-        if idx not in col_pos:
-            raise ValueError("incumbent uses rows outside the allowed set")
-        if abs(w) > m.value:
-            raise ValueError("incumbent strength exceeds big-M")
+    entries = _incumbent_entries(_default_incumbent(g))
+    if any(abs(w) > m.value for _, w in entries):
+        raise ValueError("incumbent strength exceeds big-M")
     best_entries = entries
     best_obj = len(entries)
     nodes = 0
@@ -381,7 +297,7 @@ def _minimize_l0(
     if not pairs:
         return OPTIMAL, [], 0, nodes, time.monotonic() - start
 
-    relax = _NodeRelaxation(pairs, target, columns, m.value)
+    relax = _NodeRelaxation(pairs, target, 1 << (g.n - 1), m.value)
 
     def try_candidate(weights_exact, minimize=False):
         nonlocal best_obj, best_entries
@@ -394,7 +310,7 @@ def _minimize_l0(
             weights_exact = smaller
         if len(weights_exact) < best_obj:
             best_obj = len(weights_exact)
-            best_entries = sorted((columns[t], w) for t, w in weights_exact.items())
+            best_entries = sorted(weights_exact.items())
 
     def pick_branch_float(weights, ones_mask):
         branch_t, branch_score = -1, -1.0
@@ -421,10 +337,10 @@ def _minimize_l0(
         return branch_t
 
     # one-pass support reduction of the construction seed
-    seeded = relax.minimize_support([col_pos[idx] for idx, _ in entries])
+    seeded = relax.minimize_support([idx for idx, _ in entries])
     if seeded is not None and len(seeded) < best_obj:
         best_obj = len(seeded)
-        best_entries = sorted((columns[t], w) for t, w in seeded.items())
+        best_entries = sorted(seeded.items())
 
     counter = 0
     # heap entries: (bound key, tiebreak, zeros, ones, exact parent bound)
@@ -442,7 +358,7 @@ def _minimize_l0(
         ones_count = ones_mask.bit_count()
         exact_data = None
 
-        if trace is not None or not outcome.feasible:
+        if not outcome.feasible:
             verdict, data = relax.certify_node(active, ones_mask, outcome)
             if verdict == "infeasible":
                 continue
@@ -473,10 +389,6 @@ def _minimize_l0(
             obj_exact, weights = exact_data
             bound = ones_count + obj_exact
             assert parent_exact is None or bound >= parent_exact, "bound regressed"
-            if trace is not None:
-                trace.append(
-                    {"parent_bound": parent_exact, "bound": bound, "ones": ones_count}
-                )
             try_candidate(weights)
             if bound > best_obj - 1:
                 continue
@@ -500,40 +412,29 @@ def _minimize_l0(
     return status, best_entries, best_obj, nodes, time.monotonic() - start
 
 
-def _check_solve_args(g: Graph, time_limit: float, max_n: int):
-    if g.n > max_n:
+def _check_solve_args(g: Graph, time_limit: float):
+    if g.n > MAX_EXACT_N:
         raise ValueError(
-            f"n={g.n} too large for an exact solve (limit {max_n}); "
-            "use subsample_solve"
+            f"n={g.n} too large for an exact solve (limit {MAX_EXACT_N}); "
+            "use a construction (union_of_stars or weighted_edge_by_edge)"
         )
     if time_limit <= 0:
         raise ValueError("time limit must be positive")
 
 
 def solve_l0(
-    g: Graph,
-    m: BigM | None = None,
-    time_limit: float = DEFAULT_TIME_LIMIT,
-    incumbent: PulseSequence | None = None,
-    trace: list | None = None,
+    g: Graph, m: BigM | None = None, time_limit: float = DEFAULT_TIME_LIMIT
 ) -> OptResult:
     """Minimize the number of rows realizing g over all canonical rows.
 
     The search is seeded with the star construction (uniform weights) or the
-    edge-by-edge construction, or with an explicit verified incumbent; on
-    timeout the best incumbent found so far is returned.
+    edge-by-edge construction; on timeout the best incumbent found so far is
+    returned.
     """
-    _check_solve_args(g, time_limit, MAX_EXACT_N)
+    _check_solve_args(g, time_limit)
     if m is None:
         m = big_m(g, PRACTICAL_SUM)
-    if incumbent is None:
-        incumbent = _default_incumbent(g)
-    elif not verify(incumbent, g):
-        raise ValueError("incumbent does not realize the target graph")
-    columns = list(range(1 << (g.n - 1)))
-    status, entries, objective, nodes, elapsed = _minimize_l0(
-        g, m, columns, time_limit, incumbent, trace
-    )
+    status, entries, objective, nodes, elapsed = _minimize_l0(g, m, time_limit)
     return OptResult(
         sequence=_sequence_from_support(g.n, entries),
         objective=Fraction(objective),
@@ -551,7 +452,7 @@ def solve_l1(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     No big-M is needed: the objective bounds each strength directly, and the
     program is solved to exact rational optimality.
     """
-    _check_solve_args(g, time_limit, MAX_EXACT_N)
+    _check_solve_args(g, time_limit)
     start = time.monotonic()
     n = g.n
     pairs = _pair_list(n)
@@ -571,7 +472,7 @@ def solve_l1(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     cost = [Fraction(1)] * (2 * k)
     ub = [None] * (2 * k)
     b = [target[i][j] for i, j in pairs]
-    res = solve_lp(a_rows, b, cost, ub, prefer_float=n >= _FLOAT_LP_MIN_N)
+    res = solve_lp(a_rows, b, cost, ub)
     if res.status != "optimal":
         return OptResult(
             PulseSequence.empty(n), None, "l1", INFEASIBLE, 0,
@@ -592,48 +493,3 @@ def solve_l1(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
         wall_time=time.monotonic() - start,
     )
 
-
-def subsample_solve(
-    g: Graph,
-    row_budget: int,
-    seed: int = 0,
-    time_limit: float = DEFAULT_TIME_LIMIT,
-) -> OptResult:
-    """L0 search restricted to a random subset of canonical rows.
-
-    The all-ones row and the rows of the construction incumbent are always
-    included, then the budget is filled with a seeded random choice of
-    further rows.  The restriction loses the optimality proof, so the status
-    never claims optimal; an infeasible answer means the budget was too
-    small, not that the graph is unrealizable.
-    """
-    if g.n > MAX_SUBSAMPLE_N:
-        raise ValueError(f"n={g.n} too large (limit {MAX_SUBSAMPLE_N})")
-    if time_limit <= 0:
-        raise ValueError("time limit must be positive")
-    if row_budget < g.n:
-        raise ValueError("row budget must be at least n")
-    m = big_m(g, PRACTICAL_SUM)
-    incumbent = _default_incumbent(g)
-    forced = {0}
-    forced.update(idx for idx, _ in _incumbent_entries(incumbent))
-    k = 1 << (g.n - 1)
-    pool = [idx for idx in range(k) if idx not in forced]
-    rng = SplitMix64(seed)
-    rng.shuffle(pool)
-    fill = max(0, min(row_budget, k) - len(forced))
-    columns = sorted(forced | set(pool[:fill]))
-    status, entries, objective, nodes, elapsed = _minimize_l0(
-        g, m, columns, time_limit, incumbent
-    )
-    if status == OPTIMAL:
-        status = INCUMBENT_TIMEOUT  # restricted search never proves optimality
-    return OptResult(
-        sequence=_sequence_from_support(g.n, entries),
-        objective=Fraction(objective),
-        objective_kind="l0",
-        status=status,
-        nodes_explored=nodes,
-        wall_time=elapsed,
-        m_kind=m.kind,
-    )

@@ -9,10 +9,12 @@ rule, for bounded variables.  Two engines share the algorithm:
 
 A float basis can be re-solved and certified in exact arithmetic
 (``certify_basis``); when the certificate fails, the exact engine resumes
-pivoting from that basis or restarts from scratch.  ``solve_lp`` packages
-the staged flow and always returns an exact rational optimum or a certified
-infeasibility.  All pivoting rules are deterministic, so identical inputs
-give identical results.
+pivoting from that basis or restarts from scratch.  ``certify_or_repair``
+implements that staging for every caller.  ``solve_lp`` always runs the
+float engine first and hands its outcome to ``certify_or_repair``, so it
+returns an exact rational optimum or a certified infeasibility.  All
+pivoting rules are deterministic, so identical inputs give identical
+results.
 """
 
 from __future__ import annotations
@@ -439,12 +441,48 @@ def exact_solve(a_rows, b, c, ub) -> LPResult:
 # --------------------------------------------------------------- staged ----
 
 
-def solve_lp(a_rows, b, c, ub, prefer_float: bool = True) -> LPResult:
+def certify_or_repair(a_rows, b, c, ub, out: FloatOutcome) -> LPResult:
+    """Exact optimum or certified infeasibility of an LP from a float outcome.
+
+    Same LP and argument types as ``exact_solve``; ``out`` is the float
+    engine's result on it.  An infeasible outcome is accepted only when its
+    phase-1 basis certifies a positive infeasibility exactly.  A feasible
+    one is certified with ``certify_basis``; a basis that is primal feasible
+    but not optimal is resumed with ``exact_resume``.  Whatever cannot be
+    certified or resumed is solved from scratch by ``exact_solve``.
+    """
+    m, ns = len(a_rows), len(c)
+    art_signs = [1 if v >= 0 else -1 for v in b]
+
+    def colfn(j):
+        return [a_rows[r][j] for r in range(m)]
+
+    if not out.feasible:
+        cost1 = [Fraction(0)] * ns + [Fraction(1)] * m
+        ub1 = list(ub) + [None] * m
+        cert = certify_basis(colfn, m, ns, b, cost1, ub1, out.basis, out.vstat, art_signs)
+        if cert not in (None, "resume") and cert[1] > 0:
+            return LPResult("infeasible", None, None)
+        return exact_solve(a_rows, b, c, ub)
+    cost2 = list(c) + [Fraction(0)] * m
+    ub2 = list(ub) + [Fraction(0)] * m
+    cert = certify_basis(colfn, m, ns, b, cost2, ub2, out.basis, out.vstat, art_signs)
+    if cert == "resume":
+        res = exact_resume(a_rows, b, c, ub, out.basis, [int(v) for v in out.vstat])
+        if res is not None:
+            return res
+    elif cert is not None:
+        x, obj = cert
+        return LPResult("optimal", obj, x[:ns])
+    return exact_solve(a_rows, b, c, ub)
+
+
+def solve_lp(a_rows, b, c, ub) -> LPResult:
     """Solve min c.x s.t. a_rows x = b, 0 <= x <= ub, exactly.
 
     a_rows entries, b, c, and finite ub entries must be Fractions or ints.
-    With prefer_float the float engine runs first and its final basis is
-    certified (and repaired when needed) in exact arithmetic.
+    The float engine runs first and ``certify_or_repair`` turns its outcome
+    into an exact result.
     """
     m = len(a_rows)
     ns = len(c)
@@ -463,39 +501,13 @@ def solve_lp(a_rows, b, c, ub, prefer_float: bool = True) -> LPResult:
             else:
                 x.append(Fraction(0))
         return LPResult("optimal", obj, x)
-    if not prefer_float:
-        return exact_solve(a_rows, b, c, ub)
 
     af = np.array([[float(v) for v in row] for row in a_rows])
     bf = np.array([float(v) for v in b])
     ubf = np.array([np.inf if u is None else float(u) for u in ub])
     cf = np.array([float(v) for v in c])
-    art_signs = [1 if v >= 0 else -1 for v in b]
-
-    def colfn(j):
-        return [a_rows[r][j] for r in range(m)]
-
     try:
         out = float_solve(af, bf, ubf, cf)
     except SimplexError:
         return exact_solve(a_rows, b, c, ub)
-    if not out.feasible:
-        cost1 = [Fraction(0)] * ns + [Fraction(1)] * m
-        ub1 = list(ub) + [None] * m
-        cert = certify_basis(colfn, m, ns, b, cost1, ub1, out.basis, out.vstat, art_signs)
-        if cert not in (None, "resume") and cert[1] > 0:
-            return LPResult("infeasible", None, None)
-        return exact_solve(a_rows, b, c, ub)
-    cost2 = list(c)
-    ub2 = list(ub) + [Fraction(0)] * m
-    cost_full = cost2 + [Fraction(0)] * m
-    cert = certify_basis(colfn, m, ns, b, cost_full, ub2, out.basis, out.vstat, art_signs)
-    if cert == "resume":
-        res = exact_resume(a_rows, b, c, ub, out.basis, [int(v) for v in out.vstat])
-        if res is not None:
-            return res
-        return exact_solve(a_rows, b, c, ub)
-    if cert is None:
-        return exact_solve(a_rows, b, c, ub)
-    x, obj = cert
-    return LPResult("optimal", obj, x[:ns])
+    return certify_or_repair(a_rows, b, c, ub, out)
