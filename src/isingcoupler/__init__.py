@@ -40,13 +40,7 @@ from .constructions import (
     union_of_stars,
     weighted_edge_by_edge,
 )
-from .exactopt import (
-    BigM,
-    OptResult,
-    big_m,
-    solve_l0,
-    solve_l1,
-)
+from .exactopt import OptResult, solve_l0, solve_l1
 from .timing import TimingParams, estimate_time_us
 from .qaoa import (
     NoiseSpec,

@@ -23,9 +23,7 @@ from .exactopt import (
     INCUMBENT_TIMEOUT,
     MAX_EXACT_N,
     OPTIMAL,
-    PRACTICAL_SUM,
-    THEOREM_BOUND,
-    big_m,
+    check_time_limit,
     solve_l0,
     solve_l1,
 )
@@ -40,7 +38,15 @@ from .graphs import (
     to_adjacency,
 )
 from .pulses import evaluate, sequence_from_json, sequence_to_json, verify
-from .qaoa import CX, MS, NoiseSpec, maxcut_brute_force, optimize_angles, simulate_qaoa_p1
+from .qaoa import (
+    CX,
+    MS,
+    NoiseSpec,
+    check_grid_resolution,
+    maxcut_brute_force,
+    optimize_angles,
+    simulate_qaoa_p1,
+)
 from .rng import SplitMix64
 from .timing import TimingParams, estimate_time_us
 
@@ -59,6 +65,14 @@ class CommandError(Exception):
     def __init__(self, message, code=EXIT_FAILURE):
         super().__init__(message)
         self.code = code
+
+
+def _usage(check, value):
+    """Run a library argument check; a rejected value is a usage error."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise CommandError(str(exc), EXIT_USAGE) from None
 
 
 def parse_config(path: str | None) -> dict[str, str]:
@@ -161,6 +175,7 @@ def _cmd_compile(args) -> int:
 
 def _cmd_optimize(args) -> int:
     started = time.monotonic()
+    _usage(check_time_limit, args.time_limit)
     g = _load_graph(args.graph)
     args._inputs = [args.graph]
     if g.n > MAX_EXACT_N:
@@ -172,8 +187,7 @@ def _cmd_optimize(args) -> int:
     if args.objective == "l1":
         result = solve_l1(g, time_limit=args.time_limit)
     else:
-        kind = THEOREM_BOUND if args.big_m == "theorem" else PRACTICAL_SUM
-        result = solve_l0(g, m=big_m(g, kind), time_limit=args.time_limit)
+        result = solve_l0(g, time_limit=args.time_limit)
     if args.out:
         Path(args.out).write_text(result.to_json() + "\n")
         _write_manifest(Path(args.out), args, started)
@@ -219,6 +233,7 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _usage(check_grid_resolution, args.grid_res)
     g = _load_graph(args.graph)
     seq = None
     if args.compilation == MS:
@@ -303,21 +318,27 @@ def _sweep_worstcase(cfg, out_dir, time_limit):
     out = out_dir / "fig_worstcase.csv"
     with out.open("w", newline="") as fh:
         writer = csv.DictWriter(
-            fh, fieldnames=["n", "num_classes", "max_l0_opt", "bound_3n_minus_2", "n_plus_1"]
+            fh,
+            fieldnames=[
+                "n", "num_classes", "max_l0_opt", "num_unproven", "bound_3n_minus_2", "n_plus_1",
+            ],
         )
         writer.writeheader()
         for n in range(3, n_max + 1):
             worst = 0
             count = 0
+            unproven = 0
             for g in enumerate_labeled_graphs(n, distinct_only=True):
                 count += 1
                 res = solve_l0(g, time_limit=time_limit)
                 worst = max(worst, int(res.objective))
+                unproven += res.status != OPTIMAL
             writer.writerow(
                 {
                     "n": n,
                     "num_classes": count,
                     "max_l0_opt": worst,
+                    "num_unproven": unproven,
                     "bound_3n_minus_2": 3 * n - 2,
                     "n_plus_1": n + 1,
                 }
@@ -375,16 +396,20 @@ def _sweep_noise(cfg, out_dir, lambda_grid, grid_res):
 def _cmd_sweep(args) -> int:
     started = time.monotonic()
     cfg = parse_config(args.config)
+    time_limit = _usage(
+        check_time_limit,
+        args.time_limit
+        if args.time_limit is not None
+        else float(cfg.get("sweep.time_limit_s", 600.0)),
+    )
+    grid_res = _usage(
+        check_grid_resolution,
+        args.grid_res if args.grid_res is not None else int(cfg.get("sweep.grid_res", 32)),
+    )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else int(cfg.get("sweep.seed", 0))
-    time_limit = (
-        args.time_limit
-        if args.time_limit is not None
-        else float(cfg.get("sweep.time_limit_s", 600.0))
-    )
     workers = int(cfg.get("sweep.workers", 1))
-    grid_res = args.grid_res or int(cfg.get("sweep.grid_res", 32))
     lam_text = args.lambda_grid or cfg.get("sweep.lambda_grid", "0.001,0.005,0.01")
     lambda_grid = [float(x) for x in lam_text.split(",")]
     if args.kind in ("fig_random_unweighted", "fig_random_weighted"):
@@ -422,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="exact L0/L1 minimization")
     p.add_argument("graph")
     p.add_argument("--objective", choices=["l0", "l1"], default="l0")
-    p.add_argument("--big-m", dest="big_m", choices=["sum", "theorem"], default="sum")
     p.add_argument("--time-limit", dest="time_limit", type=float, default=600.0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_optimize)

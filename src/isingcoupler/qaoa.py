@@ -287,6 +287,13 @@ def simulate_qaoa_p1_statevector(
     return float(np.sum(build_cost_operator(g) * np.abs(psi) ** 2))
 
 
+def check_grid_resolution(grid_resolution: int) -> int:
+    """Return grid_resolution, or raise ValueError when it is below 8."""
+    if grid_resolution < 8:
+        raise ValueError(f"grid resolution must be at least 8, got {grid_resolution}")
+    return grid_resolution
+
+
 def optimize_angles(
     g: Graph,
     compilation: str,
@@ -300,8 +307,7 @@ def optimize_angles(
     row-major order, keeping the first maximizer (so ties resolve to the
     lexicographically smallest angles).
     """
-    if grid_resolution < 8:
-        raise ValueError("grid resolution must be at least 8")
+    check_grid_resolution(grid_resolution)
     best_val = -math.inf
     best = (0.0, 0.0)
     for i in range(grid_resolution):

@@ -2,16 +2,20 @@
 emitted sequence checked by verify."""
 
 import itertools
+import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from isingcoupler import (
-    big_m, enumerate_labeled_graphs, random_er_graph, solve_l0, solve_l1, verify,
+    Graph, enumerate_labeled_graphs, random_er_graph, solve_l0, solve_l1, union_of_stars,
+    verify, weighted_edge_by_edge,
 )
-from isingcoupler.exactopt import OPTIMAL, PRACTICAL_SUM, THEOREM_BOUND
+from isingcoupler.exactopt import INCUMBENT_TIMEOUT, OPTIMAL
 
 
 def sign_matrix(g):
@@ -25,29 +29,9 @@ def sign_matrix(g):
     return q, np.array([weights.get(p, 0.0) for p in pairs])
 
 
-def milp_l0(g, m):
-    """Fewest canonical rows with Q W = b and |W_r| <= m z_r, z binary."""
-    q, b = sign_matrix(g)
-    k = q.shape[1]
-    eye = np.eye(k)
-    constraints = [
-        LinearConstraint(np.hstack([q, np.zeros_like(q)]), b, b),
-        LinearConstraint(np.hstack([eye, -m * eye]), -np.inf, 0.0),
-        LinearConstraint(np.hstack([-eye, -m * eye]), -np.inf, 0.0),
-    ]
-    res = milp(np.concatenate([np.zeros(k), np.ones(k)]), constraints=constraints,
-               integrality=np.concatenate([np.zeros(k), np.ones(k)]),
-               bounds=Bounds(np.concatenate([-m * np.ones(k), np.zeros(k)]),
-                             np.concatenate([m * np.ones(k), np.ones(k)])))
-    assert res.status == 0, res.message
-    return round(res.fun)
-
-
-def enumerated_l0(g, m):
-    """The same model solved by enumerating the binaries: the smallest support
-    S for which HiGHS finds Q_S W = b with |W| <= m.  milp cannot take the
-    theorem bound (316228 at n=4): its 1e-6 integrality tolerance lets
-    z_r = |W_r| / m ~ 3e-6 count as 0."""
+def enumerated_l0(g, m=None):
+    """Fewest canonical rows realizing g: the smallest support S for which
+    HiGHS finds Q_S W = b, with strengths unbounded or, given m, |W| <= m."""
     q, b = sign_matrix(g)
     for size in range(q.shape[1] + 1):
         for support in itertools.combinations(range(q.shape[1]), size):
@@ -56,24 +40,91 @@ def enumerated_l0(g, m):
                     return 0
                 continue
             res = linprog(np.zeros(size), A_eq=q[:, support], b_eq=b,
-                          bounds=(-m, m), method="highs")
+                          bounds=(None if m is None else -m, m), method="highs")
             if res.status == 0:
                 return size
     raise AssertionError("no support realizes the graph")
 
 
-@pytest.mark.parametrize("kind", [PRACTICAL_SUM, THEOREM_BOUND])
+def check_l0(g, res):
+    assert res.status == OPTIMAL
+    assert verify(res.sequence, g)
+    assert res.objective == res.sequence.l0
+    assert res.objective == enumerated_l0(g), g.edges
+
+
+def paper_big_m(g, kind):
+    """The strength bound M of the paper's big-M program for a unit-weight
+    graph: the sum of |weights| (practical_sum), or the worst-case bound
+    (3n-2)^((3n-1)/2) rounded up to an integer (theorem_bound)."""
+    assert all(abs(z) == 1 for _, _, z in g.edges)
+    if kind == "practical_sum":
+        return max(float(g.total_abs_weight()), 1.0)
+    root = math.isqrt((3 * g.n - 2) ** (3 * g.n - 1))
+    return float(root + (root * root != (3 * g.n - 2) ** (3 * g.n - 1)))
+
+
+@pytest.mark.parametrize("kind", ["practical_sum", "theorem_bound"])
 @pytest.mark.parametrize("n", [3, 4])
 def test_solve_l0_matches_highs_on_every_class(n, kind):
-    oracle = milp_l0 if kind == PRACTICAL_SUM else enumerated_l0
+    """The unbounded optimum is also the optimum of the M-bounded program
+    under either bound, so dropping big-M changes no answer here."""
     for g in enumerate_labeled_graphs(n, distinct_only=True):
-        m = big_m(g, kind)
-        res = solve_l0(g, m)
-        assert res.status == OPTIMAL and res.m_kind == kind
-        assert verify(res.sequence, g)
-        assert res.objective == res.sequence.l0
-        assert all(abs(w) <= m.value for w in res.sequence.strengths)
-        assert res.objective == oracle(g, float(m.value)), g.edges
+        res = solve_l0(g)
+        check_l0(g, res)
+        assert res.objective == enumerated_l0(g, paper_big_m(g, kind)), g.edges
+
+
+@pytest.mark.parametrize("p", [0.3, 0.6, 0.9])
+def test_solve_l0_matches_highs_on_weighted_graphs(p):
+    for seed in range(3):
+        g = random_er_graph(4, p, (1, 2, 3), seed)
+        check_l0(g, solve_l0(g))
+
+
+def test_solve_l0_honours_its_time_limit():
+    g = random_er_graph(6, 0.5, (1, 2, 3), 1)
+    start = time.monotonic()
+    res = solve_l0(g, time_limit=0.2)
+    assert time.monotonic() - start < 0.2 + 0.3
+    assert res.status == INCUMBENT_TIMEOUT
+    assert verify(res.sequence, g) and res.objective == res.sequence.l0
+
+
+@pytest.mark.parametrize("p, seed, construction, at_most", [
+    (0.6, 1, 21, 11),  # the greedy order alone finds 11 rows in 0.02 s
+    (0.8, 4, 25, 10),  # the narrow passes find 10 in 0.2 s; without them 12 after 3 s
+])
+def test_unfinished_solve_still_shrinks_the_construction(p, seed, construction, at_most):
+    """At n=7 the search cannot finish, but it finds a support well below
+    the construction it starts from (times on a 2-core VM)."""
+    g = random_er_graph(7, p, (1, 2, 3), seed)
+    assert weighted_edge_by_edge(g).l0 == construction
+    res = solve_l0(g, time_limit=1.0)
+    assert res.status == INCUMBENT_TIMEOUT
+    assert verify(res.sequence, g) and res.objective == res.sequence.l0
+    assert res.objective <= at_most
+
+
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(2, 4))
+    weight = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    edges = [(i, j, z) for i, j in itertools.combinations(range(n), 2)
+             if (z := draw(weight)) != 0]
+    return Graph(n, tuple(edges))
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_graphs())
+def test_solve_l0_never_loses_to_the_construction(g):
+    res = solve_l0(g)
+    assert res.status == OPTIMAL
+    assert verify(res.sequence, g)
+    assert res.objective == len(res.sequence.rows)
+    assert res.objective <= weighted_edge_by_edge(g).l0
+    if g.uniform_weight() is not None:
+        assert res.objective <= union_of_stars(g).l0
 
 
 def highs_l1(g):
