@@ -16,6 +16,26 @@ taken.  Basis convention: bit i of a computational index is qubit i.
 
 Both compilations implement the same unitary at zero noise, so their
 expectations agree exactly there.
+
+One call to ``simulate_qaoa_p1`` evaluates a whole gamma x beta grid and
+shares every piece of work that does not depend on both angles:
+
+- The noisy cost layer depends only on gamma, so the density matrix
+  rho_gamma is built once per gamma.
+- After the mixer only diag(rho) is read, and every channel there maps
+  diagonals to diagonals: minor depolarizing d -> (1-r) d + r (d + d o flip_q)/2,
+  the phase flip leaves d unchanged, and the measurement flip
+  d -> (1-p) d + p d o flip_q.  These maps are symmetric and commute, so the
+  read-out folds into one effective cost vector c_eff = M c per call.
+- The value at (gamma, beta) is then Re <O_beta, rho_gamma> with the
+  observable O_beta = U_beta^dag diag(c_eff) U_beta, built once per beta;
+  each rho_gamma gives its row of the grid in one matrix-vector product.
+
+An ms sequence is checked with ``pulses.verify`` once per call.
+
+Depolarizing a qubit set S, I/2^s (x) tr_S rho, is the full single-qubit
+depolarization applied to each qubit of S in turn, and each of those is a
+slice-and-average on a reshaped view of rho.
 """
 
 from __future__ import annotations
@@ -33,6 +53,9 @@ from .pulses import PulseSequence, verify
 MAX_BRUTE_FORCE_N = 20
 CX = "cx"
 MS = "ms"
+# Grid values within this fraction of max(1, C_max) of the maximum are ties:
+# exact ties (every gamma=0 point, for one) differ only by float rounding.
+TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,6 +71,8 @@ class NoiseSpec:
             raise ValueError("major rate must be in [0, 1]")
         if self.minor_ratio < 0:
             raise ValueError("minor ratio must be nonnegative")
+        if not (0.0 <= self.minor_rate <= 1.0 and 0.0 <= self.measurement_rate <= 1.0):
+            raise ValueError("minor and measurement rates must be in [0, 1]")
 
     @property
     def minor_rate(self) -> float:
@@ -84,21 +109,6 @@ def maxcut_brute_force(g: Graph) -> Fraction:
     return Fraction(int(cuts.max()), denom)
 
 
-def plus_state_density(n: int) -> np.ndarray:
-    dim = 1 << n
-    return np.full((dim, dim), 1.0 / dim, dtype=complex)
-
-
-def is_physical_density(
-    rho: np.ndarray, herm_tol=1e-12, trace_tol=1e-12, eig_tol=1e-10
-) -> bool:
-    if np.abs(rho - rho.conj().T).max() > herm_tol:
-        return False
-    if abs(rho.trace() - 1.0) > trace_tol:
-        return False
-    return bool(np.linalg.eigvalsh(rho).min() > -eig_tol)
-
-
 @functools.lru_cache(maxsize=None)
 def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
     idx = np.arange(1 << n)
@@ -119,26 +129,23 @@ def _zz_energies(n: int) -> np.ndarray:
     return (s * s - n) / 2.0
 
 
-@functools.lru_cache(maxsize=None)
-def _mix_permutations(n: int, qubits: tuple[int, ...]):
-    """Index maps placing the given qubits in the high bit positions."""
-    rest = tuple(q for q in range(n) if q not in qubits)
-    order = rest + qubits  # low positions first
-    to_new = np.zeros(1 << n, dtype=np.intp)
-    for b in range(1 << n):
-        new = 0
-        for pos, q in enumerate(order):
-            new |= ((b >> q) & 1) << pos
-        to_new[b] = new
-    return to_new
-
-
 def _apply_permutation(rho: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    return rho[np.ix_(perm, perm)]
+    return rho[perm][:, perm]
 
 
 def _apply_diagonal(rho: np.ndarray, d: np.ndarray) -> np.ndarray:
     return rho * np.outer(d, d.conj())
+
+
+def _depolarize_qubit_fully(rho: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """I/2 (x) tr_qubit rho."""
+    high, low = 1 << (n - 1 - qubit), 1 << qubit
+    t = rho.reshape(high, 2, low, high, 2, low)
+    average = (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]) / 2.0
+    out = np.zeros_like(t)
+    out[:, 0, :, :, 0, :] = average
+    out[:, 1, :, :, 1, :] = average
+    return out.reshape(rho.shape)
 
 
 def apply_depolarizing(rho: np.ndarray, qubits, lam: float, n: int) -> np.ndarray:
@@ -150,34 +157,21 @@ def apply_depolarizing(rho: np.ndarray, qubits, lam: float, n: int) -> np.ndarra
         raise ValueError("qubit index out of range")
     if lam == 0.0 or not qubits:
         return rho
-    s = len(qubits)
-    if s == n:
-        mixed = np.eye(1 << n, dtype=complex) * (rho.trace().real / (1 << n))
+    if len(qubits) == n:
+        dim = 1 << n
+        mixed = np.eye(dim) * (rho.trace().real / dim)
     else:
-        to_new = _mix_permutations(n, qubits)
-        src = np.empty_like(to_new)
-        src[to_new] = np.arange(to_new.size)
-        perm_rho = rho[np.ix_(src, src)]
-        dim_s, dim_r = 1 << s, 1 << (n - s)
-        blocks = perm_rho.reshape(dim_s, dim_r, dim_s, dim_r)
-        reduced = np.einsum("abad->bd", blocks)
-        mixed_new = np.kron(np.eye(dim_s, dtype=complex) / dim_s, reduced)
-        mixed = mixed_new[np.ix_(to_new, to_new)]
+        mixed = rho
+        for q in qubits:
+            mixed = _depolarize_qubit_fully(mixed, q, n)
     return (1.0 - lam) * rho + lam * mixed
-
-
-def _apply_bit_flip(rho: np.ndarray, qubit: int, p: float, n: int) -> np.ndarray:
-    if p == 0.0:
-        return rho
-    perm = _flip_perm(n, qubit)
-    return (1.0 - p) * rho + p * _apply_permutation(rho, perm)
 
 
 def _apply_phase_flip(rho: np.ndarray, qubit: int, p: float, n: int) -> np.ndarray:
     if p == 0.0:
         return rho
     signs = 1.0 - 2.0 * ((np.arange(1 << n) >> qubit) & 1)
-    return (1.0 - p) * rho + p * _apply_diagonal(rho, signs.astype(complex))
+    return (1.0 - p) * rho + p * _apply_diagonal(rho, signs)
 
 
 def _apply_minor(rho: np.ndarray, qubit: int, noise: NoiseSpec, n: int) -> np.ndarray:
@@ -231,33 +225,72 @@ def _ms_layer(rho, seq: PulseSequence, gamma: float, noise: NoiseSpec, n: int):
     return rho
 
 
+def _cost_layer(
+    g: Graph, compilation: str, seq: PulseSequence | None, gamma: float, noise: NoiseSpec
+) -> np.ndarray:
+    """The noisy cost layer exp(-i gamma C') applied to |+...+><+...+|."""
+    dim = 1 << g.n
+    rho = np.full((dim, dim), 1.0 / dim, dtype=complex)
+    if compilation == CX:
+        return _cx_layer(rho, g, gamma, noise, g.n)
+    return _ms_layer(rho, seq, gamma, noise, g.n)
+
+
+def _effective_cost(g: Graph, noise: NoiseSpec) -> np.ndarray:
+    """c_eff = M c: the minor and measurement channels after the mixer, folded
+    into the cost vector (each is symmetric on diagonals, and they commute)."""
+    c = build_cost_operator(g)
+    r, p = noise.minor_rate, noise.measurement_rate
+    for q in range(g.n):
+        flip = _flip_perm(g.n, q)
+        c = (1.0 - r) * c + r * (c + c[flip]) / 2.0
+        c = (1.0 - p) * c + p * c[flip]
+    return c
+
+
+def _angles(values) -> np.ndarray:
+    angles = np.atleast_1d(np.asarray(values, dtype=float))
+    if angles.ndim != 1:
+        raise ValueError("angles must be floats or 1-D sequences")
+    if not np.isfinite(angles).all():
+        raise ValueError("angles must be finite")
+    return angles
+
+
 def simulate_qaoa_p1(
     g: Graph,
     compilation: str,
     seq: PulseSequence | None,
-    gamma: float,
-    beta: float,
+    gamma,
+    beta,
     noise: NoiseSpec = ZERO_NOISE,
-) -> float:
-    """Expectation of C' after one noisy QAOA layer from |+...+>."""
-    if not (math.isfinite(gamma) and math.isfinite(beta)):
-        raise ValueError("angles must be finite")
-    n = g.n
-    rho = plus_state_density(n)
-    if compilation == CX:
-        rho = _cx_layer(rho, g, gamma, noise, n)
-    elif compilation == MS:
+) -> float | np.ndarray:
+    """Expectation of C' after one noisy QAOA layer from |+...+>.
+
+    gamma and beta are each a float or a 1-D sequence.  Two floats give a
+    float; otherwise the result is a (len(gamma), len(beta)) array with the
+    expectation at every grid point.
+    """
+    gammas, betas = _angles(gamma), _angles(beta)
+    if compilation == MS:
         if seq is None or not verify(seq, g):
             raise ValueError("ms compilation needs a sequence realizing the graph")
-        rho = _ms_layer(rho, seq, gamma, noise, n)
-    else:
+    elif compilation != CX:
         raise ValueError(f"unknown compilation {compilation!r}")
-    rho = _mixer_unitary(n, beta) @ rho @ _mixer_unitary(n, beta).conj().T
-    for q in range(n):
-        rho = _apply_minor(rho, q, noise, n)
-    for q in range(n):
-        rho = _apply_bit_flip(rho, q, noise.measurement_rate, n)
-    return float(np.real(np.sum(build_cost_operator(g) * rho.diagonal())))
+    n = g.n
+    c_eff = _effective_cost(g, noise)
+    # Row j holds conj(O_j) for O_j = U_j^dag diag(c_eff) U_j, so that
+    # rows @ vec(rho) = <O_j, rho> = tr(diag(c_eff) U_j rho U_j^dag).
+    rows = np.empty((len(betas), 1 << (2 * n)), dtype=complex)
+    for j, b in enumerate(betas):
+        u = _mixer_unitary(n, b)
+        rows[j] = (u.T @ (c_eff[:, None] * u.conj())).ravel()
+    values = np.empty((len(gammas), len(betas)))
+    for i, gm in enumerate(gammas):
+        values[i] = np.real(rows @ _cost_layer(g, compilation, seq, gm, noise).ravel())
+    if np.ndim(gamma) == 0 and np.ndim(beta) == 0:
+        return float(values[0, 0])
+    return values
 
 
 def simulate_qaoa_p1_statevector(
@@ -304,21 +337,18 @@ def optimize_angles(
     """Best (gamma, beta) on a dense grid and the approximation ratio there.
 
     Scans gamma in [0, 2pi) and beta in [0, pi) at the given resolution in
-    row-major order, keeping the first maximizer (so ties resolve to the
-    lexicographically smallest angles).
+    one simulation call.  Values within TIE_TOLERANCE * max(1, C_max) of the
+    maximum are ties, and ties resolve to the lexicographically smallest
+    (gamma, beta), so float rounding does not pick among them.
     """
     check_grid_resolution(grid_resolution)
-    best_val = -math.inf
-    best = (0.0, 0.0)
-    for i in range(grid_resolution):
-        gamma = 2.0 * math.pi * i / grid_resolution
-        for j in range(grid_resolution):
-            beta = math.pi * j / grid_resolution
-            val = simulate_qaoa_p1(g, compilation, seq, gamma, beta, noise)
-            if val > best_val:
-                best_val = val
-                best = (gamma, beta)
-    cmax = maxcut_brute_force(g)
+    cmax = float(maxcut_brute_force(g))
     if cmax <= 0:
         raise ValueError("graph has no positive cut; ratio undefined")
-    return best[0], best[1], best_val / float(cmax)
+    steps = np.arange(grid_resolution)
+    gammas = 2.0 * math.pi * steps / grid_resolution
+    betas = math.pi * steps / grid_resolution
+    values = simulate_qaoa_p1(g, compilation, seq, gammas, betas, noise)
+    near_max = values >= values.max() - TIE_TOLERANCE * max(1.0, cmax)
+    i, j = divmod(int(np.flatnonzero(near_max)[0]), grid_resolution)
+    return float(gammas[i]), float(betas[j]), float(values[i, j]) / cmax

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from isingcoupler import (
-    Graph, OptResult, random_er_graph, sequence_from_json, serialize_edge_list, verify,
-    weighted_edge_by_edge,
+    Graph, NoiseSpec, OptResult, optimize_angles, random_er_graph, sequence_from_json,
+    serialize_edge_list, union_of_stars, verify, weighted_edge_by_edge,
 )
 from isingcoupler import cli
 from isingcoupler.exactopt import INCUMBENT_TIMEOUT, MAX_EXACT_N
@@ -123,6 +123,26 @@ def test_worstcase_sweep_counts_unproven_classes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "solve_l0", timed_out)
     rows = sweep_worstcase(tmp_path, capsys, 3)
     assert rows[0]["num_classes"] == rows[0]["num_unproven"] == "4"
+
+
+def test_noise_sweep_writes_the_optimized_ratios(tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("sweep.noise_graphs = k6\n")
+    code, _, _ = run(["sweep", "fig_noise", "--config", str(config), "--grid-res", "8",
+                      "--lambda-grid", "0.005", "--out-dir", str(tmp_path)], capsys)
+    assert code == cli.EXIT_OK
+    with (tmp_path / "fig_noise.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["graph_id"], r["compilation"], r["lambda"]) for r in rows] == [
+        ("k6", "cx", "0.005"), ("k6", "ms", "0.005")]
+    k6 = Graph.complete(6)
+    for row, seq in zip(rows, [None, union_of_stars(k6)]):
+        gamma, beta, ratio = optimize_angles(k6, row["compilation"], seq, NoiseSpec(0.005), 8)
+        assert (row["gamma"], row["beta"], row["ratio"]) == (
+            f"{gamma:.9f}", f"{beta:.9f}", f"{ratio:.9f}")
+    manifest = json.loads((tmp_path / "fig_noise.csv.manifest.json").read_text())
+    assert manifest["subcommand"] == "sweep"
+    assert manifest["config_overrides"] == {"sweep.noise_graphs": "k6"}
 
 
 def test_missing_graph_file_exits_1(tmp_path, capsys):

@@ -1,0 +1,231 @@
+"""The noisy QAOA simulator against an independent dense oracle.
+
+The oracle builds every operator with np.kron and applies each channel as
+written in the model: depolarizing as the average over the Pauli strings on
+its qubits, phase and bit flips as Kraus pairs, unitaries as full matrices.
+It shares no code with isingcoupler.qaoa."""
+
+import functools
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from isingcoupler import (
+    Graph, NoiseSpec, apply_depolarizing, maxcut_brute_force, optimize_angles, random_er_graph,
+    simulate_qaoa_p1, simulate_qaoa_p1_statevector, union_of_stars, weighted_edge_by_edge,
+)
+from isingcoupler import qaoa
+
+I2 = np.eye(2, dtype=complex)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+Z = np.diag([1.0 + 0j, -1.0])
+PAULIS = (I2, X, Y, Z)
+
+
+def on(n, ops):
+    """The n-qubit operator acting as ops[q] on qubit q (qubit 0 is bit 0)."""
+    full = np.eye(1, dtype=complex)
+    for q in range(n):
+        full = np.kron(ops.get(q, I2), full)
+    return full
+
+
+@functools.lru_cache(maxsize=None)
+def pauli_strings(n, qubits):
+    return [on(n, dict(zip(qubits, ps))) for ps in itertools.product(PAULIS, repeat=len(qubits))]
+
+
+def depolarize(rho, qubits, lam, n):
+    strings = pauli_strings(n, tuple(qubits))
+    mixture = sum(p @ rho @ p.conj().T for p in strings) / len(strings)
+    return (1 - lam) * rho + lam * mixture
+
+
+def kraus_pair(rho, op, p):
+    return (1 - p) * rho + p * (op @ rho @ op.conj().T)
+
+
+def minor(rho, q, rate, n):
+    rho = depolarize(rho, [q], rate, n)
+    return kraus_pair(rho, on(n, {q: Z}), rate)
+
+
+def conjugate(rho, u):
+    return u @ rho @ u.conj().T
+
+
+def ising(n, phi):
+    """exp(-i phi sum_{i<j} Z_i Z_j) as a product of commuting factors."""
+    u = np.eye(1 << n, dtype=complex)
+    for i, j in itertools.combinations(range(n), 2):
+        zz = on(n, {i: Z, j: Z})
+        u = u @ (math.cos(phi) * np.eye(1 << n) - 1j * math.sin(phi) * zz)
+    return u
+
+
+def oracle(g, compilation, seq, gamma, beta, noise):
+    n, dim = g.n, 1 << g.n
+    major, rate = noise.major_rate, noise.minor_rate
+    plus = np.full((dim, 1), 1 / math.sqrt(dim), dtype=complex)
+    rho = plus @ plus.conj().T
+    if compilation == "cx":
+        for u, v, z in g.edges:
+            cnot = on(n, {u: np.diag([1.0, 0.0])}) + on(n, {u: np.diag([0.0, 1.0]), v: X})
+            half = gamma * float(z) / 2  # Rz(-gamma z) = diag(e^{i gamma z/2}, e^{-i gamma z/2})
+            rz = on(n, {v: np.diag([np.exp(1j * half), np.exp(-1j * half)])})
+            rho = depolarize(conjugate(rho, cnot), [u, v], major, n)
+            rho = minor(conjugate(rho, rz), v, rate, n)
+            rho = depolarize(conjugate(rho, cnot), [u, v], major, n)
+    else:
+        for row, w in zip(seq.rows, seq.strengths):
+            flipped = [q for q, s in enumerate(row.signs) if s == -1]
+            for q in flipped:
+                rho = minor(conjugate(rho, on(n, {q: X})), q, rate, n)
+            rho = conjugate(rho, ising(n, -gamma * float(w) / 2))
+            rho = depolarize(rho, range(n), major, n)
+            for q in flipped:
+                rho = minor(conjugate(rho, on(n, {q: X})), q, rate, n)
+    mixer = functools.reduce(
+        np.matmul, [math.cos(beta) * np.eye(dim) - 1j * math.sin(beta) * on(n, {q: X})
+                    for q in range(n)])
+    rho = conjugate(rho, mixer)
+    for q in range(n):
+        rho = minor(rho, q, rate, n)
+    for q in range(n):
+        rho = kraus_pair(rho, on(n, {q: X}), noise.measurement_rate)
+    cost = sum(float(z) * (np.eye(dim) - on(n, {u: Z, v: Z})) / 2 for u, v, z in g.edges)
+    return float(np.trace(cost @ rho).real)
+
+
+def is_physical_density(rho, herm_tol=1e-12, trace_tol=1e-12, eig_tol=1e-10):
+    if np.abs(rho - rho.conj().T).max() > herm_tol:
+        return False
+    if abs(rho.trace() - 1.0) > trace_tol:
+        return False
+    return bool(np.linalg.eigvalsh(rho).min() > -eig_tol)
+
+
+CASES = [
+    ("triangle", Graph.complete(3), union_of_stars),
+    ("k4", Graph.complete(4), union_of_stars),
+    ("star4", Graph.unweighted(4, [(0, 1), (0, 2), (0, 3)]), union_of_stars),
+    ("er4", random_er_graph(4, 0.6, (), 3), union_of_stars),
+    ("er4_weighted", random_er_graph(4, 0.7, (1, 2, 3), 2), weighted_edge_by_edge),
+    ("er3_weighted", random_er_graph(3, 1.0, ("1/2", -1, 2), 5), weighted_edge_by_edge),
+]
+
+
+@pytest.mark.parametrize("compilation", ["cx", "ms"])
+@pytest.mark.parametrize("name, g, construct", CASES, ids=[c[0] for c in CASES])
+def test_grid_matches_the_dense_oracle(name, g, construct, compilation):
+    rng = np.random.default_rng(list((name + compilation).encode()))
+    noise = NoiseSpec(rng.uniform(0, 0.2), rng.uniform(0, 1), rng.uniform(0, 0.2))
+    seq = construct(g) if compilation == "ms" else None
+    gammas = rng.uniform(0, 2 * math.pi, 3)
+    betas = rng.uniform(0, math.pi, 2)
+    grid = simulate_qaoa_p1(g, compilation, seq, gammas, betas, noise)
+    assert grid.shape == (3, 2)
+    want = [[oracle(g, compilation, seq, gm, b, noise) for b in betas] for gm in gammas]
+    np.testing.assert_allclose(grid, want, rtol=0, atol=1e-12)
+    for gm in gammas:
+        assert is_physical_density(qaoa._cost_layer(g, compilation, seq, gm, noise))
+
+
+@pytest.mark.parametrize("name, g, construct", CASES, ids=[c[0] for c in CASES])
+def test_noiseless_grid_matches_statevector_and_compilations_agree(name, g, construct):
+    seq = construct(g)
+    gammas = np.linspace(0, 2 * math.pi, 5, endpoint=False)
+    betas = np.linspace(0, math.pi, 4, endpoint=False)
+    cx = simulate_qaoa_p1(g, "cx", None, gammas, betas)
+    ms = simulate_qaoa_p1(g, "ms", seq, gammas, betas)
+    want = [[simulate_qaoa_p1_statevector(g, "cx", None, gm, b) for b in betas] for gm in gammas]
+    np.testing.assert_allclose(cx, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ms, cx, rtol=0, atol=1e-12)
+
+
+def random_density(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    rho = a @ a.conj().T
+    return rho / rho.trace()
+
+
+@pytest.mark.parametrize("qubits", [(1,), (2,), (0, 3), (3, 1), (0, 1, 2, 3)])
+def test_apply_depolarizing_is_the_pauli_mixture(qubits):
+    rho = random_density(4, sum(qubits))
+    out = apply_depolarizing(rho, qubits, 0.3, 4)
+    np.testing.assert_allclose(out, depolarize(rho, qubits, 0.3, 4), rtol=0, atol=1e-14)
+    assert abs(out.trace() - 1) < 1e-14 and is_physical_density(out)
+    full = apply_depolarizing(rho, qubits, 1.0, 4)
+    np.testing.assert_allclose(full, depolarize(rho, qubits, 1.0, 4), rtol=0, atol=1e-14)
+
+
+def test_bad_arguments_raise():
+    g = Graph.complete(3)
+    for gamma, beta in [(math.nan, 0.1), (0.1, math.inf), ([0.1, math.nan], [0.2]),
+                        ([0.1, 0.2], [0.3, -math.inf]), ([[0.1]], [0.2])]:
+        with pytest.raises(ValueError):
+            simulate_qaoa_p1(g, "cx", None, gamma, beta)
+    with pytest.raises(ValueError, match="unknown compilation"):
+        simulate_qaoa_p1(g, "cz", None, 0.1, 0.2)
+    with pytest.raises(ValueError, match="realizing"):
+        simulate_qaoa_p1(g, "ms", None, 0.1, 0.2)
+    with pytest.raises(ValueError, match="realizing"):
+        simulate_qaoa_p1(g, "ms", union_of_stars(Graph.unweighted(3, [(0, 1)])), [0.1], [0.2])
+    for spec in [dict(major_rate=1.5), dict(major_rate=-0.1), dict(major_rate=0.5, minor_ratio=3),
+                 dict(major_rate=0.1, measurement_flip=2.0), dict(major_rate=math.nan)]:
+        with pytest.raises(ValueError):
+            NoiseSpec(**spec)
+    for lam in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="rate"):
+            apply_depolarizing(random_density(3, 0), (0,), lam, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        apply_depolarizing(random_density(3, 0), (3,), 0.1, 3)
+
+
+def test_scalar_angles_give_the_one_point_grid_value():
+    g = Graph.complete(4)
+    noise = NoiseSpec(0.02)
+    value = simulate_qaoa_p1(g, "cx", None, 0.3, 0.7, noise)
+    assert type(value) is float
+    assert value == simulate_qaoa_p1(g, "cx", None, [0.3], [0.7], noise)[0, 0]
+    row = simulate_qaoa_p1(g, "cx", None, 0.3, [0.7, 0.1], noise)
+    assert row.shape == (1, 2) and row[0, 0] == pytest.approx(value, abs=1e-12)
+
+
+@pytest.mark.parametrize("compilation", ["cx", "ms"])
+@pytest.mark.parametrize("g", [Graph.complete(6), Graph.unweighted(6, [(i, (i + 1) % 6)
+                                                                       for i in range(6)])],
+                         ids=["k6", "c6"])
+def test_ties_resolve_to_the_smallest_angles(g, compilation):
+    seq = union_of_stars(g) if compilation == "ms" else None
+    noise = NoiseSpec(0.005)
+    res = 8
+    gammas = 2 * math.pi * np.arange(res) / res
+    betas = math.pi * np.arange(res) / res
+    grid = simulate_qaoa_p1(g, compilation, seq, gammas, betas, noise)
+    cmax = float(maxcut_brute_force(g))
+    near = np.argwhere(grid >= grid.max() - qaoa.TIE_TOLERANCE * max(1.0, cmax))
+    i, j = near[0]  # argwhere is row-major: the smallest gamma, then the smallest beta
+    gamma, beta, ratio = optimize_angles(g, compilation, seq, noise, grid_resolution=res)
+    assert (gamma, beta) == (gammas[i], betas[j])
+    assert ratio == grid[i, j] / cmax
+
+
+def test_one_scan_is_one_simulation_with_one_verify(monkeypatch):
+    calls = {"simulate": 0, "verify": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qaoa, "simulate_qaoa_p1", counted("simulate", qaoa.simulate_qaoa_p1))
+    monkeypatch.setattr(qaoa, "verify", counted("verify", qaoa.verify))
+    g = Graph.complete(4)
+    optimize_angles(g, "ms", union_of_stars(g), NoiseSpec(0.01), grid_resolution=8)
+    assert calls == {"simulate": 1, "verify": 1}
