@@ -42,6 +42,7 @@ from .qaoa import (
     CX,
     MS,
     NoiseSpec,
+    check_angles,
     check_grid_resolution,
     maxcut_brute_force,
     optimize_angles,
@@ -234,6 +235,8 @@ def _cmd_cost(args) -> int:
 
 def _cmd_simulate(args) -> int:
     _usage(check_grid_resolution, args.grid_res)
+    noise = _usage(NoiseSpec, args.noise_lambda)
+    _usage(check_angles, [args.gamma, args.beta])
     g = _load_graph(args.graph)
     seq = None
     if args.compilation == MS:
@@ -243,9 +246,6 @@ def _cmd_simulate(args) -> int:
             if g.m > 0 and g.uniform_weight() is None:
                 raise CommandError("ms simulation of a weighted graph needs --pulse")
             seq = union_of_stars(g)
-        if not verify(seq, g):
-            raise CommandError("pulse sequence does not realize the graph")
-    noise = NoiseSpec(args.noise_lambda)
     if args.optimize:
         gamma, beta, ratio = optimize_angles(
             g, args.compilation, seq, noise, grid_resolution=args.grid_res
@@ -357,7 +357,7 @@ def noise_standin_graphs() -> list[tuple[str, Graph]]:
     return [("star_k15", star), ("cycle_c6", cycle), ("k6", k6), ("two_hubs", two_hubs)]
 
 
-def _sweep_noise(cfg, out_dir, lambda_grid, grid_res):
+def _sweep_noise(cfg, out_dir, noises, grid_res):
     out = out_dir / "fig_noise.csv"
     graphs = noise_standin_graphs()
     names = cfg.get("sweep.noise_graphs")
@@ -373,17 +373,17 @@ def _sweep_noise(cfg, out_dir, lambda_grid, grid_res):
         for name, g in graphs:
             seq = union_of_stars(g)
             cmax = float(maxcut_brute_force(g))
-            for lam in lambda_grid:
+            for noise in noises:
                 for compilation in (CX, MS):
                     gamma, beta, ratio = optimize_angles(
                         g, compilation, seq if compilation == MS else None,
-                        NoiseSpec(lam), grid_resolution=grid_res,
+                        noise, grid_resolution=grid_res,
                     )
                     writer.writerow(
                         {
                             "graph_id": name,
                             "compilation": compilation,
-                            "lambda": lam,
+                            "lambda": noise.major_rate,
                             "gamma": f"{gamma:.9f}",
                             "beta": f"{beta:.9f}",
                             "expectation": f"{ratio * cmax:.9f}",
@@ -406,18 +406,18 @@ def _cmd_sweep(args) -> int:
         check_grid_resolution,
         args.grid_res if args.grid_res is not None else int(cfg.get("sweep.grid_res", 32)),
     )
+    lam_text = args.lambda_grid or cfg.get("sweep.lambda_grid", "0.001,0.005,0.01")
+    noises = [_usage(NoiseSpec, float(x)) for x in lam_text.split(",")]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else int(cfg.get("sweep.seed", 0))
     workers = int(cfg.get("sweep.workers", 1))
-    lam_text = args.lambda_grid or cfg.get("sweep.lambda_grid", "0.001,0.005,0.01")
-    lambda_grid = [float(x) for x in lam_text.split(",")]
     if args.kind in ("fig_random_unweighted", "fig_random_weighted"):
         outputs = _sweep_random(args.kind, cfg, out_dir, workers, seed, time_limit)
     elif args.kind == "fig_worstcase":
         outputs = _sweep_worstcase(cfg, out_dir, time_limit)
     else:
-        outputs = _sweep_noise(cfg, out_dir, lambda_grid, grid_res)
+        outputs = _sweep_noise(cfg, out_dir, noises, grid_res)
     for out in outputs:
         _write_manifest(out, args, started, seed=seed, overrides=cfg)
         print(f"wrote {out}")

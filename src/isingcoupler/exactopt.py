@@ -6,8 +6,11 @@ Because negating a row never changes the realized coupling, only the
 the coupling signs of row t, one entry per qubit pair, and b holds the
 target couplings; a sequence realizes the graph exactly when Q W = b.
 
-L1 is a plain linear program in the strengths, solved by
-``simplex.solve_lp`` (float first, then certified in rationals).
+L1 is a linear program: each strength is split as W_t = W+_t - W-_t with
+both parts nonnegative, and sum(W+ + W-) is minimized subject to
+Q (W+ - W-) = b.  It is always feasible, since the cut matrix spans every
+target (the constructions realize any graph), and ``simplex.solve_lp``
+solves it in floats and certifies the float basis in rationals.
 
 L0 is the smallest k for which b lies in the span of k columns of Q.  A
 minimum-row realization has linearly independent columns (a dependent one
@@ -77,7 +80,6 @@ _PROBE_WIDTHS = (2, 3, 4)
 
 OPTIMAL = "optimal"
 INCUMBENT_TIMEOUT = "incumbent_timeout"
-INFEASIBLE = "infeasible"
 
 
 @dataclass
@@ -319,15 +321,8 @@ def solve_l1(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
             q = _coupling_sign(idx, i, j)
             row.extend((q, -q))
         a_rows.append(row)
-    cost = [Fraction(1)] * (2 * k)
-    ub = [None] * (2 * k)
     b = [target[i][j] for i, j in pairs]
-    res = solve_lp(a_rows, b, cost, ub)
-    if res.status != "optimal":
-        return OptResult(
-            PulseSequence.empty(n), None, "l1", INFEASIBLE, 0,
-            time.monotonic() - start,
-        )
+    res = solve_lp(a_rows, b, [Fraction(1)] * (2 * k))
     entries = []
     for idx in range(k):
         w = res.x[2 * idx] - res.x[2 * idx + 1]

@@ -248,7 +248,9 @@ def _effective_cost(g: Graph, noise: NoiseSpec) -> np.ndarray:
     return c
 
 
-def _angles(values) -> np.ndarray:
+def check_angles(values) -> np.ndarray:
+    """values (a float or a 1-D sequence) as a 1-D array, or raise
+    ValueError when it has another shape or a non-finite entry."""
     angles = np.atleast_1d(np.asarray(values, dtype=float))
     if angles.ndim != 1:
         raise ValueError("angles must be floats or 1-D sequences")
@@ -271,7 +273,7 @@ def simulate_qaoa_p1(
     float; otherwise the result is a (len(gamma), len(beta)) array with the
     expectation at every grid point.
     """
-    gammas, betas = _angles(gamma), _angles(beta)
+    gammas, betas = check_angles(gamma), check_angles(beta)
     if compilation == MS:
         if seq is None or not verify(seq, g):
             raise ValueError("ms compilation needs a sequence realizing the graph")

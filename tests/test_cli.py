@@ -10,9 +10,9 @@ import pytest
 
 from isingcoupler import (
     Graph, NoiseSpec, OptResult, optimize_angles, random_er_graph, sequence_from_json,
-    serialize_edge_list, union_of_stars, verify, weighted_edge_by_edge,
+    sequence_to_json, serialize_edge_list, union_of_stars, verify, weighted_edge_by_edge,
 )
-from isingcoupler import cli
+from isingcoupler import cli, qaoa
 from isingcoupler.exactopt import INCUMBENT_TIMEOUT, MAX_EXACT_N
 
 
@@ -75,6 +75,10 @@ def test_removed_optimize_options_are_usage_errors(tmp_path, capsys, option):
     ("sweep", ["--time-limit", "0"], "time limit must be positive"),
     ("sweep", ["--grid-res", "7"], "grid resolution must be at least 8"),
     ("simulate", ["--grid-res", "7"], "grid resolution must be at least 8"),
+    ("simulate", ["--lambda", "1.5"], "major rate must be in [0, 1]"),
+    ("simulate", ["--lambda", "nan"], "major rate must be in [0, 1]"),
+    ("simulate", ["--gamma", "nan"], "angles must be finite"),
+    ("simulate", ["--beta=-inf"], "angles must be finite"),
 ])
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, command, option, message):
     argv = {"optimize": ["optimize", write_graph(tmp_path, Graph.complete(3))],
@@ -97,6 +101,44 @@ def test_bad_config_values_are_usage_errors(tmp_path, capsys, line, message):
                         "--out-dir", str(out_dir)], capsys)
     assert code == cli.EXIT_USAGE and message in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("source", ["option", "config"])
+def test_bad_lambda_grid_is_a_usage_error_before_any_output(tmp_path, capsys, source):
+    out_dir = tmp_path / "out"
+    argv = ["sweep", "fig_noise", "--grid-res", "8", "--out-dir", str(out_dir)]
+    if source == "option":
+        argv += ["--lambda-grid", "0.005,1.5"]
+    else:
+        config = tmp_path / "sweep.cfg"
+        config.write_text("sweep.lambda_grid = 0.005,1.5\n")
+        argv += ["--config", str(config)]
+    code, _, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE and "major rate must be in [0, 1]" in err
+    assert not out_dir.exists()
+
+
+def test_simulate_verifies_an_ms_sequence_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(seq, g):
+        calls.append(seq)
+        return verify(seq, g)
+
+    monkeypatch.setattr(cli, "verify", counted)
+    monkeypatch.setattr(qaoa, "verify", counted)
+    code, _, _ = run(["simulate", write_graph(tmp_path, Graph.complete(4)), "--optimize",
+                      "--grid-res", "8"], capsys)
+    assert code == cli.EXIT_OK and len(calls) == 1
+
+
+@pytest.mark.parametrize("extra", [[], ["--optimize", "--grid-res", "8"]])
+def test_pulse_that_does_not_realize_the_graph_exits_1(tmp_path, capsys, extra):
+    pulse = tmp_path / "pulse.json"
+    pulse.write_text(sequence_to_json(union_of_stars(Graph.unweighted(3, [(0, 1)]))))
+    code, _, err = run(["simulate", write_graph(tmp_path, Graph.complete(3)),
+                        "--pulse", str(pulse), *extra], capsys)
+    assert code == cli.EXIT_FAILURE and "realiz" in err
 
 
 def sweep_worstcase(tmp_path, capsys, n_max):
