@@ -186,7 +186,7 @@ def _cmd_optimize(args) -> int:
             EXIT_USAGE,
         )
     if args.objective == "l1":
-        result = solve_l1(g, time_limit=args.time_limit)
+        result = solve_l1(g)
     else:
         result = solve_l0(g, time_limit=args.time_limit)
     if args.out:
@@ -223,7 +223,7 @@ def _cmd_verify(args) -> int:
 def _cmd_cost(args) -> int:
     seq = _load_sequence(args.pulse)
     cfg = parse_config(args.config)
-    params = _timing_from_config(cfg)
+    params = _usage(_timing_from_config, cfg)
     total_us = estimate_time_us(seq, params)
     print(
         f"n={seq.n} L0={seq.l0} L1={seq.l1} t_pi_us={params.t_pi_us} "
@@ -272,7 +272,7 @@ def _random_sweep_instance(task):
     stars = union_of_stars(g) if not weights else None
     construction = stars if stars is not None else weighted_edge_by_edge(g)
     l0 = solve_l0(g, time_limit=time_limit)
-    l1 = solve_l1(g, time_limit=time_limit)
+    l1 = solve_l1(g)
     return {
         "seed": seed,
         "p": p,
@@ -285,14 +285,12 @@ def _random_sweep_instance(task):
     }
 
 
-def _sweep_random(kind, cfg, out_dir, workers, seed, time_limit):
-    n = int(cfg.get("sweep.n", 7))
-    per_p = int(cfg.get("sweep.graphs_per_p", 4))
-    p_count = int(cfg.get("sweep.p_count", 24))
-    p_step = float(cfg.get("sweep.p_step", 0.04))
-    weights = []
-    if kind == "fig_random_weighted":
-        weights = [Fraction(w) for w in cfg.get("sweep.weights", "1,2,3").split(",")]
+def _sweep_random(kind, opts, weights, out_dir, seed, time_limit):
+    n, per_p = opts["sweep.n"], opts["sweep.graphs_per_p"]
+    p_count, p_step = opts["sweep.p_count"], opts["sweep.p_step"]
+    workers = opts["sweep.workers"]
+    if kind != "fig_random_weighted":
+        weights = []
     rng = SplitMix64(seed)
     tasks = []
     for ip in range(1, p_count + 1):
@@ -313,8 +311,7 @@ def _sweep_random(kind, cfg, out_dir, workers, seed, time_limit):
     return [out]
 
 
-def _sweep_worstcase(cfg, out_dir, time_limit):
-    n_max = int(cfg.get("sweep.n_max", 5))
+def _sweep_worstcase(n_max, out_dir, time_limit):
     out = out_dir / "fig_worstcase.csv"
     with out.open("w", newline="") as fh:
         writer = csv.DictWriter(
@@ -393,29 +390,50 @@ def _sweep_noise(cfg, out_dir, noises, grid_res):
     return [out]
 
 
+# numeric --config keys of sweep: (key, type, default)
+_SWEEP_NUMBERS = (
+    ("sweep.n", int, 7),
+    ("sweep.graphs_per_p", int, 4),
+    ("sweep.p_count", int, 24),
+    ("sweep.p_step", float, 0.04),
+    ("sweep.n_max", int, 5),
+    ("sweep.seed", int, 0),
+    ("sweep.workers", int, 1),
+    ("sweep.time_limit_s", float, 600.0),
+    ("sweep.grid_res", int, 32),
+)
+
+
+def _number(kind, key, text: str):
+    """text as a kind (int, float or Fraction); anything else is a usage error."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise CommandError(f"{key}: not a number: {text!r}", EXIT_USAGE) from None
+
+
 def _cmd_sweep(args) -> int:
     started = time.monotonic()
     cfg = parse_config(args.config)
-    time_limit = _usage(
-        check_time_limit,
-        args.time_limit
-        if args.time_limit is not None
-        else float(cfg.get("sweep.time_limit_s", 600.0)),
-    )
-    grid_res = _usage(
-        check_grid_resolution,
-        args.grid_res if args.grid_res is not None else int(cfg.get("sweep.grid_res", 32)),
-    )
+    opts = {key: _number(kind, key, cfg[key]) if key in cfg else default
+            for key, kind, default in _SWEEP_NUMBERS}
+    if args.time_limit is not None:
+        opts["sweep.time_limit_s"] = args.time_limit
+    if args.grid_res is not None:
+        opts["sweep.grid_res"] = args.grid_res
+    time_limit = _usage(check_time_limit, opts["sweep.time_limit_s"])
+    grid_res = _usage(check_grid_resolution, opts["sweep.grid_res"])
     lam_text = args.lambda_grid or cfg.get("sweep.lambda_grid", "0.001,0.005,0.01")
-    noises = [_usage(NoiseSpec, float(x)) for x in lam_text.split(",")]
+    noises = [_usage(NoiseSpec, _number(float, "lambda grid", x)) for x in lam_text.split(",")]
+    weights = [_number(Fraction, "sweep.weights", w)
+               for w in cfg.get("sweep.weights", "1,2,3").split(",")]
+    seed = args.seed if args.seed is not None else opts["sweep.seed"]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else int(cfg.get("sweep.seed", 0))
-    workers = int(cfg.get("sweep.workers", 1))
     if args.kind in ("fig_random_unweighted", "fig_random_weighted"):
-        outputs = _sweep_random(args.kind, cfg, out_dir, workers, seed, time_limit)
+        outputs = _sweep_random(args.kind, opts, weights, out_dir, seed, time_limit)
     elif args.kind == "fig_worstcase":
-        outputs = _sweep_worstcase(cfg, out_dir, time_limit)
+        outputs = _sweep_worstcase(opts["sweep.n_max"], out_dir, time_limit)
     else:
         outputs = _sweep_noise(cfg, out_dir, noises, grid_res)
     for out in outputs:
@@ -447,7 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="exact L0/L1 minimization")
     p.add_argument("graph")
     p.add_argument("--objective", choices=["l0", "l1"], default="l0")
-    p.add_argument("--time-limit", dest="time_limit", type=float, default=600.0)
+    p.add_argument(
+        "--time-limit", dest="time_limit", type=float, default=600.0,
+        help="seconds for the L0 search (default 600); an L1 solve has no limit",
+    )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_optimize)
 

@@ -10,7 +10,7 @@ L1 is a linear program: each strength is split as W_t = W+_t - W-_t with
 both parts nonnegative, and sum(W+ + W-) is minimized subject to
 Q (W+ - W-) = b.  It is always feasible, since the cut matrix spans every
 target (the constructions realize any graph), and ``simplex.solve_lp``
-solves it in floats and certifies the float basis in rationals.
+solves it in floats and certifies the float basis exactly, in integers.
 
 L0 is the smallest k for which b lies in the span of k columns of Q.  A
 minimum-row realization has linearly independent columns (a dependent one
@@ -43,8 +43,11 @@ Python integers, on b scaled to integers.  Each step is exact:
   Q, clearing the denominators of w by a minor of Q_S that is a unit mod p
   shows b = Q_S w' mod p.
 - A zero residual is only a candidate.  It is confirmed by solving the
-  support system in Fractions, which also gives the exact strengths; a
-  candidate that fails is searched below like a miss.
+  support system over Q, which also gives the exact strengths; a candidate
+  that fails is searched below like a miss.  The solve is the fraction-free
+  integer elimination of ``simplex._solve_integer``: b is scaled to
+  integers, and each division by the previous pivot is exact because every
+  intermediate entry is a minor of the scaled system (Sylvester's identity).
 
 Instances above MAX_EXACT_N qubits are refused; the constructions in
 ``constructions`` cover them.
@@ -66,7 +69,7 @@ from .pulses import FlipRow, PulseSequence, canonicalize, sequence_to_json
 # float_solve is unused here; perfbench's tracing test still checks that this
 # module holds the traced simplex.float_solve, and perfbench changes only
 # together with the benchmark.
-from .simplex import float_solve, solve_lp  # noqa: F401
+from .simplex import _solve_integer, float_solve, solve_lp  # noqa: F401
 
 MAX_EXACT_N = 8
 DEFAULT_TIME_LIMIT = 600.0
@@ -130,43 +133,15 @@ def _default_incumbent(g: Graph) -> PulseSequence:
 
 
 def _solve_support_system(cols: list[list[int]], b: list[Fraction]):
-    """Exact solution of sum_t W_t * cols[t] = b (free variables at 0).
+    """Exact solution W of sum_t W_t * cols[t] = b for independent columns.
 
     Returns the W list, or None when the system is inconsistent.
     """
-    m, s = len(b), len(cols)
-    aug = [[Fraction(cols[t][r]) for t in range(s)] + [b[r]] for r in range(m)]
-    piv_cols: list[int] = []
-    row = 0
-    for c in range(s):
-        piv = None
-        for r in range(row, m):
-            if aug[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][c]
-        if pv != 1:
-            aug[row] = [v / pv for v in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][c] != 0:
-                f = aug[r][c]
-                rr = aug[r]
-                pr = aug[row]
-                aug[r] = [rr[k] - f * pr[k] for k in range(s + 1)]
-        piv_cols.append(c)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][s] != 0:
-            return None
-    w = [Fraction(0)] * s
-    for r, c in enumerate(piv_cols):
-        w[c] = aug[r][s]
-    return w
+    sol = _solve_integer(list(zip(*cols)), [b])
+    if sol is None:
+        return None
+    d, (num,) = sol
+    return [Fraction(v, d) for v in num]
 
 
 class _Timeout(Exception):
@@ -266,13 +241,12 @@ def check_time_limit(time_limit: float) -> float:
     return time_limit
 
 
-def _check_solve_args(g: Graph, time_limit: float):
+def _check_size(g: Graph):
     if g.n > MAX_EXACT_N:
         raise ValueError(
             f"n={g.n} too large for an exact solve (limit {MAX_EXACT_N}); "
             "use a construction (union_of_stars or weighted_edge_by_edge)"
         )
-    check_time_limit(time_limit)
 
 
 def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
@@ -286,7 +260,8 @@ def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     INCUMBENT_TIMEOUT; the greedy order makes it far smaller than the
     construction even where the search cannot finish (n=7).
     """
-    _check_solve_args(g, time_limit)
+    _check_size(g)
+    check_time_limit(time_limit)
     status, entries, nodes, elapsed = _search_supports(g, time_limit)
     return OptResult(
         sequence=_sequence_from_support(g.n, entries),
@@ -298,13 +273,15 @@ def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     )
 
 
-def solve_l1(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
+def solve_l1(g: Graph) -> OptResult:
     """Minimize the total absolute strength realizing g (a pure LP).
 
     The objective bounds each strength directly, and the program is solved
-    to exact rational optimality.
+    to exact rational optimality.  There is no time limit: time limits
+    apply to the L0 search only, and the largest L1 solve (n=8) takes tens
+    of milliseconds.
     """
-    _check_solve_args(g, time_limit)
+    _check_size(g)
     start = time.monotonic()
     n = g.n
     pairs = _pair_list(n)

@@ -15,17 +15,32 @@ One tableau class runs the algorithm on two number types:
 - numpy object arrays of ``Fraction`` values, with tolerance 0, exactly.
 
 ``solve_lp`` solves in floats and hands the outcome to
-``certify_or_repair``.  That re-solves the float basis in Fractions and
-checks it (``certify_basis``); a basis that is feasible but not optimal is
-pivoted on exactly (``exact_resume``); anything else, including a float
+``certify_or_repair``.  That re-solves the float basis exactly and checks
+it (``certify_basis``); a basis that is feasible but not optimal is pivoted
+on exactly (``exact_resume``); anything else, including a float
 "infeasible", is solved from scratch in Fractions (``exact_solve``).  The
 result is an exact rational optimum.  An exact phase 1 that ends above 0
 raises SimplexError: the L1 programs always have a feasible point.  All
 rules are deterministic, so identical inputs give identical results.
+
+Every exact solve of a linear system (the basis system B x = b and its
+dual B^T y = c_B in ``certify_basis``, the change of basis in
+``exact_resume``, and the L0 support systems of ``exactopt``) runs through
+``_solve_integer``: fraction-free Gauss-Jordan elimination (Bareiss, Math.
+Comp. 22, 1968) in Python integers, after each row is scaled to integers by
+the lcm of its denominators.  A step on pivot p replaces each other entry x
+by (p x - f y) / prev, with f the row's entry in the pivot column, y the
+pivot row's entry and prev the previous pivot.  By Sylvester's identity the
+result is a minor of the scaled system, so the division is exact, and no
+gcd is taken.  The elimination ends with x = num / d for integer num and
+the last pivot d != 0, so the signs of x are those of num * sign(d), and
+Fractions are built only for a solution that is returned.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,13 +102,15 @@ class _Tableau:
     def rebase(self, basis) -> bool:
         """Move to the given basis by exact elimination.  False when it is
         singular, or not primal feasible with its artificials at 0."""
-        sol = _solve_square(self.T[:, basis], [*self.T.T, self.xB])
-        if sol is None or any(
-            v < 0 or (j >= self.ns and v != 0) for v, j in zip(sol[-1], basis)
-        ):
+        sol = _solve_integer(self.T[:, basis], [*self.T.T, self.xB])
+        if sol is None:
             return False
-        self.T = np.array(sol[:-1], dtype=object).T
-        self.xB = np.array(sol[-1], dtype=object)
+        d, nums = sol
+        xB = [Fraction(v, d) for v in nums[-1]]
+        if any(v < 0 or (j >= self.ns and v != 0) for v, j in zip(xB, basis)):
+            return False
+        self.T = np.array([[Fraction(v, d) for v in col] for col in nums[:-1]], dtype=object).T
+        self.xB = np.array(xB, dtype=object)
         self.basis = list(basis)
         return True
 
@@ -166,47 +183,41 @@ def float_solve(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> FloatOutcome:
     return FloatOutcome(True, float(cost @ x), x, list(tab.basis))
 
 
-def _signed_dot(y, col):
-    """sum_r y[r] * col[r] for col entries in {-1, 0, +1} (or small ints)."""
-    total = Fraction(0)
-    for r, v in enumerate(col):
-        if v == 1:
-            total += y[r]
-        elif v == -1:
-            total -= y[r]
-        elif v:
-            total += v * y[r]
-    return total
+def _solve_integer(mat, rhs_cols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of mat.x = rhs.
 
-
-def _solve_square(mat, rhs_list):
-    """Exact Gaussian elimination; solves mat.x = rhs for each rhs column.
-
-    Returns None when the matrix is singular.
+    mat has m >= s rows of s entries; mat and the right-hand sides hold ints
+    or Fractions.  Returns (d, nums), one integer list per right-hand side,
+    with mat . num = d * rhs and d != 0, or None when the columns of mat are
+    dependent or some right-hand side is inconsistent.
     """
-    m = len(mat)
-    aug = [[Fraction(v) for v in mat[r]] + [Fraction(rhs[r]) for rhs in rhs_list] for r in range(m)]
-    width = m + len(rhs_list)
-    for c in range(m):
-        piv = None
-        for r in range(c, m):
-            if aug[r][c] != 0:
-                piv = r
-                break
+    s = len(mat[0])
+    rows = []
+    for r, row in enumerate(mat):
+        entries = [*row, *(rhs[r] for rhs in rhs_cols)]
+        # a row times a nonzero constant has the same solutions
+        scale = math.lcm(*(v.denominator for v in entries))
+        rows.append([v.numerator * (scale // v.denominator) for v in entries])
+    # Each row holds its entries in the columns not yet pivoted on; the
+    # eliminated columns hold the latest pivot on the diagonal and 0
+    # elsewhere.  After k pivots every entry is a minor of the scaled
+    # [mat | rhs], of order k in the pivot rows and k+1 in the others
+    # (Sylvester's identity), so the division by prev is exact.
+    prev = 1
+    for c in range(s):
+        piv = next((r for r in range(c, len(rows)) if rows[r][0]), None)
         if piv is None:
             return None
-        if piv != c:
-            aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        if pv != 1:
-            aug[c] = [v / pv for v in aug[c]]
-        for r in range(m):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                row = aug[r]
-                pivrow = aug[c]
-                aug[r] = [row[j] - f * pivrow[j] for j in range(width)]
-    return [[aug[r][m + k] for r in range(m)] for k in range(len(rhs_list))]
+        rows[c], rows[piv] = rows[piv], rows[c]
+        top = rows[c]
+        p, tail = top[0], top[1:]
+        for r, row in enumerate(rows):
+            f = row[0]
+            rows[r] = tail if r == c else [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
+        prev = p
+    if any(any(row) for row in rows[s:]):
+        return None
+    return prev, [list(col) for col in zip(*rows[:s])]
 
 
 def certify_basis(a_rows, b, c, basis):
@@ -227,19 +238,29 @@ def certify_basis(a_rows, b, c, basis):
         return out
 
     cols = [column(j) for j in basis]
-    sol = _solve_square([[col[r] for col in cols] for r in range(m)], [b])
-    if sol is None or any(v < 0 or (j >= ns and v != 0) for v, j in zip(sol[0], basis)):
+    primal = _solve_integer(list(zip(*cols)), [b])
+    if primal is None:
         return None
-    # B nonsingular, so B^T y = c_B has a solution; cols are the rows of B^T
-    y = _solve_square(cols, [[c[j] if j < ns else 0 for j in basis]])[0]
+    d, (num,) = primal
+    # x_B = num / d, so x_B >= 0 where num * sign(d) >= 0
+    sign = 1 if d > 0 else -1
+    if any(v * sign < 0 or (j >= ns and v) for v, j in zip(num, basis)):
+        return None
+    # c * scale is integral; B nonsingular, so B^T y = c_B * scale has the
+    # solution y = y_num / d_y (cols are the rows of B^T), and the reduced
+    # cost of column j, times d_y * scale, is c_j * scale * d_y - y_num . a_j
+    scale = math.lcm(*(v.denominator for v in c))
+    c_int = [v.numerator * (scale // v.denominator) for v in c]
+    d_y, (y,) = _solve_integer(cols, [[c_int[j] if j < ns else 0 for j in basis]])
+    sign_y = 1 if d_y > 0 else -1
     basic = set(basis)
-    for j in range(ns):
-        if j not in basic and c[j] - _signed_dot(y, column(j)) < 0:
+    for j, a_j in enumerate(zip(*a_rows)):
+        if j not in basic and sign_y * (c_int[j] * d_y - sum(map(operator.mul, y, a_j))) < 0:
             return "resume"
     x = [Fraction(0)] * ns
-    for v, j in zip(sol[0], basis):
+    for v, j in zip(num, basis):
         if j < ns:
-            x[j] = v
+            x[j] = Fraction(v, d)
     return x, _objective(c, x)
 
 

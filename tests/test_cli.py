@@ -92,6 +92,12 @@ def test_bad_option_values_are_usage_errors(tmp_path, capsys, command, option, m
 @pytest.mark.parametrize("line, message", [
     ("sweep.time_limit_s = 0", "time limit must be positive"),
     ("sweep.grid_res = 4", "grid resolution must be at least 8"),
+    *[(f"{key} = seven", f"{key}: not a number") for key in (
+        "sweep.n", "sweep.graphs_per_p", "sweep.p_count", "sweep.p_step", "sweep.n_max",
+        "sweep.seed", "sweep.workers", "sweep.time_limit_s", "sweep.grid_res")],
+    ("sweep.n = 7.5", "sweep.n: not a number"),
+    ("sweep.weights = 1,two", "sweep.weights: not a number"),
+    ("sweep.lambda_grid = 0.005,abc", "lambda grid: not a number"),
 ])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, line, message):
     config = tmp_path / "sweep.cfg"
@@ -115,6 +121,14 @@ def test_bad_lambda_grid_is_a_usage_error_before_any_output(tmp_path, capsys, so
         argv += ["--config", str(config)]
     code, _, err = run(argv, capsys)
     assert code == cli.EXIT_USAGE and "major rate must be in [0, 1]" in err
+    assert not out_dir.exists()
+
+
+def test_non_numeric_lambda_grid_is_a_usage_error_before_any_output(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, err = run(["sweep", "fig_noise", "--lambda-grid", "0.005,abc",
+                        "--out-dir", str(out_dir)], capsys)
+    assert code == cli.EXIT_USAGE and "lambda grid: not a number: 'abc'" in err
     assert not out_dir.exists()
 
 

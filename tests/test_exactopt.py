@@ -136,7 +136,7 @@ def highs_l1(g):
 
 
 @pytest.mark.parametrize("weights", [(), (1, 2, 3)], ids=["unweighted", "weighted"])
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_solve_l1_matches_highs(n, weights):
     for p, seed in itertools.product((0.3, 0.6, 0.9), range(2)):
         g = random_er_graph(n, p, weights, seed)

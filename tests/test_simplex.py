@@ -1,18 +1,21 @@
 """simplex on bounds-free LPs: the certify-or-repair staging on the branches
 the float engine rarely reaches (resume from a non-optimal basis, a singular
-basis, an untrusted float "infeasible"), and both engines against scipy's
-HiGHS."""
+basis, an untrusted float "infeasible"), both engines against scipy's HiGHS,
+and the integer eliminator and certify_basis against Fraction elimination."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from isingcoupler import simplex
 from isingcoupler.simplex import (
-    FloatOutcome, SimplexError, certify_or_repair, exact_solve, float_solve, solve_lp,
+    FloatOutcome, SimplexError, certify_basis, certify_or_repair, exact_solve, float_solve,
+    solve_lp,
 )
 
 
@@ -123,3 +126,133 @@ def test_exact_engines_match_highs_on_random_feasible_lps(seed):
         assert all(v >= 0 for v in res.x)
         assert [sum(a * x for a, x in zip(row, res.x)) for row in a_rows] == b
         assert sum(cj * xj for cj, xj in zip(c, res.x)) == res.objective
+
+
+def fraction_gauss_jordan(mat, rhs_cols):
+    """Reference for simplex._solve_integer: Gauss-Jordan elimination in
+    Fractions.  Returns (det, solutions), with det the product of the pivots
+    times the sign of the row swaps (det(mat) when mat is square), or None
+    when the columns of mat are dependent or a right-hand side is
+    inconsistent."""
+    s = len(mat[0])
+    aug = [[Fraction(v) for v in row] + [Fraction(rhs[r]) for rhs in rhs_cols]
+           for r, row in enumerate(mat)]
+    det = Fraction(1)
+    for c in range(s):
+        piv = next((r for r in range(c, len(aug)) if aug[r][c] != 0), None)
+        if piv is None:
+            return None
+        if piv != c:
+            aug[c], aug[piv] = aug[piv], aug[c]
+            det = -det
+        det *= aug[c][c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(len(aug)):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
+    if any(v != 0 for row in aug[s:] for v in row[s:]):
+        return None
+    return det, [[aug[r][s + k] for r in range(s)] for k in range(len(rhs_cols))]
+
+
+@st.composite
+def linear_systems(draw):
+    """An m x s matrix (m >= s) of small ints, some rows rational, with one
+    or two right-hand sides, each either consistent by construction or drawn
+    at random; sometimes a column is a multiple of another."""
+    s = draw(st.integers(1, 4))
+    m = draw(st.integers(s, s + 2))
+    mat = []
+    for _ in range(m):
+        entry = (st.fractions(min_value=-3, max_value=3, max_denominator=4)
+                 if draw(st.booleans()) else st.integers(-3, 3))
+        mat.append(draw(st.lists(entry, min_size=s, max_size=s)))
+    if s > 1 and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(-2, 2))
+        for row in mat:
+            row[-1] = k * row[0]
+    rhs_cols = []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            x = draw(st.lists(st.integers(-3, 3), min_size=s, max_size=s))
+            rhs_cols.append([sum(a * v for a, v in zip(row, x)) for row in mat])
+        else:
+            rhs_cols.append(draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)))
+    return mat, rhs_cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+@example(([[0, 1], [1, 0]], [[2, 3]]))  # a row swap, det -1
+@example(([[2, 1], [1, 1]], [[1, 2]]))  # a second pivot that is not 1
+@example(([[1, 2], [2, 4]], [[1, 2]]))  # singular
+@example(([[1, 1], [1, -1], [2, 0]], [[2, 0, 2]]))  # tall, consistent
+@example(([[1, 1], [1, -1], [2, 0]], [[2, 0, 3]]))  # tall, inconsistent
+@example(([[Fraction(1, 2), 1], [Fraction(-1, 3), 1]], [[Fraction(5, 6), 2]]))  # rational rows
+def test_integer_elimination_matches_fraction_elimination(system):
+    mat, rhs_cols = system
+    expected = fraction_gauss_jordan(mat, rhs_cols)
+    got = simplex._solve_integer(mat, rhs_cols)
+    if expected is None:
+        assert got is None
+        return
+    det, solutions = expected
+    d, nums = got
+    assert d != 0
+    for num, rhs, solution in zip(nums, rhs_cols, solutions):
+        assert all(type(v) is int for v in num)
+        assert [sum(a * v for a, v in zip(row, num)) for row in mat] == [d * v for v in rhs]
+        assert [Fraction(v, d) for v in num] == solution
+    integral = all(Fraction(v).denominator == 1 for row in mat for v in row) and all(
+        Fraction(v).denominator == 1 for rhs in rhs_cols for v in rhs)
+    if len(mat) == len(mat[0]) and integral:
+        assert abs(d) == abs(det)
+
+
+def reference_certificate(a_rows, b, c, basis):
+    """What certify_basis must return for basis, from Fraction elimination."""
+    m, ns = len(a_rows), len(c)
+    cols = [[row[j] for row in a_rows] if j < ns
+            else [(1 if b[r] >= 0 else -1) * (r == j - ns) for r in range(m)] for j in basis]
+    primal = fraction_gauss_jordan([list(row) for row in zip(*cols)], [b])
+    if primal is None:
+        return None
+    xb = primal[1][0]
+    if any(v < 0 or (j >= ns and v != 0) for v, j in zip(xb, basis)):
+        return None
+    y = fraction_gauss_jordan(cols, [[c[j] if j < ns else 0 for j in basis]])[1][0]
+    if any(c[j] - sum(yr * row[j] for yr, row in zip(y, a_rows)) < 0
+           for j in range(ns) if j not in basis):
+        return "resume"
+    x = [Fraction(0)] * ns
+    for v, j in zip(xb, basis):
+        if j < ns:
+            x[j] = v
+    return x, sum(cj * xj for cj, xj in zip(c, x))
+
+
+def test_basis_with_a_negative_pivot_is_certified():
+    # B = [[-1]]: the last pivot is -1, so x_0 = 1 has numerator -1, and the
+    # reduced cost 2 of x_1 appears as -2 before the sign of d is applied
+    assert certify_basis([[-1, 1]], [Fraction(-1)], [Fraction(1), Fraction(1)], [0]) == (
+        [1, 0], 1)
+
+
+def test_certify_basis_decides_every_basis_like_fraction_elimination():
+    """Every choice of m basic columns, artificials included, of random LPs
+    with rational rows, so that pivots of both signs and singular,
+    infeasible, non-optimal and optimal bases all occur."""
+    outcomes = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        a_rows, b, c = random_feasible_lp(seed)
+        a_rows = [[Fraction(v, rng.choice([1, 1, 2, 3])) for v in row] for row in a_rows]
+        b = [Fraction(v) for v in b]
+        c = [Fraction(v, rng.choice([1, 2])) - 1 for v in c]
+        m, ns = len(a_rows), len(c)
+        for basis in itertools.islice(itertools.combinations(range(ns + m), m), 400):
+            expected = reference_certificate(a_rows, b, c, list(basis))
+            assert certify_basis(a_rows, b, c, list(basis)) == expected, (seed, basis)
+            outcomes.add(expected if expected in (None, "resume") else "optimal")
+    assert outcomes == {None, "resume", "optimal"}
