@@ -21,7 +21,6 @@ from .graphs import (
     to_adjacency,
 )
 from .pulses import (
-    FlipRow,
     PulseSequence,
     canonicalize,
     compose,
@@ -35,7 +34,6 @@ from .constructions import (
     Star,
     biclique_sequence,
     greedy_star_order,
-    lower_bound,
     star_decomposition,
     union_of_stars,
     weighted_edge_by_edge,
@@ -49,7 +47,6 @@ from .qaoa import (
     maxcut_brute_force,
     optimize_angles,
     simulate_qaoa_p1,
-    simulate_qaoa_p1_statevector,
 )
 
 __version__ = "0.1.0"

@@ -28,6 +28,7 @@ from .exactopt import (
     solve_l1,
 )
 from .graphs import (
+    MAX_ENUMERATION_N,
     Graph,
     GraphParseError,
     enumerate_labeled_graphs,
@@ -44,7 +45,6 @@ from .qaoa import (
     NoiseSpec,
     check_angles,
     check_grid_resolution,
-    maxcut_brute_force,
     optimize_angles,
     simulate_qaoa_p1,
 )
@@ -247,10 +247,9 @@ def _cmd_simulate(args) -> int:
                 raise CommandError("ms simulation of a weighted graph needs --pulse")
             seq = union_of_stars(g)
     if args.optimize:
-        gamma, beta, ratio = optimize_angles(
+        gamma, beta, expectation, ratio = optimize_angles(
             g, args.compilation, seq, noise, grid_resolution=args.grid_res
         )
-        expectation = ratio * float(maxcut_brute_force(g))
         print(
             f"compilation={args.compilation} lambda={args.noise_lambda} "
             f"gamma={gamma:.6f} beta={beta:.6f} "
@@ -369,10 +368,9 @@ def _sweep_noise(cfg, out_dir, noises, grid_res):
         writer.writeheader()
         for name, g in graphs:
             seq = union_of_stars(g)
-            cmax = float(maxcut_brute_force(g))
             for noise in noises:
                 for compilation in (CX, MS):
-                    gamma, beta, ratio = optimize_angles(
+                    gamma, beta, expectation, ratio = optimize_angles(
                         g, compilation, seq if compilation == MS else None,
                         noise, grid_resolution=grid_res,
                     )
@@ -383,7 +381,7 @@ def _sweep_noise(cfg, out_dir, noises, grid_res):
                             "lambda": noise.major_rate,
                             "gamma": f"{gamma:.9f}",
                             "beta": f"{beta:.9f}",
-                            "expectation": f"{ratio * cmax:.9f}",
+                            "expectation": f"{expectation:.9f}",
                             "ratio": f"{ratio:.9f}",
                         }
                     )
@@ -412,6 +410,25 @@ def _number(kind, key, text: str):
         raise CommandError(f"{key}: not a number: {text!r}", EXIT_USAGE) from None
 
 
+def _check_sweep_ranges(opts):
+    """Reject sizes and edge probabilities the sweeps cannot run, before any
+    output is written."""
+    n, n_max = opts["sweep.n"], opts["sweep.n_max"]
+    if not 1 <= n <= MAX_EXACT_N:
+        raise CommandError(f"sweep.n={n} outside [1, {MAX_EXACT_N}]", EXIT_USAGE)
+    if n_max > MAX_ENUMERATION_N:
+        raise CommandError(
+            f"sweep.n_max={n_max} too large to enumerate (limit {MAX_ENUMERATION_N})",
+            EXIT_USAGE,
+        )
+    for k in range(1, opts["sweep.p_count"] + 1):
+        p = opts["sweep.p_step"] * k
+        if not 0.0 <= p <= 1.0:
+            raise CommandError(
+                f"edge probability {p} (sweep.p_step * {k}) outside [0, 1]", EXIT_USAGE
+            )
+
+
 def _cmd_sweep(args) -> int:
     started = time.monotonic()
     cfg = parse_config(args.config)
@@ -421,6 +438,7 @@ def _cmd_sweep(args) -> int:
         opts["sweep.time_limit_s"] = args.time_limit
     if args.grid_res is not None:
         opts["sweep.grid_res"] = args.grid_res
+    _check_sweep_ranges(opts)
     time_limit = _usage(check_time_limit, opts["sweep.time_limit_s"])
     grid_res = _usage(check_grid_resolution, opts["sweep.grid_res"])
     lam_text = args.lambda_grid or cfg.get("sweep.lambda_grid", "0.001,0.005,0.01")

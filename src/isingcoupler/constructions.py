@@ -15,16 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .graphs import Graph
-from .pulses import FlipRow, PulseSequence, canonicalize, compose
-
-# Lemma-style 4-row biclique template: sign per (V1, V2, V3) block and the
-# strength multiplier (times mu/4) for each row.
-_BICLIQUE_ROWS = (
-    ((1, 1, -1), 1),
-    ((1, -1, -1), -1),
-    ((1, 1, 1), 1),
-    ((1, -1, 1), -1),
-)
+from .pulses import PulseSequence, canonicalize, compose
 
 
 @dataclass(frozen=True)
@@ -66,18 +57,15 @@ def biclique_sequence(b: Biclique, n: int) -> PulseSequence:
     members = b.v1 | b.v2 | b.v3
     if members != frozenset(range(n)):
         raise ValueError("V1, V2, V3 must partition the n vertices")
-    block = {}
-    for v in b.v1:
-        block[v] = 0
-    for v in b.v2:
-        block[v] = 1
-    for v in b.v3:
-        block[v] = 2
-    rows, strengths = [], []
-    for pattern, mult in _BICLIQUE_ROWS:
-        rows.append(FlipRow(tuple(pattern[block[q]] for q in range(n))))
-        strengths.append(b.mu / 4 * mult)
-    return PulseSequence(n, tuple(rows), tuple(strengths))
+    v2 = sum(1 << q for q in b.v2)
+    v3 = sum(1 << q for q in b.v3)
+    # Lemma-style template: the rows flip V3, V2 and V3, nothing, and V2
+    # (never V1), with strengths +-mu/4.  A V1 x V2 pair gets the same sign
+    # product from all four rows; every other pair gets two of each sign.
+    quarter = b.mu / 4
+    return PulseSequence.from_pairs(
+        n, [(v3, quarter), (v2 | v3, -quarter), (0, quarter), (v2, -quarter)]
+    )
 
 
 def weighted_edge_by_edge(g: Graph) -> PulseSequence:
@@ -166,16 +154,3 @@ def union_of_stars(g: Graph, order: Sequence[int] | None = None) -> PulseSequenc
         seq = compose(seq, biclique_sequence(b, g.n))
     return canonicalize(seq)
 
-
-def lower_bound(n: int) -> int:
-    """Floor on the row count needed for the hardest n-vertex weighted graph.
-
-    A k-row sequence can produce at most 2^k distinct off-diagonal values, so
-    a complete graph with n(n-1)/2 distinct edge weights forces
-    k >= ceil(log2(n(n-1)/2 - 1)).  Graphs with repeated weights may need
-    far fewer rows.
-    """
-    if n < 3:
-        raise ValueError("bound defined for n >= 3")
-    v = n * (n - 1) // 2 - 1
-    return (v - 1).bit_length()

@@ -1,9 +1,9 @@
 """Exact minimization of pulse-sequence size (L0) and strength (L1).
 
-Because negating a row never changes the realized coupling, only the
-2^(n-1) rows with leading sign +1 need to be considered, indexed by the
-(n-1)-bit mask of the remaining signs.  Column t of the cut matrix Q holds
-the coupling signs of row t, one entry per qubit pair, and b holds the
+Because complementing a row never changes the realized coupling, only the
+2^(n-1) canonical rows need to be considered: the masks with bit 0 clear.
+The cut matrix Q has one column per canonical row, holding its coupling
+signs (``pulses.coupling_sign``), one entry per qubit pair, and b holds the
 target couplings; a sequence realizes the graph exactly when Q W = b.
 
 L1 is a linear program: each strength is split as W_t = W+_t - W-_t with
@@ -64,8 +64,8 @@ from fractions import Fraction
 import numpy as np
 
 from .constructions import union_of_stars, weighted_edge_by_edge
-from .graphs import Graph, to_adjacency
-from .pulses import FlipRow, PulseSequence, canonicalize, sequence_to_json
+from .graphs import Graph, pair_order, to_adjacency
+from .pulses import PulseSequence, canonicalize, coupling_sign, sequence_to_json
 # float_solve is unused here; perfbench's tracing test still checks that this
 # module holds the traced simplex.float_solve, and perfbench changes only
 # together with the benchmark.
@@ -107,23 +107,9 @@ class OptResult:
         )
 
 
-def _pair_list(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
-
-
-def _coupling_sign(row_index: int, i: int, j: int) -> int:
-    mask = row_index << 1
-    return -1 if (mask >> i ^ mask >> j) & 1 else 1
-
-
-def _sequence_from_support(n: int, entries: list[tuple[int, Fraction]]) -> PulseSequence:
-    rows = tuple(FlipRow.from_mask(idx << 1, n) for idx, _ in entries)
-    return PulseSequence(n, rows, tuple(w for _, w in entries))
-
-
-def _incumbent_entries(seq: PulseSequence) -> list[tuple[int, Fraction]]:
-    seq = canonicalize(seq)
-    return [(row.mask >> 1, w) for row, w in zip(seq.rows, seq.strengths)]
+def _canonical_rows(n: int) -> range:
+    """The masks with bit 0 clear, in increasing order."""
+    return range(0, 1 << n, 2)
 
 
 def _default_incumbent(g: Graph) -> PulseSequence:
@@ -168,19 +154,20 @@ def _ordered(cands, floats, r_float):
 def _search_supports(g: Graph, time_limit: float):
     """Smallest set of canonical rows whose span holds the target couplings.
 
-    Returns (status, entries, nodes, elapsed) with entries the (row index,
+    Returns (status, entries, nodes, elapsed) with entries the (row mask,
     strength) pairs of the best support found.
     """
     start = time.monotonic()
     deadline = start + time_limit
-    pairs = _pair_list(g.n)
+    pairs = pair_order(g.n)
     target = to_adjacency(g).rows
     b = [target[i][j] for i, j in pairs]
-    cols = [[_coupling_sign(t, i, j) for i, j in pairs] for t in range(1 << (g.n - 1))]
+    cols = {t: [coupling_sign(t, i, j) for i, j in pairs] for t in _canonical_rows(g.n)}
     scale = math.lcm(*(v.denominator for v in b))
     b_mod = [int(v * scale) % _PRIME for v in b]
 
-    best_entries = _incumbent_entries(_default_incumbent(g))
+    incumbent = canonicalize(_default_incumbent(g))
+    best_entries = list(zip(incumbent.rows, incumbent.strengths))
     best = len(best_entries)
     nodes = 0
 
@@ -224,7 +211,8 @@ def _search_supports(g: Graph, time_limit: float):
                 extend(trial, children, child_floats, rest, r_child, width)
 
     b_float = np.array([float(v) for v in b])
-    cands, floats = _ordered(list(enumerate(cols)), np.array(cols, dtype=float), b_float)
+    cands, floats = _ordered(list(cols.items()), np.array(list(cols.values()), dtype=float),
+                             b_float)
     status = OPTIMAL
     try:
         for width in (*_PROBE_WIDTHS, None):
@@ -264,7 +252,7 @@ def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     check_time_limit(time_limit)
     status, entries, nodes, elapsed = _search_supports(g, time_limit)
     return OptResult(
-        sequence=_sequence_from_support(g.n, entries),
+        sequence=PulseSequence.from_pairs(g.n, entries),
         objective=Fraction(len(entries)),
         objective_kind="l0",
         status=status,
@@ -284,8 +272,8 @@ def solve_l1(g: Graph) -> OptResult:
     _check_size(g)
     start = time.monotonic()
     n = g.n
-    pairs = _pair_list(n)
-    k = 1 << (n - 1)
+    pairs = pair_order(n)
+    masks = _canonical_rows(n)
     if not pairs:
         return OptResult(
             PulseSequence.empty(n), Fraction(0), "l1", OPTIMAL, 0, 0.0
@@ -294,18 +282,18 @@ def solve_l1(g: Graph) -> OptResult:
     a_rows = []
     for i, j in pairs:
         row = []
-        for idx in range(k):
-            q = _coupling_sign(idx, i, j)
+        for mask in masks:
+            q = coupling_sign(mask, i, j)
             row.extend((q, -q))
         a_rows.append(row)
     b = [target[i][j] for i, j in pairs]
-    res = solve_lp(a_rows, b, [Fraction(1)] * (2 * k))
+    res = solve_lp(a_rows, b, [Fraction(1)] * (2 * len(masks)))
     entries = []
-    for idx in range(k):
-        w = res.x[2 * idx] - res.x[2 * idx + 1]
+    for t, mask in enumerate(masks):
+        w = res.x[2 * t] - res.x[2 * t + 1]
         if w != 0:
-            entries.append((idx, w))
-    seq = _sequence_from_support(n, entries)
+            entries.append((mask, w))
+    seq = PulseSequence.from_pairs(n, entries)
     return OptResult(
         sequence=seq,
         objective=seq.l1,

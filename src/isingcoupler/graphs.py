@@ -24,11 +24,6 @@ class GraphParseError(ValueError):
     """Malformed edge-list text; message carries the 1-based line number."""
 
 
-def _as_weight(value) -> Fraction:
-    w = Fraction(value)
-    return w
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable weighted graph on vertices 0..n-1.
@@ -61,7 +56,7 @@ class Graph:
         for u, v, z in edges:
             if u > v:
                 u, v = v, u
-            normalized.append((u, v, _as_weight(z)))
+            normalized.append((u, v, Fraction(z)))
         normalized.sort(key=lambda e: (e[0], e[1]))
         return cls(n, tuple(normalized))
 
@@ -77,10 +72,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
-    def is_unweighted(self) -> bool:
-        return all(z == 1 for _, _, z in self.edges)
-
     def uniform_weight(self) -> Fraction | None:
         """The common edge weight, or None if weights differ (or no edges)."""
         if not self.edges:
@@ -90,13 +81,6 @@ class Graph:
 
     def total_abs_weight(self) -> Fraction:
         return sum((abs(z) for _, _, z in self.edges), Fraction(0))
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
 
     def neighbors(self, v: int) -> set[int]:
         out = set()
@@ -128,11 +112,6 @@ class AdjacencyMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self.rows[i][j]
-
-    @classmethod
-    def zeros(cls, n: int) -> "AdjacencyMatrix":
-        zero = Fraction(0)
-        return cls(n, tuple(tuple(zero for _ in range(n)) for _ in range(n)))
 
 
 def to_adjacency(g: Graph) -> AdjacencyMatrix:
@@ -234,7 +213,7 @@ def random_er_graph(
         raise ValueError("n must be at least 1")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability {p} outside [0, 1]")
-    weights = [_as_weight(w) for w in weight_set]
+    weights = [Fraction(w) for w in weight_set]
     if any(w == 0 for w in weights):
         raise ValueError("weight_set must not contain zero")
     rng = SplitMix64(seed)
@@ -247,7 +226,9 @@ def random_er_graph(
     return Graph.from_edges(n, edges)
 
 
-def _pair_order(n: int) -> list[tuple[int, int]]:
+def pair_order(n: int) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of 0..n-1 in lexicographic order: the bit
+    order of an edge bitmask and the row order of the cut matrix."""
     return list(itertools.combinations(range(n), 2))
 
 
@@ -264,7 +245,7 @@ def _relabel_mask(mask: int, pairs: list[tuple[int, int]], pair_index: dict, per
 
 def canonical_edge_mask(mask: int, n: int) -> int:
     """Smallest edge bitmask over all vertex relabelings (isomorphism key)."""
-    pairs = _pair_order(n)
+    pairs = pair_order(n)
     pair_index = {uv: i for i, uv in enumerate(pairs)}
     return min(
         _relabel_mask(mask, pairs, pair_index, perm)
@@ -284,7 +265,7 @@ def enumerate_labeled_graphs(n: int, distinct_only: bool = False) -> Iterator[Gr
         raise ValueError(
             f"n={n} too large to enumerate (limit {MAX_ENUMERATION_N})"
         )
-    pairs = _pair_order(n)
+    pairs = pair_order(n)
     for mask in range(1 << len(pairs)):
         if distinct_only and canonical_edge_mask(mask, n) != mask:
             continue

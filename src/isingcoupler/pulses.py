@@ -1,11 +1,17 @@
 """The compiled program model: flip masks, Ising strengths, and their algebra.
 
-A pulse sequence is an ordered list of (flip row, strength) pairs.  Each flip
-row is a vector in {+1, -1}^n saying which qubits are conjugated by bit flips
-around one application of the global Ising operation; the strength is the
-rational coefficient of that application.  The sequence realizes the coupling
-matrix A[i][j] = sum_p w_p * s_p[i] * s_p[j] (i != j), so rows may be permuted
-or negated freely without changing the result.
+A pulse sequence is an ordered list of (row, strength) pairs.  A row is an
+n-bit flip mask: bit i is set when qubit i is conjugated by bit flips around
+one application of the global Ising operation.  The strength is the rational
+coefficient of that application.  The sequence realizes the coupling matrix
+A[i][j] = sum_p w_p * coupling_sign(row_p, i, j) (i != j), where the sign is
+-1 when the row flips exactly one of qubits i and j.  Rows may therefore be
+permuted, or complemented (XOR with the all-ones mask), without changing the
+result.
+
+The JSON format writes a row as n characters, '-' for a flipped qubit and
+'+' otherwise; those strings exist only in sequence_to_json and
+sequence_from_json.
 """
 
 from __future__ import annotations
@@ -13,83 +19,36 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graphs import AdjacencyMatrix, Graph, to_adjacency
 
 
 @dataclass(frozen=True)
-class FlipRow:
-    """A length-n vector of +1/-1 flip signs (-1 means the qubit is flipped)."""
-
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("flip signs must be +1 or -1")
-
-    @property
-    def n(self) -> int:
-        return len(self.signs)
-
-    @property
-    def mask(self) -> int:
-        """Bitmask mirror of the signs: bit i set iff qubit i is flipped."""
-        m = 0
-        for i, s in enumerate(self.signs):
-            if s == -1:
-                m |= 1 << i
-        return m
-
-    @classmethod
-    def from_mask(cls, mask: int, n: int) -> "FlipRow":
-        return cls(tuple(-1 if mask >> i & 1 else 1 for i in range(n)))
-
-    def negated(self) -> "FlipRow":
-        return FlipRow(tuple(-s for s in self.signs))
-
-    def sign_normalized(self) -> tuple["FlipRow", bool]:
-        """Row with leading sign +1, plus whether it was negated."""
-        if self.signs[0] == -1:
-            return self.negated(), True
-        return self, False
-
-
-@dataclass(frozen=True)
 class PulseSequence:
-    """Ordered (row, strength) pairs over n qubits.
+    """Ordered (row mask, strength) pairs over n qubits.
 
     L0 counts rows, L1 sums absolute strengths.  A canonical sequence
-    (see canonicalize) has leading sign +1 on every row, no repeated rows,
-    and no zero strengths.
+    (see canonicalize) has bit 0 clear in every row, no repeated rows, and
+    no zero strengths.
     """
 
     n: int
-    rows: tuple[FlipRow, ...]
+    rows: tuple[int, ...]
     strengths: tuple[Fraction, ...]
 
     def __post_init__(self):
         if len(self.rows) != len(self.strengths):
             raise ValueError("rows and strengths must have equal length")
-        if any(r.n != self.n for r in self.rows):
-            raise ValueError(f"every row must have length n={self.n}")
+        if any(not 0 <= r < 1 << self.n for r in self.rows):
+            raise ValueError(f"every row must be a mask in [0, 2**{self.n})")
 
     @classmethod
-    def from_pairs(
-        cls, n: int, pairs: Iterable[tuple[Sequence[int] | FlipRow | int, object]]
-    ) -> "PulseSequence":
-        """Build from (row, strength) pairs; rows may be sign tuples, masks,
-        or FlipRow values, strengths anything Fraction() accepts."""
-        rows, strengths = [], []
-        for row, w in pairs:
-            if isinstance(row, FlipRow):
-                rows.append(row)
-            elif isinstance(row, int):
-                rows.append(FlipRow.from_mask(row, n))
-            else:
-                rows.append(FlipRow(tuple(row)))
-            strengths.append(Fraction(w))
-        return cls(n, tuple(rows), tuple(strengths))
+    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, object]]) -> "PulseSequence":
+        """Build from (mask, strength) pairs; strengths may be anything
+        Fraction() accepts."""
+        pairs = list(pairs)
+        return cls(n, tuple(m for m, _ in pairs), tuple(Fraction(w) for _, w in pairs))
 
     @classmethod
     def empty(cls, n: int) -> "PulseSequence":
@@ -104,16 +63,20 @@ class PulseSequence:
         return sum((abs(w) for w in self.strengths), Fraction(0))
 
 
+def coupling_sign(mask: int, i: int, j: int) -> int:
+    """Sign a row adds to the (i, j) coupling: -1 when the row flips exactly
+    one of qubits i and j, else +1."""
+    return -1 if (mask >> i ^ mask >> j) & 1 else 1
+
+
 def evaluate(seq: PulseSequence) -> AdjacencyMatrix:
     """Coupling matrix realized by the sequence, in exact arithmetic."""
     n = seq.n
     a = [[Fraction(0)] * n for _ in range(n)]
-    for row, w in zip(seq.rows, seq.strengths):
-        s = row.signs
+    for mask, w in zip(seq.rows, seq.strengths):
         for i in range(n - 1):
-            wsi = w * s[i]
             for j in range(i + 1, n):
-                c = wsi * s[j]
+                c = w * coupling_sign(mask, i, j)
                 a[i][j] += c
                 a[j][i] += c
     return AdjacencyMatrix(n, tuple(tuple(r) for r in a))
@@ -134,40 +97,27 @@ def compose(a: PulseSequence, b: PulseSequence) -> PulseSequence:
 
 
 def canonicalize(seq: PulseSequence) -> PulseSequence:
-    """Normalize row signs, merge equal rows, and drop zero strengths.
+    """Normalize rows, merge equal rows, and drop zero strengths.
 
-    Negating a row leaves the realized coupling unchanged, so every row is
-    first normalized to leading sign +1; rows then equal are merged by
-    summing strengths, and rows whose merged strength is zero are removed.
-    The realized coupling is preserved; L0 and L1 never increase.
+    Complementing a row leaves the realized coupling unchanged, so every
+    row with bit 0 set is first XORed with the all-ones mask; rows then
+    equal are merged, in first-seen order, by summing strengths, and rows
+    whose merged strength is zero are removed.  The realized coupling is
+    preserved; L0 and L1 never increase.
     """
-    order: list[int] = []
+    full = (1 << seq.n) - 1
     merged: dict[int, Fraction] = {}
-    norm_rows: dict[int, FlipRow] = {}
-    for row, w in zip(seq.rows, seq.strengths):
-        norm, _ = row.sign_normalized()
-        key = norm.mask
-        if key not in merged:
-            merged[key] = Fraction(0)
-            norm_rows[key] = norm
-            order.append(key)
-        merged[key] += w
-    rows, strengths = [], []
-    for key in order:
-        if merged[key] != 0:
-            rows.append(norm_rows[key])
-            strengths.append(merged[key])
-    return PulseSequence(seq.n, tuple(rows), tuple(strengths))
-
-
-def _mask_string(row: FlipRow) -> str:
-    return "".join("-" if s == -1 else "+" for s in row.signs)
+    for mask, w in zip(seq.rows, seq.strengths):
+        key = mask ^ full if mask & 1 else mask
+        merged[key] = merged.get(key, Fraction(0)) + w
+    kept = [(mask, w) for mask, w in merged.items() if w != 0]
+    return PulseSequence.from_pairs(seq.n, kept)
 
 
 def sequence_to_json(seq: PulseSequence) -> str:
     ops = [
-        {"mask": _mask_string(row), "w": str(w)}
-        for row, w in zip(seq.rows, seq.strengths)
+        {"mask": "".join("-" if mask >> i & 1 else "+" for i in range(seq.n)), "w": str(w)}
+        for mask, w in zip(seq.rows, seq.strengths)
     ]
     return json.dumps({"n": seq.n, "ops": ops})
 
@@ -180,6 +130,6 @@ def sequence_from_json(text: str) -> PulseSequence:
         mask = op["mask"]
         if len(mask) != n or any(ch not in "+-" for ch in mask):
             raise ValueError(f"bad mask {mask!r} for n={n}")
-        rows.append(FlipRow(tuple(-1 if ch == "-" else 1 for ch in mask)))
+        rows.append(sum(1 << i for i, ch in enumerate(mask) if ch == "-"))
         strengths.append(Fraction(op["w"]))
     return PulseSequence(n, tuple(rows), tuple(strengths))

@@ -211,8 +211,8 @@ def _cx_layer(rho, g: Graph, gamma: float, noise: NoiseSpec, n: int):
 
 def _ms_layer(rho, seq: PulseSequence, gamma: float, noise: NoiseSpec, n: int):
     energies = _zz_energies(n)
-    for row, w in zip(seq.rows, seq.strengths):
-        flipped = [q for q in range(n) if row.signs[q] == -1]
+    for mask, w in zip(seq.rows, seq.strengths):
+        flipped = [q for q in range(n) if mask >> q & 1]
         for q in flipped:
             rho = _apply_permutation(rho, _flip_perm(n, q))
             rho = _apply_minor(rho, q, noise, n)
@@ -295,33 +295,6 @@ def simulate_qaoa_p1(
     return values
 
 
-def simulate_qaoa_p1_statevector(
-    g: Graph, compilation: str, seq: PulseSequence | None, gamma: float, beta: float
-) -> float:
-    """Noise-free cross-check using a pure state instead of a density matrix."""
-    n = g.n
-    psi = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=complex)
-    if compilation == CX:
-        for u, v, z in g.edges:
-            perm = _cnot_perm(n, u, v)
-            psi = psi[perm]
-            psi = psi * _rz_diagonal(n, v, -gamma * float(z))
-            psi = psi[perm]
-    elif compilation == MS:
-        if seq is None or not verify(seq, g):
-            raise ValueError("ms compilation needs a sequence realizing the graph")
-        energies = _zz_energies(n)
-        for row, w in zip(seq.rows, seq.strengths):
-            flips = np.arange(1 << n) ^ (row.mask)
-            psi = psi[flips]
-            psi = psi * np.exp(-1j * (-gamma * float(w) / 2.0) * energies)
-            psi = psi[flips]
-    else:
-        raise ValueError(f"unknown compilation {compilation!r}")
-    psi = _mixer_unitary(n, beta) @ psi
-    return float(np.sum(build_cost_operator(g) * np.abs(psi) ** 2))
-
-
 def check_grid_resolution(grid_resolution: int) -> int:
     """Return grid_resolution, or raise ValueError when it is below 8."""
     if grid_resolution < 8:
@@ -335,8 +308,9 @@ def optimize_angles(
     seq: PulseSequence | None,
     noise: NoiseSpec = ZERO_NOISE,
     grid_resolution: int = 32,
-) -> tuple[float, float, float]:
-    """Best (gamma, beta) on a dense grid and the approximation ratio there.
+) -> tuple[float, float, float, float]:
+    """Best (gamma, beta) on a dense grid, the expectation there, and its
+    approximation ratio.
 
     Scans gamma in [0, 2pi) and beta in [0, pi) at the given resolution in
     one simulation call.  Values within TIE_TOLERANCE * max(1, C_max) of the
@@ -353,4 +327,5 @@ def optimize_angles(
     values = simulate_qaoa_p1(g, compilation, seq, gammas, betas, noise)
     near_max = values >= values.max() - TIE_TOLERANCE * max(1.0, cmax)
     i, j = divmod(int(np.flatnonzero(near_max)[0]), grid_resolution)
-    return float(gammas[i]), float(betas[j]), float(values[i, j]) / cmax
+    value = float(values[i, j])
+    return float(gammas[i]), float(betas[j]), value, value / cmax

@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 from isingcoupler import (
-    Graph, NoiseSpec, OptResult, optimize_angles, random_er_graph, sequence_from_json,
-    sequence_to_json, serialize_edge_list, union_of_stars, verify, weighted_edge_by_edge,
+    Graph, NoiseSpec, OptResult, optimize_angles, parse_edge_list, random_er_graph,
+    sequence_from_json, sequence_to_json, serialize_edge_list, union_of_stars, verify,
+    weighted_edge_by_edge,
 )
 from isingcoupler import cli, qaoa
 from isingcoupler.exactopt import INCUMBENT_TIMEOUT, MAX_EXACT_N
@@ -98,6 +99,12 @@ def test_bad_option_values_are_usage_errors(tmp_path, capsys, command, option, m
     ("sweep.n = 7.5", "sweep.n: not a number"),
     ("sweep.weights = 1,two", "sweep.weights: not a number"),
     ("sweep.lambda_grid = 0.005,abc", "lambda grid: not a number"),
+    ("sweep.n_max = 6", "sweep.n_max=6 too large to enumerate (limit 5)"),
+    ("sweep.n = 9", "sweep.n=9 outside [1, 8]"),
+    ("sweep.n = 0", "sweep.n=0 outside [1, 8]"),
+    ("sweep.p_step = 0.5\nsweep.p_count = 3", "edge probability 1.5 (sweep.p_step * 3)"),
+    ("sweep.p_step = -0.1", "edge probability -0.1 (sweep.p_step * 1)"),
+    ("sweep.p_step = nan", "edge probability nan"),
 ])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, line, message):
     config = tmp_path / "sweep.cfg"
@@ -193,9 +200,10 @@ def test_noise_sweep_writes_the_optimized_ratios(tmp_path, capsys):
         ("k6", "cx", "0.005"), ("k6", "ms", "0.005")]
     k6 = Graph.complete(6)
     for row, seq in zip(rows, [None, union_of_stars(k6)]):
-        gamma, beta, ratio = optimize_angles(k6, row["compilation"], seq, NoiseSpec(0.005), 8)
-        assert (row["gamma"], row["beta"], row["ratio"]) == (
-            f"{gamma:.9f}", f"{beta:.9f}", f"{ratio:.9f}")
+        gamma, beta, value, ratio = optimize_angles(
+            k6, row["compilation"], seq, NoiseSpec(0.005), 8)
+        assert (row["gamma"], row["beta"], row["expectation"], row["ratio"]) == (
+            f"{gamma:.9f}", f"{beta:.9f}", f"{value:.9f}", f"{ratio:.9f}")
     manifest = json.loads((tmp_path / "fig_noise.csv.manifest.json").read_text())
     assert manifest["subcommand"] == "sweep"
     assert manifest["config_overrides"] == {"sweep.noise_graphs": "k6"}
@@ -209,3 +217,89 @@ def test_missing_graph_file_exits_1(tmp_path, capsys):
 def test_optimal_solve_exits_0(tmp_path, capsys):
     code, stdout, _ = run(["optimize", write_graph(tmp_path, Graph.complete(3))], capsys)
     assert code == cli.EXIT_OK and "status=optimal" in stdout
+
+
+GRAPHS = {
+    "unweighted": "n 5\n0 1\n0 2\n1 3\n2 3\n3 4\n",
+    "weighted": "n 4\n0 1 1/2\n1 2 -3\n0 3 2\n2 3 2\n",
+}
+# compile --out texts from the sign-tuple row model, before rows became bit
+# masks: the file format must not change with the in-memory one.
+GOLDEN = {
+    ("unweighted", "stars"):
+        '{"n": 5, "ops": [{"mask": "+++-+", "w": "-1/4"}, {"mask": "+++++", "w": "1/2"}, '
+        '{"mask": "+--+-", "w": "-1/4"}, {"mask": "+++--", "w": "1/4"}, '
+        '{"mask": "+--++", "w": "-1/4"}]}',
+    ("unweighted", "edges"):
+        '{"n": 5, "ops": [{"mask": "++---", "w": "1/4"}, {"mask": "+----", "w": "-1/2"}, '
+        '{"mask": "+++++", "w": "5/4"}, {"mask": "+-+++", "w": "-1/2"}, '
+        '{"mask": "+-+--", "w": "1/4"}, {"mask": "++-++", "w": "-1/2"}, '
+        '{"mask": "+-+-+", "w": "1/4"}, {"mask": "+++-+", "w": "-3/4"}, '
+        '{"mask": "++--+", "w": "1/4"}, {"mask": "+++--", "w": "1/4"}, '
+        '{"mask": "++++-", "w": "-1/4"}]}',
+    ("weighted", "edges"):
+        '{"n": 4, "ops": [{"mask": "++--", "w": "5/8"}, {"mask": "+---", "w": "-5/8"}, '
+        '{"mask": "++++", "w": "3/8"}, {"mask": "+-++", "w": "5/8"}, '
+        '{"mask": "+--+", "w": "-1/4"}, {"mask": "+++-", "w": "-1"}, '
+        '{"mask": "++-+", "w": "1/4"}]}',
+}
+
+
+@pytest.mark.parametrize("graph, method", list(GOLDEN))
+def test_compile_writes_the_golden_pulse_file_and_verify_checks_it(
+        tmp_path, capsys, graph, method):
+    path = tmp_path / "g.txt"
+    path.write_text(GRAPHS[graph])
+    out = tmp_path / "p.json"
+    code, stdout, _ = run(["compile", str(path), "--method", method, "--out", str(out)], capsys)
+    assert code == cli.EXIT_OK and "verified=true" in stdout
+    assert out.read_text() == GOLDEN[graph, method] + "\n"
+    manifest = json.loads((tmp_path / "p.json.manifest.json").read_text())
+    assert manifest["subcommand"] == "compile" and manifest["inputs"] == [str(path)]
+    code, stdout, _ = run(["verify", str(out), str(path)], capsys)
+    assert code == cli.EXIT_OK and stdout.startswith("verified=true")
+    doc = json.loads(out.read_text())
+    doc["ops"][0]["w"] = str(Fraction(doc["ops"][0]["w"]) + 1)
+    out.write_text(json.dumps(doc))
+    code, _, err = run(["verify", str(out), str(path)], capsys)
+    assert code == cli.EXIT_FAILURE and "mismatch at (0,1)" in err
+
+
+def test_compile_stars_refuses_a_weighted_graph(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text(GRAPHS["weighted"])
+    code, _, err = run(["compile", str(path), "--method", "stars"], capsys)
+    assert code == cli.EXIT_FAILURE and "requires unweighted" in err
+
+
+def test_gen_writes_the_graph_and_a_manifest_with_its_seed(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    code, stdout, _ = run(["gen", "6", "0.5", "--seed", "3", "--out", str(out)], capsys)
+    g = parse_edge_list(out.read_text())
+    assert code == cli.EXIT_OK and f"wrote {out} (n=6, m={g.m})" in stdout
+    assert g == random_er_graph(6, 0.5, (), 3)
+    manifest = json.loads((tmp_path / "g.txt.manifest.json").read_text())
+    assert manifest["subcommand"] == "gen" and manifest["seed"] == 3
+
+
+def test_random_sweep_writes_its_columns_and_manifest(tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("sweep.n = 4\nsweep.p_count = 2\nsweep.p_step = 0.4\n"
+                      "sweep.graphs_per_p = 1\n")
+    code, _, _ = run(["sweep", "fig_random_unweighted", "--config", str(config),
+                      "--out-dir", str(tmp_path)], capsys)
+    assert code == cli.EXIT_OK
+    with (tmp_path / "fig_random_unweighted.csv").open() as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["graph_id", "seed", "p", "m", "L0_stars", "L1_stars",
+                                 "L0_opt", "L1_opt", "l0_status"]
+    assert [(r["graph_id"], r["p"], r["l0_status"]) for r in rows] == [
+        ("0", "0.4", "optimal"), ("1", "0.8", "optimal")]
+    for r in rows:
+        assert int(r["L0_opt"]) <= int(r["L0_stars"])
+        assert Fraction(r["L1_opt"]) <= Fraction(r["L1_stars"])
+    manifest = json.loads((tmp_path / "fig_random_unweighted.csv.manifest.json").read_text())
+    assert manifest["subcommand"] == "sweep" and manifest["seed"] == 0
+    assert manifest["config_overrides"] == {
+        "sweep.n": "4", "sweep.p_count": "2", "sweep.p_step": "0.4", "sweep.graphs_per_p": "1"}

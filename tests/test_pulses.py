@@ -2,10 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingcoupler.graphs import Graph, parse_edge_list, random_er_graph, to_adjacency
 from isingcoupler.pulses import (
-    FlipRow,
     PulseSequence,
     canonicalize,
     compose,
@@ -31,27 +31,28 @@ def random_sequence(n, k, seed):
 
 def brute_force_coupling(seq):
     n = seq.n
+    signs = [[-1 if mask >> q & 1 else 1 for q in range(n)] for mask in seq.rows]
     a = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             total = Fraction(0)
-            for row, w in zip(seq.rows, seq.strengths):
-                total += w * row.signs[i] * row.signs[j]
+            for s, w in zip(signs, seq.strengths):
+                total += w * s[i] * s[j]
             a[i][j] = total
     return a
 
 
 def test_evaluate_two_row_path_solution():
     seq = PulseSequence.from_pairs(
-        3, [((1, 1, 1), Fraction(1, 2)), ((1, -1, 1), Fraction(-1, 2))]
+        3, [(0b000, Fraction(1, 2)), (0b010, Fraction(-1, 2))]
     )
     assert evaluate(seq) == to_adjacency(PATH3)
 
 
 def test_evaluate_single_uniform_row_gives_complete_graph():
-    seq = PulseSequence.from_pairs(3, [((1, 1, 1), 1)])
+    seq = PulseSequence.from_pairs(3, [(0b000, 1)])
     assert evaluate(seq) == to_adjacency(Graph.complete(3))
 
 
@@ -67,14 +68,14 @@ def test_evaluate_matches_double_loop_oracle():
 
 def test_verify_path_solution():
     seq = PulseSequence.from_pairs(
-        3, [((1, 1, 1), Fraction(1, 2)), ((1, -1, 1), Fraction(-1, 2))]
+        3, [(0b000, Fraction(1, 2)), (0b010, Fraction(-1, 2))]
     )
     assert verify(seq, PATH3)
     assert not verify(seq, Graph.complete(3))
 
 
 def test_verify_dimension_mismatch():
-    seq = PulseSequence.from_pairs(2, [((1, 1), 1)])
+    seq = PulseSequence.from_pairs(2, [(0b00, 1)])
     with pytest.raises(ValueError, match="qubits"):
         verify(seq, PATH3)
 
@@ -93,8 +94,8 @@ def test_compose_identity_and_additivity():
 
 
 def test_compose_appendix_style_single_rows():
-    c1 = PulseSequence.from_pairs(3, [((1, 1, 1), Fraction(1, 2))])
-    c2 = PulseSequence.from_pairs(3, [((1, -1, 1), Fraction(-1, 2))])
+    c1 = PulseSequence.from_pairs(3, [(0b000, Fraction(1, 2))])
+    c2 = PulseSequence.from_pairs(3, [(0b010, Fraction(-1, 2))])
     assert evaluate(compose(c1, c2)) == to_adjacency(PATH3)
 
 
@@ -104,9 +105,9 @@ def test_compose_dimension_mismatch():
 
 
 def test_canonicalize_opposite_rows_merge_preserving_evaluate():
-    # A row and its negation contribute identically, so equal strengths add.
-    r = (1, -1, 1)
-    neg = (-1, 1, -1)
+    # A row and its complement contribute identically, so equal strengths add.
+    r = 0b010
+    neg = 0b101
     seq = PulseSequence.from_pairs(3, [(r, Fraction(1)), (neg, Fraction(1))])
     out = canonicalize(seq)
     assert out.l0 == 1
@@ -115,8 +116,8 @@ def test_canonicalize_opposite_rows_merge_preserving_evaluate():
 
 
 def test_canonicalize_cancellation():
-    r = (1, -1, 1)
-    neg = (-1, 1, -1)
+    r = 0b010
+    neg = 0b101
     seq = PulseSequence.from_pairs(3, [(r, Fraction(1)), (neg, Fraction(-1))])
     out = canonicalize(seq)
     assert out.l0 == 0 and out.rows == ()
@@ -125,7 +126,7 @@ def test_canonicalize_cancellation():
 
 def test_canonicalize_merges_equal_rows():
     seq = PulseSequence.from_pairs(
-        3, [((1, 1, 1), Fraction(1, 4)), ((1, 1, 1), Fraction(1, 4))]
+        3, [(0b000, Fraction(1, 4)), (0b000, Fraction(1, 4))]
     )
     out = canonicalize(seq)
     assert out.l0 == 1
@@ -141,9 +142,9 @@ def test_canonicalize_preserves_evaluate_and_shrinks():
         assert out.l1 <= seq.l1
         assert canonicalize(out) == out  # idempotent
         for row, w in zip(out.rows, out.strengths):
-            assert row.signs[0] == 1
+            assert row & 1 == 0
             assert w != 0
-        assert len({row.mask for row in out.rows}) == out.l0
+        assert len(set(out.rows)) == out.l0
 
 
 def test_evaluate_invariances():
@@ -154,12 +155,12 @@ def test_evaluate_invariances():
         4, tuple(reversed(base.rows)), tuple(reversed(base.strengths))
     )
     assert evaluate(perm) == value
-    # negating a row
+    # complementing a row
     rows = list(base.rows)
-    rows[2] = rows[2].negated()
+    rows[2] ^= 0b1111
     assert evaluate(PulseSequence(4, tuple(rows), base.strengths)) == value
     # appending a zero-strength row
-    extended = compose(base, PulseSequence.from_pairs(4, [((1, 1, 1, 1), 0)]))
+    extended = compose(base, PulseSequence.from_pairs(4, [(0b0000, 0)]))
     assert evaluate(extended) == value
 
 
@@ -169,16 +170,27 @@ def test_evaluate_diagonal_zero():
     assert all(a[i, i] == 0 for i in range(5))
 
 
-def test_flip_row_mask_round_trip():
-    for mask in range(16):
-        row = FlipRow.from_mask(mask, 4)
-        assert row.mask == mask
-        assert all(s in (1, -1) for s in row.signs)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.tuples(
+    st.integers(0, (1 << n) - 1),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6)), max_size=6))))
+@settings(max_examples=200, deadline=None)
+def test_evaluate_matches_the_sign_vector_oracle_on_random_masks(case):
+    n, pairs = case
+    seq = PulseSequence.from_pairs(n, pairs)
+    got = evaluate(seq)
+    expected = brute_force_coupling(seq)
+    assert all(got[i, j] == expected[i][j] for i in range(n) for j in range(n))
+    out = canonicalize(seq)
+    assert all(row & 1 == 0 for row in out.rows)
+    assert evaluate(out) == got
 
 
-def test_flip_row_validation():
-    with pytest.raises(ValueError):
-        FlipRow((1, 0, -1))
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_rows_are_masks_in_0_to_2_to_the_n(n):
+    PulseSequence.from_pairs(n, [(0, 1), ((1 << n) - 1, 1)])
+    for mask in (-1, 1 << n):
+        with pytest.raises(ValueError, match="mask"):
+            PulseSequence(n, (mask,), (Fraction(1),))
 
 
 def test_sequence_json_round_trip():
@@ -191,7 +203,7 @@ def test_sequence_json_round_trip():
 
 
 def test_sequence_json_schema_shape():
-    seq = PulseSequence.from_pairs(3, [((1, -1, 1), Fraction(-1, 2))])
+    seq = PulseSequence.from_pairs(3, [(0b010, Fraction(-1, 2))])
     obj = json.loads(sequence_to_json(seq))
     assert obj == {"n": 3, "ops": [{"mask": "+-+", "w": "-1/2"}]}
 
@@ -203,6 +215,6 @@ def test_sequence_json_rejects_bad_mask():
 
 def test_sequence_validation():
     with pytest.raises(ValueError):
-        PulseSequence(3, (FlipRow((1, 1)),), (Fraction(1),))
+        PulseSequence(2, (0b100,), (Fraction(1),))
     with pytest.raises(ValueError):
-        PulseSequence(2, (FlipRow((1, 1)),), ())
+        PulseSequence(2, (0b11,), ())

@@ -14,7 +14,7 @@ import pytest
 
 from isingcoupler import (
     Graph, NoiseSpec, apply_depolarizing, maxcut_brute_force, optimize_angles, random_er_graph,
-    simulate_qaoa_p1, simulate_qaoa_p1_statevector, union_of_stars, weighted_edge_by_edge,
+    simulate_qaoa_p1, union_of_stars, verify, weighted_edge_by_edge,
 )
 from isingcoupler import qaoa
 
@@ -80,8 +80,8 @@ def oracle(g, compilation, seq, gamma, beta, noise):
             rho = minor(conjugate(rho, rz), v, rate, n)
             rho = depolarize(conjugate(rho, cnot), [u, v], major, n)
     else:
-        for row, w in zip(seq.rows, seq.strengths):
-            flipped = [q for q, s in enumerate(row.signs) if s == -1]
+        for mask, w in zip(seq.rows, seq.strengths):
+            flipped = [q for q in range(n) if mask >> q & 1]
             for q in flipped:
                 rho = minor(conjugate(rho, on(n, {q: X})), q, rate, n)
             rho = conjugate(rho, ising(n, -gamma * float(w) / 2))
@@ -98,6 +98,31 @@ def oracle(g, compilation, seq, gamma, beta, noise):
         rho = kraus_pair(rho, on(n, {q: X}), noise.measurement_rate)
     cost = sum(float(z) * (np.eye(dim) - on(n, {u: Z, v: Z})) / 2 for u, v, z in g.edges)
     return float(np.trace(cost @ rho).real)
+
+
+def simulate_qaoa_p1_statevector(g, compilation, seq, gamma, beta):
+    """Noise-free cross-check using a pure state instead of a density matrix."""
+    n = g.n
+    psi = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=complex)
+    if compilation == "cx":
+        for u, v, z in g.edges:
+            perm = qaoa._cnot_perm(n, u, v)
+            psi = psi[perm]
+            psi = psi * qaoa._rz_diagonal(n, v, -gamma * float(z))
+            psi = psi[perm]
+    elif compilation == "ms":
+        if seq is None or not verify(seq, g):
+            raise ValueError("ms compilation needs a sequence realizing the graph")
+        energies = qaoa._zz_energies(n)
+        for mask, w in zip(seq.rows, seq.strengths):
+            flips = np.arange(1 << n) ^ mask
+            psi = psi[flips]
+            psi = psi * np.exp(-1j * (-gamma * float(w) / 2.0) * energies)
+            psi = psi[flips]
+    else:
+        raise ValueError(f"unknown compilation {compilation!r}")
+    psi = qaoa._mixer_unitary(n, beta) @ psi
+    return float(np.sum(qaoa.build_cost_operator(g) * np.abs(psi) ** 2))
 
 
 def is_physical_density(rho, herm_tol=1e-12, trace_tol=1e-12, eig_tol=1e-10):
@@ -210,8 +235,9 @@ def test_ties_resolve_to_the_smallest_angles(g, compilation):
     cmax = float(maxcut_brute_force(g))
     near = np.argwhere(grid >= grid.max() - qaoa.TIE_TOLERANCE * max(1.0, cmax))
     i, j = near[0]  # argwhere is row-major: the smallest gamma, then the smallest beta
-    gamma, beta, ratio = optimize_angles(g, compilation, seq, noise, grid_resolution=res)
+    gamma, beta, value, ratio = optimize_angles(g, compilation, seq, noise, grid_resolution=res)
     assert (gamma, beta) == (gammas[i], betas[j])
+    assert value == grid[i, j]
     assert ratio == grid[i, j] / cmax
 
 
