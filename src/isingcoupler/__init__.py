@@ -8,33 +8,28 @@ comparing compilations.
 """
 
 from .graphs import (
-    AdjacencyMatrix,
     Graph,
     GraphParseError,
     canonical_edge_mask,
+    couplings,
     enumerate_labeled_graphs,
     graph_from_json,
     graph_to_json,
     parse_edge_list,
     random_er_graph,
     serialize_edge_list,
-    to_adjacency,
 )
 from .pulses import (
     PulseSequence,
     canonicalize,
-    compose,
     evaluate,
     sequence_from_json,
     sequence_to_json,
     verify,
 )
 from .constructions import (
-    Biclique,
-    Star,
-    biclique_sequence,
+    biclique_rows,
     greedy_star_order,
-    star_decomposition,
     union_of_stars,
     weighted_edge_by_edge,
 )

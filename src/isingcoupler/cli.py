@@ -31,12 +31,14 @@ from .graphs import (
     MAX_ENUMERATION_N,
     Graph,
     GraphParseError,
+    check_weights,
+    couplings,
     enumerate_labeled_graphs,
+    graph_to_json,
+    pair_order,
     parse_edge_list,
     random_er_graph,
     serialize_edge_list,
-    graph_to_json,
-    to_adjacency,
 )
 from .pulses import evaluate, sequence_from_json, sequence_to_json, verify
 from .qaoa import (
@@ -68,10 +70,11 @@ class CommandError(Exception):
         self.code = code
 
 
-def _usage(check, value):
-    """Run a library argument check; a rejected value is a usage error."""
+def _usage(call, *args):
+    """Run a library call that raises ValueError only for a bad argument;
+    a rejected value is a usage error."""
     try:
-        return check(value)
+        return call(*args)
     except ValueError as exc:
         raise CommandError(str(exc), EXIT_USAGE) from None
 
@@ -138,8 +141,9 @@ def _write_manifest(out_path: Path, args_ns, started: float, seed=None, override
 
 def _cmd_gen(args) -> int:
     started = time.monotonic()
-    weights = [Fraction(w) for w in args.weights.split(",")] if args.weights else []
-    g = random_er_graph(args.n, args.p, weights, args.seed)
+    weights = ([_number(Fraction, "--weights", w) for w in args.weights.split(",")]
+               if args.weights else [])
+    g = _usage(random_er_graph, args.n, args.p, weights, args.seed)
     text = graph_to_json(g) + "\n" if args.json else serialize_edge_list(g)
     if args.out:
         Path(args.out).write_text(text)
@@ -207,15 +211,9 @@ def _cmd_verify(args) -> int:
     seq = _load_sequence(args.pulse)
     if seq.n != g.n:
         raise CommandError(f"qubit count mismatch: sequence {seq.n} vs graph {g.n}")
-    realized = evaluate(seq)
-    target = to_adjacency(g)
-    for i in range(g.n - 1):
-        for j in range(i + 1, g.n):
-            if realized[i, j] != target[i, j]:
-                raise CommandError(
-                    f"mismatch at ({i},{j}): realized {realized[i, j]}, "
-                    f"target {target[i, j]}"
-                )
+    for (i, j), realized, target in zip(pair_order(g.n), evaluate(seq), couplings(g)):
+        if realized != target:
+            raise CommandError(f"mismatch at ({i},{j}): realized {realized}, target {target}")
     print(f"verified=true n={g.n} m={g.m} L0={seq.l0} L1={seq.l1}")
     return EXIT_OK
 
@@ -416,6 +414,14 @@ def _check_sweep_ranges(opts):
     n, n_max = opts["sweep.n"], opts["sweep.n_max"]
     if not 1 <= n <= MAX_EXACT_N:
         raise CommandError(f"sweep.n={n} outside [1, {MAX_EXACT_N}]", EXIT_USAGE)
+    for key in ("sweep.graphs_per_p", "sweep.p_count"):
+        if opts[key] < 1:
+            raise CommandError(f"{key}={opts[key]} must be at least 1", EXIT_USAGE)
+    if n_max < 3:
+        raise CommandError(
+            f"sweep.n_max={n_max} below 3, the smallest size fig_worstcase covers",
+            EXIT_USAGE,
+        )
     if n_max > MAX_ENUMERATION_N:
         raise CommandError(
             f"sweep.n_max={n_max} too large to enumerate (limit {MAX_ENUMERATION_N})",
@@ -443,8 +449,8 @@ def _cmd_sweep(args) -> int:
     grid_res = _usage(check_grid_resolution, opts["sweep.grid_res"])
     lam_text = args.lambda_grid or cfg.get("sweep.lambda_grid", "0.001,0.005,0.01")
     noises = [_usage(NoiseSpec, _number(float, "lambda grid", x)) for x in lam_text.split(",")]
-    weights = [_number(Fraction, "sweep.weights", w)
-               for w in cfg.get("sweep.weights", "1,2,3").split(",")]
+    weights = _usage(check_weights, [_number(Fraction, "sweep.weights", w)
+                                     for w in cfg.get("sweep.weights", "1,2,3").split(",")])
     seed = args.seed if args.seed is not None else opts["sweep.seed"]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -3,8 +3,10 @@
 Because complementing a row never changes the realized coupling, only the
 2^(n-1) canonical rows need to be considered: the masks with bit 0 clear.
 The cut matrix Q has one column per canonical row, holding its coupling
-signs (``pulses.coupling_sign``), one entry per qubit pair, and b holds the
-target couplings; a sequence realizes the graph exactly when Q W = b.
+signs (``pulses.coupling_sign``), one entry per qubit pair in
+``graphs.pair_order``, and b = ``graphs.couplings(g)`` holds the target
+couplings in the same pair order; a sequence realizes the graph exactly
+when Q W = b, that is when ``pulses.evaluate`` returns b.
 
 L1 is a linear program: each strength is split as W_t = W+_t - W-_t with
 both parts nonnegative, and sum(W+ + W-) is minimized subject to
@@ -64,7 +66,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constructions import union_of_stars, weighted_edge_by_edge
-from .graphs import Graph, pair_order, to_adjacency
+from .graphs import Graph, couplings, pair_order
 from .pulses import PulseSequence, canonicalize, coupling_sign, sequence_to_json
 # float_solve is unused here; perfbench's tracing test still checks that this
 # module holds the traced simplex.float_solve, and perfbench changes only
@@ -160,8 +162,7 @@ def _search_supports(g: Graph, time_limit: float):
     start = time.monotonic()
     deadline = start + time_limit
     pairs = pair_order(g.n)
-    target = to_adjacency(g).rows
-    b = [target[i][j] for i, j in pairs]
+    b = list(couplings(g))
     cols = {t: [coupling_sign(t, i, j) for i, j in pairs] for t in _canonical_rows(g.n)}
     scale = math.lcm(*(v.denominator for v in b))
     b_mod = [int(v * scale) % _PRIME for v in b]
@@ -278,7 +279,6 @@ def solve_l1(g: Graph) -> OptResult:
         return OptResult(
             PulseSequence.empty(n), Fraction(0), "l1", OPTIMAL, 0, 0.0
         )
-    target = to_adjacency(g).rows
     a_rows = []
     for i, j in pairs:
         row = []
@@ -286,8 +286,7 @@ def solve_l1(g: Graph) -> OptResult:
             q = coupling_sign(mask, i, j)
             row.extend((q, -q))
         a_rows.append(row)
-    b = [target[i][j] for i, j in pairs]
-    res = solve_lp(a_rows, b, [Fraction(1)] * (2 * len(masks)))
+    res = solve_lp(a_rows, couplings(g), [Fraction(1)] * (2 * len(masks)))
     entries = []
     for t, mask in enumerate(masks):
         w = res.x[2 * t] - res.x[2 * t + 1]

@@ -1,9 +1,14 @@
-"""Weighted graphs as compilation targets: parsing, generators, adjacency.
+"""Weighted graphs as compilation targets: parsing, generators, couplings.
 
 A target coupling graph is an undirected simple graph with nonzero rational
 edge weights.  Weights stay exact ``Fraction`` values end to end so that
 compiled pulse sequences can be verified by equality rather than tolerance.
 Vertex indices are 0-based everywhere, including the text format.
+
+The couplings of a graph on n vertices are one Fraction per qubit pair
+i < j, in ``pair_order(n)``: the edge weight, or 0 for a non-edge.  That
+tuple is the target b of the cut-matrix system Q W = b, and
+``pulses.evaluate`` returns a sequence's couplings in the same order.
 """
 
 from __future__ import annotations
@@ -92,37 +97,6 @@ class Graph:
         return out
 
 
-@dataclass(frozen=True)
-class AdjacencyMatrix:
-    """Symmetric rational matrix with zero diagonal."""
-
-    n: int
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
-            raise ValueError("adjacency matrix must be n x n")
-        for i in range(self.n):
-            if self.rows[i][i] != 0:
-                raise ValueError(f"diagonal entry ({i},{i}) must be zero")
-            for j in range(i + 1, self.n):
-                if self.rows[i][j] != self.rows[j][i]:
-                    raise ValueError(f"asymmetric entries at ({i},{j})")
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.rows[i][j]
-
-
-def to_adjacency(g: Graph) -> AdjacencyMatrix:
-    """Adjacency matrix with A[u][v] = A[v][u] = weight, zero elsewhere."""
-    a = [[Fraction(0)] * g.n for _ in range(g.n)]
-    for u, v, z in g.edges:
-        a[u][v] = z
-        a[v][u] = z
-    return AdjacencyMatrix(g.n, tuple(tuple(row) for row in a))
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
@@ -196,6 +170,15 @@ def graph_from_json(text: str) -> Graph:
     return Graph.from_edges(obj["n"], [(u, v, Fraction(z)) for u, v, z in obj["edges"]])
 
 
+def check_weights(weight_set: Iterable[object]) -> list[Fraction]:
+    """The weights as Fractions, or ValueError when one is zero (a zero
+    coupling is a non-edge, not a weight)."""
+    weights = [Fraction(w) for w in weight_set]
+    if any(w == 0 for w in weights):
+        raise ValueError("weight_set must not contain zero")
+    return weights
+
+
 def random_er_graph(
     n: int,
     p: float,
@@ -213,9 +196,7 @@ def random_er_graph(
         raise ValueError("n must be at least 1")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability {p} outside [0, 1]")
-    weights = [Fraction(w) for w in weight_set]
-    if any(w == 0 for w in weights):
-        raise ValueError("weight_set must not contain zero")
+    weights = check_weights(weight_set)
     rng = SplitMix64(seed)
     edges = []
     for u in range(n - 1):
@@ -230,6 +211,12 @@ def pair_order(n: int) -> list[tuple[int, int]]:
     """The pairs (i, j), i < j, of 0..n-1 in lexicographic order: the bit
     order of an edge bitmask and the row order of the cut matrix."""
     return list(itertools.combinations(range(n), 2))
+
+
+def couplings(g: Graph) -> tuple[Fraction, ...]:
+    """The coupling of every pair in pair_order(g.n): its edge weight, or 0."""
+    weight = {(u, v): z for u, v, z in g.edges}
+    return tuple(weight.get(uv, Fraction(0)) for uv in pair_order(g.n))
 
 
 def _relabel_mask(mask: int, pairs: list[tuple[int, int]], pair_index: dict, perm: tuple) -> int:

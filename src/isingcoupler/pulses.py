@@ -3,9 +3,11 @@
 A pulse sequence is an ordered list of (row, strength) pairs.  A row is an
 n-bit flip mask: bit i is set when qubit i is conjugated by bit flips around
 one application of the global Ising operation.  The strength is the rational
-coefficient of that application.  The sequence realizes the coupling matrix
-A[i][j] = sum_p w_p * coupling_sign(row_p, i, j) (i != j), where the sign is
--1 when the row flips exactly one of qubits i and j.  Rows may therefore be
+coefficient of that application.  The sequence realizes, for every qubit
+pair i < j, the coupling sum_p w_p * coupling_sign(row_p, i, j), where the
+sign is -1 when the row flips exactly one of qubits i and j.  ``evaluate``
+returns these couplings as one tuple in ``graphs.pair_order(n)``, the same
+pair vector ``graphs.couplings`` gives for a target graph.  Rows may be
 permuted, or complemented (XOR with the all-ones mask), without changing the
 result.
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .graphs import AdjacencyMatrix, Graph, to_adjacency
+from .graphs import Graph, couplings, pair_order
 
 
 @dataclass(frozen=True)
@@ -69,31 +71,21 @@ def coupling_sign(mask: int, i: int, j: int) -> int:
     return -1 if (mask >> i ^ mask >> j) & 1 else 1
 
 
-def evaluate(seq: PulseSequence) -> AdjacencyMatrix:
-    """Coupling matrix realized by the sequence, in exact arithmetic."""
-    n = seq.n
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for mask, w in zip(seq.rows, seq.strengths):
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                c = w * coupling_sign(mask, i, j)
-                a[i][j] += c
-                a[j][i] += c
-    return AdjacencyMatrix(n, tuple(tuple(r) for r in a))
+def evaluate(seq: PulseSequence) -> tuple[Fraction, ...]:
+    """Couplings realized by the sequence, one per pair in pair_order(n),
+    in exact arithmetic."""
+    rows = list(zip(seq.rows, seq.strengths))
+    return tuple(
+        sum((w * coupling_sign(mask, i, j) for mask, w in rows), Fraction(0))
+        for i, j in pair_order(seq.n)
+    )
 
 
 def verify(seq: PulseSequence, g: Graph) -> bool:
-    """True iff the sequence realizes exactly the graph's adjacency matrix."""
+    """True iff the sequence realizes exactly the graph's couplings."""
     if seq.n != g.n:
         raise ValueError(f"sequence on {seq.n} qubits vs graph on {g.n} vertices")
-    return evaluate(seq) == to_adjacency(g)
-
-
-def compose(a: PulseSequence, b: PulseSequence) -> PulseSequence:
-    """Concatenation; evaluates to the entrywise sum of the two couplings."""
-    if a.n != b.n:
-        raise ValueError(f"qubit count mismatch: {a.n} vs {b.n}")
-    return PulseSequence(a.n, a.rows + b.rows, a.strengths + b.strengths)
+    return evaluate(seq) == couplings(g)
 
 
 def canonicalize(seq: PulseSequence) -> PulseSequence:

@@ -80,9 +80,14 @@ def test_removed_optimize_options_are_usage_errors(tmp_path, capsys, option):
     ("simulate", ["--lambda", "nan"], "major rate must be in [0, 1]"),
     ("simulate", ["--gamma", "nan"], "angles must be finite"),
     ("simulate", ["--beta=-inf"], "angles must be finite"),
+    ("gen", ["5", "1.5"], "edge probability 1.5 outside [0, 1]"),
+    ("gen", ["0", "0.5"], "n must be at least 1"),
+    ("gen", ["5", "0.5", "--weights", "1,0"], "weight_set must not contain zero"),
+    ("gen", ["5", "0.5", "--weights", "1,x"], "--weights: not a number: 'x'"),
 ])
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, command, option, message):
-    argv = {"optimize": ["optimize", write_graph(tmp_path, Graph.complete(3))],
+    argv = {"gen": ["gen"],
+            "optimize": ["optimize", write_graph(tmp_path, Graph.complete(3))],
             "sweep": ["sweep", "fig_worstcase", "--out-dir", str(tmp_path)],
             "simulate": ["simulate", write_graph(tmp_path, Graph.complete(3)), "--optimize"]}
     code, _, err = run([*argv[command], *option], capsys)
@@ -105,6 +110,10 @@ def test_bad_option_values_are_usage_errors(tmp_path, capsys, command, option, m
     ("sweep.p_step = 0.5\nsweep.p_count = 3", "edge probability 1.5 (sweep.p_step * 3)"),
     ("sweep.p_step = -0.1", "edge probability -0.1 (sweep.p_step * 1)"),
     ("sweep.p_step = nan", "edge probability nan"),
+    ("sweep.weights = 1,0", "weight_set must not contain zero"),
+    ("sweep.p_count = 0", "sweep.p_count=0 must be at least 1"),
+    ("sweep.graphs_per_p = -2", "sweep.graphs_per_p=-2 must be at least 1"),
+    ("sweep.n_max = 2", "sweep.n_max=2 below 3"),
 ])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, line, message):
     config = tmp_path / "sweep.cfg"

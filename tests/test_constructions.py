@@ -1,13 +1,18 @@
 """Property tests of the constructions' row and strength bounds: at most
 3n-2 rows and L1 <= n-1 for the union of stars on unweighted graphs, at most
-3m+1 rows edge by edge, and every sequence realizes its graph."""
+3m+1 rows edge by edge, and every sequence realizes its graph; and the exact
+rows each construction emits, in order."""
 
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from isingcoupler import Graph, union_of_stars, verify, weighted_edge_by_edge
+from isingcoupler import (
+    Graph, PulseSequence, biclique_rows, evaluate, union_of_stars, verify, weighted_edge_by_edge,
+)
+from isingcoupler.cli import noise_standin_graphs
 
 
 @st.composite
@@ -54,3 +59,62 @@ def test_edge_by_edge_within_3m_plus_1_rows(g):
     seq = weighted_edge_by_edge(g)
     assert verify(seq, g)
     assert seq.l0 <= 3 * g.m + 1
+
+
+def rows_and_strengths(seq):
+    return seq.rows, tuple(str(w) for w in seq.strengths)
+
+
+# (rows, strengths) captured from the constructions before they were built
+# from flip masks: the merged row order must not change.
+STAR_ROWS = {
+    "star_k15": ((0, 62), ("1/2", "-1/2")),
+    "cycle_c6": ((28, 62, 0, 34, 14, 4, 10, 56, 16, 40),
+                 ("1/4", "-1/4", "3/4", "-1/4", "1/4", "-1/4", "-1/4", "1/4", "-1/4", "-1/4")),
+    "k6": ((0, 62, 2, 4, 8, 16, 32), ("3/2", "-1/4", "-1/4", "-1/4", "-1/4", "-1/4", "-1/4")),
+    "two_hubs": ((4, 0, 6, 58, 56), ("-1/4", "1/2", "-1/4", "1/4", "-1/4")),
+}
+
+
+@pytest.mark.parametrize("name, g", noise_standin_graphs())
+def test_union_of_stars_rows_in_greedy_order(name, g):
+    assert rows_and_strengths(union_of_stars(g)) == STAR_ROWS[name]
+
+
+@pytest.mark.parametrize("g, order, expected", [
+    (Graph.unweighted(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]), [4, 3, 2, 1, 0],
+     ((24, 16, 0, 8, 14, 6, 26, 4, 30, 28, 2),
+      ("1/4", "-1/4", "1", "-1/2", "1/4", "-1/4", "1/4", "-1/4", "-1/2", "1/4", "-1/4"))),
+    (dict(noise_standin_graphs())["two_hubs"], [1, 2, 0, 3, 4, 5],
+     ((58, 0, 56, 4, 6), ("1/4", "1/2", "-1/4", "-1/4", "-1/4"))),
+])
+def test_union_of_stars_rows_in_an_explicit_order(g, order, expected):
+    assert rows_and_strengths(union_of_stars(g, order)) == expected
+
+
+def test_edge_by_edge_rows():
+    g = Graph.from_edges(5, [(0, 2, Fraction(2, 3)), (1, 4, Fraction(-5, 2)),
+                             (2, 3, Fraction(1, 6)), (3, 4, 3)])
+    assert rows_and_strengths(weighted_edge_by_edge(g)) == (
+        (26, 30, 0, 4, 18, 2, 16, 12, 8, 24),
+        ("1/6", "-1/6", "1/3", "-5/24", "-5/8", "5/8", "-1/8", "1/24", "-19/24", "3/4"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6))
+def test_biclique_rows_realize_weight_mu_on_v1_x_v2_only(case, mu):
+    n, v2, v3 = case
+    v3 &= ~v2
+    v1 = (1 << n) - 1 ^ v2 ^ v3
+    seq = PulseSequence.from_pairs(n, biclique_rows(v2, v3, mu))
+    side = [1 if v1 >> q & 1 else 2 if v2 >> q & 1 else 3 for q in range(n)]
+    assert evaluate(seq) == tuple(
+        mu if {side[i], side[j]} == {1, 2} else 0 for i, j in itertools.combinations(range(n), 2)
+    )
+
+
+def test_biclique_rows_need_disjoint_v2_and_v3():
+    with pytest.raises(ValueError, match="disjoint"):
+        biclique_rows(0b0110, 0b0100, 1)

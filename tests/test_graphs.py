@@ -4,17 +4,17 @@ import pytest
 from fractions import Fraction
 
 from isingcoupler.graphs import (
-    AdjacencyMatrix,
     Graph,
     GraphParseError,
     canonical_edge_mask,
+    couplings,
     enumerate_labeled_graphs,
     graph_from_json,
     graph_to_json,
+    pair_order,
     parse_edge_list,
     random_er_graph,
     serialize_edge_list,
-    to_adjacency,
 )
 
 
@@ -74,38 +74,26 @@ def test_json_round_trip():
     assert graph_from_json(graph_to_json(g)) == g
 
 
-def test_to_adjacency_path():
+def test_couplings_path():
     g = parse_edge_list("n 3\n0 1\n1 2")
-    a = to_adjacency(g)
-    assert a.rows == (
-        (Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(1), Fraction(0), Fraction(1)),
-        (Fraction(0), Fraction(1), Fraction(0)),
-    )
+    assert pair_order(3) == [(0, 1), (0, 2), (1, 2)]
+    assert couplings(g) == (Fraction(1), Fraction(0), Fraction(1))
 
 
-def test_to_adjacency_empty_and_complete():
-    assert to_adjacency(Graph(2, ())).rows == ((Fraction(0),) * 2,) * 2
-    a = to_adjacency(Graph.complete(3))
-    for i in range(3):
-        for j in range(3):
-            assert a[i, j] == (0 if i == j else 1)
+def test_couplings_empty_and_complete():
+    assert couplings(Graph(2, ())) == (Fraction(0),)
+    assert couplings(Graph(1, ())) == ()
+    assert couplings(Graph.complete(4)) == (Fraction(1),) * 6
 
 
 def test_adjacency_invariants_fuzz():
     for seed in range(30):
         g = random_er_graph(7, 0.4, [1, 2, 3], seed=seed)
-        a = to_adjacency(g)  # constructor validates symmetry + zero diagonal
-        assert isinstance(a, AdjacencyMatrix)
-
-
-def test_adjacency_matrix_rejects_bad_input():
-    with pytest.raises(ValueError, match="diagonal"):
-        AdjacencyMatrix(1, ((Fraction(1),),))
-    with pytest.raises(ValueError, match="asymmetric"):
-        AdjacencyMatrix(
-            2, ((Fraction(0), Fraction(1)), (Fraction(2), Fraction(0)))
-        )
+        b = couplings(g)
+        assert len(b) == 21
+        weight = {(u, v): z for u, v, z in g.edges}
+        assert all(b_ij == weight.get(ij, 0) for ij, b_ij in zip(pair_order(7), b))
+        assert sum(1 for b_ij in b if b_ij) == g.m
 
 
 def test_random_er_extremes():
