@@ -351,13 +351,24 @@ def noise_standin_graphs() -> list[tuple[str, Graph]]:
     return [("star_k15", star), ("cycle_c6", cycle), ("k6", k6), ("two_hubs", two_hubs)]
 
 
-def _sweep_noise(cfg, out_dir, noises, grid_res):
-    out = out_dir / "fig_noise.csv"
+def _noise_graphs(cfg) -> list[tuple[str, Graph]]:
+    """The noise-sweep graphs that sweep.noise_graphs names (all by default);
+    an unknown name is a usage error."""
     graphs = noise_standin_graphs()
     names = cfg.get("sweep.noise_graphs")
-    if names:
-        wanted = {s.strip() for s in names.split(",")}
-        graphs = [(name, g) for name, g in graphs if name in wanted]
+    if not names:
+        return graphs
+    wanted = {s.strip() for s in names.split(",")}
+    unknown = sorted(wanted - {name for name, _ in graphs})
+    if unknown:
+        raise CommandError(
+            f"sweep.noise_graphs: unknown graph {', '.join(map(repr, unknown))} (known: "
+            f"{', '.join(name for name, _ in graphs)})", EXIT_USAGE)
+    return [(name, g) for name, g in graphs if name in wanted]
+
+
+def _sweep_noise(graphs, out_dir, noises, grid_res):
+    out = out_dir / "fig_noise.csv"
     with out.open("w", newline="") as fh:
         writer = csv.DictWriter(
             fh,
@@ -414,7 +425,7 @@ def _check_sweep_ranges(opts):
     n, n_max = opts["sweep.n"], opts["sweep.n_max"]
     if not 1 <= n <= MAX_EXACT_N:
         raise CommandError(f"sweep.n={n} outside [1, {MAX_EXACT_N}]", EXIT_USAGE)
-    for key in ("sweep.graphs_per_p", "sweep.p_count"):
+    for key in ("sweep.graphs_per_p", "sweep.p_count", "sweep.workers"):
         if opts[key] < 1:
             raise CommandError(f"{key}={opts[key]} must be at least 1", EXIT_USAGE)
     if n_max < 3:
@@ -452,6 +463,8 @@ def _cmd_sweep(args) -> int:
     weights = _usage(check_weights, [_number(Fraction, "sweep.weights", w)
                                      for w in cfg.get("sweep.weights", "1,2,3").split(",")])
     seed = args.seed if args.seed is not None else opts["sweep.seed"]
+    _usage(SplitMix64, seed)
+    graphs = _noise_graphs(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.kind in ("fig_random_unweighted", "fig_random_weighted"):
@@ -459,7 +472,7 @@ def _cmd_sweep(args) -> int:
     elif args.kind == "fig_worstcase":
         outputs = _sweep_worstcase(opts["sweep.n_max"], out_dir, time_limit)
     else:
-        outputs = _sweep_noise(cfg, out_dir, noises, grid_res)
+        outputs = _sweep_noise(graphs, out_dir, noises, grid_res)
     for out in outputs:
         _write_manifest(out, args, started, seed=seed, overrides=cfg)
         print(f"wrote {out}")

@@ -33,23 +33,20 @@ full search; they find small supports early, which tightens the bound when
 the full search cannot finish in time.  Floats only order the search; every
 decision to skip, prune or accept is exact.
 
-Elimination runs incrementally modulo the prime p = 2^127 - 1 in plain
-Python integers, on b scaled to integers.  Each step is exact:
+Elimination runs incrementally and exactly in Python integers, with the
+fraction-free step of Bareiss (Math. Comp. 22, 1968), on b scaled to
+integers.  Adding a column v with pivot row r (its first nonzero entry)
+replaces every other candidate column u, and the residual of b, by
+(v[r] u - u[r] v) / prev, with prev the pivot of the column added before v
+(1 at the root).  By Sylvester's identity each entry of a reduced column is
+then the minor of [support | column] on the support's pivot rows, in order,
+and the entry's own row, so the division is exact and:
 
-- A column that reduces to zero is dependent over Q as well, so it is
-  skipped: a set of +-1 columns with r <= C(MAX_EXACT_N, 2) = 28 rows is
-  independent over Q exactly when some r' x r' minor is nonzero, and by
-  Hadamard's inequality every such minor is at most r'^(r'/2) <= 28^14 < p
-  in size, so it is nonzero mod p too.
-- A nonzero residual of b is a certified miss for any p: if b = Q_S w over
-  Q, clearing the denominators of w by a minor of Q_S that is a unit mod p
-  shows b = Q_S w' mod p.
-- A zero residual is only a candidate.  It is confirmed by solving the
-  support system over Q, which also gives the exact strengths; a candidate
-  that fails is searched below like a miss.  The solve is the fraction-free
-  integer elimination of ``simplex._solve_integer``: b is scaled to
-  integers, and each division by the previous pivot is exact because every
-  intermediate entry is a minor of the scaled system (Sylvester's identity).
+- a column that reduces to zero lies in the span of the support, and is
+  skipped as dependent;
+- a residual that reduces to zero means b lies in the span, so the support
+  realizes the graph; ``simplex._solve_integer`` then solves the support
+  system once for the exact strengths.  A nonzero residual is a miss.
 
 Instances above MAX_EXACT_N qubits are refused; the constructions in
 ``constructions`` cover them.
@@ -76,10 +73,6 @@ from .simplex import _solve_integer, float_solve, solve_lp  # noqa: F401
 MAX_EXACT_N = 8
 DEFAULT_TIME_LIMIT = 600.0
 
-_PRIME = 2**127 - 1
-_MAX_PAIRS = MAX_EXACT_N * (MAX_EXACT_N - 1) // 2
-# Hadamard: |minor| <= r^(r/2) <= _MAX_PAIRS^(_MAX_PAIRS/2) < _PRIME
-assert _MAX_PAIRS**_MAX_PAIRS < _PRIME**2
 # candidates tried per node in the passes before the full search
 _PROBE_WIDTHS = (2, 3, 4)
 
@@ -109,9 +102,11 @@ class OptResult:
         )
 
 
-def _canonical_rows(n: int) -> range:
-    """The masks with bit 0 clear, in increasing order."""
-    return range(0, 1 << n, 2)
+def _cut_columns(n: int) -> dict[int, list[int]]:
+    """The cut matrix by columns: each canonical row mask (bit 0 clear, in
+    increasing order) to its coupling signs in ``pair_order(n)``."""
+    pairs = pair_order(n)
+    return {t: [coupling_sign(t, i, j) for i, j in pairs] for t in range(0, 1 << n, 2)}
 
 
 def _default_incumbent(g: Graph) -> PulseSequence:
@@ -120,29 +115,16 @@ def _default_incumbent(g: Graph) -> PulseSequence:
     return weighted_edge_by_edge(g)
 
 
-def _solve_support_system(cols: list[list[int]], b: list[Fraction]):
-    """Exact solution W of sum_t W_t * cols[t] = b for independent columns.
-
-    Returns the W list, or None when the system is inconsistent.
-    """
-    sol = _solve_integer(list(zip(*cols)), [b])
-    if sol is None:
-        return None
-    d, (num,) = sol
-    return [Fraction(v, d) for v in num]
-
-
 class _Timeout(Exception):
     pass
 
 
-def _eliminate(u: list[int], v: list[int], piv: int) -> list[int]:
-    """v[piv] * u - u[piv] * v mod p: u with entry piv cleared, scaled by
-    the unit v[piv], which changes neither its span nor its zero pattern."""
+def _eliminate(u: list[int], v: list[int], piv: int, prev: int) -> list[int]:
+    """(v[piv] * u - u[piv] * v) // prev: one fraction-free step clearing
+    entry piv of u, exact because every result entry is a minor (see the
+    module docstring)."""
     f, g = v[piv], u[piv]
-    if not g:
-        return u
-    return [(f * a - g * x) % _PRIME for a, x in zip(u, v)]
+    return [(f * a - g * x) // prev for a, x in zip(u, v)]
 
 
 def _ordered(cands, floats, r_float):
@@ -161,25 +143,25 @@ def _search_supports(g: Graph, time_limit: float):
     """
     start = time.monotonic()
     deadline = start + time_limit
-    pairs = pair_order(g.n)
     b = list(couplings(g))
-    cols = {t: [coupling_sign(t, i, j) for i, j in pairs] for t in _canonical_rows(g.n)}
+    cols = _cut_columns(g.n)
     scale = math.lcm(*(v.denominator for v in b))
-    b_mod = [int(v * scale) % _PRIME for v in b]
+    b_int = [v.numerator * (scale // v.denominator) for v in b]
 
     incumbent = canonicalize(_default_incumbent(g))
     best_entries = list(zip(incumbent.rows, incumbent.strengths))
     best = len(best_entries)
     nodes = 0
 
-    def extend(support, cands, floats, residual, r_float, width):
+    def extend(support, prev, cands, floats, residual, r_float, width):
         """Try each of the first width candidate columns on top of support.
 
         cands holds (t, v) with v column t reduced against the support's
-        columns and nonzero; residual is b_mod reduced the same way.  floats
-        and r_float are the same reductions done by float projection, used
-        only to order the candidates of each child (None when no child
-        expands further in the full pass).
+        columns and nonzero; residual is b_int reduced the same way, and
+        prev is the pivot of the support's last column (1 at the root).
+        floats and r_float are the same reductions done by float
+        projection, used only to order the candidates of each child (None
+        when no child expands further in the full pass).
         """
         nonlocal best, best_entries, nodes
         for pos, (t, v) in enumerate(cands[:width]):
@@ -190,14 +172,14 @@ def _search_supports(g: Graph, time_limit: float):
                 raise _Timeout
             piv = next(r for r, a in enumerate(v) if a)
             trial = support + [t]
-            rest = _eliminate(residual, v, piv)
+            rest = _eliminate(residual, v, piv, prev)
             if not any(rest):
-                w = _solve_support_system([cols[s] for s in trial], b)
-                if w is not None:
-                    best, best_entries = len(trial), list(zip(trial, w))
-                    return
+                d, (num,) = _solve_integer([*zip(*(cols[s] for s in trial))], [b])
+                best = len(trial)
+                best_entries = [(s, Fraction(w, d)) for s, w in zip(trial, num)]
+                return
             if len(trial) + 1 < best:
-                reduced = [(t2, _eliminate(v2, v, piv)) for t2, v2 in cands[pos + 1:]]
+                reduced = [(t2, _eliminate(v2, v, piv, prev)) for t2, v2 in cands[pos + 1:]]
                 kept = [i for i, (_, v2) in enumerate(reduced) if any(v2)]
                 children = [reduced[i] for i in kept]
                 child_floats = r_child = None
@@ -209,7 +191,7 @@ def _search_supports(g: Graph, time_limit: float):
                     children, child_floats = _ordered(
                         children, later - np.outer(later @ u, u), r_child
                     )
-                extend(trial, children, child_floats, rest, r_child, width)
+                extend(trial, v[piv], children, child_floats, rest, r_child, width)
 
     b_float = np.array([float(v) for v in b])
     cands, floats = _ordered(list(cols.items()), np.array(list(cols.values()), dtype=float),
@@ -217,7 +199,7 @@ def _search_supports(g: Graph, time_limit: float):
     status = OPTIMAL
     try:
         for width in (*_PROBE_WIDTHS, None):
-            extend([], cands, floats, b_mod, b_float, width)
+            extend([], 1, cands, floats, b_int, b_float, width)
     except _Timeout:
         status = INCUMBENT_TIMEOUT
     return status, best_entries, nodes, time.monotonic() - start
@@ -273,19 +255,14 @@ def solve_l1(g: Graph) -> OptResult:
     _check_size(g)
     start = time.monotonic()
     n = g.n
-    pairs = pair_order(n)
-    masks = _canonical_rows(n)
-    if not pairs:
+    cols = _cut_columns(n)
+    masks = list(cols)
+    # W_t = W+_t - W-_t: column t of the cut matrix, then its negation
+    a_rows = [[x for q in row for x in (q, -q)] for row in zip(*cols.values())]
+    if not a_rows:
         return OptResult(
             PulseSequence.empty(n), Fraction(0), "l1", OPTIMAL, 0, 0.0
         )
-    a_rows = []
-    for i, j in pairs:
-        row = []
-        for mask in masks:
-            q = coupling_sign(mask, i, j)
-            row.extend((q, -q))
-        a_rows.append(row)
     res = solve_lp(a_rows, couplings(g), [Fraction(1)] * (2 * len(masks)))
     entries = []
     for t, mask in enumerate(masks):

@@ -2,9 +2,9 @@
 
 All randomized routines in this package take explicit 64-bit seeds and draw
 from SplitMix64 (Steele, Lea & Flood's published constants), so results are
-identical across platforms and Python versions.  The stream is not
-cryptographic and the modulo draw below has negligible bias for the small
-ranges used here.
+identical across platforms and Python versions.  A seed outside [0, 2^64)
+is refused rather than wrapped.  The stream is not cryptographic and the
+modulo draw below has negligible bias for the small ranges used here.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ class SplitMix64:
     """SplitMix64 generator over a 64-bit state."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed {seed} outside [0, 2^64)")
+        self._state = seed
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64

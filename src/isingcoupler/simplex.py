@@ -14,14 +14,15 @@ One tableau class runs the algorithm on two number types:
   the phase-1 sum, and no pivot on an entry below _PIVOT_EPS, for speed;
 - numpy object arrays of ``Fraction`` values, with tolerance 0, exactly.
 
-``solve_lp`` solves in floats and hands the outcome to
-``certify_or_repair``.  That re-solves the float basis exactly and checks
-it (``certify_basis``); a basis that is feasible but not optimal is pivoted
-on exactly (``exact_resume``); anything else, including a float
-"infeasible", is solved from scratch in Fractions (``exact_solve``).  The
-result is an exact rational optimum.  An exact phase 1 that ends above 0
-raises SimplexError: the L1 programs always have a feasible point.  All
-rules are deterministic, so identical inputs give identical results.
+``solve_lp`` solves in floats, and the float engine (``float_solve``)
+hands over only its phase-2 basis.  ``solve_lp`` re-solves that basis
+exactly and checks it (``certify_basis``); a basis that is feasible but not
+optimal is pivoted on exactly (``exact_resume``); anything else, including
+a float "infeasible" or a float engine that fails, is solved from scratch
+in Fractions (``exact_solve``).  The result is an exact rational optimum.
+An exact phase 1 that ends above 0 raises SimplexError: the L1 programs
+always have a feasible point.  All rules are deterministic, so identical
+inputs give identical results.
 
 Every exact solve of a linear system (the basis system B x = b and its
 dual B^T y = c_B in ``certify_basis``, the change of basis in
@@ -59,14 +60,6 @@ class SimplexError(RuntimeError):
 class LPResult:
     objective: Fraction
     x: list[Fraction]
-
-
-@dataclass
-class FloatOutcome:
-    feasible: bool
-    objective: float
-    x: np.ndarray | None  # structural values
-    basis: list[int]
 
 
 class _Tableau:
@@ -172,15 +165,17 @@ def _optimum(tab: _Tableau, c) -> LPResult:
     return LPResult(_objective(c, x), x)
 
 
-def float_solve(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> FloatOutcome:
-    """Two-phase float simplex; reports infeasibility instead of raising it."""
+def float_solve(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> list[int] | None:
+    """Two-phase float simplex: the phase-2 basis, or None when phase 1 ends
+    infeasible or the engine raises SimplexError."""
     tab = _Tableau(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if not tab.phase_one():
-        return FloatOutcome(False, 0.0, None, list(tab.basis))
-    cost = np.asarray(cost, dtype=float)
-    tab.phase_two(cost)
-    x = tab.solution()
-    return FloatOutcome(True, float(cost @ x), x, list(tab.basis))
+    try:
+        if not tab.phase_one():
+            return None
+        tab.phase_two(np.asarray(cost, dtype=float))
+    except SimplexError:
+        return None
+    return list(tab.basis)
 
 
 def _solve_integer(mat, rhs_cols):
@@ -286,41 +281,26 @@ def exact_solve(a_rows, b, c) -> LPResult:
     return _optimum(tab, c)
 
 
-def certify_or_repair(a_rows, b, c, out: FloatOutcome) -> LPResult:
-    """Exact optimum of an LP from the float engine's outcome on it.
+def solve_lp(a_rows, b, c) -> LPResult:
+    """Solve min c.x s.t. a_rows x = b, x >= 0, exactly.
 
-    Same LP and argument types as ``exact_solve``.  A feasible outcome is
-    certified with ``certify_basis``; a basis that is primal feasible but
-    not optimal is resumed with ``exact_resume``.  Whatever cannot be
-    certified or resumed, and every float "infeasible", is solved from
-    scratch by ``exact_solve``.
+    a_rows (at least one row), b and c hold Fractions or ints.  The float
+    engine's basis is certified with ``certify_basis``; a basis that is
+    primal feasible but not optimal is resumed with ``exact_resume``.
+    Whatever cannot be certified or resumed, and every float "infeasible"
+    or failure, is solved from scratch by ``exact_solve``.
     """
-    if out.feasible:
-        cert = certify_basis(a_rows, b, c, out.basis)
+    b = [Fraction(v) for v in b]
+    c = [Fraction(v) for v in c]
+    basis = float_solve(np.array([[float(v) for v in row] for row in a_rows]),
+                        np.array([float(v) for v in b]), np.array([float(v) for v in c]))
+    if basis is not None:
+        cert = certify_basis(a_rows, b, c, basis)
         if cert == "resume":
-            res = exact_resume(a_rows, b, c, out.basis)
+            res = exact_resume(a_rows, b, c, basis)
             if res is not None:
                 return res
         elif cert is not None:
             x, obj = cert
             return LPResult(obj, x)
     return exact_solve(a_rows, b, c)
-
-
-def solve_lp(a_rows, b, c) -> LPResult:
-    """Solve min c.x s.t. a_rows x = b, x >= 0, exactly.
-
-    a_rows (at least one row), b and c hold Fractions or ints.  The float
-    engine runs first and ``certify_or_repair`` turns its outcome into an
-    exact result.
-    """
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
-    af = np.array([[float(v) for v in row] for row in a_rows])
-    bf = np.array([float(v) for v in b])
-    cf = np.array([float(v) for v in c])
-    try:
-        out = float_solve(af, bf, cf)
-    except SimplexError:
-        return exact_solve(a_rows, b, c)
-    return certify_or_repair(a_rows, b, c, out)

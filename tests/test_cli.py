@@ -84,6 +84,11 @@ def test_removed_optimize_options_are_usage_errors(tmp_path, capsys, option):
     ("gen", ["0", "0.5"], "n must be at least 1"),
     ("gen", ["5", "0.5", "--weights", "1,0"], "weight_set must not contain zero"),
     ("gen", ["5", "0.5", "--weights", "1,x"], "--weights: not a number: 'x'"),
+    ("gen", ["4", "0.5", "--seed", "18446744073709551617"],
+     "seed 18446744073709551617 outside [0, 2^64)"),
+    ("gen", ["4", "0.5", "--seed=-1"], "seed -1 outside [0, 2^64)"),
+    ("sweep", ["--seed", "18446744073709551616"], "seed 18446744073709551616 outside [0, 2^64)"),
+    ("sweep", ["--seed=-1"], "seed -1 outside [0, 2^64)"),
 ])
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, command, option, message):
     argv = {"gen": ["gen"],
@@ -114,6 +119,12 @@ def test_bad_option_values_are_usage_errors(tmp_path, capsys, command, option, m
     ("sweep.p_count = 0", "sweep.p_count=0 must be at least 1"),
     ("sweep.graphs_per_p = -2", "sweep.graphs_per_p=-2 must be at least 1"),
     ("sweep.n_max = 2", "sweep.n_max=2 below 3"),
+    ("sweep.seed = -1", "seed -1 outside [0, 2^64)"),
+    ("sweep.seed = 18446744073709551616", "seed 18446744073709551616 outside [0, 2^64)"),
+    ("sweep.workers = -3", "sweep.workers=-3 must be at least 1"),
+    ("sweep.workers = 0", "sweep.workers=0 must be at least 1"),
+    ("sweep.noise_graphs = k7", "sweep.noise_graphs: unknown graph 'k7'"),
+    ("sweep.noise_graphs = k6,k7", "sweep.noise_graphs: unknown graph 'k7'"),
 ])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, line, message):
     config = tmp_path / "sweep.cfg"
@@ -121,6 +132,25 @@ def test_bad_config_values_are_usage_errors(tmp_path, capsys, line, message):
     out_dir = tmp_path / "out"
     code, _, err = run(["sweep", "fig_worstcase", "--config", str(config),
                         "--out-dir", str(out_dir)], capsys)
+    assert code == cli.EXIT_USAGE and message in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("kind", [
+    "fig_random_unweighted", "fig_random_weighted", "fig_worstcase", "fig_noise"])
+@pytest.mark.parametrize("line, message", [
+    ("sweep.workers = -3", "sweep.workers=-3 must be at least 1"),
+    ("sweep.noise_graphs = k7", "sweep.noise_graphs: unknown graph 'k7'"),
+    ("sweep.seed = -1", "seed -1 outside [0, 2^64)"),
+])
+def test_every_sweep_kind_refuses_bad_values_before_any_output(
+        tmp_path, capsys, kind, line, message):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(line + "\nsweep.n = 3\nsweep.p_count = 1\nsweep.graphs_per_p = 1\n"
+                      "sweep.n_max = 3\nsweep.grid_res = 8\nsweep.lambda_grid = 0.005\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run(["sweep", kind, "--config", str(config), "--out-dir", str(out_dir)],
+                       capsys)
     assert code == cli.EXIT_USAGE and message in err
     assert not out_dir.exists()
 
@@ -312,3 +342,18 @@ def test_random_sweep_writes_its_columns_and_manifest(tmp_path, capsys):
     assert manifest["subcommand"] == "sweep" and manifest["seed"] == 0
     assert manifest["config_overrides"] == {
         "sweep.n": "4", "sweep.p_count": "2", "sweep.p_step": "0.4", "sweep.graphs_per_p": "1"}
+
+
+def test_random_sweep_with_two_workers_writes_the_same_csv(tmp_path, capsys):
+    texts = []
+    for workers in (1, 2):
+        config = tmp_path / f"sweep{workers}.cfg"
+        config.write_text("sweep.n = 4\nsweep.p_count = 2\nsweep.p_step = 0.4\n"
+                          f"sweep.graphs_per_p = 2\nsweep.workers = {workers}\n")
+        out_dir = tmp_path / f"out{workers}"
+        code, _, _ = run(["sweep", "fig_random_unweighted", "--config", str(config),
+                          "--out-dir", str(out_dir)], capsys)
+        assert code == cli.EXIT_OK
+        texts.append((out_dir / "fig_random_unweighted.csv").read_bytes())
+    assert texts[0] == texts[1]
+    assert texts[0].count(b"\n") == 1 + 2 * 2

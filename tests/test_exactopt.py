@@ -1,5 +1,6 @@
 """solve_l0 and solve_l1 against scipy's HiGHS on the same models, with every
-emitted sequence checked by verify."""
+emitted sequence checked by verify, and the L0 search's fraction-free step
+against Fraction determinants."""
 
 import itertools
 import math
@@ -15,7 +16,7 @@ from isingcoupler import (
     Graph, enumerate_labeled_graphs, random_er_graph, solve_l0, solve_l1, union_of_stars,
     verify, weighted_edge_by_edge,
 )
-from isingcoupler.exactopt import INCUMBENT_TIMEOUT, OPTIMAL
+from isingcoupler.exactopt import INCUMBENT_TIMEOUT, OPTIMAL, _cut_columns, _eliminate
 
 
 def sign_matrix(g):
@@ -125,6 +126,98 @@ def test_solve_l0_never_loses_to_the_construction(g):
     assert res.objective <= weighted_edge_by_edge(g).l0
     if g.uniform_weight() is not None:
         assert res.objective <= union_of_stars(g).l0
+
+
+@pytest.mark.parametrize("n, nodes", [(3, 28), (4, 1310), (5, 76321)])
+def test_search_path_is_pinned_by_its_node_count(n, nodes):
+    """Nodes summed over every class: a change to the search's arithmetic
+    alone must not move its path."""
+    graphs = enumerate_labeled_graphs(n, distinct_only=True)
+    assert sum(solve_l0(g).nodes_explored for g in graphs) == nodes
+
+
+def fraction_det(rows):
+    """Determinant by Gaussian elimination in Fractions."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        piv = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def fraction_rank(cols):
+    rows = [list(map(Fraction, row)) for row in zip(*cols)]
+    rank = 0
+    for c in range(len(cols)):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] / rows[rank][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def supports_and_targets(draw):
+    """Cut columns for n <= 5, an ordered list of distinct masks to add as
+    support columns, and an integer target, in their span or drawn at random."""
+    n = draw(st.integers(2, 5))
+    cols = _cut_columns(n)
+    order = draw(st.lists(st.sampled_from(list(cols)), unique=True, max_size=len(cols)))
+    if order and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(order), max_size=len(order)))
+        b = [sum(k * cols[t][r] for k, t in zip(coeffs, order)) for r in range(len(cols[0]))]
+    else:
+        b = draw(st.lists(st.integers(-4, 4), min_size=len(cols[0]), max_size=len(cols[0])))
+    return cols, order, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(supports_and_targets())
+def test_fraction_free_step_leaves_minors(case):
+    """Add the drawn columns one by one as the search does (a column that
+    reduces to zero is skipped), reducing every column and the target by
+    _eliminate.  Each reduced entry must then be the determinant of the
+    support columns plus that column on the rows (pivot rows in order, then
+    its own row); a column must reduce to zero exactly when it is dependent
+    on the support, and the target exactly when it is in the span."""
+    cols, order, b = case
+    reduced = {t: list(v) for t, v in cols.items()}
+    residual, prev = list(b), 1
+    support, pivots = [], []
+    for t in order:
+        v = reduced[t]
+        if not any(v):
+            assert fraction_rank([cols[s] for s in support + [t]]) == len(support)
+            continue
+        piv = next(r for r, a in enumerate(v) if a)
+        reduced = {t2: _eliminate(u, v, piv, prev) for t2, u in reduced.items()}
+        residual = _eliminate(residual, v, piv, prev)
+        support.append(t)
+        pivots.append(piv)
+        prev = v[piv]
+    for u, original in [*((reduced[t], cols[t]) for t in cols), (residual, b)]:
+        block = [cols[s] for s in support] + [original]
+        for i, entry in enumerate(u):
+            assert type(entry) is int
+            if i in pivots:
+                assert entry == 0
+            else:
+                assert entry == fraction_det([[c[r] for c in block] for r in pivots + [i]])
+        assert (not any(u)) == (fraction_rank(block) == len(support))
 
 
 def highs_l1(g):

@@ -116,6 +116,14 @@ def test_random_er_deterministic():
     assert a != c  # overwhelmingly likely for distinct seeds
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+def test_random_er_refuses_seeds_outside_64_bits(seed):
+    # wrapping would make 2^64 + 1 draw the graph of seed 1
+    with pytest.raises(ValueError, match=r"outside \[0, 2\^64\)"):
+        random_er_graph(4, 0.5, [], seed=seed)
+    assert random_er_graph(4, 0.5, [], seed=2**64 - 1).n == 4
+
+
 def test_random_er_validates_inputs():
     with pytest.raises(ValueError):
         random_er_graph(5, 1.5, [], seed=0)

@@ -1,7 +1,8 @@
-"""simplex on bounds-free LPs: the certify-or-repair staging on the branches
-the float engine rarely reaches (resume from a non-optimal basis, a singular
-basis, an untrusted float "infeasible"), both engines against scipy's HiGHS,
-and the integer eliminator and certify_basis against Fraction elimination."""
+"""simplex on bounds-free LPs: solve_lp's staging of the float basis on the
+branches the float engine rarely reaches (resume from a non-optimal basis, a
+singular basis, an untrusted float "infeasible"), both engines against
+scipy's HiGHS, and the integer eliminator and certify_basis against Fraction
+elimination."""
 
 import itertools
 import random
@@ -13,10 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from isingcoupler import simplex
-from isingcoupler.simplex import (
-    FloatOutcome, SimplexError, certify_basis, certify_or_repair, exact_solve, float_solve,
-    solve_lp,
-)
+from isingcoupler.simplex import SimplexError, certify_basis, exact_solve, float_solve, solve_lp
 
 
 @pytest.fixture
@@ -33,11 +31,20 @@ def log(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def float_basis(monkeypatch):
+    """Make solve_lp's float engine hand over the given basis (None for a
+    float "infeasible")."""
+    def use(basis):
+        monkeypatch.setattr(simplex, "float_solve", lambda a, b, c: basis)
+    return use
+
+
 def exact_lp(a_rows, b, c):
     return [list(map(Fraction, row)) for row in a_rows], list(map(Fraction, b)), list(map(Fraction, c))
 
 
-def float_outcome(a_rows, b, c):
+def float_basis_of(a_rows, b, c):
     return float_solve(np.array(a_rows, dtype=float), np.array(b, dtype=float),
                        np.array(c, dtype=float))
 
@@ -50,39 +57,42 @@ LP = exact_lp([[1, 1, 1, 0, 0, 0], [1, -1, 0, 1, 0, 0], [1, 0, 0, 0, 1, 0], [0, 
 OPTIMUM = [1, 3, 0, 3, 2, 0]
 
 
-def test_non_optimal_basis_resumes_to_the_exact_optimum(log):
+def test_non_optimal_basis_resumes_to_the_exact_optimum(log, float_basis):
     a_rows, b, c = LP
     # the float optimum of the opposite objective is feasible but not optimal
-    out = float_outcome(a_rows, b, [-v for v in c])
-    assert out.feasible
-    res = certify_or_repair(a_rows, b, c, out)
+    basis = float_basis_of(a_rows, b, [-v for v in c])
+    assert basis is not None
+    float_basis(basis)
+    res = solve_lp(a_rows, b, c)
     assert [(name, result if name == "certify_basis" else "ok") for name, result in log] == [
         ("certify_basis", "resume"), ("exact_resume", "ok")]
     assert res.objective == -7 and res.x == OPTIMUM
 
 
-def test_singular_basis_falls_back_to_exact_solve(log):
+def test_singular_basis_falls_back_to_exact_solve(log, float_basis):
     # columns 0 and 1 are equal, so a basis holding both is singular
     a_rows, b, c = exact_lp([[1, 1, 0], [0, 0, 1]], [2, 1], [1, 2, 0])
-    res = certify_or_repair(a_rows, b, c, FloatOutcome(True, 0.0, None, [0, 1]))
+    float_basis([0, 1])
+    res = solve_lp(a_rows, b, c)
     assert [name for name, _ in log] == ["certify_basis", "exact_solve"]
     assert log[0][1] is None
     assert res.objective == 2 and res.x == [2, 0, 1]
 
 
-def test_basis_with_a_nonzero_artificial_falls_back_to_exact_solve(log):
+def test_basis_with_a_nonzero_artificial_falls_back_to_exact_solve(log, float_basis):
     # basis (artificial of row 0, x1) solves with the artificial at 1
     a_rows, b, c = exact_lp([[1, 0], [0, 1]], [1, 1], [1, 1])
-    res = certify_or_repair(a_rows, b, c, FloatOutcome(True, 0.0, None, [2, 1]))
+    float_basis([2, 1])
+    res = solve_lp(a_rows, b, c)
     assert log == [("certify_basis", None), ("exact_solve", res)]
     assert res.objective == 2 and res.x == [1, 1]
 
 
-def test_uncertified_infeasibility_is_not_trusted(log):
-    # a float outcome that wrongly reports a feasible LP as infeasible
+def test_uncertified_infeasibility_is_not_trusted(log, float_basis):
+    # a float engine that wrongly reports a feasible LP as infeasible
     a_rows, b, c = LP
-    wrong = FloatOutcome(False, 0.0, None, float_outcome(a_rows, b, c).basis)
-    res = certify_or_repair(a_rows, b, c, wrong)
+    float_basis(None)
+    res = solve_lp(a_rows, b, c)
     assert [name for name, _ in log] == ["exact_solve"]
     assert res.objective == -7 and res.x == OPTIMUM
 
@@ -95,10 +105,18 @@ def test_solve_lp_certifies_the_float_basis(log):
 
 def test_infeasible_system_raises_simplex_error():
     a_rows, b, c = exact_lp([[1, 1], [1, 1]], [1, 2], [1, 1])
-    assert not float_outcome(a_rows, b, c).feasible
+    assert float_basis_of(a_rows, b, c) is None
     for solve in (exact_solve, solve_lp):
         with pytest.raises(SimplexError, match="infeasible"):
             solve(a_rows, b, c)
+
+
+def test_float_engine_failure_hands_over_no_basis():
+    # min -x0 s.t. x0 - x1 = 0 is unbounded, so phase 2 raises SimplexError
+    a_rows, b, c = exact_lp([[1, -1]], [0], [-1, 0])
+    assert float_basis_of(a_rows, b, c) is None
+    with pytest.raises(SimplexError, match="unbounded"):
+        solve_lp(a_rows, b, c)
 
 
 def random_feasible_lp(seed):
