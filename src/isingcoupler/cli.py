@@ -122,7 +122,7 @@ def _load_sequence(path: str):
         return sequence_from_json(Path(path).read_text())
     except FileNotFoundError:
         raise CommandError(f"pulse file not found: {path}")
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise CommandError(f"{path}: bad pulse JSON ({exc})")
 
 

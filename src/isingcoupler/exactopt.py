@@ -249,8 +249,10 @@ def solve_l1(g: Graph) -> OptResult:
 
     The objective bounds each strength directly, and the program is solved
     to exact rational optimality.  There is no time limit: time limits
-    apply to the L0 search only, and the largest L1 solve (n=8) takes tens
-    of milliseconds.
+    apply to the L0 search only.  The largest L1 solve (n=8) takes tens of
+    milliseconds when the float basis certifies; the exact fallbacks of
+    ``simplex`` take up to about a second to resume and a few seconds to
+    solve from scratch at n=8.
     """
     _check_size(g)
     start = time.monotonic()

@@ -115,13 +115,24 @@ def sequence_to_json(seq: PulseSequence) -> str:
 
 
 def sequence_from_json(text: str) -> PulseSequence:
+    """Parse a pulse file, or an ``optimize --out`` result holding one under
+    "sequence"; ValueError for anything malformed."""
     obj = json.loads(text)
-    n = obj["n"]
+    if isinstance(obj, dict) and "sequence" in obj:
+        obj = obj["sequence"]
+    if not isinstance(obj, dict) or not isinstance(obj.get("ops"), list):
+        raise ValueError('expected an object with an "ops" list')
+    n = obj.get("n")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     rows, strengths = [], []
     for op in obj["ops"]:
-        mask = op["mask"]
-        if len(mask) != n or any(ch not in "+-" for ch in mask):
+        mask, w = (op.get("mask"), op.get("w")) if isinstance(op, dict) else (None, None)
+        if not isinstance(mask, str) or len(mask) != n or any(ch not in "+-" for ch in mask):
             raise ValueError(f"bad mask {mask!r} for n={n}")
         rows.append(sum(1 << i for i, ch in enumerate(mask) if ch == "-"))
-        strengths.append(Fraction(op["w"]))
+        try:
+            strengths.append(Fraction(w))
+        except (TypeError, ZeroDivisionError, OverflowError):
+            raise ValueError(f"bad strength {w!r}") from None
     return PulseSequence(n, tuple(rows), tuple(strengths))

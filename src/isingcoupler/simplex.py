@@ -1,32 +1,29 @@
 """Exact linear programming for the L1 optimizer.
 
 Solves  min c.x  subject to  A x = b,  x >= 0  with a two-phase primal
-simplex under Bland's rule: the entering variable is the lowest-index one
-with a negative reduced cost, and ties in the ratio test leave by the
-lowest variable index.  Phase 1 starts from one artificial variable per row
-(column sign(b_r) e_r) and minimizes their sum.  Phase 2 keeps them at 0:
-an artificial may not enter, and a basic one blocks any step that would
-move it off 0 in either direction.
+simplex under Bland's rule (Bland, Math. Oper. Res. 2, 1977): the entering
+variable is the lowest-index one with a negative reduced cost, and ties in
+the ratio test leave by the lowest variable index.  Phase 1 starts from one
+artificial variable per row (column sign(b_r) e_r) and minimizes their sum.
+Phase 2 keeps them at 0: an artificial may not enter, and a basic one
+blocks any step that would move it off 0 in either direction.
 
-One tableau class runs the algorithm on two number types:
+``float_solve`` pivots a float64 tableau, with tolerance FLOAT_TOL on
+reduced costs, ratio ties and the phase-1 sum and no pivot on an entry below
+_PIVOT_EPS, and hands over only its phase-2 basis.  The exact engine keeps
+only the basis (revised form): each step takes the reduced costs from the
+dual system B^T y = c_B and the ratio test from B [x_B | d] = [b | a_e].
+``solve_lp`` re-solves the float basis exactly and checks it
+(``certify_basis``); a basis that is feasible but not optimal is pivoted on
+exactly from there (``exact_resume``); anything else, including a float
+"infeasible" or a float engine that fails, is solved exactly from the
+artificial basis (``exact_solve``).  The result is an exact rational
+optimum.  An exact phase 1 that ends with a nonzero artificial raises
+SimplexError: the L1 programs always have a feasible point.  All rules are
+deterministic, so identical inputs give identical results.
 
-- numpy float64, with tolerance FLOAT_TOL on reduced costs, ratio ties and
-  the phase-1 sum, and no pivot on an entry below _PIVOT_EPS, for speed;
-- numpy object arrays of ``Fraction`` values, with tolerance 0, exactly.
-
-``solve_lp`` solves in floats, and the float engine (``float_solve``)
-hands over only its phase-2 basis.  ``solve_lp`` re-solves that basis
-exactly and checks it (``certify_basis``); a basis that is feasible but not
-optimal is pivoted on exactly (``exact_resume``); anything else, including
-a float "infeasible" or a float engine that fails, is solved from scratch
-in Fractions (``exact_solve``).  The result is an exact rational optimum.
-An exact phase 1 that ends above 0 raises SimplexError: the L1 programs
-always have a feasible point.  All rules are deterministic, so identical
-inputs give identical results.
-
-Every exact solve of a linear system (the basis system B x = b and its
-dual B^T y = c_B in ``certify_basis``, the change of basis in
-``exact_resume``, and the L0 support systems of ``exactopt``) runs through
+Every exact solve of a linear system (the primal and dual basis systems
+here, and the L0 support systems of ``exactopt``) runs through
 ``_solve_integer``: fraction-free Gauss-Jordan elimination (Bareiss, Math.
 Comp. 22, 1968) in Python integers, after each row is scaled to integers by
 the lcm of its denominators.  A step on pivot p replaces each other entry x
@@ -34,8 +31,9 @@ by (p x - f y) / prev, with f the row's entry in the pivot column, y the
 pivot row's entry and prev the previous pivot.  By Sylvester's identity the
 result is a minor of the scaled system, so the division is exact, and no
 gcd is taken.  The elimination ends with x = num / d for integer num and
-the last pivot d != 0, so the signs of x are those of num * sign(d), and
-Fractions are built only for a solution that is returned.
+the last pivot d != 0, so x is negative where num * d is, and the ratio
+of two entries of one solve is the ratio of their numerators: Fractions
+are built only for those ratios and for a solution that is returned.
 """
 
 from __future__ import annotations
@@ -63,19 +61,13 @@ class LPResult:
 
 
 class _Tableau:
-    """B^-1 [S A | I] and the basic values B^-1 |b|, for S = diag(sign b).
-
-    Columns ns.. are the artificials.  A float64 ``a`` runs with FLOAT_TOL
-    and _PIVOT_EPS, an object array of Fractions with both at 0.
-    """
+    """B^-1 [S A | I] and the basic values B^-1 |b| in float64, for
+    S = diag(sign b).  Columns ns.. are the artificials."""
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         self.m, self.ns = a.shape
-        exact = a.dtype == object
-        self.tol, self.eps = (0, 0) if exact else (FLOAT_TOL, _PIVOT_EPS)
-        self.one = Fraction(1) if exact else 1.0
-        signs = np.where(b >= 0, self.one, -self.one)
-        self.T = np.hstack([a * signs[:, None], np.eye(self.m, dtype=int) * self.one])
+        signs = np.where(b >= 0, 1.0, -1.0)
+        self.T = np.hstack([a * signs[:, None], np.eye(self.m)])
         self.xB = np.abs(b)
         self.basis = list(range(self.ns, self.ns + self.m))
         self.artificials_fixed = False
@@ -83,36 +75,14 @@ class _Tableau:
     def phase_one(self) -> bool:
         """Minimize the artificials' sum; True when it ends at 0 (within tol)."""
         scale = max(1.0, float(self.xB.sum()))
-        self._run(np.r_[np.zeros(self.ns, int), np.ones(self.m, int)] * self.one)
+        self._run(np.r_[np.zeros(self.ns), np.ones(self.m)])
         infeasibility = sum(self.xB[r] for r in range(self.m) if self.basis[r] >= self.ns)
-        return infeasibility <= self.tol * scale
+        return infeasibility <= FLOAT_TOL * scale
 
     def phase_two(self, c: np.ndarray):
         """Minimize c.x with the artificials held at 0."""
         self.artificials_fixed = True
-        self._run(np.concatenate([c, np.zeros(self.m, int) * self.one]))
-
-    def rebase(self, basis) -> bool:
-        """Move to the given basis by exact elimination.  False when it is
-        singular, or not primal feasible with its artificials at 0."""
-        sol = _solve_integer(self.T[:, basis], [*self.T.T, self.xB])
-        if sol is None:
-            return False
-        d, nums = sol
-        xB = [Fraction(v, d) for v in nums[-1]]
-        if any(v < 0 or (j >= self.ns and v != 0) for v, j in zip(xB, basis)):
-            return False
-        self.T = np.array([[Fraction(v, d) for v in col] for col in nums[:-1]], dtype=object).T
-        self.xB = np.array(xB, dtype=object)
-        self.basis = list(basis)
-        return True
-
-    def solution(self) -> np.ndarray:
-        x = np.zeros(self.ns, dtype=self.T.dtype)
-        for r, j in enumerate(self.basis):
-            if j < self.ns:
-                x[j] = self.xB[r]
-        return x
+        self._run(np.concatenate([c, np.zeros(self.m)]))
 
     def _run(self, cost: np.ndarray):
         for _ in range(_MAX_ITERS):
@@ -120,7 +90,7 @@ class _Tableau:
             red[self.basis] = 0
             if self.artificials_fixed:
                 red[self.ns:] = 0
-            entering = np.flatnonzero(red < -self.tol)
+            entering = np.flatnonzero(red < -FLOAT_TOL)
             if entering.size == 0:
                 return
             self._pivot(int(entering[0]))
@@ -133,11 +103,11 @@ class _Tableau:
             # x_B[r] falls as x_e rises when d[r] > 0; a fixed artificial
             # must not rise either
             fixed = self.artificials_fixed and self.basis[r] >= self.ns
-            if not (d[r] > self.eps or (fixed and d[r] < -self.eps)):
+            if not (d[r] > _PIVOT_EPS or (fixed and d[r] < -_PIVOT_EPS)):
                 continue
             limit = self.xB[r] / d[r]
-            if block < 0 or limit < step - self.tol or (
-                limit <= step + self.tol and self.basis[r] < self.basis[block]
+            if block < 0 or limit < step - FLOAT_TOL or (
+                limit <= step + FLOAT_TOL and self.basis[r] < self.basis[block]
             ):
                 block, step = r, limit
         if block < 0:
@@ -152,17 +122,8 @@ class _Tableau:
         self.T -= np.outer(col, self.T[block])
 
 
-def _fractions(values) -> np.ndarray:
-    return np.vectorize(Fraction, otypes=[object])(np.array(values, dtype=object))
-
-
 def _objective(c, x) -> Fraction:
     return sum((cj * xj for cj, xj in zip(c, x) if xj), Fraction(0))
-
-
-def _optimum(tab: _Tableau, c) -> LPResult:
-    x = [Fraction(v) for v in tab.solution()]
-    return LPResult(_objective(c, x), x)
 
 
 def float_solve(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> list[int] | None:
@@ -215,6 +176,77 @@ def _solve_integer(mat, rhs_cols):
     return prev, [list(col) for col in zip(*rows[:s])]
 
 
+def _columns(a_rows, b):
+    """The columns of [A | S], S = diag(sign b): column ns + r is the
+    artificial of row r."""
+    signs = [1 if v >= 0 else -1 for v in b]
+    return [*zip(*a_rows), *([v if r == k else 0 for r, v in enumerate(signs)]
+                             for k in range(len(b)))]
+
+
+def _basic_solution(cols, b, basis, ns):
+    """x (the first ns entries) of the basic solution, or None when the
+    basis is singular or x_B is negative or has a nonzero artificial."""
+    sol = _solve_integer([*zip(*(cols[j] for j in basis))], [b])
+    if sol is None:
+        return None
+    d, (num,) = sol
+    # x_B = num / d is negative where num * d < 0
+    if any(v * d < 0 or (j >= ns and v) for v, j in zip(num, basis)):
+        return None
+    x = [Fraction(0)] * ns
+    for v, j in zip(num, basis):
+        if j < ns:
+            x[j] = Fraction(v, d)
+    return x
+
+
+def _integer_costs(c, m):
+    """c scaled to integers (same reduced-cost signs), then 0 per artificial."""
+    scale = math.lcm(*(v.denominator for v in c))
+    return [v.numerator * (scale // v.denominator) for v in c] + [0] * m
+
+
+def _entering(cols, cost, basis, candidates):
+    """The lowest nonbasic j in candidates with a negative reduced cost, or
+    None.  B^T y = cost_B (the basic columns are its rows) has y = y_num / d,
+    so the reduced cost of column j has the sign of (cost_j d - y_num.a_j) d.
+    """
+    d, (y,) = _solve_integer([cols[j] for j in basis], [[cost[j] for j in basis]])
+    basic = set(basis)
+    return next((j for j in candidates if j not in basic and
+                 (cost[j] * d - sum(map(operator.mul, y, cols[j]))) * d < 0), None)
+
+
+def _pivot_exactly(cols, b, cost, basis, ns, artificials_fixed):
+    """Bland's rule on the primal feasible basis (changed in place) until no
+    reduced cost is negative; then ``_basic_solution`` of the final basis.
+
+    Artificials enter only while they are not fixed (phase 1).  Each step
+    solves B [x_B | d] = [b | a_e] for the entering column e in integers,
+    x_B = num / den and d = col / den, so the ratio x_B[r] / d[r] is
+    num[r] / col[r]; ties leave by the lowest basis index.
+    """
+    candidates = range(ns if artificials_fixed else len(cols))
+    for _ in range(_MAX_ITERS):
+        e = _entering(cols, cost, basis, candidates)
+        if e is None:
+            return _basic_solution(cols, b, basis, ns)
+        den, (num, col) = _solve_integer([*zip(*(cols[j] for j in basis))], [b, cols[e]])
+        block = step = None
+        for r, j in enumerate(basis):
+            # x_B[r] falls as x_e rises when d[r] > 0; a fixed artificial
+            # must not rise either
+            if col[r] * den > 0 or (artificials_fixed and j >= ns and col[r]):
+                limit = Fraction(num[r], col[r])
+                if block is None or limit < step or (limit == step and j < basis[block]):
+                    block, step = r, limit
+        if block is None:
+            raise SimplexError("LP is unbounded")
+        basis[block] = e
+    raise SimplexError("iteration limit exceeded")
+
+
 def certify_basis(a_rows, b, c, basis):
     """Exactly re-solve a phase-2 basis and check the optimality conditions.
 
@@ -223,39 +255,12 @@ def certify_basis(a_rows, b, c, basis):
     feasible and no reduced cost is negative, "resume" when it is feasible
     but not optimal, and None when it is singular or infeasible.
     """
-    m, ns = len(a_rows), len(c)
-
-    def column(j):
-        if j < ns:
-            return [row[j] for row in a_rows]
-        out = [0] * m
-        out[j - ns] = 1 if b[j - ns] >= 0 else -1
-        return out
-
-    cols = [column(j) for j in basis]
-    primal = _solve_integer(list(zip(*cols)), [b])
-    if primal is None:
+    cols = _columns(a_rows, b)
+    x = _basic_solution(cols, b, basis, len(c))
+    if x is None:
         return None
-    d, (num,) = primal
-    # x_B = num / d, so x_B >= 0 where num * sign(d) >= 0
-    sign = 1 if d > 0 else -1
-    if any(v * sign < 0 or (j >= ns and v) for v, j in zip(num, basis)):
-        return None
-    # c * scale is integral; B nonsingular, so B^T y = c_B * scale has the
-    # solution y = y_num / d_y (cols are the rows of B^T), and the reduced
-    # cost of column j, times d_y * scale, is c_j * scale * d_y - y_num . a_j
-    scale = math.lcm(*(v.denominator for v in c))
-    c_int = [v.numerator * (scale // v.denominator) for v in c]
-    d_y, (y,) = _solve_integer(cols, [[c_int[j] if j < ns else 0 for j in basis]])
-    sign_y = 1 if d_y > 0 else -1
-    basic = set(basis)
-    for j, a_j in enumerate(zip(*a_rows)):
-        if j not in basic and sign_y * (c_int[j] * d_y - sum(map(operator.mul, y, a_j))) < 0:
-            return "resume"
-    x = [Fraction(0)] * ns
-    for v, j in zip(num, basis):
-        if j < ns:
-            x[j] = Fraction(v, d)
+    if _entering(cols, _integer_costs(c, len(b)), basis, range(len(c))) is not None:
+        return "resume"
     return x, _objective(c, x)
 
 
@@ -265,20 +270,22 @@ def exact_resume(a_rows, b, c, basis):
     Returns an LPResult, or None when the basis is singular or infeasible
     (the caller should restart from scratch).
     """
-    tab = _Tableau(_fractions(a_rows), _fractions(b))
-    if not tab.rebase(basis):
+    cols, basis = _columns(a_rows, b), list(basis)
+    if _basic_solution(cols, b, basis, len(c)) is None:
         return None
-    tab.phase_two(_fractions(c))
-    return _optimum(tab, c)
+    x = _pivot_exactly(cols, b, _integer_costs(c, len(b)), basis, len(c), True)
+    return LPResult(_objective(c, x), x)
 
 
 def exact_solve(a_rows, b, c) -> LPResult:
-    """Two-phase exact simplex from scratch."""
-    tab = _Tableau(_fractions(a_rows), _fractions(b))
-    if not tab.phase_one():
+    """Two-phase exact simplex from the artificial basis."""
+    m, ns = len(b), len(c)
+    cols, basis = _columns(a_rows, b), list(range(ns, ns + m))
+    # phase 1 fails when a basic artificial is nonzero
+    if _pivot_exactly(cols, b, [0] * ns + [1] * m, basis, ns, False) is None:
         raise SimplexError("LP is infeasible")
-    tab.phase_two(_fractions(c))
-    return _optimum(tab, c)
+    x = _pivot_exactly(cols, b, _integer_costs(c, m), basis, ns, True)
+    return LPResult(_objective(c, x), x)
 
 
 def solve_lp(a_rows, b, c) -> LPResult:

@@ -201,6 +201,36 @@ def test_pulse_that_does_not_realize_the_graph_exits_1(tmp_path, capsys, extra):
     assert code == cli.EXIT_FAILURE and "realiz" in err
 
 
+@pytest.mark.parametrize("objective", ["l0", "l1"])
+def test_optimize_out_file_is_read_by_verify_cost_and_simulate(tmp_path, capsys, objective):
+    graph = write_graph(tmp_path, random_er_graph(5, 0.5, (), 2))
+    out = str(tmp_path / "o.json")
+    code, stdout, _ = run(["optimize", graph, "--objective", objective, "--out", out], capsys)
+    assert code == cli.EXIT_OK
+    objective_value = stdout.split()[0].removeprefix("objective=")
+    code, stdout, _ = run(["verify", out, graph], capsys)
+    l1 = stdout.split()[-1].removeprefix("L1=")
+    assert code == cli.EXIT_OK and stdout.startswith("verified=true")
+    assert objective != "l1" or l1 == objective_value
+    code, stdout, _ = run(["cost", out], capsys)
+    assert code == cli.EXIT_OK and f"L1={l1}" in stdout
+    code, _, _ = run(["simulate", graph, "--compilation", "ms", "--pulse", out], capsys)
+    assert code == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 5, "ops": [{"mask": "+-+++", "w": "1/0"}]}',
+    '[{"n": 5, "ops": []}]',
+    '{"n": 5, "ops": [{"mask": 2, "w": "1"}]}',
+    '{"n": "5", "ops": []}',
+], ids=["zero-denominator", "top-level-list", "integer-mask", "string-n"])
+def test_malformed_pulse_json_is_reported_as_bad_pulse_json(tmp_path, capsys, text):
+    pulse = tmp_path / "p.json"
+    pulse.write_text(text)
+    code, _, err = run(["verify", str(pulse), write_graph(tmp_path, Graph.complete(5))], capsys)
+    assert code == cli.EXIT_FAILURE and "bad pulse JSON" in err
+
+
 def sweep_worstcase(tmp_path, capsys, n_max):
     config = tmp_path / "sweep.cfg"
     config.write_text(f"sweep.n_max = {n_max}\n")

@@ -193,6 +193,26 @@ def test_sequence_json_rejects_bad_mask():
         sequence_from_json('{"n": 3, "ops": [{"mask": "+-", "w": "1"}]}')
 
 
+# test_cli.py covers a zero denominator, a top-level list, an integer mask
+# and a string n through `verify`
+@pytest.mark.parametrize("text", [
+    '{"n": 3, "ops": [{"mask": "+-+"}]}',
+    '{"n": 3, "ops": [{"mask": "+-+", "w": Infinity}]}',
+    '{"n": 3, "ops": 5}',
+    '{"n": 0, "ops": []}',
+    '{"n": 3, "ops": [[]]}',
+], ids=["missing-w", "infinite-w", "ops-not-a-list", "zero-n", "op-not-an-object"])
+def test_sequence_json_rejects_malformed_input_with_value_error(text):
+    with pytest.raises(ValueError):
+        sequence_from_json(text)
+
+
+def test_sequence_json_reads_the_sequence_of_an_optimizer_result():
+    seq = PulseSequence.from_pairs(3, [(0b010, Fraction(-1, 2)), (0, 2)])
+    doc = {"status": "optimal", "objective": "5/2", "sequence": json.loads(sequence_to_json(seq))}
+    assert sequence_from_json(json.dumps(doc)) == seq
+
+
 def test_sequence_validation():
     with pytest.raises(ValueError):
         PulseSequence(2, (0b100,), (Fraction(1),))

@@ -1,7 +1,9 @@
 """simplex on bounds-free LPs: solve_lp's staging of the float basis on the
 branches the float engine rarely reaches (resume from a non-optimal basis, a
-singular basis, an untrusted float "infeasible"), both engines against
-scipy's HiGHS, and the integer eliminator and certify_basis against Fraction
+singular basis, an untrusted float "infeasible"), the exact engine (revised
+Bland pivoting on integer solves) and the float tableau against scipy's
+HiGHS, the exact engine on real L1 cut-matrix LPs with pinned optimal
+vertices, and the integer eliminator and certify_basis against Fraction
 elimination."""
 
 import itertools
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from isingcoupler import simplex
+from isingcoupler import random_er_graph, simplex, verify
+from isingcoupler.exactopt import solve_l1
 from isingcoupler.simplex import SimplexError, certify_basis, exact_solve, float_solve, solve_lp
 
 
@@ -117,6 +120,60 @@ def test_float_engine_failure_hands_over_no_basis():
     assert float_basis_of(a_rows, b, c) is None
     with pytest.raises(SimplexError, match="unbounded"):
         solve_lp(a_rows, b, c)
+
+
+def test_ratio_ties_leave_by_the_lowest_basis_index():
+    # min x1 s.t. x1 + x2 + x3 = 1, x0 + x1 + x2 = 1 has the optima
+    # (1, 0, 0, 1) and (0, 0, 1, 0).  In phase 1 x0 enters first; x1 then
+    # enters with the ratio 1 on both rows, a tie between the artificial of
+    # row 0 (index 4) and x0, so x0 leaves and the solve ends at the first
+    # optimum; letting the artificial leave ends at the second.
+    res = exact_solve(*exact_lp([[0, 1, 1, 1], [1, 1, 1, 0]], [1, 1], [0, 1, 0, 0]))
+    assert res.objective == 0 and res.x == [1, 0, 0, 1]
+
+
+def phase_one_basis(a, b, c):
+    """A feasible basis that is not optimal: the one the float phase 1 ends on."""
+    tab = simplex._Tableau(a, b)
+    assert tab.phase_one()
+    return list(tab.basis)
+
+
+# (n, seed, weights) of an ER(n, 0.5) graph -> the (mask, strength) rows
+# solve_l1 emits when the exact engine solves its LP, from scratch or resumed
+# from the phase-1 basis.  The L1 optima are degenerate, so these pin the
+# vertex Bland's rule picks among them.
+L1_VERTICES = {
+    (5, 1, ()): [(0, "1/4"), (2, "1/4"), (8, "1/4"), (14, "1/4"), (18, "-1/4"), (22, "1/4")],
+    (5, 1, (1, 2, 3)): [(0, "3/4"), (2, "1/2"), (14, "1/4"), (16, "-1/4"), (28, "1/2"),
+        (30, "1/4")],
+    (5, 2, ()): [(0, "1/4"), (6, "-1/4"), (12, "-1/4"), (14, "1/4"), (18, "-1/4"), (22, "1/4")],
+    (5, 2, (1, 2, 3)): [(0, "3/4"), (4, "-3/4"), (10, "-1/4"), (14, "1/4"), (24, "-1/2"),
+        (28, "1/2")],
+    (6, 1, ()): [(0, "1/4"), (2, "1/4"), (12, "1/4"), (18, "-1/4"), (44, "-1/4"), (48, "-1/4")],
+    (6, 1, (1, 2, 3)): [(0, "1/2"), (6, "-1/2"), (8, "1/4"), (24, "-1/4"), (26, "-1/2"),
+        (30, "1/2"), (34, "1/4"), (48, "-1/2"), (50, "1/4")],
+    (6, 2, ()): [(0, "1/4"), (16, "1/4"), (36, "-1/4"), (48, "-1/4"), (50, "-1/4"), (54, "1/4")],
+    (6, 2, (1, 2, 3)): [(0, "3/4"), (2, "1/4"), (10, "-1/4"), (14, "-1/2"), (26, "1/4"),
+        (34, "-1/4"), (48, "-3/4"), (62, "1/2")],
+}
+
+
+@pytest.mark.parametrize("start", ["restart", "resume"])
+@pytest.mark.parametrize("graph", list(L1_VERTICES))
+def test_exact_engine_solves_l1_cut_matrix_lps_to_the_pinned_vertex(monkeypatch, log, graph, start):
+    n, seed, weights = graph
+    g = random_er_graph(n, 0.5, weights, seed)
+    certified = solve_l1(g)
+    log.clear()
+    monkeypatch.setattr(simplex, "float_solve",
+                        (lambda a, b, c: None) if start == "restart" else phase_one_basis)
+    res = solve_l1(g)
+    expected = [("exact_solve", "ok")] if start == "restart" else [
+        ("certify_basis", "resume"), ("exact_resume", "ok")]
+    assert [(name, result if name == "certify_basis" else "ok") for name, result in log] == expected
+    assert res.objective == certified.objective and verify(res.sequence, g)
+    assert list(zip(res.sequence.rows, map(str, res.sequence.strengths))) == L1_VERTICES[graph]
 
 
 def random_feasible_lp(seed):
