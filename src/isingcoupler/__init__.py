@@ -13,8 +13,6 @@ from .graphs import (
     canonical_edge_mask,
     couplings,
     enumerate_labeled_graphs,
-    graph_from_json,
-    graph_to_json,
     parse_edge_list,
     random_er_graph,
     serialize_edge_list,

@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +35,6 @@ from .graphs import (
     check_weights,
     couplings,
     enumerate_labeled_graphs,
-    graph_to_json,
     pair_order,
     parse_edge_list,
     random_er_graph,
@@ -113,6 +113,8 @@ def _load_graph(path: str) -> Graph:
         return parse_edge_list(Path(path).read_text())
     except FileNotFoundError:
         raise CommandError(f"graph file not found: {path}")
+    except OSError as exc:
+        raise CommandError(f"cannot read graph file {path}: {exc.strerror}")
     except GraphParseError as exc:
         raise CommandError(f"{path}: {exc}")
 
@@ -122,6 +124,8 @@ def _load_sequence(path: str):
         return sequence_from_json(Path(path).read_text())
     except FileNotFoundError:
         raise CommandError(f"pulse file not found: {path}")
+    except OSError as exc:
+        raise CommandError(f"cannot read pulse file {path}: {exc.strerror}")
     except ValueError as exc:
         raise CommandError(f"{path}: bad pulse JSON ({exc})")
 
@@ -144,7 +148,7 @@ def _cmd_gen(args) -> int:
     weights = ([_number(Fraction, "--weights", w) for w in args.weights.split(",")]
                if args.weights else [])
     g = _usage(random_er_graph, args.n, args.p, weights, args.seed)
-    text = graph_to_json(g) + "\n" if args.json else serialize_edge_list(g)
+    text = serialize_edge_list(g)
     if args.out:
         Path(args.out).write_text(text)
         _write_manifest(Path(args.out), args, started, seed=args.seed)
@@ -227,8 +231,20 @@ def _cmd_cost(args) -> int:
         f"n={seq.n} L0={seq.l0} L1={seq.l1} t_pi_us={params.t_pi_us} "
         f"t_ising_per_ion_us={params.t_ising_per_ion_us} t_ms_us={params.t_ms_us}"
     )
-    print(f"estimate_us={total_us} estimate_ms={float(total_us) / 1000.0:.6g}")
+    print(f"estimate_us={total_us} estimate_ms={_milliseconds(total_us)}")
     return EXIT_OK
+
+
+def _milliseconds(total_us: Fraction) -> str:
+    """total_us / 1000 as '%.6g' prints the float; beyond float range, the
+    exact value rounded to 6 significant digits in the same notation."""
+    try:
+        return f"{float(total_us) / 1000.0:.6g}"
+    except OverflowError:
+        with localcontext() as ctx:
+            ctx.prec = 6
+            ms = Decimal(total_us.numerator) / (total_us.denominator * 1000)
+        return f"{ms.normalize():g}"
 
 
 def _cmd_simulate(args) -> int:
@@ -489,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=float)
     p.add_argument("--weights", default="", help="comma list, e.g. 1,2,3")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true", help="emit graph JSON instead of edge list")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
 

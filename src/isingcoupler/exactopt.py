@@ -48,6 +48,36 @@ and the entry's own row, so the division is exact and:
   realizes the graph; ``simplex._solve_integer`` then solves the support
   system once for the exact strengths.  A nonzero residual is a miss.
 
+Before the search, ``_lower_bound`` proves a lower bound on L0, and the
+search stops as soon as its incumbent meets it.  A realization with k rows
+S (k x n, +-1 entries) and strengths W satisfies S^T diag(W) S = A + tI,
+with t = sum(W) and A the symmetric coupling matrix, scaled to integers.
+So rank(A + tI) <= k.  A minimum realization has independent columns, so
+its W, and with it t, is rational; when k < n, A + tI is singular, and
+lambda = -t is a rational, hence integer, eigenvalue of A with
+r = rank(A - lambda I) <= k.  When r = k, the k rows span exactly the
+column space of A - lambda I, so each is a "restricted" row: one
+orthogonal to the nullspace of A - lambda I.  Hence
+
+    bound = min(n, min over integer eigenvalues lambda of c_lambda),
+
+with c_lambda = r if at most r restricted rows realize b (the support search
+over the restricted columns, stopping at the first set found) and r + 1
+otherwise; 0 when b = 0.  The optimum's own lambda has c_lambda <= L0, so
+the bound is sound.  Every decision is made in integers: the eigenvalues
+are the integers in the Gershgorin interval [-R, R] (R the largest
+absolute row sum of A) at which the characteristic polynomial, computed
+once by the Faddeev-LeVerrier recurrence, evaluates to zero, and the rank
+and an integer nullspace basis come from fraction-free Gauss-Jordan
+elimination at each such root.  A radius above MAX_SCAN_RADIUS skips the
+scan, which only lets the search run longer.
+
+The bound never changes the emitted sequence.  The search runs its passes
+exactly as without it and accepts only a strictly smaller support, and no
+support smaller than the bound exists; so stopping when the incumbent
+meets the bound only skips the part of the search that could not have
+replaced it.
+
 Instances above MAX_EXACT_N qubits are refused; the constructions in
 ``constructions`` cover them.
 """
@@ -71,6 +101,10 @@ from .pulses import PulseSequence, canonicalize, coupling_sign, sequence_to_json
 from .simplex import _solve_integer, float_solve, solve_lp  # noqa: F401
 
 MAX_EXACT_N = 8
+# Largest Gershgorin radius R the lower bound scans for integer eigenvalues:
+# one Horner evaluation per integer in [-R, R], about 20 ms at the cap for
+# n=8 on a 2-core VM.  Unweighted graphs have R <= n-1.
+MAX_SCAN_RADIUS = 10_000
 DEFAULT_TIME_LIMIT = 600.0
 
 # candidates tried per node in the passes before the full search
@@ -127,6 +161,13 @@ def _eliminate(u: list[int], v: list[int], piv: int, prev: int) -> list[int]:
     return [(f * a - g * x) // prev for a, x in zip(u, v)]
 
 
+def _scaled(b) -> list[int]:
+    """The Fractions b times the least common multiple of their
+    denominators."""
+    scale = math.lcm(*(v.denominator for v in b))
+    return [v.numerator * (scale // v.denominator) for v in b]
+
+
 def _ordered(cands, floats, r_float):
     """Sort candidates by |<r, v>| / |v|, the share of the float residual r
     each would remove next (a heuristic: it orders the search, never prunes)."""
@@ -135,22 +176,19 @@ def _ordered(cands, floats, r_float):
     return [cands[i] for i in order], floats[order]
 
 
-def _search_supports(g: Graph, time_limit: float):
-    """Smallest set of canonical rows whose span holds the target couplings.
+def _search_supports(cols, b, best, floor, deadline, widths=(*_PROBE_WIDTHS, None)):
+    """Smallest set of the columns cols (canonical row mask to coupling
+    signs) whose span holds the target couplings b.
 
-    Returns (status, entries, nodes, elapsed) with entries the (row mask,
-    strength) pairs of the best support found.
+    Only sets of fewer than best columns are accepted.  Each entry of
+    widths is one pass, trying that many candidates per node (None: all),
+    and every pass stops as soon as a set of at most floor columns is
+    found.  Returns (entries, nodes, timed_out) with entries the (row mask,
+    strength) pairs of the best set found, or None when no set was
+    accepted.
     """
-    start = time.monotonic()
-    deadline = start + time_limit
-    b = list(couplings(g))
-    cols = _cut_columns(g.n)
-    scale = math.lcm(*(v.denominator for v in b))
-    b_int = [v.numerator * (scale // v.denominator) for v in b]
-
-    incumbent = canonicalize(_default_incumbent(g))
-    best_entries = list(zip(incumbent.rows, incumbent.strengths))
-    best = len(best_entries)
+    b_int = _scaled(b)
+    best_entries = None
     nodes = 0
 
     def extend(support, prev, cands, floats, residual, r_float, width):
@@ -165,7 +203,7 @@ def _search_supports(g: Graph, time_limit: float):
         """
         nonlocal best, best_entries, nodes
         for pos, (t, v) in enumerate(cands[:width]):
-            if len(support) + 1 >= best:
+            if best <= floor or len(support) + 1 >= best:
                 return
             nodes += 1
             if time.monotonic() > deadline:
@@ -196,13 +234,114 @@ def _search_supports(g: Graph, time_limit: float):
     b_float = np.array([float(v) for v in b])
     cands, floats = _ordered(list(cols.items()), np.array(list(cols.values()), dtype=float),
                              b_float)
-    status = OPTIMAL
     try:
-        for width in (*_PROBE_WIDTHS, None):
+        for width in widths:
             extend([], 1, cands, floats, b_int, b_float, width)
     except _Timeout:
-        status = INCUMBENT_TIMEOUT
-    return status, best_entries, nodes, time.monotonic() - start
+        return best_entries, nodes, True
+    return best_entries, nodes, False
+
+
+def _char_poly(a: list[list[int]]) -> list[int]:
+    """Coefficients of det(xI - a), highest degree first, for a symmetric
+    integer matrix a: the Faddeev-LeVerrier recurrence M_1 = I,
+    c_k = -tr(a M_k) / k, M_(k+1) = a M_k + c_k I, whose divisions are exact
+    because the coefficients are integers."""
+    n = len(a)
+    coeffs = [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        # every M_k is a polynomial in a, hence symmetric: (a M)_ij = a_i . M_j
+        am = [[sum(x * y for x, y in zip(ra, rm)) for rm in m] for ra in a]
+        coeffs.append(-sum(am[i][i] for i in range(n)) // k)
+        m = [[x + coeffs[-1] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(am)]
+    return coeffs
+
+
+def _horner(coeffs: list[int], x: int) -> int:
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _nullspace(rows: list[list[int]]) -> list[list[int]]:
+    """An integer basis of the nullspace of an integer matrix, by
+    fraction-free Gauss-Jordan elimination (the step of ``_eliminate``,
+    skipping columns with no pivot).  Every pivot ends equal to the last
+    one, d, so each free column f gives the vector with d at f and minus
+    the pivot rows' entries of column f at their pivot columns."""
+    n = len(rows[0])
+    rows = list(rows)
+    pivots: list[int] = []
+    prev = 1
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows = [row if i == r else _eliminate(row, rows[r], c, prev) for i, row in enumerate(rows)]
+        prev = rows[r][c]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        x = [0] * n
+        x[f] = prev
+        for row, c in zip(rows, pivots):
+            x[c] = -row[f]
+        basis.append(x)
+    return basis
+
+
+def _lower_bound(n: int, b, cols, deadline):
+    """A lower bound on L0 for the target couplings b (see the module
+    docstring), decided in integers.
+
+    Returns (bound, nodes, timed_out), nodes counting the restricted
+    searches.  A Gershgorin radius above MAX_SCAN_RADIUS gives the trivial
+    bound 1.
+    """
+    if not any(b):
+        return 0, 0, False
+    a = [[0] * n for _ in range(n)]
+    for (i, j), v in zip(pair_order(n), _scaled(b)):
+        a[i][j] = a[j][i] = v
+    radius = max(sum(map(abs, row)) for row in a)
+    if radius > MAX_SCAN_RADIUS:
+        return 1, 0, False
+    poly = _char_poly(a)
+    nulls = []
+    for lam in range(-radius, radius + 1):
+        if time.monotonic() > deadline:
+            return 1, 0, True
+        if _horner(poly, lam) == 0:
+            shifted = [[x - lam * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+            nulls.append(_nullspace(shifted))
+    bound, nodes = n, 0
+    # by rank, smallest first; sorted() keeps equal ranks in eigenvalue order
+    for null in sorted(nulls, key=len, reverse=True):
+        rank = n - len(null)
+        if rank >= bound:
+            break
+        bound = rank + 1
+        # rows whose +-1 vector (-1 at each flipped qubit) is orthogonal
+        # to the nullspace
+        restricted = {
+            t: v for t, v in cols.items()
+            if all(sum(-x if t >> i & 1 else x for i, x in enumerate(z)) == 0 for z in null)
+        }
+        if restricted:
+            # Any set ends this search, and a failed one must try them all,
+            # so the narrow passes would only repeat the full one.
+            found, more, timed_out = _search_supports(restricted, b, rank + 1, rank, deadline,
+                                                      (None,))
+            nodes += more
+            if timed_out:
+                return bound, nodes, True
+            if found:
+                bound = rank
+    return bound, nodes, False
 
 
 def check_time_limit(time_limit: float) -> float:
@@ -225,22 +364,36 @@ def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
 
     Strengths are unbounded rationals.  The support search (see the module
     docstring) is seeded with the star construction (uniform weights) or
-    the edge-by-edge construction.  ``nodes_explored`` counts the columns
-    tried on top of a support, in all passes.  When time_limit runs out,
-    the best incumbent found so far is returned with status
-    INCUMBENT_TIMEOUT; the greedy order makes it far smaller than the
-    construction even where the search cannot finish (n=7).
+    the edge-by-edge construction.  It is skipped when the construction
+    already meets the lower bound, and otherwise stops as soon as its
+    incumbent does, or when every pass has finished.  ``nodes_explored``
+    counts the columns tried on top of a support, in all passes of the
+    search and in the restricted searches of the bound.  When time_limit
+    runs out, during the bound or the search, the best incumbent found so
+    far is returned with status INCUMBENT_TIMEOUT; the greedy order makes
+    it far smaller than the construction even where the search cannot
+    finish (n=7).
     """
     _check_size(g)
     check_time_limit(time_limit)
-    status, entries, nodes, elapsed = _search_supports(g, time_limit)
+    start = time.monotonic()
+    deadline = start + time_limit
+    b = couplings(g)
+    cols = _cut_columns(g.n)
+    incumbent = canonicalize(_default_incumbent(g))
+    entries = list(zip(incumbent.rows, incumbent.strengths))
+    bound, nodes, timed_out = _lower_bound(g.n, b, cols, deadline)
+    if not timed_out and len(entries) > bound:
+        found, more, timed_out = _search_supports(cols, b, len(entries), bound, deadline)
+        nodes += more
+        entries = found or entries
     return OptResult(
         sequence=PulseSequence.from_pairs(g.n, entries),
         objective=Fraction(len(entries)),
         objective_kind="l0",
-        status=status,
+        status=INCUMBENT_TIMEOUT if timed_out else OPTIMAL,
         nodes_explored=nodes,
-        wall_time=elapsed,
+        wall_time=time.monotonic() - start,
     )
 
 

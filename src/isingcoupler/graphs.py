@@ -14,7 +14,6 @@ tuple is the target b of the cut-matrix system Q W = b, and
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -83,9 +82,6 @@ class Graph:
             return None
         weights = {z for _, _, z in self.edges}
         return weights.pop() if len(weights) == 1 else None
-
-    def total_abs_weight(self) -> Fraction:
-        return sum((abs(z) for _, _, z in self.edges), Fraction(0))
 
     def neighbors(self, v: int) -> set[int]:
         out = set()
@@ -157,17 +153,6 @@ def serialize_edge_list(g: Graph) -> str:
     for u, v, z in g.edges:
         lines.append(f"{u} {v}" if z == 1 else f"{u} {v} {z}")
     return "\n".join(lines) + "\n"
-
-
-def graph_to_json(g: Graph) -> str:
-    return json.dumps(
-        {"n": g.n, "edges": [[u, v, str(z)] for u, v, z in g.edges]}
-    )
-
-
-def graph_from_json(text: str) -> Graph:
-    obj = json.loads(text)
-    return Graph.from_edges(obj["n"], [(u, v, Fraction(z)) for u, v, z in obj["edges"]])
 
 
 def check_weights(weight_set: Iterable[object]) -> list[Fraction]:

@@ -70,6 +70,10 @@ def test_removed_optimize_options_are_usage_errors(tmp_path, capsys, option):
     assert run(["optimize", path, *option], capsys)[0] == cli.EXIT_USAGE
 
 
+def test_removed_gen_json_option_is_a_usage_error(capsys):
+    assert run(["gen", "3", "0.5", "--json"], capsys)[0] == cli.EXIT_USAGE
+
+
 @pytest.mark.parametrize("command, option, message", [
     ("optimize", ["--time-limit", "0"], "time limit must be positive"),
     ("optimize", ["--time-limit", "-1"], "time limit must be positive"),
@@ -281,6 +285,35 @@ def test_noise_sweep_writes_the_optimized_ratios(tmp_path, capsys):
 def test_missing_graph_file_exits_1(tmp_path, capsys):
     code, _, err = run(["optimize", str(tmp_path / "missing.txt")], capsys)
     assert code == cli.EXIT_FAILURE and "not found" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "{dir}"],
+    ["cost", "{dir}"],
+    ["verify", "{dir}", "{graph}"],
+    ["verify", "{pulse}", "{dir}"],
+], ids=["optimize", "cost", "verify-pulse", "verify-graph"])
+def test_a_directory_for_an_input_file_exits_1_with_one_line(tmp_path, capsys, argv):
+    paths = {"dir": str(tmp_path / "d"), "graph": write_graph(tmp_path, Graph.complete(3)),
+             "pulse": str(tmp_path / "p.json")}
+    (tmp_path / "d").mkdir()
+    (tmp_path / "p.json").write_text(sequence_to_json(union_of_stars(Graph.complete(3))))
+    code, _, err = run([arg.format(**paths) for arg in argv], capsys)
+    assert code == cli.EXIT_FAILURE
+    assert err.startswith("error: ") and err.count("\n") == 1 and paths["dir"] in err
+
+
+@pytest.mark.parametrize("ops, estimate", [
+    ('[{"mask": "+-+", "w": "1/7"}]', "estimate_us=220/7 estimate_ms=0.0314286"),
+    ('[{"mask": "++-", "w": "1e400"}]', f"estimate_us={15 * 10**401 + 10} estimate_ms=1.5e+399"),
+], ids=["float-range", "beyond-float-range"])
+def test_cost_prints_the_estimate_in_microseconds_and_milliseconds(tmp_path, capsys, ops, estimate):
+    """(L0 + 1) * 5 + L1 * 3 * 50 us; the first line was printed before
+    milliseconds beyond float range were formatted exactly."""
+    pulse = tmp_path / "p.json"
+    pulse.write_text(f'{{"n": 3, "ops": {ops}}}')
+    code, stdout, _ = run(["cost", str(pulse)], capsys)
+    assert code == cli.EXIT_OK and stdout.splitlines()[-1] == estimate
 
 
 def test_optimal_solve_exits_0(tmp_path, capsys):

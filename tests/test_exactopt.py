@@ -1,11 +1,15 @@
 """solve_l0 and solve_l1 against scipy's HiGHS on the same models, with every
-emitted sequence checked by verify, and the L0 search's fraction-free step
-against Fraction determinants."""
+emitted sequence checked by verify; the L0 lower bound against the frozen
+optima and HiGHS brute force; and the L0 search's fraction-free step, the
+bound's nullspace and characteristic polynomial against Fraction
+elimination."""
 
 import itertools
+import json
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,13 @@ from isingcoupler import (
     Graph, enumerate_labeled_graphs, random_er_graph, solve_l0, solve_l1, union_of_stars,
     verify, weighted_edge_by_edge,
 )
-from isingcoupler.exactopt import INCUMBENT_TIMEOUT, OPTIMAL, _cut_columns, _eliminate
+from isingcoupler.exactopt import (
+    INCUMBENT_TIMEOUT, OPTIMAL, _char_poly, _cut_columns, _eliminate, _lower_bound, _nullspace,
+)
+from isingcoupler.graphs import couplings
+
+FROZEN_L0 = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "frozen.json").read_text())["l0"]
 
 
 def sign_matrix(g):
@@ -60,7 +70,7 @@ def paper_big_m(g, kind):
     (3n-2)^((3n-1)/2) rounded up to an integer (theorem_bound)."""
     assert all(abs(z) == 1 for _, _, z in g.edges)
     if kind == "practical_sum":
-        return max(float(g.total_abs_weight()), 1.0)
+        return max(float(sum(abs(z) for _, _, z in g.edges)), 1.0)
     root = math.isqrt((3 * g.n - 2) ** (3 * g.n - 1))
     return float(root + (root * root != (3 * g.n - 2) ** (3 * g.n - 1)))
 
@@ -128,12 +138,44 @@ def test_solve_l0_never_loses_to_the_construction(g):
         assert res.objective <= union_of_stars(g).l0
 
 
-@pytest.mark.parametrize("n, nodes", [(3, 28), (4, 1310), (5, 76321)])
+@pytest.mark.parametrize("n, nodes", [(3, 8), (4, 882), (5, 42726)])
 def test_search_path_is_pinned_by_its_node_count(n, nodes):
-    """Nodes summed over every class: a change to the search's arithmetic
-    alone must not move its path."""
+    """Nodes summed over every class, including the lower bound's restricted
+    searches and its early stop of the search: a change to the search's
+    arithmetic alone must not move its path."""
     graphs = enumerate_labeled_graphs(n, distinct_only=True)
     assert sum(solve_l0(g).nodes_explored for g in graphs) == nodes
+
+
+def lower_bound(g):
+    bound, _, timed_out = _lower_bound(g.n, couplings(g), _cut_columns(g.n), math.inf)
+    assert not timed_out
+    return bound
+
+
+def test_lower_bound_is_tight_on_37_of_the_49_classes_up_to_n5():
+    """Never above the frozen optimum; at n <= 4 also never above the
+    HiGHS brute force."""
+    tight = 0
+    for n in (3, 4, 5):
+        for g in enumerate_labeled_graphs(n, distinct_only=True):
+            l0 = FROZEN_L0[str(n)][",".join(f"{u}-{v}" for u, v, _ in g.edges)]
+            bound = lower_bound(g)
+            assert bound <= l0, g.edges
+            if n <= 4:
+                assert bound <= enumerated_l0(g), g.edges
+            tight += bound == l0
+    assert tight == 37
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_graphs())
+def test_lower_bound_never_exceeds_brute_force_l0(g):
+    assert lower_bound(g) <= enumerated_l0(g)
+
+
+def test_lower_bound_of_a_zero_target_is_zero():
+    assert lower_bound(Graph(4, ())) == 0
 
 
 def fraction_det(rows):
@@ -218,6 +260,36 @@ def test_fraction_free_step_leaves_minors(case):
             else:
                 assert entry == fraction_det([[c[r] for c in block] for r in pivots + [i]])
         assert (not any(u)) == (fraction_rank(block) == len(support))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Small symmetric integer matrices, often singular after a shift."""
+    n = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+    a = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        a[i][j] = a[j][i] = draw(entries)
+    return a
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_matrices(), st.integers(-4, 4))
+def test_char_poly_and_nullspace_match_fraction_elimination(a, lam):
+    """det(lam I - a) is the polynomial's value at lam, and the nullspace of
+    a - lam I has an integer basis of n - rank vectors, each mapped to 0."""
+    n = len(a)
+    shifted = [[x - lam * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+    value = 0
+    for c in _char_poly(a):
+        value = value * lam + c
+    assert value == fraction_det([[-x for x in row] for row in shifted])
+    basis = _nullspace(shifted)
+    assert len(basis) == n - fraction_rank(shifted)
+    assert fraction_rank(basis) == len(basis)
+    for x in basis:
+        assert all(type(v) is int for v in x)
+        assert all(sum(r * v for r, v in zip(row, x)) == 0 for row in shifted)
 
 
 def highs_l1(g):

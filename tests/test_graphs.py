@@ -9,8 +9,6 @@ from isingcoupler.graphs import (
     canonical_edge_mask,
     couplings,
     enumerate_labeled_graphs,
-    graph_from_json,
-    graph_to_json,
     pair_order,
     parse_edge_list,
     random_er_graph,
@@ -67,11 +65,6 @@ def test_serialize_parse_round_trip():
     for seed in range(40):
         g = random_er_graph(6, 0.5, [1, 2, Fraction(1, 2), -3], seed=seed)
         assert parse_edge_list(serialize_edge_list(g)) == g
-
-
-def test_json_round_trip():
-    g = random_er_graph(5, 0.7, [Fraction(3, 7), 2], seed=9)
-    assert graph_from_json(graph_to_json(g)) == g
 
 
 def test_couplings_path():
