@@ -83,8 +83,12 @@ def parse_config(path: str | None) -> dict[str, str]:
     """key = value lines; '#' starts a comment."""
     if not path:
         return {}
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise CommandError(f"cannot read config file {path}: {exc.strerror}")
     out = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

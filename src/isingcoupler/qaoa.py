@@ -20,8 +20,11 @@ expectations agree exactly there.
 One call to ``simulate_qaoa_p1`` evaluates a whole gamma x beta grid and
 shares every piece of work that does not depend on both angles:
 
-- The noisy cost layer depends only on gamma, so the density matrix
-  rho_gamma is built once per gamma.
+- The noisy cost layer depends only on gamma, and within it only the Rz and
+  Ising phase diagonals do.  So one pass over the circuit acts on the
+  (G, 2^n, 2^n) stack of all G gammas' density matrices at once; every other
+  op is the same for all of them.  The stack takes O(G 4^n) memory, the same
+  order as the O(B 4^n) ``rows`` array of the B observables below.
 - After the mixer only diag(rho) is read, and every channel there maps
   diagonals to diagonals: minor depolarizing d -> (1-r) d + r (d + d o flip_q)/2,
   the phase flip leaves d unchanged, and the measurement flip
@@ -29,19 +32,36 @@ shares every piece of work that does not depend on both angles:
   read-out folds into one effective cost vector c_eff = M c per call.
 - The value at (gamma, beta) is then Re <O_beta, rho_gamma> with the
   observable O_beta = U_beta^dag diag(c_eff) U_beta, built once per beta;
-  each rho_gamma gives its row of the grid in one matrix-vector product.
+  the whole grid is one matrix product of the stack with those rows.
 
 An ms sequence is checked with ``pulses.verify`` once per call.
 
-Depolarizing a qubit set S, I/2^s (x) tr_S rho, is the full single-qubit
-depolarization applied to each qubit of S in turn, and each of those is a
-slice-and-average on a reshaped view of rho.
+Channels act on qubit blocks.  With rho viewed as one size-2 row axis and
+one size-2 column axis per qubit, depolarizing a qubit set S at rate lam
+scales rho by 1-lam and adds lam times the mean of the 2^|S| diagonal blocks
+(row bits equal column bits on S) to each of them: that is
+(1-lam) rho + lam I/2^|S| (x) tr_S rho.  Minor noise on qubit q mixes q's two
+diagonal blocks a, c into (1-r/2) a + (r/2) c and (1-r/2) c + (r/2) a and
+scales its two off-diagonal blocks by (1-r)(1-2r), in place.  Phases and
+CNOTs are a product with a diagonal on both sides and one flat gather.
+
+The ms flips are not simulated as gates.  A row with flip mask m is, in
+time order, X_m then minor noise M on the qubits of m, the Ising phase D,
+full depolarizing Dep, and X_m then M again.  M commutes with X_m (the
+depolarizing part commutes with every single-qubit unitary, and the phase
+flip's Z anticommutes with X), and Dep on all n qubits commutes with every
+unitary, so X_m M D Dep X_m M = M D_m Dep M, where D_m = X_m D X_m is the
+Ising phase at the energies E(x ^ m).  This is an exact identity of the
+model: every noisy flip is still applied, as often as before.  It is not a
+merged-flip model, which would charge fewer flips by sharing them between
+consecutive rows and so change the noise.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,27 +149,31 @@ def _zz_energies(n: int) -> np.ndarray:
     return (s * s - n) / 2.0
 
 
-def _apply_permutation(rho: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    return rho[perm][:, perm]
-
-
-def _apply_diagonal(rho: np.ndarray, d: np.ndarray) -> np.ndarray:
-    return rho * np.outer(d, d.conj())
-
-
-def _depolarize_qubit_fully(rho: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """I/2 (x) tr_qubit rho."""
-    high, low = 1 << (n - 1 - qubit), 1 << qubit
-    t = rho.reshape(high, 2, low, high, 2, low)
-    average = (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]) / 2.0
-    out = np.zeros_like(t)
-    out[:, 0, :, :, 0, :] = average
-    out[:, 1, :, :, 1, :] = average
-    return out.reshape(rho.shape)
+def _diagonal_blocks(rho: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """A writeable view of the blocks of rho (a matrix or a stack) whose row
+    and column bits agree on every qubit in qubits.  Its last len(qubits)
+    axes pick the block; the axes before them index within it."""
+    row = string.ascii_letters[:n]  # one einsum letter per qubit axis
+    col = [row[q] if q in qubits else string.ascii_letters[n + q] for q in range(n)]
+    order = range(n - 1, -1, -1)  # the most significant qubit is the first axis
+    source = "".join(row[q] for q in order) + "".join(col[q] for q in order)
+    free = [q for q in order if q not in qubits]
+    target = "".join(row[q] for q in free) + "".join(col[q] for q in free)
+    target += "".join(row[q] for q in qubits)
+    t = rho.reshape(rho.shape[:-2] + (2,) * (2 * n))
+    return np.einsum(f"...{source}->...{target}", t)
 
 
 def apply_depolarizing(rho: np.ndarray, qubits, lam: float, n: int) -> np.ndarray:
-    """rho -> (1-lam) rho + lam * (maximally mixed on qubits (x) rest)."""
+    """rho -> (1-lam) rho + lam * (maximally mixed on qubits (x) the partial
+    trace of rho over them).
+
+    rho is one density matrix or a stack (..., 2^n, 2^n) of them; the input
+    is never modified.  On the qubit set S the channel keeps the
+    off-diagonal blocks (row and column bits differ somewhere on S) scaled by
+    1-lam, and adds lam times the mean of the 2^|S| diagonal blocks to each
+    of them.
+    """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("depolarizing rate must be in [0, 1]")
     qubits = tuple(sorted(set(qubits)))
@@ -157,83 +181,121 @@ def apply_depolarizing(rho: np.ndarray, qubits, lam: float, n: int) -> np.ndarra
         raise ValueError("qubit index out of range")
     if lam == 0.0 or not qubits:
         return rho
-    if len(qubits) == n:
-        dim = 1 << n
-        mixed = np.eye(dim) * (rho.trace().real / dim)
-    else:
-        mixed = rho
-        for q in qubits:
-            mixed = _depolarize_qubit_fully(mixed, q, n)
-    return (1.0 - lam) * rho + lam * mixed
+    out = (1.0 - lam) * rho
+    block_axes = tuple(range(-len(qubits), 0))
+    mean = _diagonal_blocks(rho, qubits, n).mean(axis=block_axes, keepdims=True)
+    _diagonal_blocks(out, qubits, n)[...] += lam * mean
+    return out
 
 
-def _apply_phase_flip(rho: np.ndarray, qubit: int, p: float, n: int) -> np.ndarray:
-    if p == 0.0:
-        return rho
-    signs = 1.0 - 2.0 * ((np.arange(1 << n) >> qubit) & 1)
-    return (1.0 - p) * rho + p * _apply_diagonal(rho, signs)
-
-
-def _apply_minor(rho: np.ndarray, qubit: int, noise: NoiseSpec, n: int) -> np.ndarray:
-    rate = noise.minor_rate
+def _apply_minor(rho: np.ndarray, qubit: int, rate: float, n: int) -> None:
+    """Minor noise on one qubit, in place on a C-contiguous stack: single-
+    qubit depolarizing then a phase flip, each at rate.  With a and c the
+    qubit's two diagonal blocks, a -> (1-r/2) a + (r/2) c and c likewise;
+    both off-diagonal blocks are scaled by (1-r)(1-2r)."""
     if rate == 0.0:
-        return rho
-    rho = apply_depolarizing(rho, (qubit,), rate, n)
-    return _apply_phase_flip(rho, qubit, rate, n)
+        return
+    high, low = 1 << (n - 1 - qubit), 1 << qubit
+    t = rho.reshape(-1, high, 2, low, high, 2, low)
+    a, c = t[:, :, 0, :, :, 0], t[:, :, 1, :, :, 1]
+    shift = c - a
+    shift *= rate / 2.0
+    a += shift
+    c -= shift
+    t[:, :, 0, :, :, 1] *= (1.0 - rate) * (1.0 - 2.0 * rate)
+    t[:, :, 1, :, :, 0] *= (1.0 - rate) * (1.0 - 2.0 * rate)
+
+
+def _apply_phases(rho: np.ndarray, d: np.ndarray) -> None:
+    """rho -> diag(d) rho diag(d)^dag in place, for each d of a (G, 2^n) stack."""
+    rho *= d[..., :, None]
+    rho *= d.conj()[..., None, :]
+
+
+def _apply_cnot(rho: np.ndarray, pair_index: np.ndarray) -> np.ndarray:
+    """rho -> P rho P for the permutation P whose flat pair index is given."""
+    return np.take(rho.reshape(rho.shape[0], -1), pair_index, axis=-1).reshape(rho.shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_popcounts(n: int) -> np.ndarray:
+    """popcount(x ^ y) for every pair of basis states, as int8."""
+    idx = np.arange(1 << n)
+    pop = np.array([int(b).bit_count() for b in idx], dtype=np.int8)
+    return pop[idx[:, None] ^ idx[None, :]]
 
 
 def _mixer_unitary(n: int, beta: float) -> np.ndarray:
-    one = np.array(
-        [[math.cos(beta), -1j * math.sin(beta)], [-1j * math.sin(beta), math.cos(beta)]]
-    )
-    u = np.array([[1.0 + 0j]])
-    for _ in range(n):
-        u = np.kron(one, u)  # qubit 0 is the least significant bit
-    return u
+    """prod_q exp(-i beta X_q): entry (x, y) is cos^(n-k) beta (-i sin beta)^k
+    with k = popcount(x ^ y)."""
+    k = np.arange(n + 1)
+    powers = np.cos(beta) ** (n - k) * np.sin(beta) ** k
+    amplitudes = powers * np.array([1.0, -1j, -1.0, 1j])[k % 4]
+    return amplitudes[_pair_popcounts(n)]
 
 
-def _rz_diagonal(n: int, qubit: int, theta: float) -> np.ndarray:
-    bits = (np.arange(1 << n) >> qubit) & 1
-    return np.exp(-1j * theta / 2.0 * (1.0 - 2.0 * bits))
+def _rz_diagonal(n: int, qubit: int, theta) -> np.ndarray:
+    """Diagonal of Rz(theta) on qubit; an array of angles gives one row each."""
+    signs = 1.0 - 2.0 * ((np.arange(1 << n) >> qubit) & 1)
+    return np.exp(np.multiply.outer(-1j * np.asarray(theta) / 2.0, signs))
 
 
-def _cx_layer(rho, g: Graph, gamma: float, noise: NoiseSpec, n: int):
+def _plus_states(count: int, n: int) -> np.ndarray:
+    """count copies of |+...+><+...+|.  A layer makes its own, so that it
+    holds the only reference and each new stack frees the one before."""
+    dim = 1 << n
+    return np.full((count, dim, dim), 1.0 / dim, dtype=complex)
+
+
+def _cx_layer(g: Graph, gammas: np.ndarray, noise: NoiseSpec):
+    n, dim = g.n, 1 << g.n
+    rho = _plus_states(len(gammas), n)
     for u, v, z in g.edges:
         perm = _cnot_perm(n, u, v)
-        rho = _apply_permutation(rho, perm)
+        pair_index = (perm[:, None] * dim + perm).ravel()
+        rho = _apply_cnot(rho, pair_index)
         rho = apply_depolarizing(rho, (u, v), noise.major_rate, n)
-        rho = _apply_diagonal(rho, _rz_diagonal(n, v, -gamma * float(z)))
-        rho = _apply_minor(rho, v, noise, n)
-        rho = _apply_permutation(rho, perm)
+        _apply_phases(rho, _rz_diagonal(n, v, -gammas * float(z)))
+        _apply_minor(rho, v, noise.minor_rate, n)
+        rho = _apply_cnot(rho, pair_index)
         rho = apply_depolarizing(rho, (u, v), noise.major_rate, n)
     return rho
 
 
-def _ms_layer(rho, seq: PulseSequence, gamma: float, noise: NoiseSpec, n: int):
+def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec):
+    n = seq.n
+    rho = _plus_states(len(gammas), n)
+    # Each row's flips X_m fold into its Ising phase, evaluated at the
+    # energies E(x ^ m); the module docstring gives the identity.
     energies = _zz_energies(n)
+    idx = np.arange(1 << n)
     for mask, w in zip(seq.rows, seq.strengths):
         flipped = [q for q in range(n) if mask >> q & 1]
         for q in flipped:
-            rho = _apply_permutation(rho, _flip_perm(n, q))
-            rho = _apply_minor(rho, q, noise, n)
-        phi = -gamma * float(w) / 2.0
-        rho = _apply_diagonal(rho, np.exp(-1j * phi * energies))
-        rho = apply_depolarizing(rho, tuple(range(n)), noise.major_rate, n)
+            _apply_minor(rho, q, noise.minor_rate, n)
+        phis = -gammas * float(w) / 2.0
+        _apply_phases(rho, np.exp(np.multiply.outer(-1j * phis, energies[idx ^ mask])))
+        rho = apply_depolarizing(rho, range(n), noise.major_rate, n)
         for q in flipped:
-            rho = _apply_permutation(rho, _flip_perm(n, q))
-            rho = _apply_minor(rho, q, noise, n)
+            _apply_minor(rho, q, noise.minor_rate, n)
     return rho
 
 
 def _cost_layer(
-    g: Graph, compilation: str, seq: PulseSequence | None, gamma: float, noise: NoiseSpec
+    g: Graph, compilation: str, seq: PulseSequence | None, gamma, noise: NoiseSpec
 ) -> np.ndarray:
-    """The noisy cost layer exp(-i gamma C') applied to |+...+><+...+|."""
-    dim = 1 << g.n
-    rho = np.full((dim, dim), 1.0 / dim, dtype=complex)
+    """The noisy cost layer exp(-i gamma C') applied to |+...+><+...+|.
+
+    gamma is a float, giving one density matrix, or a 1-D array of G angles,
+    giving the (G, 2^n, 2^n) stack of their density matrices from one pass
+    over the circuit: only the Rz and Ising phases depend on gamma.
+    """
+    gammas = np.atleast_1d(np.asarray(gamma, dtype=float))
     if compilation == CX:
-        return _cx_layer(rho, g, gamma, noise, g.n)
-    return _ms_layer(rho, seq, gamma, noise, g.n)
+        rho = _cx_layer(g, gammas, noise)
+    else:
+        rho = _ms_layer(seq, gammas, noise)
+    return rho[0] if np.ndim(gamma) == 0 else rho
 
 
 def _effective_cost(g: Graph, noise: NoiseSpec) -> np.ndarray:
@@ -287,9 +349,8 @@ def simulate_qaoa_p1(
     for j, b in enumerate(betas):
         u = _mixer_unitary(n, b)
         rows[j] = (u.T @ (c_eff[:, None] * u.conj())).ravel()
-    values = np.empty((len(gammas), len(betas)))
-    for i, gm in enumerate(gammas):
-        values[i] = np.real(rows @ _cost_layer(g, compilation, seq, gm, noise).ravel())
+    rhos = _cost_layer(g, compilation, seq, gammas, noise)
+    values = np.real(rhos.reshape(len(gammas), -1) @ rows.T)
     if np.ndim(gamma) == 0 and np.ndim(beta) == 0:
         return float(values[0, 0])
     return values

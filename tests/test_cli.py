@@ -303,6 +303,21 @@ def test_a_directory_for_an_input_file_exits_1_with_one_line(tmp_path, capsys, a
     assert err.startswith("error: ") and err.count("\n") == 1 and paths["dir"] in err
 
 
+@pytest.mark.parametrize("command", ["cost", "sweep"])
+@pytest.mark.parametrize("config", ["missing.cfg", "d"], ids=["missing", "directory"])
+def test_an_unreadable_config_file_exits_1_with_one_line(tmp_path, capsys, command, config):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "p.json").write_text(sequence_to_json(union_of_stars(Graph.complete(3))))
+    out_dir = tmp_path / "out"
+    argv = {"cost": ["cost", str(tmp_path / "p.json")],
+            "sweep": ["sweep", "fig_noise", "--out-dir", str(out_dir)]}[command]
+    path = str(tmp_path / config)
+    code, stdout, err = run(argv + ["--config", path], capsys)
+    assert code == cli.EXIT_FAILURE and stdout == ""
+    assert err.startswith(f"error: cannot read config file {path}: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("ops, estimate", [
     ('[{"mask": "+-+", "w": "1/7"}]', "estimate_us=220/7 estimate_ms=0.0314286"),
     ('[{"mask": "++-", "w": "1e400"}]', f"estimate_us={15 * 10**401 + 10} estimate_ms=1.5e+399"),

@@ -17,6 +17,7 @@ from isingcoupler import (
     simulate_qaoa_p1, union_of_stars, verify, weighted_edge_by_edge,
 )
 from isingcoupler import qaoa
+from isingcoupler.exactopt import solve_l0
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -159,6 +160,31 @@ def test_grid_matches_the_dense_oracle(name, g, construct, compilation):
         assert is_physical_density(qaoa._cost_layer(g, compilation, seq, gm, noise))
 
 
+def test_ms_rows_flipping_overlapping_qubits_match_the_dense_oracle():
+    """The simulator drops the bit flips of an ms row and evaluates the Ising
+    phase at the flipped energies; the oracle applies every flip."""
+    g = Graph.unweighted(5, [(i, (i + 1) % 5) for i in range(5)])
+    seq = solve_l0(g).sequence
+    assert any(a & b for a, b in itertools.combinations(seq.rows, 2))
+    noise = NoiseSpec(0.05, 0.5, 0.02)
+    gammas, betas = [0.4, 2.1, 5.3], [0.3, 1.9]
+    grid = simulate_qaoa_p1(g, "ms", seq, gammas, betas, noise)
+    want = [[oracle(g, "ms", seq, gm, b, noise) for b in betas] for gm in gammas]
+    np.testing.assert_allclose(grid, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("compilation", ["cx", "ms"])
+def test_cost_layer_on_a_gamma_array_stacks_its_scalar_calls(compilation):
+    g = random_er_graph(4, 0.7, (1, 2, 3), 2)
+    seq = weighted_edge_by_edge(g) if compilation == "ms" else None
+    noise = NoiseSpec(0.1, 0.4, 0.05)
+    gammas = np.array([0.0, 0.7, 2.5, 4.4])
+    stack = qaoa._cost_layer(g, compilation, seq, gammas, noise)
+    assert stack.shape == (4, 16, 16)
+    want = np.array([qaoa._cost_layer(g, compilation, seq, gm, noise) for gm in gammas])
+    np.testing.assert_allclose(stack, want, rtol=0, atol=1e-13)
+
+
 @pytest.mark.parametrize("name, g, construct", CASES, ids=[c[0] for c in CASES])
 def test_noiseless_grid_matches_statevector_and_compilations_agree(name, g, construct):
     seq = construct(g)
@@ -186,6 +212,20 @@ def test_apply_depolarizing_is_the_pauli_mixture(qubits):
     assert abs(out.trace() - 1) < 1e-14 and is_physical_density(out)
     full = apply_depolarizing(rho, qubits, 1.0, 4)
     np.testing.assert_allclose(full, depolarize(rho, qubits, 1.0, 4), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("qubits", [(2,), (0, 3), (0, 1, 2, 3)])
+def test_apply_depolarizing_leaves_its_input_and_works_on_a_stack(qubits):
+    stack = np.array([random_density(4, seed) for seed in range(3)])
+    before = stack.copy()
+    out = apply_depolarizing(stack, qubits, 0.3, 4)
+    np.testing.assert_array_equal(stack, before)
+    assert out.shape == stack.shape
+    for rho, got in zip(stack, out):
+        np.testing.assert_allclose(got, depolarize(rho, qubits, 0.3, 4), rtol=0, atol=1e-14)
+    single = stack[0].copy()
+    apply_depolarizing(single, qubits, 0.3, 4)
+    np.testing.assert_array_equal(single, before[0])
 
 
 def test_bad_arguments_raise():
