@@ -134,6 +134,13 @@ def _load_sequence(path: str):
         raise CommandError(f"{path}: bad pulse JSON ({exc})")
 
 
+def _write_text(path, text: str):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CommandError(f"cannot write {path}: {exc.strerror}")
+
+
 def _write_manifest(out_path: Path, args_ns, started: float, seed=None, overrides=None):
     manifest = {
         "command": " ".join(sys.argv) if sys.argv else "",
@@ -144,7 +151,7 @@ def _write_manifest(out_path: Path, args_ns, started: float, seed=None, override
         "tool_version": __version__,
         "wall_time_ms": round((time.monotonic() - started) * 1000, 3),
     }
-    Path(str(out_path) + ".manifest.json").write_text(json.dumps(manifest, indent=2))
+    _write_text(f"{out_path}.manifest.json", json.dumps(manifest, indent=2))
 
 
 def _cmd_gen(args) -> int:
@@ -154,7 +161,7 @@ def _cmd_gen(args) -> int:
     g = _usage(random_er_graph, args.n, args.p, weights, args.seed)
     text = serialize_edge_list(g)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(args.out, text)
         _write_manifest(Path(args.out), args, started, seed=args.seed)
         print(f"wrote {args.out} (n={g.n}, m={g.m})")
     else:
@@ -177,7 +184,7 @@ def _cmd_compile(args) -> int:
     if not verify(seq, g):
         raise CommandError("internal error: compiled sequence failed verification")
     if args.out:
-        Path(args.out).write_text(sequence_to_json(seq) + "\n")
+        _write_text(args.out, sequence_to_json(seq) + "\n")
         _write_manifest(Path(args.out), args, started)
     print(
         f"n={g.n} m={g.m} method={args.method} L0={seq.l0} L1={seq.l1} "
@@ -202,7 +209,7 @@ def _cmd_optimize(args) -> int:
     else:
         result = solve_l0(g, time_limit=args.time_limit)
     if args.out:
-        Path(args.out).write_text(result.to_json() + "\n")
+        _write_text(args.out, result.to_json() + "\n")
         _write_manifest(Path(args.out), args, started)
     print(
         f"objective={result.objective} kind={result.objective_kind} "
@@ -486,7 +493,10 @@ def _cmd_sweep(args) -> int:
     _usage(SplitMix64, seed)
     graphs = _noise_graphs(cfg)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CommandError(f"cannot write {out_dir}: {exc.strerror}")
     if args.kind in ("fig_random_unweighted", "fig_random_weighted"):
         outputs = _sweep_random(args.kind, opts, weights, out_dir, seed, time_limit)
     elif args.kind == "fig_worstcase":

@@ -303,6 +303,23 @@ def test_a_directory_for_an_input_file_exits_1_with_one_line(tmp_path, capsys, a
     assert err.startswith("error: ") and err.count("\n") == 1 and paths["dir"] in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "4", "0.5", "--out", "{missing}"],
+    ["compile", "{graph}", "--out", "{missing}"],
+    ["optimize", "{graph}", "--objective", "l1", "--out", "{missing}"],
+    ["sweep", "fig_worstcase", "--out-dir", "{file}"],
+], ids=["gen", "compile", "optimize", "sweep"])
+def test_an_unwritable_output_path_exits_1_with_one_line(tmp_path, capsys, argv):
+    paths = {"missing": str(tmp_path / "no" / "such" / "x.json"), "file": str(tmp_path / "afile"),
+             "graph": write_graph(tmp_path, Graph.complete(4))}
+    (tmp_path / "afile").write_text("")
+    code, stdout, err = run([arg.format(**paths) for arg in argv], capsys)
+    path = paths["file" if argv[0] == "sweep" else "missing"]
+    assert code == cli.EXIT_FAILURE and stdout == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "no").exists()
+
+
 @pytest.mark.parametrize("command", ["cost", "sweep"])
 @pytest.mark.parametrize("config", ["missing.cfg", "d"], ids=["missing", "directory"])
 def test_an_unreadable_config_file_exits_1_with_one_line(tmp_path, capsys, command, config):

@@ -313,6 +313,26 @@ def test_solve_l1_matches_highs(n, weights):
         assert float(res.objective) == pytest.approx(highs_l1(g), rel=1e-9, abs=1e-9)
 
 
+def outcome(res):
+    return res.objective, res.status, res.nodes_explored, res.sequence
+
+
+def test_cut_columns_are_cached_read_only_and_shared_by_both_solvers():
+    """Solves that share the cached columns at one n give what solves on
+    freshly built columns give, and no caller can change the cache."""
+    graphs = [random_er_graph(5, p, weights, 1) for p in (0.4, 0.8) for weights in ((), (1, 2, 3))]
+    fresh = []
+    for g in graphs:
+        for solve in (solve_l0, solve_l1):
+            _cut_columns.cache_clear()
+            fresh.append(outcome(solve(g)))
+    assert [outcome(solve(g)) for g in graphs for solve in (solve_l0, solve_l1)] == fresh
+    cols = _cut_columns(5)
+    assert cols is _cut_columns(5) and all(type(v) is tuple for v in cols.values())
+    with pytest.raises(TypeError):
+        cols[0] = (0,) * 10
+
+
 @pytest.mark.parametrize("solve", [solve_l0, solve_l1])
 def test_exact_solvers_refuse_large_instances(solve):
     g = random_er_graph(9, 0.5, (), 0)

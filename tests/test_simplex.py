@@ -16,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from isingcoupler import random_er_graph, simplex, verify
-from isingcoupler.exactopt import solve_l1
+from isingcoupler.exactopt import _cut_columns, solve_l1
+from isingcoupler.graphs import couplings
 from isingcoupler.simplex import SimplexError, certify_basis, exact_solve, float_solve, solve_lp
 
 
@@ -133,10 +134,15 @@ def test_ratio_ties_leave_by_the_lowest_basis_index():
 
 
 def phase_one_basis(a, b, c):
-    """A feasible basis that is not optimal: the one the float phase 1 ends on."""
-    tab = simplex._Tableau(a, b)
-    assert tab.phase_one()
-    return list(tab.basis)
+    """A feasible basis that is not optimal: the one the exact engine's
+    Bland phase 1 ends on from the artificial basis."""
+    a_rows = [[Fraction(v) for v in row] for row in a.tolist()]
+    b = [Fraction(v) for v in b.tolist()]
+    m, ns = len(b), len(c)
+    basis = list(range(ns, ns + m))
+    assert simplex._pivot_exactly(simplex._columns(a_rows, b), b, [0] * ns + [1] * m, basis, ns,
+                                  False) is not None
+    return basis
 
 
 # (n, seed, weights) of an ER(n, 0.5) graph -> the (mask, strength) rows
@@ -174,6 +180,60 @@ def test_exact_engine_solves_l1_cut_matrix_lps_to_the_pinned_vertex(monkeypatch,
     assert [(name, result if name == "certify_basis" else "ok") for name, result in log] == expected
     assert res.objective == certified.objective and verify(res.sequence, g)
     assert list(zip(res.sequence.rows, map(str, res.sequence.strengths))) == L1_VERTICES[graph]
+
+
+def highs_l1(g):
+    """Minimum L1 of g by scipy's HiGHS, on the program solve_l1 builds."""
+    q = np.array(list(_cut_columns(g.n).values()), dtype=float).T
+    res = linprog(np.ones(2 * q.shape[1]), A_eq=np.hstack([q, -q]),
+                  b_eq=[float(v) for v in couplings(g)], bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+@pytest.mark.parametrize("weights", [(), (1, 2, 3), (1, -1)], ids=["unweighted", "123", "pm1"])
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (6, 7, 8) for seed in range(5)])
+def test_float_basis_of_an_l1_program_certifies_as_optimal(log, n, weights, seed):
+    """The float engine hands certify_basis an optimal basis: no resume and
+    no exact restart, and the certified objective is HiGHS's."""
+    g = random_er_graph(n, 0.2 + 0.15 * seed, weights, seed)
+    res = solve_l1(g)
+    assert [name for name, _ in log] == ["certify_basis"]
+    assert isinstance(log[0][1], tuple) and log[0][1][1] == res.objective
+    assert float(res.objective) == pytest.approx(highs_l1(g), rel=1e-9, abs=1e-9)
+
+
+def test_phase_one_falls_back_to_blands_rule_after_m_degenerate_pivots(monkeypatch, log):
+    """Phase 1 enters the most negative reduced cost, except after m
+    pivots in a row that move by at most FLOAT_TOL, when it enters the
+    lowest index until a pivot moves.  ER(6, 0.5) at seed 24 stalls long
+    enough that the two rules pick different columns (m = 15)."""
+    g = random_er_graph(6, 0.5, (), 24)
+    pivots = []  # (phase-1 tableau's m, entered, Dantzig's column, Bland's column, step)
+    original = simplex._Tableau._pivot
+
+    def recorded(tab, e):
+        if tab.T.shape[1] == tab.ns:  # phase 2 has dropped the artificials
+            return original(tab, e)
+        cost = np.r_[np.zeros(tab.ns), np.ones(tab.m)]
+        red = cost - cost[tab.basis] @ tab.T
+        red[tab.basis] = 0
+        choices = int(np.argmin(red)), int(np.flatnonzero(red < -simplex.FLOAT_TOL)[0])
+        step = original(tab, e)
+        pivots.append((tab.m, e, *choices, step))
+        return step
+
+    monkeypatch.setattr(simplex._Tableau, "_pivot", recorded)
+    res = solve_l1(g)
+    stalled = fallbacks = 0
+    for m, e, dantzig, bland, step in pivots:
+        assert e == (dantzig if stalled < m else bland)
+        fallbacks += stalled >= m and dantzig != bland
+        stalled = stalled + 1 if step <= simplex.FLOAT_TOL else 0
+    assert fallbacks > 0
+    assert [(name, isinstance(result, tuple)) for name, result in log] == [("certify_basis", True)]
+    assert verify(res.sequence, g)
+    assert float(res.objective) == pytest.approx(highs_l1(g), rel=1e-9, abs=1e-9)
 
 
 def random_feasible_lp(seed):
