@@ -141,6 +141,15 @@ def _write_text(path, text: str):
         raise CommandError(f"cannot write {path}: {exc.strerror}")
 
 
+def _open_out(path):
+    """path opened for writing a CSV; a path that cannot be written is one
+    error line."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise CommandError(f"cannot write {path}: {exc.strerror}")
+
+
 def _write_manifest(out_path: Path, args_ns, started: float, seed=None, overrides=None):
     manifest = {
         "command": " ".join(sys.argv) if sys.argv else "",
@@ -320,14 +329,15 @@ def _sweep_random(kind, opts, weights, out_dir, seed, time_limit):
     for ip in range(1, p_count + 1):
         for _ in range(per_p):
             tasks.append((n, p_step * ip, tuple(weights), rng.next_u64(), time_limit))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_random_sweep_instance, tasks))
-    else:
-        rows = [_random_sweep_instance(t) for t in tasks]
     out = out_dir / f"{kind}.csv"
     fields = ["graph_id", "seed", "p", "m", "L0_stars", "L1_stars", "L0_opt", "L1_opt", "l0_status"]
-    with out.open("w", newline="") as fh:
+    # opened first, so an unwritable path fails before the solves
+    with _open_out(out) as fh:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_random_sweep_instance, tasks))
+        else:
+            rows = [_random_sweep_instance(t) for t in tasks]
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for idx, row in enumerate(rows):
@@ -337,7 +347,7 @@ def _sweep_random(kind, opts, weights, out_dir, seed, time_limit):
 
 def _sweep_worstcase(n_max, out_dir, time_limit):
     out = out_dir / "fig_worstcase.csv"
-    with out.open("w", newline="") as fh:
+    with _open_out(out) as fh:
         writer = csv.DictWriter(
             fh,
             fieldnames=[
@@ -396,7 +406,7 @@ def _noise_graphs(cfg) -> list[tuple[str, Graph]]:
 
 def _sweep_noise(graphs, out_dir, noises, grid_res):
     out = out_dir / "fig_noise.csv"
-    with out.open("w", newline="") as fh:
+    with _open_out(out) as fh:
         writer = csv.DictWriter(
             fh,
             fieldnames=["graph_id", "compilation", "lambda", "gamma", "beta", "expectation", "ratio"],

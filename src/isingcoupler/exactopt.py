@@ -78,6 +78,34 @@ support smaller than the bound exists; so stopping when the incumbent
 meets the bound only skips the part of the search that could not have
 replaced it.
 
+The full pass also prunes by symmetry, in the spirit of orbital branching
+(Ostrowski et al., Math. Prog. 126, 2011).  ``_symmetries`` lists column
+maps g that fix b: a vertex permutation that preserves A (weights and signs
+included), followed by an XOR with a union of connected components of A
+and canonicalization.  The XOR flips only couplings between components,
+which are zero in b, so g acts on the qubit pairs as a signed permutation
+M with M b = b and M col(t) = col(g t); it maps independent sets to
+independent sets and realizing sets to realizing sets of the same size.
+At a node with support P, the full pass skips candidate c when some g
+that fixes every column of P maps c to a candidate earlier in the node's
+order, or to a column that is not a candidate there (such a column is
+independent of P, so some ancestor ordered it before the branch taken).
+Either way each set S below c has an image g(S), of the same size and
+realizing b exactly when S does, whose path leaves S's path at an earlier
+branch of a node on it.  The orders of those nodes are fixed before c is
+reached, so the unpruned search tries g(S) before S and never accepts S.
+Skipping only such subtrees, the search accepts the same sets in the same
+order and emits the same sequence; only ``nodes_explored`` falls.
+
+The rule is sound for any subset of the symmetries, so at most
+MAX_SYMMETRIES maps are kept: an n=8 graph with one edge has 92,159.  The
+maps are built only when the full pass runs, so solves that the probe
+passes settle pay nothing for them.  The probe passes stay unpruned: they
+try only the first few candidates of a node, so the image of a skipped set
+may lie outside them.  The restricted searches of the bound stay unpruned
+too; pruning them would skip only 1.5% more nodes over the classes up to
+n=5.
+
 Instances above MAX_EXACT_N qubits are refused; the constructions in
 ``constructions`` cover them.
 """
@@ -85,6 +113,7 @@ Instances above MAX_EXACT_N qubits are refused; the constructions in
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import time
@@ -109,6 +138,9 @@ MAX_EXACT_N = 8
 # n=8 on a 2-core VM.  Unweighted graphs have R <= n-1.
 MAX_SCAN_RADIUS = 10_000
 DEFAULT_TIME_LIMIT = 600.0
+# Most column maps the full pass prunes with (see ``_symmetries``): at the
+# cap, building them takes at most about 35 ms at n=8 on a 2-core VM.
+MAX_SYMMETRIES = 1 << 12
 
 # candidates tried per node in the passes before the full search
 _PROBE_WIDTHS = (2, 3, 4)
@@ -183,22 +215,24 @@ def _ordered(cands, floats, r_float):
     return [cands[i] for i in order], floats[order]
 
 
-def _search_supports(cols, b, best, floor, deadline, widths=(*_PROBE_WIDTHS, None)):
+def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
     """Smallest set of the columns cols (canonical row mask to coupling
     signs) whose span holds the target couplings b.
 
     Only sets of fewer than best columns are accepted.  Each entry of
     widths is one pass, trying that many candidates per node (None: all),
     and every pass stops as soon as a set of at most floor columns is
-    found.  Returns (entries, nodes, timed_out) with entries the (row mask,
-    strength) pairs of the best set found, or None when no set was
-    accepted.
+    found.  symmetries holds column maps (as ``_symmetries`` returns them)
+    that fix b and permute cols; the full pass skips the subtrees they map
+    to earlier ones, and the others ignore them.  Returns (entries, nodes,
+    timed_out) with entries the (row mask, strength) pairs of the best set
+    found, or None when no set was accepted.
     """
     b_int = _scaled(b)
     best_entries = None
     nodes = 0
 
-    def extend(support, prev, cands, floats, residual, r_float, width):
+    def extend(support, prev, cands, floats, residual, r_float, width, stab=()):
         """Try each of the first width candidate columns on top of support.
 
         cands holds (t, v) with v column t reduced against the support's
@@ -206,12 +240,23 @@ def _search_supports(cols, b, best, floor, deadline, widths=(*_PROBE_WIDTHS, Non
         prev is the pivot of the support's last column (1 at the root).
         floats and r_float are the same reductions done by float
         projection, used only to order the candidates of each child (None
-        when no child expands further in the full pass).
+        when no child expands further in the full pass).  stab holds the
+        symmetries that fix every support column; a candidate that one of
+        them maps to an earlier candidate, or to a column that is not a
+        candidate here, is skipped.
         """
         nonlocal best, best_entries, nodes
+        if len(stab):
+            idx = np.array([t >> 1 for t, _ in cands], dtype=np.intp)
+            order = np.arange(len(idx))
+            rank = np.full(stab.shape[1], -1)
+            rank[idx] = order
+            skip = (rank[stab[:, idx]] < order).any(axis=0)
         for pos, (t, v) in enumerate(cands[:width]):
             if best <= floor or len(support) + 1 >= best:
                 return
+            if len(stab) and skip[pos]:
+                continue
             nodes += 1
             if time.monotonic() > deadline:
                 raise _Timeout
@@ -236,17 +281,79 @@ def _search_supports(cols, b, best, floor, deadline, widths=(*_PROBE_WIDTHS, Non
                     children, child_floats = _ordered(
                         children, later - np.outer(later @ u, u), r_child
                     )
-                extend(trial, v[piv], children, child_floats, rest, r_child, width)
+                child_stab = stab[stab[:, t >> 1] == t >> 1] if len(stab) else ()
+                extend(trial, v[piv], children, child_floats, rest, r_child, width, child_stab)
 
     b_float = np.array([float(v) for v in b])
     cands, floats = _ordered(list(cols.items()), np.array(list(cols.values()), dtype=float),
                              b_float)
     try:
         for width in widths:
-            extend([], 1, cands, floats, b_int, b_float, width)
+            extend([], 1, cands, floats, b_int, b_float, width,
+                   symmetries if width is None else ())
     except _Timeout:
         return best_entries, nodes, True
     return best_entries, nodes, False
+
+
+def _coupling_matrix(n: int, b_int: list[int]) -> list[list[int]]:
+    """The symmetric n x n matrix of the integer couplings b_int (given in
+    ``pair_order(n)``), with a zero diagonal."""
+    a = [[0] * n for _ in range(n)]
+    for (i, j), v in zip(pair_order(n), b_int):
+        a[i][j] = a[j][i] = v
+    return a
+
+
+def _automorphisms(a: list[list[int]]):
+    """Each vertex permutation pi with a[pi i][pi j] = a[i][j], as the
+    tuple (pi 0, ..., pi (n-1)), in depth-first order: vertex i goes to
+    each j whose sorted row equals its own and whose entries towards the
+    vertices already placed match."""
+    rows = [sorted(row) for row in a]
+
+    def extend(perm):
+        i = len(perm)
+        if i == len(a):
+            yield perm
+            return
+        for j, row in enumerate(rows):
+            if j not in perm and row == rows[i] and all(
+                    a[i][k] == a[j][pk] for k, pk in enumerate(perm)):
+                yield from extend((*perm, j))
+
+    return extend(())
+
+
+def _symmetries(n: int, b) -> np.ndarray:
+    """Column maps that fix the target couplings b, the identity left out.
+
+    Each composes a vertex automorphism pi of A (the integer-scaled coupling
+    matrix, weights and signs included) with an XOR by a union m of
+    connected components of A, then canonicalizes: row mask t goes to
+    pi(t) ^ m, complemented when bit 0 is set.  Row k of the result sends
+    column t >> 1 to the column of that image.  At most MAX_SYMMETRIES
+    distinct maps are kept, from the automorphisms found first.
+    """
+    a = _coupling_matrix(n, _scaled(b))
+    # the masks no coupling crosses: the unions of components without vertex
+    # 0's, since a union with it is the complement of one without it
+    switches = np.array([m for m in range(0, 1 << n, 2)
+                         if all(not v or not (m >> i ^ m >> j) & 1
+                                for (i, j), v in zip(pair_order(n), b))])
+    perms = np.array(list(itertools.islice(_automorphisms(a),
+                                           MAX_SYMMETRIES // len(switches) + 1)))
+    masks = np.arange(0, 1 << n, 2)
+    image = np.zeros((len(perms), len(masks)), dtype=np.int64)
+    for i in range(n):
+        image |= (masks >> i & 1) << perms[:, i:i + 1]
+    image = (image[:, None, :] ^ switches[None, :, None]).reshape(-1, len(masks))
+    image = np.where(image & 1, image ^ ((1 << n) - 1), image) >> 1
+    image = image[(image != np.arange(len(masks))).any(axis=1)]
+    first: dict[bytes, int] = {}
+    for k, row in enumerate(image):
+        first.setdefault(row.tobytes(), k)
+    return image[list(first.values())[:MAX_SYMMETRIES]]
 
 
 def _char_poly(a: list[list[int]]) -> list[int]:
@@ -311,9 +418,7 @@ def _lower_bound(n: int, b, cols, deadline):
     """
     if not any(b):
         return 0, 0, False
-    a = [[0] * n for _ in range(n)]
-    for (i, j), v in zip(pair_order(n), _scaled(b)):
-        a[i][j] = a[j][i] = v
+    a = _coupling_matrix(n, _scaled(b))
     radius = max(sum(map(abs, row)) for row in a)
     if radius > MAX_SCAN_RADIUS:
         return 1, 0, False
@@ -375,7 +480,8 @@ def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     already meets the lower bound, and otherwise stops as soon as its
     incumbent does, or when every pass has finished.  ``nodes_explored``
     counts the columns tried on top of a support, in all passes of the
-    search and in the restricted searches of the bound.  When time_limit
+    search and in the restricted searches of the bound; columns the full
+    pass skips by symmetry are not tried, so it counts the pruned search.  When time_limit
     runs out, during the bound or the search, the best incumbent found so
     far is returned with status INCUMBENT_TIMEOUT; the greedy order makes
     it far smaller than the construction even where the search cannot
@@ -390,8 +496,14 @@ def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     incumbent = canonicalize(_default_incumbent(g))
     entries = list(zip(incumbent.rows, incumbent.strengths))
     bound, nodes, timed_out = _lower_bound(g.n, b, cols, deadline)
-    if not timed_out and len(entries) > bound:
-        found, more, timed_out = _search_supports(cols, b, len(entries), bound, deadline)
+    # The symmetries are built only for the full pass, so solves that the
+    # probe passes settle never pay for them.
+    for widths in (_PROBE_WIDTHS, (None,)):
+        if timed_out or len(entries) <= bound:
+            break
+        symmetries = _symmetries(g.n, b) if widths == (None,) else ()
+        found, more, timed_out = _search_supports(cols, b, len(entries), bound, deadline,
+                                                  widths, symmetries)
         nodes += more
         entries = found or entries
     return OptResult(

@@ -320,6 +320,22 @@ def test_an_unwritable_output_path_exits_1_with_one_line(tmp_path, capsys, argv)
     assert not (tmp_path / "no").exists()
 
 
+@pytest.mark.parametrize("kind", [
+    "fig_random_unweighted", "fig_random_weighted", "fig_worstcase", "fig_noise"])
+def test_a_directory_at_a_sweep_csv_path_exits_1_with_one_line(tmp_path, capsys, kind):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("sweep.n = 3\nsweep.p_count = 1\nsweep.graphs_per_p = 1\n"
+                      "sweep.n_max = 3\nsweep.grid_res = 8\nsweep.lambda_grid = 0.005\n"
+                      "sweep.noise_graphs = star_k15\n")
+    path = tmp_path / "out" / f"{kind}.csv"
+    path.mkdir(parents=True)
+    code, stdout, err = run(["sweep", kind, "--config", str(config),
+                             "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == cli.EXIT_FAILURE and stdout == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert not list(path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["cost", "sweep"])
 @pytest.mark.parametrize("config", ["missing.cfg", "d"], ids=["missing", "directory"])
 def test_an_unreadable_config_file_exits_1_with_one_line(tmp_path, capsys, command, config):

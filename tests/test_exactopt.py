@@ -1,8 +1,9 @@
 """solve_l0 and solve_l1 against scipy's HiGHS on the same models, with every
 emitted sequence checked by verify; the L0 lower bound against the frozen
-optima and HiGHS brute force; and the L0 search's fraction-free step, the
+optima and HiGHS brute force; the L0 search's fraction-free step, the
 bound's nullspace and characteristic polynomial against Fraction
-elimination."""
+elimination; and the symmetries the full pass prunes with against
+networkx's isomorphism matcher, the cut matrix and the unpruned search."""
 
 import itertools
 import json
@@ -21,9 +22,12 @@ from isingcoupler import (
     verify, weighted_edge_by_edge,
 )
 from isingcoupler.exactopt import (
-    INCUMBENT_TIMEOUT, OPTIMAL, _char_poly, _cut_columns, _eliminate, _lower_bound, _nullspace,
+    INCUMBENT_TIMEOUT, OPTIMAL, _automorphisms, _char_poly, _coupling_matrix, _cut_columns,
+    _default_incumbent, _eliminate, _lower_bound, _nullspace, _scaled, _search_supports,
+    _symmetries,
 )
 from isingcoupler.graphs import couplings
+from isingcoupler.pulses import PulseSequence, canonicalize
 
 FROZEN_L0 = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "frozen.json").read_text())["l0"]
@@ -138,11 +142,12 @@ def test_solve_l0_never_loses_to_the_construction(g):
         assert res.objective <= union_of_stars(g).l0
 
 
-@pytest.mark.parametrize("n, nodes", [(3, 8), (4, 882), (5, 42726)])
+@pytest.mark.parametrize("n, nodes", [(3, 8), (4, 720), (5, 24185)])
 def test_search_path_is_pinned_by_its_node_count(n, nodes):
     """Nodes summed over every class, including the lower bound's restricted
-    searches and its early stop of the search: a change to the search's
-    arithmetic alone must not move its path."""
+    searches, its early stop of the search and the subtrees the full pass
+    prunes by symmetry: the path moves only when pruning skips more or
+    fewer subtrees, never by a change to the search's arithmetic alone."""
     graphs = enumerate_labeled_graphs(n, distinct_only=True)
     assert sum(solve_l0(g).nodes_explored for g in graphs) == nodes
 
@@ -338,3 +343,85 @@ def test_exact_solvers_refuse_large_instances(solve):
     g = random_er_graph(9, 0.5, (), 0)
     with pytest.raises(ValueError, match="construction"):
         solve(g)
+
+
+def symmetry_cases():
+    """Every class up to n=5, and unweighted and weighted ER graphs at n=6,
+    with weights of one sign and of both signs."""
+    graphs = [g for n in range(2, 6) for g in enumerate_labeled_graphs(n, distinct_only=True)]
+    graphs += [random_er_graph(n, p, weights, seed)
+               for n in (4, 5, 6) for p in (0.2, 0.5, 0.8) for weights in ((), (1, 2, 3), (1, -1))
+               for seed in range(2)]
+    graphs += [Graph.unweighted(6, [(i, (i + 1) % 6) for i in range(6)]),
+               Graph.unweighted(6, [(0, 1), (2, 3), (4, 5)]),
+               Graph(6, ((0, 1, Fraction(1)), (2, 3, Fraction(-1)), (4, 5, Fraction(1, 2))))]
+    return graphs
+
+
+def networkx_automorphisms(g):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    graph = nx.Graph()
+    graph.add_nodes_from(range(g.n))
+    graph.add_weighted_edges_from(g.edges)
+    matcher = GraphMatcher(graph, graph, edge_match=lambda e, f: e["weight"] == f["weight"])
+    return sum(1 for _ in matcher.isomorphisms_iter())
+
+
+def test_automorphisms_match_networkx():
+    for g in symmetry_cases():
+        found = list(_automorphisms(_coupling_matrix(g.n, _scaled(couplings(g)))))
+        assert len(set(found)) == len(found) == networkx_automorphisms(g), g.edges
+
+
+def test_every_symmetry_permutes_the_cut_columns_and_fixes_b():
+    """Each map is a permutation of the columns, and some signed permutation
+    P of the qubit pairs sends b to itself and every column t to column
+    g(t); P is solved from the cut matrix in floats, then checked exactly."""
+    for g in symmetry_cases():
+        cols = _cut_columns(g.n)
+        q = np.array(list(cols.values())).T
+        b = np.array([float(v) for v in couplings(g)])
+        maps = _symmetries(g.n, couplings(g))
+        assert not (maps == np.arange(q.shape[1])).all(axis=1).any()
+        for image in maps:
+            assert sorted(image) == list(range(q.shape[1]))
+            p = np.rint(q[:, image] @ np.linalg.pinv(q)).astype(int)
+            assert (np.abs(p).sum(axis=0) == 1).all() and (np.abs(p).sum(axis=1) == 1).all()
+            assert (p @ q == q[:, image]).all() and (p @ b == b).all(), g.edges
+
+
+def test_a_symmetry_maps_an_optimal_sequence_to_one():
+    for g in symmetry_cases():
+        if g.n > 5:
+            continue
+        seq = solve_l0(g).sequence
+        for image in _symmetries(g.n, couplings(g)):
+            moved = PulseSequence(g.n, tuple(int(image[t >> 1]) << 1 for t in seq.rows),
+                                  seq.strengths)
+            assert verify(moved, g), g.edges
+
+
+@pytest.mark.parametrize("widths", [(2, 3, 4, None), (None,)], ids=["probes", "full-only"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_pruning_leaves_the_found_support_unchanged(n, widths):
+    """The support search with the symmetries, with every other one of them
+    (any subset is sound, as a cap keeps) and with none finds the same
+    entries from the construction down to floor 0; pruning only skips
+    nodes.  Without the probe passes, the full pass must find the first
+    best set itself."""
+    graphs = list(enumerate_labeled_graphs(n, distinct_only=True))
+    graphs += [random_er_graph(n, p, weights, seed)
+               for p in (0.4, 0.7) for weights in ((1, 2, 3), (1, -1)) for seed in range(3)]
+    skipped = 0
+    for g in graphs:
+        cols, b = _cut_columns(n), couplings(g)
+        best = len(canonicalize(_default_incumbent(g)).rows)
+        maps = _symmetries(n, b)
+        runs = [_search_supports(cols, b, best, 0, math.inf, widths, symmetries)
+                for symmetries in ((), maps[::2], maps)]
+        assert runs[0][0] == runs[1][0] == runs[2][0], g.edges
+        assert not any(timed_out for _, _, timed_out in runs)
+        assert runs[0][1] >= runs[1][1] >= runs[2][1]
+        skipped += runs[0][1] - runs[2][1]
+    assert skipped > 0
