@@ -101,7 +101,7 @@ def parse_config(path: str | None) -> dict[str, str]:
 
 def _timing_from_config(cfg: dict[str, str]) -> TimingParams:
     def get(key, default):
-        return Fraction(cfg[key]) if key in cfg else default
+        return _number(Fraction, key, cfg[key]) if key in cfg else default
 
     return TimingParams(
         t_pi_us=get("timing.t_pi_us", TimingParams().t_pi_us),
@@ -452,7 +452,7 @@ def _number(kind, key, text: str):
     """text as a kind (int, float or Fraction); anything else is a usage error."""
     try:
         return kind(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise CommandError(f"{key}: not a number: {text!r}", EXIT_USAGE) from None
 
 

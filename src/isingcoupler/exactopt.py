@@ -82,10 +82,13 @@ The full pass also prunes by symmetry, in the spirit of orbital branching
 (Ostrowski et al., Math. Prog. 126, 2011).  ``_symmetries`` lists column
 maps g that fix b: a vertex permutation that preserves A (weights and signs
 included), followed by an XOR with a union of connected components of A
-and canonicalization.  The XOR flips only couplings between components,
-which are zero in b, so g acts on the qubit pairs as a signed permutation
-M with M b = b and M col(t) = col(g t); it maps independent sets to
-independent sets and realizing sets to realizing sets of the same size.
+and canonicalization.  The permutations are the rows of the relabeling
+table ``graphs.relabelings(n)`` (which also keys the graph classes) whose
+pair map leaves b unchanged.  The XOR flips only couplings between
+components, which are zero in b, so g acts on the qubit pairs as a signed
+permutation M with M b = b and M col(t) = col(g t); it maps independent
+sets to independent sets and realizing sets to realizing sets of the same
+size.
 At a node with support P, the full pass skips candidate c when some g
 that fixes every column of P maps c to a candidate earlier in the node's
 order, or to a column that is not a candidate there (such a column is
@@ -113,7 +116,6 @@ Instances above MAX_EXACT_N qubits are refused; the constructions in
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import time
@@ -125,7 +127,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .constructions import union_of_stars, weighted_edge_by_edge
-from .graphs import Graph, couplings, pair_order
+from .graphs import Graph, couplings, pair_order, relabelings
 from .pulses import PulseSequence, canonicalize, coupling_sign, sequence_to_json
 # float_solve is unused here; perfbench's tracing test still checks that this
 # module holds the traced simplex.float_solve, and perfbench changes only
@@ -139,7 +141,8 @@ MAX_EXACT_N = 8
 MAX_SCAN_RADIUS = 10_000
 DEFAULT_TIME_LIMIT = 600.0
 # Most column maps the full pass prunes with (see ``_symmetries``): at the
-# cap, building them takes at most about 35 ms at n=8 on a 2-core VM.
+# cap, building them takes at most about 15 ms at n=8 on a 2-core VM, after
+# about 40 ms for the n=8 relabeling table once per process.
 MAX_SYMMETRIES = 1 << 12
 
 # candidates tried per node in the passes before the full search
@@ -305,44 +308,26 @@ def _coupling_matrix(n: int, b_int: list[int]) -> list[list[int]]:
     return a
 
 
-def _automorphisms(a: list[list[int]]):
-    """Each vertex permutation pi with a[pi i][pi j] = a[i][j], as the
-    tuple (pi 0, ..., pi (n-1)), in depth-first order: vertex i goes to
-    each j whose sorted row equals its own and whose entries towards the
-    vertices already placed match."""
-    rows = [sorted(row) for row in a]
-
-    def extend(perm):
-        i = len(perm)
-        if i == len(a):
-            yield perm
-            return
-        for j, row in enumerate(rows):
-            if j not in perm and row == rows[i] and all(
-                    a[i][k] == a[j][pk] for k, pk in enumerate(perm)):
-                yield from extend((*perm, j))
-
-    return extend(())
-
-
 def _symmetries(n: int, b) -> np.ndarray:
     """Column maps that fix the target couplings b, the identity left out.
 
     Each composes a vertex automorphism pi of A (the integer-scaled coupling
-    matrix, weights and signs included) with an XOR by a union m of
-    connected components of A, then canonicalizes: row mask t goes to
+    matrix, weights and signs included: a row of ``graphs.relabelings(n)``
+    whose pair map leaves the scaled b unchanged) with an XOR by a union m
+    of connected components of A, then canonicalizes: row mask t goes to
     pi(t) ^ m, complemented when bit 0 is set.  Row k of the result sends
     column t >> 1 to the column of that image.  At most MAX_SYMMETRIES
-    distinct maps are kept, from the automorphisms found first.
+    distinct maps are kept, from the automorphisms first in lexicographic
+    order.
     """
-    a = _coupling_matrix(n, _scaled(b))
-    # the masks no coupling crosses: the unions of components without vertex
-    # 0's, since a union with it is the complement of one without it
-    switches = np.array([m for m in range(0, 1 << n, 2)
-                         if all(not v or not (m >> i ^ m >> j) & 1
-                                for (i, j), v in zip(pair_order(n), b))])
-    perms = np.array(list(itertools.islice(_automorphisms(a),
-                                           MAX_SYMMETRIES // len(switches) + 1)))
+    # the masks no coupling crosses: the canonical rows with sign +1 on every
+    # coupling, that is the unions of components without vertex 0's, since a
+    # union with it is the complement of one without it
+    switches = np.array([t for t, col in _cut_columns(n).items()
+                         if all(s > 0 or not v for s, v in zip(col, b))])
+    b_int = np.array(_scaled(b))
+    perms, pair_maps = relabelings(n)
+    perms = perms[(b_int[pair_maps] == b_int).all(axis=1)][:MAX_SYMMETRIES // len(switches) + 1]
     masks = np.arange(0, 1 << n, 2)
     image = np.zeros((len(perms), len(masks)), dtype=np.int64)
     for i in range(n):
@@ -481,11 +466,11 @@ def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     incumbent does, or when every pass has finished.  ``nodes_explored``
     counts the columns tried on top of a support, in all passes of the
     search and in the restricted searches of the bound; columns the full
-    pass skips by symmetry are not tried, so it counts the pruned search.  When time_limit
-    runs out, during the bound or the search, the best incumbent found so
-    far is returned with status INCUMBENT_TIMEOUT; the greedy order makes
-    it far smaller than the construction even where the search cannot
-    finish (n=7).
+    pass skips by symmetry are not tried, so it counts the pruned search.
+    When time_limit runs out, during the bound or the search, the best
+    incumbent found so far is returned with status INCUMBENT_TIMEOUT; the
+    greedy order makes it far smaller than the construction even where the
+    search cannot finish (n=7).
     """
     _check_size(g)
     check_time_limit(time_limit)

@@ -28,7 +28,7 @@ shares every piece of work that does not depend on both angles:
 - After the mixer only diag(rho) is read, and every channel there maps
   diagonals to diagonals: minor depolarizing d -> (1-r) d + r (d + d o flip_q)/2,
   the phase flip leaves d unchanged, and the measurement flip
-  d -> (1-p) d + p d o flip_q.  These maps are symmetric and commute, so the
+  d -> (1-r) d + r d o flip_q.  These maps are symmetric and commute, so the
   read-out folds into one effective cost vector c_eff = M c per call.
 - The value at (gamma, beta) is then Re <O_beta, rho_gamma> with the
   observable O_beta = U_beta^dag diag(c_eff) U_beta, built once per beta;
@@ -84,25 +84,18 @@ class NoiseSpec:
 
     major_rate: float
     minor_ratio: float = 0.1
-    measurement_flip: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.major_rate <= 1.0:
             raise ValueError("major rate must be in [0, 1]")
         if self.minor_ratio < 0:
             raise ValueError("minor ratio must be nonnegative")
-        if not (0.0 <= self.minor_rate <= 1.0 and 0.0 <= self.measurement_rate <= 1.0):
-            raise ValueError("minor and measurement rates must be in [0, 1]")
+        if not 0.0 <= self.minor_rate <= 1.0:
+            raise ValueError("minor rate must be in [0, 1]")
 
     @property
     def minor_rate(self) -> float:
         return self.minor_ratio * self.major_rate
-
-    @property
-    def measurement_rate(self) -> float:
-        if self.measurement_flip is not None:
-            return self.measurement_flip
-        return self.minor_rate
 
 
 ZERO_NOISE = NoiseSpec(0.0)
@@ -302,11 +295,11 @@ def _effective_cost(g: Graph, noise: NoiseSpec) -> np.ndarray:
     """c_eff = M c: the minor and measurement channels after the mixer, folded
     into the cost vector (each is symmetric on diagonals, and they commute)."""
     c = build_cost_operator(g)
-    r, p = noise.minor_rate, noise.measurement_rate
+    r = noise.minor_rate
     for q in range(g.n):
         flip = _flip_perm(g.n, q)
         c = (1.0 - r) * c + r * (c + c[flip]) / 2.0
-        c = (1.0 - p) * c + p * c[flip]
+        c = (1.0 - r) * c + r * c[flip]
     return c
 
 

@@ -39,9 +39,3 @@ class SplitMix64:
         if k <= 0:
             raise ValueError("k must be positive")
         return self.next_u64() % k
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_index(i + 1)
-            items[i], items[j] = items[j], items[i]

@@ -351,6 +351,24 @@ def test_an_unreadable_config_file_exits_1_with_one_line(tmp_path, capsys, comma
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command, key", [
+    ("gen", "--weights"), ("sweep", "sweep.weights"), ("cost", "timing.t_pi_us")])
+def test_a_zero_denominator_is_a_usage_error_with_one_line(tmp_path, capsys, command, key):
+    (tmp_path / "p.json").write_text(sequence_to_json(union_of_stars(Graph.complete(3))))
+    config = tmp_path / "c.cfg"
+    config.write_text({"sweep": "sweep.weights = 1,1/0\n", "cost": "timing.t_pi_us = 1/0\n"}
+                      .get(command, ""))
+    out_dir = tmp_path / "out"
+    argv = {"gen": ["gen", "3", "0.5", "--weights", "1/0"],
+            "sweep": ["sweep", "fig_random_weighted", "--config", str(config),
+                      "--out-dir", str(out_dir)],
+            "cost": ["cost", str(tmp_path / "p.json"), "--config", str(config)]}[command]
+    code, stdout, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE and stdout == ""
+    assert err == f"error: {key}: not a number: '1/0'\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("ops, estimate", [
     ('[{"mask": "+-+", "w": "1/7"}]', "estimate_us=220/7 estimate_ms=0.0314286"),
     ('[{"mask": "++-", "w": "1e400"}]', f"estimate_us={15 * 10**401 + 10} estimate_ms=1.5e+399"),

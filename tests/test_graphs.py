@@ -12,6 +12,7 @@ from isingcoupler.graphs import (
     pair_order,
     parse_edge_list,
     random_er_graph,
+    relabelings,
     serialize_edge_list,
 )
 
@@ -150,14 +151,33 @@ def test_enumerate_guard():
 
 def test_isomorphism_classes_match_networkx():
     nx = pytest.importorskip("networkx")
-    reps = []
-    for g in enumerate_labeled_graphs(4, distinct_only=True):
-        h = nx.Graph()
-        h.add_nodes_from(range(4))
-        h.add_edges_from((u, v) for u, v, _ in g.edges)
-        assert not any(nx.is_isomorphic(h, other) for other in reps)
-        reps.append(h)
-    assert len(reps) == 11
+    for n, count in [(4, 11), (5, 34)]:
+        reps = []
+        for g in enumerate_labeled_graphs(n, distinct_only=True):
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from((u, v) for u, v, _ in g.edges)
+            assert not any(nx.is_isomorphic(h, other) for other in reps)
+            reps.append(h)
+        assert len(reps) == count
+
+
+def test_relabelings_match_a_direct_relabeling():
+    for n in range(1, 7):
+        perms, pair_maps = relabelings(n)
+        assert [tuple(p) for p in perms] == list(itertools.permutations(range(n)))
+        pairs = pair_order(n)
+        for perm, pair_map in zip(perms, pair_maps):
+            assert [pairs[k] for k in pair_map] == [
+                tuple(sorted((perm[i], perm[j]))) for i, j in pairs]
+        assert not perms.flags.writeable and not pair_maps.flags.writeable
+
+
+def test_canonical_masks_at_n6_count_the_atlas_graphs():
+    nx = pytest.importorskip("networkx")
+    atlas = sum(1 for h in nx.graph_atlas_g() if h.number_of_nodes() == 6)
+    assert atlas == 156
+    assert len({canonical_edge_mask(mask, 6) for mask in range(1 << 15)}) == atlas
 
 
 def test_canonical_mask_invariant_under_relabeling():

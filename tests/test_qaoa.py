@@ -96,7 +96,7 @@ def oracle(g, compilation, seq, gamma, beta, noise):
     for q in range(n):
         rho = minor(rho, q, rate, n)
     for q in range(n):
-        rho = kraus_pair(rho, on(n, {q: X}), noise.measurement_rate)
+        rho = kraus_pair(rho, on(n, {q: X}), rate)
     cost = sum(float(z) * (np.eye(dim) - on(n, {u: Z, v: Z})) / 2 for u, v, z in g.edges)
     return float(np.trace(cost @ rho).real)
 
@@ -148,7 +148,7 @@ CASES = [
 @pytest.mark.parametrize("name, g, construct", CASES, ids=[c[0] for c in CASES])
 def test_grid_matches_the_dense_oracle(name, g, construct, compilation):
     rng = np.random.default_rng(list((name + compilation).encode()))
-    noise = NoiseSpec(rng.uniform(0, 0.2), rng.uniform(0, 1), rng.uniform(0, 0.2))
+    noise = NoiseSpec(rng.uniform(0, 0.2), rng.uniform(0, 1))
     seq = construct(g) if compilation == "ms" else None
     gammas = rng.uniform(0, 2 * math.pi, 3)
     betas = rng.uniform(0, math.pi, 2)
@@ -166,7 +166,7 @@ def test_ms_rows_flipping_overlapping_qubits_match_the_dense_oracle():
     g = Graph.unweighted(5, [(i, (i + 1) % 5) for i in range(5)])
     seq = solve_l0(g).sequence
     assert any(a & b for a, b in itertools.combinations(seq.rows, 2))
-    noise = NoiseSpec(0.05, 0.5, 0.02)
+    noise = NoiseSpec(0.05, 0.5)
     gammas, betas = [0.4, 2.1, 5.3], [0.3, 1.9]
     grid = simulate_qaoa_p1(g, "ms", seq, gammas, betas, noise)
     want = [[oracle(g, "ms", seq, gm, b, noise) for b in betas] for gm in gammas]
@@ -177,7 +177,7 @@ def test_ms_rows_flipping_overlapping_qubits_match_the_dense_oracle():
 def test_cost_layer_on_a_gamma_array_stacks_its_scalar_calls(compilation):
     g = random_er_graph(4, 0.7, (1, 2, 3), 2)
     seq = weighted_edge_by_edge(g) if compilation == "ms" else None
-    noise = NoiseSpec(0.1, 0.4, 0.05)
+    noise = NoiseSpec(0.1, 0.4)
     gammas = np.array([0.0, 0.7, 2.5, 4.4])
     stack = qaoa._cost_layer(g, compilation, seq, gammas, noise)
     assert stack.shape == (4, 16, 16)
@@ -241,7 +241,7 @@ def test_bad_arguments_raise():
     with pytest.raises(ValueError, match="realizing"):
         simulate_qaoa_p1(g, "ms", union_of_stars(Graph.unweighted(3, [(0, 1)])), [0.1], [0.2])
     for spec in [dict(major_rate=1.5), dict(major_rate=-0.1), dict(major_rate=0.5, minor_ratio=3),
-                 dict(major_rate=0.1, measurement_flip=2.0), dict(major_rate=math.nan)]:
+                 dict(major_rate=math.nan)]:
         with pytest.raises(ValueError):
             NoiseSpec(**spec)
     for lam in (-0.1, 1.5):
