@@ -21,6 +21,7 @@ from pathlib import Path
 from . import __version__
 from .constructions import union_of_stars, weighted_edge_by_edge
 from .exactopt import (
+    DEFAULT_TIME_LIMIT,
     INCUMBENT_TIMEOUT,
     MAX_EXACT_N,
     OPTIMAL,
@@ -108,7 +109,6 @@ def _timing_from_config(cfg: dict[str, str]) -> TimingParams:
         t_ising_per_ion_us=get(
             "timing.t_ising_per_ion_us", TimingParams().t_ising_per_ion_us
         ),
-        t_ms_us=get("timing.t_ms_us", TimingParams().t_ms_us),
     )
 
 
@@ -249,7 +249,7 @@ def _cmd_cost(args) -> int:
     total_us = estimate_time_us(seq, params)
     print(
         f"n={seq.n} L0={seq.l0} L1={seq.l1} t_pi_us={params.t_pi_us} "
-        f"t_ising_per_ion_us={params.t_ising_per_ion_us} t_ms_us={params.t_ms_us}"
+        f"t_ising_per_ion_us={params.t_ising_per_ion_us}"
     )
     print(f"estimate_us={total_us} estimate_ms={_milliseconds(total_us)}")
     return EXIT_OK
@@ -302,8 +302,7 @@ def _random_sweep_instance(task):
     """Worker for random-graph sweeps (must stay picklable)."""
     n, p, weights, seed, time_limit = task
     g = random_er_graph(n, p, weights, seed)
-    stars = union_of_stars(g) if not weights else None
-    construction = stars if stars is not None else weighted_edge_by_edge(g)
+    construction = weighted_edge_by_edge(g) if weights else union_of_stars(g)
     l0 = solve_l0(g, time_limit=time_limit)
     l1 = solve_l1(g)
     return {
@@ -318,63 +317,36 @@ def _random_sweep_instance(task):
     }
 
 
-def _sweep_random(kind, opts, weights, out_dir, seed, time_limit):
+def _random_rows(opts, weights, seed, time_limit):
     n, per_p = opts["sweep.n"], opts["sweep.graphs_per_p"]
     p_count, p_step = opts["sweep.p_count"], opts["sweep.p_step"]
     workers = opts["sweep.workers"]
-    if kind != "fig_random_weighted":
-        weights = []
     rng = SplitMix64(seed)
     tasks = []
     for ip in range(1, p_count + 1):
         for _ in range(per_p):
             tasks.append((n, p_step * ip, tuple(weights), rng.next_u64(), time_limit))
-    out = out_dir / f"{kind}.csv"
-    fields = ["graph_id", "seed", "p", "m", "L0_stars", "L1_stars", "L0_opt", "L1_opt", "l0_status"]
-    # opened first, so an unwritable path fails before the solves
-    with _open_out(out) as fh:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_random_sweep_instance, tasks))
-        else:
-            rows = [_random_sweep_instance(t) for t in tasks]
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for idx, row in enumerate(rows):
-            writer.writerow({"graph_id": idx, **row})
-    return [out]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_random_sweep_instance, tasks))
+    else:
+        rows = map(_random_sweep_instance, tasks)
+    for idx, row in enumerate(rows):
+        yield {"graph_id": idx, **row}
 
 
-def _sweep_worstcase(n_max, out_dir, time_limit):
-    out = out_dir / "fig_worstcase.csv"
-    with _open_out(out) as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "n", "num_classes", "max_l0_opt", "num_unproven", "bound_3n_minus_2", "n_plus_1",
-            ],
-        )
-        writer.writeheader()
-        for n in range(3, n_max + 1):
-            worst = 0
-            count = 0
-            unproven = 0
-            for g in enumerate_labeled_graphs(n, distinct_only=True):
-                count += 1
-                res = solve_l0(g, time_limit=time_limit)
-                worst = max(worst, int(res.objective))
-                unproven += res.status != OPTIMAL
-            writer.writerow(
-                {
-                    "n": n,
-                    "num_classes": count,
-                    "max_l0_opt": worst,
-                    "num_unproven": unproven,
-                    "bound_3n_minus_2": 3 * n - 2,
-                    "n_plus_1": n + 1,
-                }
-            )
-    return [out]
+def _worstcase_rows(n_max, time_limit):
+    for n in range(3, n_max + 1):
+        results = [solve_l0(g, time_limit=time_limit)
+                   for g in enumerate_labeled_graphs(n, distinct_only=True)]
+        yield {
+            "n": n,
+            "num_classes": len(results),
+            "max_l0_opt": max(int(res.objective) for res in results),
+            "num_unproven": sum(res.status != OPTIMAL for res in results),
+            "bound_3n_minus_2": 3 * n - 2,
+            "n_plus_1": n + 1,
+        }
 
 
 def noise_standin_graphs() -> list[tuple[str, Graph]]:
@@ -404,34 +376,24 @@ def _noise_graphs(cfg) -> list[tuple[str, Graph]]:
     return [(name, g) for name, g in graphs if name in wanted]
 
 
-def _sweep_noise(graphs, out_dir, noises, grid_res):
-    out = out_dir / "fig_noise.csv"
-    with _open_out(out) as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["graph_id", "compilation", "lambda", "gamma", "beta", "expectation", "ratio"],
-        )
-        writer.writeheader()
-        for name, g in graphs:
-            seq = union_of_stars(g)
-            for noise in noises:
-                for compilation in (CX, MS):
-                    gamma, beta, expectation, ratio = optimize_angles(
-                        g, compilation, seq if compilation == MS else None,
-                        noise, grid_resolution=grid_res,
-                    )
-                    writer.writerow(
-                        {
-                            "graph_id": name,
-                            "compilation": compilation,
-                            "lambda": noise.major_rate,
-                            "gamma": f"{gamma:.9f}",
-                            "beta": f"{beta:.9f}",
-                            "expectation": f"{expectation:.9f}",
-                            "ratio": f"{ratio:.9f}",
-                        }
-                    )
-    return [out]
+def _noise_rows(graphs, noises, grid_res):
+    for name, g in graphs:
+        seq = union_of_stars(g)
+        for noise in noises:
+            for compilation in (CX, MS):
+                gamma, beta, expectation, ratio = optimize_angles(
+                    g, compilation, seq if compilation == MS else None,
+                    noise, grid_resolution=grid_res,
+                )
+                yield {
+                    "graph_id": name,
+                    "compilation": compilation,
+                    "lambda": noise.major_rate,
+                    "gamma": f"{gamma:.9f}",
+                    "beta": f"{beta:.9f}",
+                    "expectation": f"{expectation:.9f}",
+                    "ratio": f"{ratio:.9f}",
+                }
 
 
 # numeric --config keys of sweep: (key, type, default)
@@ -443,7 +405,7 @@ _SWEEP_NUMBERS = (
     ("sweep.n_max", int, 5),
     ("sweep.seed", int, 0),
     ("sweep.workers", int, 1),
-    ("sweep.time_limit_s", float, 600.0),
+    ("sweep.time_limit_s", float, DEFAULT_TIME_LIMIT),
     ("sweep.grid_res", int, 32),
 )
 
@@ -507,15 +469,25 @@ def _cmd_sweep(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CommandError(f"cannot write {out_dir}: {exc.strerror}")
-    if args.kind in ("fig_random_unweighted", "fig_random_weighted"):
-        outputs = _sweep_random(args.kind, opts, weights, out_dir, seed, time_limit)
-    elif args.kind == "fig_worstcase":
-        outputs = _sweep_worstcase(opts["sweep.n_max"], out_dir, time_limit)
+    if args.kind == "fig_worstcase":
+        rows = _worstcase_rows(opts["sweep.n_max"], time_limit)
+    elif args.kind == "fig_noise":
+        rows = _noise_rows(graphs, noises, grid_res)
     else:
-        outputs = _sweep_noise(graphs, out_dir, noises, grid_res)
-    for out in outputs:
-        _write_manifest(out, args, started, seed=seed, overrides=cfg)
-        print(f"wrote {out}")
+        weighted = args.kind == "fig_random_weighted"
+        rows = _random_rows(opts, weights if weighted else [], seed, time_limit)
+    out = out_dir / f"{args.kind}.csv"
+    # A generator's body runs only at the first next(), so every solve runs
+    # inside the open file and an unwritable path fails before any of them.
+    # The checks above reject every empty grid, so there is a first row.
+    with _open_out(out) as fh:
+        first = next(rows)
+        writer = csv.DictWriter(fh, fieldnames=list(first))
+        writer.writeheader()
+        writer.writerow(first)
+        writer.writerows(rows)
+    _write_manifest(out, args, started, seed=seed, overrides=cfg)
+    print(f"wrote {out}")
     return EXIT_OK
 
 
@@ -542,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--objective", choices=["l0", "l1"], default="l0")
     p.add_argument(
-        "--time-limit", dest="time_limit", type=float, default=600.0,
-        help="seconds for the L0 search (default 600); an L1 solve has no limit",
+        "--time-limit", dest="time_limit", type=float, default=DEFAULT_TIME_LIMIT,
+        help="seconds for the L0 search (default %(default)s); an L1 solve has no limit",
     )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_optimize)

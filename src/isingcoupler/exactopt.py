@@ -117,7 +117,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -132,7 +131,7 @@ from .pulses import PulseSequence, canonicalize, coupling_sign, sequence_to_json
 # float_solve is unused here; perfbench's tracing test still checks that this
 # module holds the traced simplex.float_solve, and perfbench changes only
 # together with the benchmark.
-from .simplex import _solve_integer, float_solve, solve_lp  # noqa: F401
+from .simplex import _scaled, _solve_integer, float_solve, solve_lp  # noqa: F401
 
 MAX_EXACT_N = 8
 # Largest Gershgorin radius R the lower bound scans for integer eigenvalues:
@@ -201,13 +200,6 @@ def _eliminate(u: list[int], v: list[int], piv: int, prev: int) -> list[int]:
     module docstring)."""
     f, g = v[piv], u[piv]
     return [(f * a - g * x) // prev for a, x in zip(u, v)]
-
-
-def _scaled(b) -> list[int]:
-    """The Fractions b times the least common multiple of their
-    denominators."""
-    scale = math.lcm(*(v.denominator for v in b))
-    return [v.numerator * (scale // v.denominator) for v in b]
 
 
 def _ordered(cands, floats, r_float):

@@ -236,8 +236,11 @@ def relabelings(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def canonical_edge_mask(mask: int, n: int) -> int:
-    """Smallest edge bitmask over all vertex relabelings (isomorphism key)."""
+    """Smallest edge bitmask over all vertex relabelings (isomorphism key);
+    a mask outside [0, 2^C(n,2)) is a ValueError."""
     pair_maps = relabelings(n)[1]
+    if not 0 <= mask < 1 << pair_maps.shape[1]:
+        raise ValueError(f"edge mask {mask} outside [0, 2^{pair_maps.shape[1]}) for n={n}")
     bits = [k for k in range(pair_maps.shape[1]) if mask >> k & 1]
     return int(np.left_shift(1, pair_maps[:, bits], dtype=np.int64).sum(axis=1).min())
 

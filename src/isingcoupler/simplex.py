@@ -162,6 +162,13 @@ def float_solve(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> list[int] | N
     return list(tab.basis)
 
 
+def _scaled(b) -> list[int]:
+    """The Fractions (or ints) b times the least common multiple of their
+    denominators."""
+    scale = math.lcm(*(v.denominator for v in b))
+    return [v.numerator * (scale // v.denominator) for v in b]
+
+
 def _solve_integer(mat, rhs_cols):
     """Fraction-free Gauss-Jordan elimination (Bareiss) of mat.x = rhs.
 
@@ -171,12 +178,8 @@ def _solve_integer(mat, rhs_cols):
     dependent or some right-hand side is inconsistent.
     """
     s = len(mat[0])
-    rows = []
-    for r, row in enumerate(mat):
-        entries = [*row, *(rhs[r] for rhs in rhs_cols)]
-        # a row times a nonzero constant has the same solutions
-        scale = math.lcm(*(v.denominator for v in entries))
-        rows.append([v.numerator * (scale // v.denominator) for v in entries])
+    # a row times a nonzero constant has the same solutions
+    rows = [_scaled([*row, *(rhs[r] for rhs in rhs_cols)]) for r, row in enumerate(mat)]
     # Each row holds its entries in the columns not yet pivoted on; the
     # eliminated columns hold the latest pivot on the diagonal and 0
     # elsewhere.  After k pivots every entry is a minor of the scaled
@@ -226,8 +229,7 @@ def _basic_solution(cols, b, basis, ns):
 
 def _integer_costs(c, m):
     """c scaled to integers (same reduced-cost signs), then 0 per artificial."""
-    scale = math.lcm(*(v.denominator for v in c))
-    return [v.numerator * (scale // v.denominator) for v in c] + [0] * m
+    return _scaled(c) + [0] * m
 
 
 def _entering(cols, cost, basis, candidates):

@@ -19,7 +19,6 @@ from .pulses import PulseSequence
 
 DEFAULT_T_PI_US = Fraction(5)
 DEFAULT_T_ISING_PER_ION_US = Fraction(50)
-DEFAULT_T_MS_US = Fraction(100)  # two-qubit-gate reference, reporting only
 
 
 @dataclass(frozen=True)
@@ -28,10 +27,9 @@ class TimingParams:
 
     t_pi_us: Fraction = DEFAULT_T_PI_US
     t_ising_per_ion_us: Fraction = DEFAULT_T_ISING_PER_ION_US
-    t_ms_us: Fraction = DEFAULT_T_MS_US
 
     def __post_init__(self):
-        for name in ("t_pi_us", "t_ising_per_ion_us", "t_ms_us"):
+        for name in ("t_pi_us", "t_ising_per_ion_us"):
             value = Fraction(getattr(self, name))
             if value <= 0:
                 raise ValueError(f"{name} must be positive")

@@ -336,6 +336,35 @@ def test_a_directory_at_a_sweep_csv_path_exits_1_with_one_line(tmp_path, capsys,
     assert not list(path.iterdir())
 
 
+def test_a_directory_at_the_csv_path_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "solve_l0", lambda *args, **kwargs: calls.append(args))
+    config = tmp_path / "sweep.cfg"
+    config.write_text("sweep.n = 3\nsweep.p_count = 1\nsweep.graphs_per_p = 1\n")
+    (tmp_path / "out" / "fig_random_unweighted.csv").mkdir(parents=True)
+    code, _, _ = run(["sweep", "fig_random_unweighted", "--config", str(config),
+                      "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == cli.EXIT_FAILURE and calls == []
+
+
+@pytest.mark.parametrize("kind, header", [
+    ("fig_random_unweighted", "graph_id,seed,p,m,L0_stars,L1_stars,L0_opt,L1_opt,l0_status"),
+    ("fig_random_weighted", "graph_id,seed,p,m,L0_stars,L1_stars,L0_opt,L1_opt,l0_status"),
+    ("fig_worstcase", "n,num_classes,max_l0_opt,num_unproven,bound_3n_minus_2,n_plus_1"),
+    ("fig_noise", "graph_id,compilation,lambda,gamma,beta,expectation,ratio"),
+])
+def test_each_sweep_csv_starts_with_its_header_line(tmp_path, capsys, kind, header):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("sweep.n = 3\nsweep.p_count = 1\nsweep.graphs_per_p = 1\n"
+                      "sweep.n_max = 3\nsweep.grid_res = 8\nsweep.lambda_grid = 0.005\n"
+                      "sweep.noise_graphs = star_k15\n")
+    code, _, _ = run(["sweep", kind, "--config", str(config), "--out-dir", str(tmp_path)],
+                     capsys)
+    assert code == cli.EXIT_OK
+    lines = (tmp_path / f"{kind}.csv").read_bytes().splitlines(keepends=True)
+    assert lines[0] == f"{header}\r\n".encode()
+
+
 @pytest.mark.parametrize("command", ["cost", "sweep"])
 @pytest.mark.parametrize("config", ["missing.cfg", "d"], ids=["missing", "directory"])
 def test_an_unreadable_config_file_exits_1_with_one_line(tmp_path, capsys, command, config):

@@ -194,6 +194,12 @@ def test_canonical_mask_invariant_under_relabeling():
         assert canonical_edge_mask(relabeled, 4) == base
 
 
+@pytest.mark.parametrize("mask, n", [(1 << 10, 5), (-1, 3), (1 << 3, 3)])
+def test_canonical_mask_outside_the_pair_bits_is_a_value_error(mask, n):
+    with pytest.raises(ValueError, match="edge mask"):
+        canonical_edge_mask(mask, n)
+
+
 def test_graph_invariant_validation():
     with pytest.raises(ValueError, match="duplicate"):
         Graph(3, ((0, 1, Fraction(1)), (0, 1, Fraction(2))))

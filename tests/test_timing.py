@@ -27,7 +27,7 @@ def test_weighted_sequence_with_rational_strengths():
 
 
 @pytest.mark.parametrize("value", [0, -1, Fraction(-1, 2)])
-@pytest.mark.parametrize("name", ["t_pi_us", "t_ising_per_ion_us", "t_ms_us"])
+@pytest.mark.parametrize("name", ["t_pi_us", "t_ising_per_ion_us"])
 def test_timing_params_reject_durations_that_are_not_positive(name, value):
     with pytest.raises(ValueError, match=f"{name} must be positive"):
         TimingParams(**{name: value})
@@ -49,7 +49,7 @@ def test_cost_prints_the_estimate(tmp_path, capsys):
     code, captured = run_cost(tmp_path, capsys)
     assert code == cli.EXIT_OK
     assert captured.out.splitlines() == [
-        "n=3 L0=1 L1=2 t_pi_us=5 t_ising_per_ion_us=50 t_ms_us=100",
+        "n=3 L0=1 L1=2 t_pi_us=5 t_ising_per_ion_us=50",
         "estimate_us=310 estimate_ms=0.31",
     ]
 
@@ -59,12 +59,12 @@ def test_cost_reads_durations_from_config(tmp_path, capsys):
     assert code == cli.EXIT_OK
     # (1 + 1) * 3/2 + 2 * 3 * 10
     assert captured.out.splitlines() == [
-        "n=3 L0=1 L1=2 t_pi_us=3/2 t_ising_per_ion_us=10 t_ms_us=100",
+        "n=3 L0=1 L1=2 t_pi_us=3/2 t_ising_per_ion_us=10",
         "estimate_us=63 estimate_ms=0.063",
     ]
 
 
-@pytest.mark.parametrize("line", ["timing.t_pi_us = 0", "timing.t_ms_us = fast"])
+@pytest.mark.parametrize("line", ["timing.t_pi_us = 0", "timing.t_ising_per_ion_us = fast"])
 def test_bad_timing_config_is_a_usage_error(tmp_path, capsys, line):
     code, captured = run_cost(tmp_path, capsys, line + "\n")
     assert code == cli.EXIT_USAGE and captured.out == ""
