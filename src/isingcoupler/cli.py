@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import shlex
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -152,7 +153,7 @@ def _open_out(path):
 
 def _write_manifest(out_path: Path, args_ns, started: float, seed=None, overrides=None):
     manifest = {
-        "command": " ".join(sys.argv) if sys.argv else "",
+        "command": shlex.join(["isingcoupler", *args_ns._argv]),
         "subcommand": args_ns.command,
         "inputs": getattr(args_ns, "_inputs", []),
         "seed": seed,
@@ -557,8 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    args._argv = argv  # the manifest's command replays exactly these
     try:
         return args.func(args)
     except CommandError as exc:

@@ -55,6 +55,25 @@ Ising phase at the energies E(x ^ m).  This is an exact identity of the
 model: every noisy flip is still applied, as often as before.  It is not a
 merged-flip model, which would charge fewer flips by sharing them between
 consecutive rows and so change the noise.
+
+Depolarizing on a qubit set S commutes with every unitary and every unital
+channel that acts only within S, and k of them at rate lam make one at rate
+1-(1-lam)^k.  So a cx edge's two Dep(u, v) apply as one after its second
+CNOT, and the L full-register Dep of an ms layer apply as one at its end.
+
+A grid scan needs only the gammas up to pi when the layer is 2pi-periodic
+in gamma, by two identities of the model:
+
+- rho(-gamma) = conj rho(gamma): the initial state and every channel are
+  real, and only the phases depend on gamma.
+- O_{pi-beta} = conj O_beta: exp(-i pi X) = -I and X is real.
+
+So E(-gamma, beta) = <O_beta, conj rho(gamma)> = E(gamma, pi-beta), and
+E(gamma, pi) = E(gamma, 0).  The layer is 2pi-periodic when every cx edge
+weight z is an integer (gamma -> gamma + 2pi multiplies Rz(-gamma z) by the
+global sign (-1)^z), or every ms row strength w is (two basis states' Ising
+phases differ by gamma w dE/2, and dE/2 is an integer).  Otherwise the scan
+takes every gamma: a strength of 3/2 or -1/4 does break the symmetry.
 """
 
 from __future__ import annotations
@@ -243,15 +262,17 @@ def _plus_states(count: int, n: int) -> np.ndarray:
 def _cx_layer(g: Graph, gammas: np.ndarray, noise: NoiseSpec):
     n, dim = g.n, 1 << g.n
     rho = _plus_states(len(gammas), n)
+    # An edge's two Dep(u, v) commute with its CNOTs, Rz and minor noise,
+    # which act within {u, v}; they apply as one after the second CNOT.
+    pair_rate = 1.0 - (1.0 - noise.major_rate) ** 2
     for u, v, z in g.edges:
         perm = _cnot_perm(n, u, v)
         pair_index = (perm[:, None] * dim + perm).ravel()
         rho = _apply_cnot(rho, pair_index)
-        rho = apply_depolarizing(rho, (u, v), noise.major_rate, n)
         _apply_phases(rho, _rz_diagonal(n, v, -gammas * float(z)))
         _apply_minor(rho, v, noise.minor_rate, n)
         rho = _apply_cnot(rho, pair_index)
-        rho = apply_depolarizing(rho, (u, v), noise.major_rate, n)
+        rho = apply_depolarizing(rho, (u, v), pair_rate, n)
     return rho
 
 
@@ -268,10 +289,12 @@ def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec):
             _apply_minor(rho, q, noise.minor_rate, n)
         phis = -gammas * float(w) / 2.0
         _apply_phases(rho, np.exp(np.multiply.outer(-1j * phis, energies[idx ^ mask])))
-        rho = apply_depolarizing(rho, range(n), noise.major_rate, n)
         for q in flipped:
             _apply_minor(rho, q, noise.minor_rate, n)
-    return rho
+    # Dep on all n qubits commutes with every op of the layer, so the L
+    # rows' depolarizings apply as one at the end.
+    full_rate = 1.0 - (1.0 - noise.major_rate) ** len(seq.rows)
+    return apply_depolarizing(rho, range(n), full_rate, n)
 
 
 def _cost_layer(
@@ -349,6 +372,18 @@ def simulate_qaoa_p1(
     return values
 
 
+def _periodic_layer(g: Graph, compilation: str, seq: PulseSequence | None) -> bool:
+    """True when the noisy cost layer is 2pi-periodic in gamma: every cx
+    edge weight, or every ms row strength, is an integer."""
+    if compilation == CX:
+        weights = [z for _, _, z in g.edges]
+    elif seq is not None:
+        weights = seq.strengths
+    else:
+        return False
+    return all(Fraction(w).denominator == 1 for w in weights)
+
+
 def check_grid_resolution(grid_resolution: int) -> int:
     """Return grid_resolution, or raise ValueError when it is below 8."""
     if grid_resolution < 8:
@@ -366,10 +401,16 @@ def optimize_angles(
     """Best (gamma, beta) on a dense grid, the expectation there, and its
     approximation ratio.
 
-    Scans gamma in [0, 2pi) and beta in [0, pi) at the given resolution in
-    one simulation call.  Values within TIE_TOLERANCE * max(1, C_max) of the
-    maximum are ties, and ties resolve to the lexicographically smallest
-    (gamma, beta), so float rounding does not pick among them.
+    Scans the grid gamma_k = 2pi k/G in [0, 2pi) by beta_j = pi j/G in
+    [0, pi), G = grid_resolution, in one simulation call.  Values within
+    TIE_TOLERANCE * max(1, C_max) of the maximum are ties, and ties resolve
+    to the lexicographically smallest (gamma, beta), so float rounding does
+    not pick among them.
+
+    When the cost layer is 2pi-periodic in gamma (``_periodic_layer``), only
+    k = 0..floor(G/2) is simulated: each value at k > G/2 equals the one at
+    (gamma_{G-k}, beta_{(G-j) mod G}), a smaller gamma (module docstring), so
+    the smallest maximizing (gamma, beta) is among those simulated.
     """
     check_grid_resolution(grid_resolution)
     cmax = float(maxcut_brute_force(g))
@@ -378,6 +419,8 @@ def optimize_angles(
     steps = np.arange(grid_resolution)
     gammas = 2.0 * math.pi * steps / grid_resolution
     betas = math.pi * steps / grid_resolution
+    if _periodic_layer(g, compilation, seq):
+        gammas = gammas[: grid_resolution // 2 + 1]
     values = simulate_qaoa_p1(g, compilation, seq, gammas, betas, noise)
     near_max = values >= values.max() - TIE_TOLERANCE * max(1.0, cmax)
     i, j = divmod(int(np.flatnonzero(near_max)[0]), grid_resolution)

@@ -3,6 +3,7 @@
 
 import csv
 import json
+import shlex
 import time
 from fractions import Fraction
 
@@ -477,6 +478,18 @@ def test_gen_writes_the_graph_and_a_manifest_with_its_seed(tmp_path, capsys):
     assert g == random_er_graph(6, 0.5, (), 3)
     manifest = json.loads((tmp_path / "g.txt.manifest.json").read_text())
     assert manifest["subcommand"] == "gen" and manifest["seed"] == 3
+
+
+def test_manifest_command_replays_the_parsed_argv_not_the_host_argv(tmp_path, capsys,
+                                                                    monkeypatch):
+    monkeypatch.setattr("sys.argv", ["/some/checkout/host.py", "--host-flag"])
+    out = tmp_path / "my graph.txt"
+    argv = ["gen", "5", "0.5", "--seed", "7", "--out", str(out)]
+    code, _, _ = run(argv, capsys)
+    assert code == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "my graph.txt.manifest.json").read_text())
+    assert manifest["command"] == "isingcoupler gen 5 0.5 --seed 7 --out " + shlex.quote(str(out))
+    assert shlex.split(manifest["command"]) == ["isingcoupler", *argv]
 
 
 def test_random_sweep_writes_its_columns_and_manifest(tmp_path, capsys):

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from isingcoupler import (
-    Graph, NoiseSpec, apply_depolarizing, maxcut_brute_force, optimize_angles, random_er_graph,
-    simulate_qaoa_p1, union_of_stars, verify, weighted_edge_by_edge,
+    Graph, NoiseSpec, PulseSequence, apply_depolarizing, maxcut_brute_force, optimize_angles,
+    random_er_graph, simulate_qaoa_p1, union_of_stars, verify, weighted_edge_by_edge,
 )
 from isingcoupler import qaoa
 from isingcoupler.exactopt import solve_l0
@@ -261,14 +261,40 @@ def test_scalar_angles_give_the_one_point_grid_value():
     assert row.shape == (1, 2) and row[0, 0] == pytest.approx(value, abs=1e-12)
 
 
-@pytest.mark.parametrize("compilation", ["cx", "ms"])
-@pytest.mark.parametrize("g", [Graph.complete(6), Graph.unweighted(6, [(i, (i + 1) % 6)
-                                                                       for i in range(6)])],
-                         ids=["k6", "c6"])
-def test_ties_resolve_to_the_smallest_angles(g, compilation):
-    seq = union_of_stars(g) if compilation == "ms" else None
+def global_pulse(g):
+    """K_n at weight w as one unflipped row of strength w: integer strengths."""
+    return PulseSequence.from_pairs(g.n, [(0, g.uniform_weight())])
+
+
+K6 = Graph.complete(6)
+C6 = Graph.unweighted(6, [(i, (i + 1) % 6) for i in range(6)])
+ER6_123 = random_er_graph(6, 0.5, (1, 2, 3), 1)
+HALF5 = random_er_graph(5, 0.6, ("1/2", 1), 2)
+ER4_3HALF = random_er_graph(4, 0.6, ("3/2", 1), 2)  # its grid-8 maximum lies past gamma = pi
+C4_2 = Graph.from_edges(4, [(0, 1, 2), (1, 2, 2), (2, 3, 2), (0, 3, 2)])
+# (id, graph, compilation, sequence builder); "periodic" marks the cost
+# layers that qaoa._periodic_layer takes as 2pi-periodic in gamma.
+TIE_CASES = [
+    ("k6_cx_periodic", K6, "cx", None),
+    ("k6_ms_stars", K6, "ms", union_of_stars),
+    ("k6_ms_global_periodic", K6, "ms", global_pulse),
+    ("c6_cx_periodic", C6, "cx", None),
+    ("c6_ms_stars", C6, "ms", union_of_stars),
+    ("er6_123_cx_periodic", ER6_123, "cx", None),
+    ("half5_cx", HALF5, "cx", None),
+    ("half5_ms_edges", HALF5, "ms", weighted_edge_by_edge),
+    ("er4_3half_cx", ER4_3HALF, "cx", None),
+    ("er4_3half_ms_edges", ER4_3HALF, "ms", weighted_edge_by_edge),
+]
+
+
+@pytest.mark.parametrize("res", [8, 9])
+@pytest.mark.parametrize("name, g, compilation, construct", TIE_CASES,
+                         ids=[c[0] for c in TIE_CASES])
+def test_ties_resolve_to_the_smallest_angles(name, g, compilation, construct, res):
+    seq = construct(g) if construct else None
+    assert qaoa._periodic_layer(g, compilation, seq) == name.endswith("_periodic")
     noise = NoiseSpec(0.005)
-    res = 8
     gammas = 2 * math.pi * np.arange(res) / res
     betas = math.pi * np.arange(res) / res
     grid = simulate_qaoa_p1(g, compilation, seq, gammas, betas, noise)
@@ -279,6 +305,38 @@ def test_ties_resolve_to_the_smallest_angles(g, compilation):
     assert (gamma, beta) == (gammas[i], betas[j])
     assert value == grid[i, j]
     assert ratio == grid[i, j] / cmax
+
+
+MIRROR_CASES = [
+    ("k4_cx", Graph.complete(4), "cx", None, True),
+    ("er5_123_cx", random_er_graph(5, 0.7, (1, 2, 3), 4), "cx", None, True),
+    ("k4_ms_global", Graph.complete(4), "ms", global_pulse, True),
+    ("c4_weight2_ms_l0", C4_2, "ms", lambda g: solve_l0(g).sequence, True),
+    ("k6_ms_stars", K6, "ms", union_of_stars, False),
+    ("half5_cx", HALF5, "cx", None, False),
+]
+
+
+@pytest.mark.parametrize("name, g, compilation, construct, periodic", MIRROR_CASES,
+                         ids=[c[0] for c in MIRROR_CASES])
+def test_mirror_identity_holds_exactly_when_the_layer_is_taken_as_periodic(
+        name, g, compilation, construct, periodic):
+    """E(2pi - gamma, beta) = E(gamma, pi - beta) for integer weights and
+    strengths; the K6 star sequence (strengths 3/2 and -1/4) and a 1/2
+    weight break it by far more than rounding, so the scan must not fold
+    them."""
+    seq = construct(g) if construct else None
+    assert qaoa._periodic_layer(g, compilation, seq) == periodic
+    noise = NoiseSpec(0.03, 0.5)
+    gammas = np.array([0.3, 1.1, 2.0, 2.9])
+    betas = np.array([0.2, 0.7, 1.3, 2.5])
+    here = simulate_qaoa_p1(g, compilation, seq, 2 * math.pi - gammas, betas, noise)
+    mirror = simulate_qaoa_p1(g, compilation, seq, gammas, math.pi - betas, noise)
+    gap = np.abs(here - mirror).max()
+    if periodic:
+        assert gap < 1e-12
+    else:
+        assert gap > 1e-6
 
 
 def test_one_scan_is_one_simulation_with_one_verify(monkeypatch):
