@@ -13,6 +13,8 @@ both parts nonnegative, and sum(W+ + W-) is minimized subject to
 Q (W+ - W-) = b.  It is always feasible, since the cut matrix spans every
 target (the constructions realize any graph), and ``simplex.solve_lp``
 solves it in floats and certifies the float basis exactly, in integers.
+Only b depends on the graph: the rows, the costs and their float64 forms
+are built once per n (``_l1_program``).
 
 L0 is the smallest k for which b lies in the span of k columns of Q.  A
 minimum-row realization has linearly independent columns (a dependent one
@@ -184,6 +186,21 @@ def _cut_columns(n: int) -> Mapping[int, tuple[int, ...]]:
         {t: tuple(coupling_sign(t, i, j) for i, j in pairs) for t in range(0, 1 << n, 2)})
 
 
+@functools.cache
+def _l1_program(n: int) -> tuple[tuple, tuple, tuple[np.ndarray, np.ndarray]]:
+    """The parts of the L1 program that depend only on n: the rows of
+    [Q | -Q], column 2t holding cut column t and column 2t + 1 its
+    negation, the unit costs, and both as float64 arrays for the float
+    engine.  Built once per n; tuples and read-only arrays, so no caller
+    can alter the cached copy."""
+    rows = tuple(tuple(x for q in row for x in (q, -q)) for row in zip(*_cut_columns(n).values()))
+    costs = (1,) * (1 << n)
+    floats = np.array(rows, dtype=float), np.ones(len(costs))
+    for array in floats:
+        array.flags.writeable = False
+    return rows, costs, floats
+
+
 def _default_incumbent(g: Graph) -> PulseSequence:
     if g.uniform_weight() is not None or g.m == 0:
         return union_of_stars(g)
@@ -279,7 +296,11 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
                 child_stab = stab[stab[:, t >> 1] == t >> 1] if len(stab) else ()
                 extend(trial, v[piv], children, child_floats, rest, r_child, width, child_stab)
 
-    b_float = np.array([float(v) for v in b])
+    try:
+        b_float = np.array([float(v) for v in b])
+    except OverflowError:
+        raise ValueError("a coupling is beyond float64 range, in which the L0 search "
+                         "orders its candidates") from None
     cands, floats = _ordered(list(cols.items()), np.array(list(cols.values()), dtype=float),
                              b_float)
     try:
@@ -499,26 +520,24 @@ def solve_l1(g: Graph) -> OptResult:
     The objective bounds each strength directly, and the program is solved
     to exact rational optimality.  There is no time limit: time limits
     apply to the L0 search only.  When the float basis certifies, as it
-    does on every graph of the benchmark, a solve takes a median 3, 7 and
-    21 ms at n=6, 7 and 8, and at most 40 ms at n=8 (the benchmark's 72 L1
-    graphs on a 2-core x86-64 VM).  The exact fallbacks of ``simplex`` take
-    up to about a second to resume and a few seconds to solve from scratch
-    at n=8.
+    does on every graph of the benchmark, a solve takes a median 2.5, 6 and
+    16 ms at n=6, 7 and 8, and at most 27 ms at n=8 (the benchmark's 72 L1
+    graphs, best of 5, on a 2-core x86-64 VM).  The exact fallbacks of
+    ``simplex`` take up to about a second to resume and a few seconds to
+    solve from scratch at n=8.
     """
     _check_size(g)
     start = time.monotonic()
     n = g.n
-    cols = _cut_columns(n)
-    masks = list(cols)
-    # W_t = W+_t - W-_t: column t of the cut matrix, then its negation
-    a_rows = [[x for q in row for x in (q, -q)] for row in zip(*cols.values())]
+    a_rows, costs, floats = _l1_program(n)
     if not a_rows:
         return OptResult(
             PulseSequence.empty(n), Fraction(0), "l1", OPTIMAL, 0, 0.0
         )
-    res = solve_lp(a_rows, couplings(g), [Fraction(1)] * (2 * len(masks)))
+    res = solve_lp(a_rows, couplings(g), costs, floats)
+    # W_t = W+_t - W-_t, from columns 2t and 2t + 1
     entries = []
-    for t, mask in enumerate(masks):
+    for t, mask in enumerate(_cut_columns(n)):
         w = res.x[2 * t] - res.x[2 * t + 1]
         if w != 0:
             entries.append((mask, w))

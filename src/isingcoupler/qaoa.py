@@ -134,11 +134,29 @@ def maxcut_brute_force(g: Graph) -> Fraction:
     if g.n > MAX_BRUTE_FORCE_N:
         raise ValueError(f"n={g.n} too large (limit {MAX_BRUTE_FORCE_N})")
     denom = math.lcm(*(z.denominator for _, _, z in g.edges)) if g.edges else 1
+    weights = [int(z * denom) for _, _, z in g.edges]
+    # int64 holds every cut sum while the absolute weights sum below 2^63;
+    # beyond that the sums are Python integers
+    dtype = np.int64 if sum(map(abs, weights)) < 1 << 63 else object
     idx = np.arange(1 << g.n)
-    cuts = np.zeros(1 << g.n, dtype=np.int64)
-    for u, v, z in g.edges:
-        cuts += (((idx >> u) ^ (idx >> v)) & 1) * int(z * denom)
+    cuts = np.zeros(1 << g.n, dtype=dtype)
+    for (u, v, _), w in zip(g.edges, weights):
+        cuts += (((idx >> u) ^ (idx >> v)) & 1).astype(dtype, copy=False) * w
     return Fraction(int(cuts.max()), denom)
+
+
+def _check_float_range(g: Graph, compilation: str, seq: PulseSequence | None) -> None:
+    """Raise ValueError unless the absolute edge weights, and for ms the
+    absolute row strengths, sum to a float64: the simulation runs in
+    float64, and every cut value then stays finite."""
+    groups = [[z for _, _, z in g.edges]]
+    if compilation == MS and seq is not None:
+        groups.append(seq.strengths)
+    try:
+        for values in groups:
+            float(sum(map(abs, values)))
+    except OverflowError:
+        raise ValueError("weights beyond float64 range: the simulation runs in float64") from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -357,6 +375,7 @@ def simulate_qaoa_p1(
             raise ValueError("ms compilation needs a sequence realizing the graph")
     elif compilation != CX:
         raise ValueError(f"unknown compilation {compilation!r}")
+    _check_float_range(g, compilation, seq)
     n = g.n
     c_eff = _effective_cost(g, noise)
     # Row j holds conj(O_j) for O_j = U_j^dag diag(c_eff) U_j, so that
@@ -413,6 +432,7 @@ def optimize_angles(
     the smallest maximizing (gamma, beta) is among those simulated.
     """
     check_grid_resolution(grid_resolution)
+    _check_float_range(g, compilation, seq)
     cmax = float(maxcut_brute_force(g))
     if cmax <= 0:
         raise ValueError("graph has no positive cut; ratio undefined")

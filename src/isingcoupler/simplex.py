@@ -16,18 +16,27 @@ most negative reduced cost instead (Dantzig, Linear Programming and
 Extensions, 1963), with a fall-back to Bland's rule after m degenerate
 pivots in a row (see ``_Tableau``).  On the benchmark's 24 n=8 L1 programs
 that cuts the pivots of a whole solve from 493 to 260 on average: 68 to 53
-in phase 1, and 425 to 207 in phase 2 from the basis phase 1 ends on.  The
-exact engine keeps only the basis (revised form): each step takes the
+in phase 1, and 425 to 207 in phase 2 from the basis phase 1 ends on.  At
+that size (28 rows) a pivot's cost is mostly per-call overhead, so the
+ratio test reads the entering column and x_B once each as Python floats
+and runs its sequential rule on them: Python floats divide and compare as
+IEEE doubles, like numpy float64 scalars, so every choice is the same,
+without a numpy scalar access per row.  ``solve_lp`` also takes the
+float64 rows and costs from a caller that has them: ``exactopt`` builds
+the L1 program, both forms, once per n.
+
+The exact engine keeps only the basis (revised form): each step takes the
 reduced costs from the dual system B^T y = c_B and the ratio test from
 B [x_B | d] = [b | a_e].
 ``solve_lp`` re-solves the float basis exactly and checks it
 (``certify_basis``); a basis that is feasible but not optimal is pivoted on
 exactly from there (``exact_resume``); anything else, including a float
-"infeasible" or a float engine that fails, is solved exactly from the
-artificial basis (``exact_solve``).  The result is an exact rational
-optimum.  An exact phase 1 that ends with a nonzero artificial raises
-SimplexError: the L1 programs always have a feasible point.  All rules are
-deterministic, so identical inputs give identical results.
+"infeasible", a float engine that fails and a program beyond float64
+range, is solved exactly from the artificial basis (``exact_solve``).  The
+result is an exact rational optimum.  An exact phase 1 that ends with a
+nonzero artificial raises SimplexError: the L1 programs always have a
+feasible point.  All rules are deterministic, so identical inputs give
+identical results.
 
 Every exact solve of a linear system (the primal and dual basis systems
 here, and the L0 support systems of ``exactopt``) runs through
@@ -79,6 +88,13 @@ class _Tableau:
     rule: Dantzig's rule there was faster again, but on the benchmark's 72
     L1 programs it ended on denser optimal vertices (1,034 emitted rows
     against 828).
+
+    The basis is an int array updated in place, so c_B is one fancy index.
+    Reduced costs are recomputed as c - c_B T each iteration rather than
+    carried as an updated row, which would round differently.  The ratio
+    test is a Python loop over the column's floats (see the module
+    docstring): a vectorized version (flatnonzero, min, then the lowest
+    basis index among ties) was slower on the 28-row L1 tableaux.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
@@ -86,13 +102,13 @@ class _Tableau:
         signs = np.where(b >= 0, 1.0, -1.0)
         self.T = np.hstack([a * signs[:, None], np.eye(self.m)])
         self.xB = np.abs(b)
-        self.basis = list(range(self.ns, self.ns + self.m))
+        self.basis = np.arange(self.ns, self.ns + self.m)
 
     def phase_one(self) -> bool:
         """Minimize the artificials' sum; True when it ends at 0 (within tol)."""
         scale = max(1.0, float(self.xB.sum()))
         self._run(np.r_[np.zeros(self.ns), np.ones(self.m)], dantzig=True)
-        infeasibility = sum(self.xB[r] for r in range(self.m) if self.basis[r] >= self.ns)
+        infeasibility = sum(self.xB[self.basis >= self.ns].tolist())
         return infeasibility <= FLOAT_TOL * scale
 
     def phase_two(self, c: np.ndarray):
@@ -105,14 +121,15 @@ class _Tableau:
         """Pivot until no column of T has a reduced cost below -FLOAT_TOL;
         cost covers the artificials too, which may be basic."""
         width = self.T.shape[1]
+        basis = self.basis
         stalled = 0
         for _ in range(_MAX_ITERS):
-            red = cost[:width] - cost[self.basis] @ self.T
-            red[[j for j in self.basis if j < width]] = 0
-            entering = np.flatnonzero(red < -FLOAT_TOL)
+            red = cost[:width] - cost[basis] @ self.T
+            red[basis[basis < width]] = 0
+            entering = (red < -FLOAT_TOL).nonzero()[0]
             if entering.size == 0:
                 return
-            e = int(np.argmin(red)) if dantzig and stalled < self.m else int(entering[0])
+            e = int(red.argmin()) if dantzig and stalled < self.m else int(entering[0])
             stalled = stalled + 1 if self._pivot(e) <= FLOAT_TOL else 0
         raise SimplexError("iteration limit exceeded")
 
@@ -120,16 +137,16 @@ class _Tableau:
         """Enter column e and return the step it moves."""
         d = self.T[:, e]
         width = self.T.shape[1]
+        basis = self.basis.tolist()
         block, step = -1, None
-        for r in range(self.m):
+        for r, (dr, x, j) in enumerate(zip(d.tolist(), self.xB.tolist(), basis)):
             # x_B[r] falls as x_e rises when d[r] > 0; an artificial whose
             # column phase 2 dropped is fixed at 0 and must not rise either
-            fixed = self.basis[r] >= width
-            if not (d[r] > _PIVOT_EPS or (fixed and d[r] < -_PIVOT_EPS)):
+            if not (dr > _PIVOT_EPS or (j >= width and dr < -_PIVOT_EPS)):
                 continue
-            limit = self.xB[r] / d[r]
+            limit = x / dr
             if block < 0 or limit < step - FLOAT_TOL or (
-                limit <= step + FLOAT_TOL and self.basis[r] < self.basis[block]
+                limit <= step + FLOAT_TOL and j < basis[block]
             ):
                 block, step = r, limit
         if block < 0:
@@ -159,7 +176,7 @@ def float_solve(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> list[int] | N
         tab.phase_two(np.asarray(cost, dtype=float))
     except SimplexError:
         return None
-    return list(tab.basis)
+    return tab.basis.tolist()
 
 
 def _scaled(b) -> list[int]:
@@ -313,19 +330,25 @@ def exact_solve(a_rows, b, c) -> LPResult:
     return LPResult(_objective(c, x), x)
 
 
-def solve_lp(a_rows, b, c) -> LPResult:
+def solve_lp(a_rows, b, c, floats=None) -> LPResult:
     """Solve min c.x s.t. a_rows x = b, x >= 0, exactly.
 
-    a_rows (at least one row), b and c hold Fractions or ints.  The float
-    engine's basis is certified with ``certify_basis``; a basis that is
-    primal feasible but not optimal is resumed with ``exact_resume``.
+    a_rows (at least one row), b and c hold Fractions or ints.  floats, when
+    given, holds a_rows and c as float64 arrays, so that a caller solving
+    many programs with the same rows and costs converts them once.  The
+    float engine's basis is certified with ``certify_basis``; a basis that
+    is primal feasible but not optimal is resumed with ``exact_resume``.
     Whatever cannot be certified or resumed, and every float "infeasible"
-    or failure, is solved from scratch by ``exact_solve``.
+    or failure, is solved from scratch by ``exact_solve``; so is a program
+    with an entry beyond float64 range, which the float engine cannot hold.
     """
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
-    basis = float_solve(np.array([[float(v) for v in row] for row in a_rows]),
-                        np.array([float(v) for v in b]), np.array([float(v) for v in c]))
+    try:
+        b_float = np.array(b, dtype=float)
+        a_float, c_float = floats or (np.array(a_rows, dtype=float), np.array(c, dtype=float))
+    except OverflowError:
+        basis = None
+    else:
+        basis = float_solve(a_float, b_float, c_float)
     if basis is not None:
         cert = certify_basis(a_rows, b, c, basis)
         if cert == "resume":

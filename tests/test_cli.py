@@ -305,6 +305,37 @@ def test_a_directory_for_an_input_file_exits_1_with_one_line(tmp_path, capsys, a
 
 
 @pytest.mark.parametrize("argv", [
+    ["optimize", "{graph}"],
+    ["simulate", "{graph}", "--compilation", "cx", "--optimize", "--grid-res", "8"],
+    ["simulate", "{graph}", "--pulse", "{pulse}", "--gamma", "0.1"],
+], ids=["optimize", "simulate-optimize", "simulate-gamma"])
+def test_a_weight_beyond_float_range_exits_1_with_one_line(tmp_path, capsys, argv):
+    """The L0 search and the simulator run in float64, which cannot hold a
+    weight of 1e400; the exact L1 solve can, and its sequence is the pulse."""
+    graph = tmp_path / "g.txt"
+    graph.write_text("n 3\n0 1 1e400\n1 2\n")
+    paths = {"graph": str(graph), "pulse": str(tmp_path / "p.json")}
+    code, stdout, _ = run(["optimize", paths["graph"], "--objective", "l1",
+                           "--out", paths["pulse"]], capsys)
+    assert code == cli.EXIT_OK
+    assert stdout.startswith(f"objective={10**400} kind=l1 status=optimal ")
+    code, stdout, err = run([arg.format(**paths) for arg in argv], capsys)
+    assert code == cli.EXIT_FAILURE and stdout == ""
+    assert err.startswith("error: ") and "float64 range" in err and err.count("\n") == 1
+
+
+def test_max_cut_is_exact_beyond_int64(tmp_path, capsys):
+    """Cut sums of 1e30 overflow int64; the Max-Cut value stays exact and
+    the simulation runs."""
+    graph = tmp_path / "g.txt"
+    graph.write_text("n 3\n0 1 1e30\n1 2\n")
+    assert qaoa.maxcut_brute_force(parse_edge_list(graph.read_text())) == 10**30 + 1
+    code, stdout, _ = run(["simulate", str(graph), "--compilation", "cx", "--optimize",
+                           "--grid-res", "8"], capsys)
+    assert code == cli.EXIT_OK and "ratio=" in stdout
+
+
+@pytest.mark.parametrize("argv", [
     ["gen", "4", "0.5", "--out", "{missing}"],
     ["compile", "{graph}", "--out", "{missing}"],
     ["optimize", "{graph}", "--objective", "l1", "--out", "{missing}"],

@@ -23,7 +23,7 @@ from isingcoupler import (
 )
 from isingcoupler.exactopt import (
     INCUMBENT_TIMEOUT, OPTIMAL, _char_poly, _cut_columns, _default_incumbent, _eliminate,
-    _lower_bound, _nullspace, _scaled, _search_supports, _symmetries,
+    _l1_program, _lower_bound, _nullspace, _scaled, _search_supports, _symmetries,
 )
 from isingcoupler.graphs import couplings, relabelings
 from isingcoupler.pulses import PulseSequence, canonicalize
@@ -335,6 +335,29 @@ def test_cut_columns_are_cached_read_only_and_shared_by_both_solvers():
     assert cols is _cut_columns(5) and all(type(v) is tuple for v in cols.values())
     with pytest.raises(TypeError):
         cols[0] = (0,) * 10
+
+
+def test_l1_program_is_cached_read_only_and_shared_across_graphs():
+    """solve_l1 at n = 6, 7, 8, alternated with solve_l0 at the same n,
+    gives what solves on a freshly built program give, and no caller can
+    change the cached rows, costs or float arrays."""
+    graphs = [g for n in (6, 7, 8) for g in (
+        random_er_graph(n, 0.5, (), 2), random_er_graph(n, 0.5, (1, 2, 3), 2),
+        Graph.unweighted(n, [(0, 1), (1, 2)]))]
+    fresh = []
+    for g in graphs:
+        _l1_program.cache_clear()
+        _cut_columns.cache_clear()
+        fresh.append(outcome(solve_l1(g) if g.m > 2 else solve_l0(g)))
+    assert [outcome(solve_l1(g) if g.m > 2 else solve_l0(g)) for g in graphs] == fresh
+    for n in (6, 7, 8):
+        rows, costs, floats = _l1_program(n)
+        assert _l1_program(n)[2] is floats
+        assert type(rows) is type(costs) is tuple and all(type(row) is tuple for row in rows)
+        assert np.array_equal(floats[0], rows) and np.array_equal(floats[1], costs)
+        for array in floats:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
 
 @pytest.mark.parametrize("solve", [solve_l0, solve_l1])

@@ -1,10 +1,11 @@
 """simplex on bounds-free LPs: solve_lp's staging of the float basis on the
 branches the float engine rarely reaches (resume from a non-optimal basis, a
-singular basis, an untrusted float "infeasible"), the exact engine (revised
-Bland pivoting on integer solves) and the float tableau against scipy's
-HiGHS, the exact engine on real L1 cut-matrix LPs with pinned optimal
-vertices, and the integer eliminator and certify_basis against Fraction
-elimination."""
+singular basis, an untrusted float "infeasible", a target beyond float64
+range), the exact engine (revised Bland pivoting on integer solves) and the
+float tableau against scipy's HiGHS, the float tableau's bases against a
+plain reference copy of its pivot rules, the exact engine on real L1
+cut-matrix LPs with pinned optimal vertices, and the integer eliminator and
+certify_basis against Fraction elimination."""
 
 import itertools
 import random
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from isingcoupler import random_er_graph, simplex, verify
-from isingcoupler.exactopt import _cut_columns, solve_l1
+from isingcoupler import parse_edge_list, random_er_graph, simplex, verify
+from isingcoupler.exactopt import _cut_columns, _l1_program, solve_l1
 from isingcoupler.graphs import couplings
 from isingcoupler.simplex import SimplexError, certify_basis, exact_solve, float_solve, solve_lp
 
@@ -121,6 +122,15 @@ def test_float_engine_failure_hands_over_no_basis():
     assert float_basis_of(a_rows, b, c) is None
     with pytest.raises(SimplexError, match="unbounded"):
         solve_lp(a_rows, b, c)
+
+
+def test_a_target_beyond_float_range_is_solved_exactly(log):
+    """float64 cannot hold b = (1e400, 0, 1), so the float engine cannot
+    run and exact_solve solves the L1 program from scratch."""
+    g = parse_edge_list("n 3\n0 1 1e400\n1 2\n")
+    res = solve_l1(g)
+    assert [name for name, _ in log] == ["exact_solve"]
+    assert res.objective == 10**400 and verify(res.sequence, g)
 
 
 def test_ratio_ties_leave_by_the_lowest_basis_index():
@@ -261,6 +271,103 @@ def test_exact_engines_match_highs_on_random_feasible_lps(seed):
         assert all(v >= 0 for v in res.x)
         assert [sum(a * x for a, x in zip(row, res.x)) for row in a_rows] == b
         assert sum(cj * xj for cj, xj in zip(c, res.x)) == res.objective
+
+
+class ReferenceTableau:
+    """The pivot rules of ``simplex._Tableau`` in their plain form, with a
+    basis list and a ratio test on numpy scalars: Dantzig's rule in phase 1
+    with the fall-back to Bland's after m degenerate pivots, Bland's rule
+    in phase 2, and ratio ties leaving by the lowest basis index."""
+
+    def __init__(self, a, b):
+        self.m, self.ns = a.shape
+        signs = np.where(b >= 0, 1.0, -1.0)
+        self.T = np.hstack([a * signs[:, None], np.eye(self.m)])
+        self.xB = np.abs(b)
+        self.basis = list(range(self.ns, self.ns + self.m))
+
+    def phase_one(self):
+        scale = max(1.0, float(self.xB.sum()))
+        self.run(np.r_[np.zeros(self.ns), np.ones(self.m)], dantzig=True)
+        infeasibility = sum(self.xB[r] for r in range(self.m) if self.basis[r] >= self.ns)
+        return infeasibility <= simplex.FLOAT_TOL * scale
+
+    def phase_two(self, c):
+        self.T = self.T[:, :self.ns].copy()
+        self.run(np.concatenate([c, np.zeros(self.m)]), dantzig=False)
+
+    def run(self, cost, dantzig):
+        width = self.T.shape[1]
+        stalled = 0
+        for _ in range(simplex._MAX_ITERS):
+            red = cost[:width] - cost[self.basis] @ self.T
+            red[[j for j in self.basis if j < width]] = 0
+            entering = np.flatnonzero(red < -simplex.FLOAT_TOL)
+            if entering.size == 0:
+                return
+            e = int(np.argmin(red)) if dantzig and stalled < self.m else int(entering[0])
+            stalled = stalled + 1 if self.pivot(e) <= simplex.FLOAT_TOL else 0
+        raise SimplexError("iteration limit exceeded")
+
+    def pivot(self, e):
+        d = self.T[:, e]
+        width = self.T.shape[1]
+        block, step = -1, None
+        for r in range(self.m):
+            fixed = self.basis[r] >= width
+            if not (d[r] > simplex._PIVOT_EPS or (fixed and d[r] < -simplex._PIVOT_EPS)):
+                continue
+            limit = self.xB[r] / d[r]
+            if block < 0 or limit < step - simplex.FLOAT_TOL or (
+                limit <= step + simplex.FLOAT_TOL and self.basis[r] < self.basis[block]
+            ):
+                block, step = r, limit
+        if block < 0:
+            raise SimplexError("LP is unbounded")
+        step = max(step, 0.0)
+        self.xB -= step * d
+        self.xB[block] = step
+        self.basis[block] = e
+        self.T[block] /= d[block]
+        col = self.T[:, e].copy()
+        col[block] = 0
+        self.T -= np.outer(col, self.T[block])
+        return step
+
+
+def reference_float_solve(a, b, c):
+    tab = ReferenceTableau(a, b)
+    try:
+        if not tab.phase_one():
+            return None
+        tab.phase_two(c)
+    except SimplexError:
+        return None
+    return [int(j) for j in tab.basis]
+
+
+def float_programs():
+    """(a, b, c) in float64: the 45 L1 programs of
+    test_float_basis_of_an_l1_program_certifies_as_optimal, the stalled
+    ER(6, 0.5) seed-24 program and the 40 random feasible LPs."""
+    graphs = [random_er_graph(n, 0.2 + 0.15 * seed, weights, seed)
+              for weights in [(), (1, 2, 3), (1, -1)] for n in (6, 7, 8) for seed in range(5)]
+    for g in [*graphs, random_er_graph(6, 0.5, (), 24)]:
+        _, _, (a, c) = _l1_program(g.n)
+        yield a, np.array(couplings(g), dtype=float), c
+    for seed in range(40):
+        yield tuple(np.array(v, dtype=float) for v in random_feasible_lp(seed))
+
+
+def test_float_engine_hands_over_the_reference_basis():
+    """The float engine makes the reference tableau's choices bit for bit,
+    so it hands certify_basis the same phase-2 basis on every program."""
+    programs = list(float_programs())
+    assert len(programs) == 86
+    for k, program in enumerate(programs):
+        basis = float_solve(*program)
+        assert basis == reference_float_solve(*program), k
+        assert basis is not None and all(type(j) is int for j in basis), k
 
 
 def fraction_gauss_jordan(mat, rhs_cols):
