@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import shlex
 import sys
@@ -151,28 +152,27 @@ def _open_out(path):
         raise CommandError(f"cannot write {path}: {exc.strerror}")
 
 
-def _write_manifest(out_path: Path, args_ns, started: float, seed=None, overrides=None):
+def _write_manifest(out_path: Path, args_ns, seed=None, overrides=None):
     manifest = {
         "command": shlex.join(["isingcoupler", *args_ns._argv]),
         "subcommand": args_ns.command,
-        "inputs": getattr(args_ns, "_inputs", []),
+        "inputs": [args_ns.graph] if hasattr(args_ns, "graph") else [],
         "seed": seed,
         "config_overrides": overrides or {},
         "tool_version": __version__,
-        "wall_time_ms": round((time.monotonic() - started) * 1000, 3),
+        "wall_time_ms": round((time.monotonic() - args_ns._started) * 1000, 3),
     }
     _write_text(f"{out_path}.manifest.json", json.dumps(manifest, indent=2))
 
 
 def _cmd_gen(args) -> int:
-    started = time.monotonic()
     weights = ([_number(Fraction, "--weights", w) for w in args.weights.split(",")]
                if args.weights else [])
     g = _usage(random_er_graph, args.n, args.p, weights, args.seed)
     text = serialize_edge_list(g)
     if args.out:
         _write_text(args.out, text)
-        _write_manifest(Path(args.out), args, started, seed=args.seed)
+        _write_manifest(Path(args.out), args, seed=args.seed)
         print(f"wrote {args.out} (n={g.n}, m={g.m})")
     else:
         sys.stdout.write(text)
@@ -180,9 +180,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    started = time.monotonic()
     g = _load_graph(args.graph)
-    args._inputs = [args.graph]
     if args.method == "stars":
         if g.m > 0 and g.uniform_weight() is None:
             raise CommandError("method requires unweighted (uniform-weight) graph")
@@ -195,7 +193,7 @@ def _cmd_compile(args) -> int:
         raise CommandError("internal error: compiled sequence failed verification")
     if args.out:
         _write_text(args.out, sequence_to_json(seq) + "\n")
-        _write_manifest(Path(args.out), args, started)
+        _write_manifest(Path(args.out), args)
     print(
         f"n={g.n} m={g.m} method={args.method} L0={seq.l0} L1={seq.l1} "
         f"bound={bound} verified=true"
@@ -204,10 +202,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    started = time.monotonic()
     _usage(check_time_limit, args.time_limit)
     g = _load_graph(args.graph)
-    args._inputs = [args.graph]
     if g.n > MAX_EXACT_N:
         raise CommandError(
             f"n={g.n} exceeds the exact-solve limit of {MAX_EXACT_N}; "
@@ -220,7 +216,7 @@ def _cmd_optimize(args) -> int:
         result = solve_l0(g, time_limit=args.time_limit)
     if args.out:
         _write_text(args.out, result.to_json() + "\n")
-        _write_manifest(Path(args.out), args, started)
+        _write_manifest(Path(args.out), args)
     print(
         f"objective={result.objective} kind={result.objective_kind} "
         f"status={result.status} nodes={result.nodes_explored} "
@@ -447,7 +443,6 @@ def _check_sweep_ranges(opts):
 
 
 def _cmd_sweep(args) -> int:
-    started = time.monotonic()
     cfg = parse_config(args.config)
     opts = {key: _number(kind, key, cfg[key]) if key in cfg else default
             for key, kind, default in _SWEEP_NUMBERS}
@@ -487,11 +482,12 @@ def _cmd_sweep(args) -> int:
         writer.writeheader()
         writer.writerow(first)
         writer.writerows(rows)
-    _write_manifest(out, args, started, seed=seed, overrides=cfg)
+    _write_manifest(out, args, seed=seed, overrides=cfg)
     print(f"wrote {out}")
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="isingcoupler", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -559,9 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._argv = argv  # the manifest's command replays exactly these
+    args._started = time.monotonic()
     try:
         return args.func(args)
     except CommandError as exc:

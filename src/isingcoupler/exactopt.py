@@ -312,15 +312,6 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
     return best_entries, nodes, False
 
 
-def _coupling_matrix(n: int, b_int: list[int]) -> list[list[int]]:
-    """The symmetric n x n matrix of the integer couplings b_int (given in
-    ``pair_order(n)``), with a zero diagonal."""
-    a = [[0] * n for _ in range(n)]
-    for (i, j), v in zip(pair_order(n), b_int):
-        a[i][j] = a[j][i] = v
-    return a
-
-
 def _symmetries(n: int, b) -> np.ndarray:
     """Column maps that fix the target couplings b, the identity left out.
 
@@ -416,7 +407,9 @@ def _lower_bound(n: int, b, cols, deadline):
     """
     if not any(b):
         return 0, 0, False
-    a = _coupling_matrix(n, _scaled(b))
+    a = [[0] * n for _ in range(n)]  # the integer-scaled coupling matrix
+    for (i, j), v in zip(pair_order(n), _scaled(b)):
+        a[i][j] = a[j][i] = v
     radius = max(sum(map(abs, row)) for row in a)
     if radius > MAX_SCAN_RADIUS:
         return 1, 0, False

@@ -24,7 +24,8 @@ shares every piece of work that does not depend on both angles:
   Ising phase diagonals do.  So one pass over the circuit acts on the
   (G, 2^n, 2^n) stack of all G gammas' density matrices at once; every other
   op is the same for all of them.  The stack takes O(G 4^n) memory, the same
-  order as the O(B 4^n) ``rows`` array of the B observables below.
+  order as the O(B 4^n) ``rows`` array of the B observables below.  A call
+  needing over MAX_SIMULATION_BYTES for the two is refused before either.
 - After the mixer only diag(rho) is read, and every channel there maps
   diagonals to diagonals: minor depolarizing d -> (1-r) d + r (d + d o flip_q)/2,
   the phase flip leaves d unchanged, and the measurement flip
@@ -42,8 +43,9 @@ scales rho by 1-lam and adds lam times the mean of the 2^|S| diagonal blocks
 (row bits equal column bits on S) to each of them: that is
 (1-lam) rho + lam I/2^|S| (x) tr_S rho.  Minor noise on qubit q mixes q's two
 diagonal blocks a, c into (1-r/2) a + (r/2) c and (1-r/2) c + (r/2) a and
-scales its two off-diagonal blocks by (1-r)(1-2r), in place.  Phases and
-CNOTs are a product with a diagonal on both sides and one flat gather.
+scales its two off-diagonal blocks by (1-r)(1-2r), in place.  Both
+compilations get their phases from one rule, D = exp(-i angles (x) values)
+applied as D rho D^dag, and a CNOT is one flat gather.
 
 The ms flips are not simulated as gates.  A row with flip mask m is, in
 time order, X_m then minor noise M on the qubits of m, the Ising phase D,
@@ -90,6 +92,8 @@ from .graphs import Graph
 from .pulses import PulseSequence, verify
 
 MAX_BRUTE_FORCE_N = 20
+# Safety cap on (G + B) 4^n complex entries for a G x B grid (stack plus rows)
+MAX_SIMULATION_BYTES = 1 << 30
 CX = "cx"
 MS = "ms"
 # Grid values within this fraction of max(1, C_max) of the maximum are ties:
@@ -166,11 +170,6 @@ def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _flip_perm(n: int, qubit: int) -> np.ndarray:
-    return np.arange(1 << n) ^ (1 << qubit)
-
-
-@functools.lru_cache(maxsize=None)
 def _zz_energies(n: int) -> np.ndarray:
     """sum_{i<j} z_i z_j for each basis state, z_i = +-1 from bit i."""
     idx = np.arange(1 << n)
@@ -236,8 +235,10 @@ def _apply_minor(rho: np.ndarray, qubit: int, rate: float, n: int) -> None:
     t[:, :, 1, :, :, 0] *= (1.0 - rate) * (1.0 - 2.0 * rate)
 
 
-def _apply_phases(rho: np.ndarray, d: np.ndarray) -> None:
-    """rho -> diag(d) rho diag(d)^dag in place, for each d of a (G, 2^n) stack."""
+def _apply_phases(rho: np.ndarray, angles: np.ndarray, values: np.ndarray) -> None:
+    """rho -> D rho D^dag in place for the (G, 2^n) stack of phase diagonals
+    D = exp(-i angles (x) values): row k is exp(-i angles[k] values)."""
+    d = np.exp(-1j * np.multiply.outer(angles, values))
     rho *= d[..., :, None]
     rho *= d.conj()[..., None, :]
 
@@ -264,12 +265,6 @@ def _mixer_unitary(n: int, beta: float) -> np.ndarray:
     return amplitudes[_pair_popcounts(n)]
 
 
-def _rz_diagonal(n: int, qubit: int, theta) -> np.ndarray:
-    """Diagonal of Rz(theta) on qubit; an array of angles gives one row each."""
-    signs = 1.0 - 2.0 * ((np.arange(1 << n) >> qubit) & 1)
-    return np.exp(np.multiply.outer(-1j * np.asarray(theta) / 2.0, signs))
-
-
 def _plus_states(count: int, n: int) -> np.ndarray:
     """count copies of |+...+><+...+|.  A layer makes its own, so that it
     holds the only reference and each new stack frees the one before."""
@@ -287,7 +282,8 @@ def _cx_layer(g: Graph, gammas: np.ndarray, noise: NoiseSpec):
         perm = _cnot_perm(n, u, v)
         pair_index = (perm[:, None] * dim + perm).ravel()
         rho = _apply_cnot(rho, pair_index)
-        _apply_phases(rho, _rz_diagonal(n, v, -gammas * float(z)))
+        # Rz(-gamma z) on v: the phase -gamma z / 2 times the +-1 sign of v
+        _apply_phases(rho, -gammas * float(z) / 2.0, 1.0 - 2.0 * ((np.arange(dim) >> v) & 1))
         _apply_minor(rho, v, noise.minor_rate, n)
         rho = _apply_cnot(rho, pair_index)
         rho = apply_depolarizing(rho, (u, v), pair_rate, n)
@@ -305,8 +301,7 @@ def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec):
         flipped = [q for q in range(n) if mask >> q & 1]
         for q in flipped:
             _apply_minor(rho, q, noise.minor_rate, n)
-        phis = -gammas * float(w) / 2.0
-        _apply_phases(rho, np.exp(np.multiply.outer(-1j * phis, energies[idx ^ mask])))
+        _apply_phases(rho, -gammas * float(w) / 2.0, energies[idx ^ mask])
         for q in flipped:
             _apply_minor(rho, q, noise.minor_rate, n)
     # Dep on all n qubits commutes with every op of the layer, so the L
@@ -315,30 +310,13 @@ def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec):
     return apply_depolarizing(rho, range(n), full_rate, n)
 
 
-def _cost_layer(
-    g: Graph, compilation: str, seq: PulseSequence | None, gamma, noise: NoiseSpec
-) -> np.ndarray:
-    """The noisy cost layer exp(-i gamma C') applied to |+...+><+...+|.
-
-    gamma is a float, giving one density matrix, or a 1-D array of G angles,
-    giving the (G, 2^n, 2^n) stack of their density matrices from one pass
-    over the circuit: only the Rz and Ising phases depend on gamma.
-    """
-    gammas = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if compilation == CX:
-        rho = _cx_layer(g, gammas, noise)
-    else:
-        rho = _ms_layer(seq, gammas, noise)
-    return rho[0] if np.ndim(gamma) == 0 else rho
-
-
 def _effective_cost(g: Graph, noise: NoiseSpec) -> np.ndarray:
     """c_eff = M c: the minor and measurement channels after the mixer, folded
     into the cost vector (each is symmetric on diagonals, and they commute)."""
     c = build_cost_operator(g)
     r = noise.minor_rate
     for q in range(g.n):
-        flip = _flip_perm(g.n, q)
+        flip = np.arange(1 << g.n) ^ (1 << q)
         c = (1.0 - r) * c + r * (c + c[flip]) / 2.0
         c = (1.0 - r) * c + r * c[flip]
     return c
@@ -377,6 +355,9 @@ def simulate_qaoa_p1(
         raise ValueError(f"unknown compilation {compilation!r}")
     _check_float_range(g, compilation, seq)
     n = g.n
+    if 16 * (len(gammas) + len(betas)) << (2 * n) > MAX_SIMULATION_BYTES:
+        raise ValueError(f"n={n} with {len(gammas)} gammas and {len(betas)} betas needs more "
+                         f"than the {MAX_SIMULATION_BYTES >> 30} GiB simulation limit")
     c_eff = _effective_cost(g, noise)
     # Row j holds conj(O_j) for O_j = U_j^dag diag(c_eff) U_j, so that
     # rows @ vec(rho) = <O_j, rho> = tr(diag(c_eff) U_j rho U_j^dag).
@@ -384,7 +365,7 @@ def simulate_qaoa_p1(
     for j, b in enumerate(betas):
         u = _mixer_unitary(n, b)
         rows[j] = (u.T @ (c_eff[:, None] * u.conj())).ravel()
-    rhos = _cost_layer(g, compilation, seq, gammas, noise)
+    rhos = _cx_layer(g, gammas, noise) if compilation == CX else _ms_layer(seq, gammas, noise)
     values = np.real(rhos.reshape(len(gammas), -1) @ rows.T)
     if np.ndim(gamma) == 0 and np.ndim(beta) == 0:
         return float(values[0, 0])

@@ -324,6 +324,15 @@ def test_a_weight_beyond_float_range_exits_1_with_one_line(tmp_path, capsys, arg
     assert err.startswith("error: ") and "float64 range" in err and err.count("\n") == 1
 
 
+def test_simulate_beyond_the_memory_cap_exits_1_with_one_line(tmp_path, capsys):
+    """The ms scan of a 12-vertex path on the 8-point grid takes all 8 gammas
+    (star strengths are not integers) and needs (8 + 8) * 16 * 4^12 bytes."""
+    graph = write_graph(tmp_path, Graph.unweighted(12, [(i, i + 1) for i in range(11)]))
+    code, stdout, err = run(["simulate", graph, "--optimize", "--grid-res", "8"], capsys)
+    assert code == cli.EXIT_FAILURE and stdout == ""
+    assert err.startswith("error: n=12 with 8 gammas and 8 betas ") and err.count("\n") == 1
+
+
 def test_max_cut_is_exact_beyond_int64(tmp_path, capsys):
     """Cut sums of 1e30 overflow int64; the Max-Cut value stays exact and
     the simulation runs."""
@@ -521,6 +530,24 @@ def test_manifest_command_replays_the_parsed_argv_not_the_host_argv(tmp_path, ca
     manifest = json.loads((tmp_path / "my graph.txt.manifest.json").read_text())
     assert manifest["command"] == "isingcoupler gen 5 0.5 --seed 7 --out " + shlex.quote(str(out))
     assert shlex.split(manifest["command"]) == ["isingcoupler", *argv]
+
+
+def test_the_parser_is_built_once_and_no_option_leaks_into_the_next_call(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    graph = write_graph(tmp_path, Graph.complete(4))
+    assert run(["optimize", graph, "--objective", "l1"], capsys)[1].startswith("objective=")
+    code, stdout, _ = run(["optimize", graph], capsys)
+    assert code == cli.EXIT_OK and " kind=l0 " in stdout
+    config = tmp_path / "sweep.cfg"
+    config.write_text("sweep.noise_graphs = k6\n")
+    seeds = []
+    for extra in (["--seed", "5"], []):
+        out_dir = tmp_path / f"out{len(extra)}"
+        code, _, _ = run(["sweep", "fig_noise", "--config", str(config), "--grid-res", "8",
+                          "--out-dir", str(out_dir), *extra], capsys)
+        assert code == cli.EXIT_OK
+        seeds.append(json.loads((out_dir / "fig_noise.csv.manifest.json").read_text())["seed"])
+    assert seeds == [5, 0]
 
 
 def test_random_sweep_writes_its_columns_and_manifest(tmp_path, capsys):

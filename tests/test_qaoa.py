@@ -109,7 +109,8 @@ def simulate_qaoa_p1_statevector(g, compilation, seq, gamma, beta):
         for u, v, z in g.edges:
             perm = qaoa._cnot_perm(n, u, v)
             psi = psi[perm]
-            psi = psi * qaoa._rz_diagonal(n, v, -gamma * float(z))
+            signs = 1.0 - 2.0 * ((np.arange(1 << n) >> v) & 1)
+            psi = psi * np.exp(-1j * (-gamma * float(z) / 2.0) * signs)
             psi = psi[perm]
     elif compilation == "ms":
         if seq is None or not verify(seq, g):
@@ -124,6 +125,10 @@ def simulate_qaoa_p1_statevector(g, compilation, seq, gamma, beta):
         raise ValueError(f"unknown compilation {compilation!r}")
     psi = qaoa._mixer_unitary(n, beta) @ psi
     return float(np.sum(qaoa.build_cost_operator(g) * np.abs(psi) ** 2))
+
+
+def cost_layer(g, kind, seq, gammas, noise):
+    return qaoa._cx_layer(g, gammas, noise) if kind == "cx" else qaoa._ms_layer(seq, gammas, noise)
 
 
 def is_physical_density(rho, herm_tol=1e-12, trace_tol=1e-12, eig_tol=1e-10):
@@ -157,7 +162,7 @@ def test_grid_matches_the_dense_oracle(name, g, construct, compilation):
     want = [[oracle(g, compilation, seq, gm, b, noise) for b in betas] for gm in gammas]
     np.testing.assert_allclose(grid, want, rtol=0, atol=1e-12)
     for gm in gammas:
-        assert is_physical_density(qaoa._cost_layer(g, compilation, seq, gm, noise))
+        assert is_physical_density(cost_layer(g, compilation, seq, np.array([gm]), noise)[0])
 
 
 def test_ms_rows_flipping_overlapping_qubits_match_the_dense_oracle():
@@ -179,9 +184,9 @@ def test_cost_layer_on_a_gamma_array_stacks_its_scalar_calls(compilation):
     seq = weighted_edge_by_edge(g) if compilation == "ms" else None
     noise = NoiseSpec(0.1, 0.4)
     gammas = np.array([0.0, 0.7, 2.5, 4.4])
-    stack = qaoa._cost_layer(g, compilation, seq, gammas, noise)
+    stack = cost_layer(g, compilation, seq, gammas, noise)
     assert stack.shape == (4, 16, 16)
-    want = np.array([qaoa._cost_layer(g, compilation, seq, gm, noise) for gm in gammas])
+    want = np.array([cost_layer(g, compilation, seq, np.array([gm]), noise)[0] for gm in gammas])
     np.testing.assert_allclose(stack, want, rtol=0, atol=1e-13)
 
 
@@ -249,6 +254,13 @@ def test_bad_arguments_raise():
             apply_depolarizing(random_density(3, 0), (0,), lam, 3)
     with pytest.raises(ValueError, match="out of range"):
         apply_depolarizing(random_density(3, 0), (3,), 0.1, 3)
+
+
+def test_a_grid_beyond_the_memory_cap_is_refused_before_any_allocation():
+    """One gamma and one beta at n=13 need 2 * 16 * 4^13 bytes = 2 GiB."""
+    path = Graph.unweighted(13, [(i, i + 1) for i in range(12)])
+    with pytest.raises(ValueError, match=r"n=13 with 1 gammas and 1 betas .* 1 GiB"):
+        simulate_qaoa_p1(path, "cx", None, 0.1, 0.2)
 
 
 def test_scalar_angles_give_the_one_point_grid_value():
