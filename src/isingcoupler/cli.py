@@ -4,12 +4,15 @@ Exit codes: 0 success, 1 verification/parse failure, 2 finished with an
 unproven incumbent (time limit reached), 3 usage error.  Every file-producing
 command writes a ``<output>.manifest.json`` sidecar recording the invocation,
 seed, config overrides, version, and wall time, so runs can be replayed.
+A ``--config`` file holds ``key = value`` lines; a key its command does not
+read, or one given twice, is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import shlex
@@ -82,8 +85,9 @@ def _usage(call, *args):
         raise CommandError(str(exc), EXIT_USAGE) from None
 
 
-def parse_config(path: str | None) -> dict[str, str]:
-    """key = value lines; '#' starts a comment."""
+def parse_config(path: str | None, known: tuple[str, ...]) -> dict[str, str]:
+    """key = value lines; '#' starts a comment.  A key outside known, or one
+    given twice, is a usage error."""
     if not path:
         return {}
     try:
@@ -97,21 +101,22 @@ def parse_config(path: str | None) -> dict[str, str]:
             continue
         if "=" not in line:
             raise CommandError(f"bad config line: {raw!r}", EXIT_USAGE)
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = map(str.strip, line.split("=", 1))
+        if key not in known:
+            raise CommandError(
+                f"unknown config key {key!r} (known: {', '.join(known)})", EXIT_USAGE)
+        if key in out:
+            raise CommandError(f"config key {key!r} given twice", EXIT_USAGE)
+        out[key] = value
     return out
 
 
-def _timing_from_config(cfg: dict[str, str]) -> TimingParams:
-    def get(key, default):
-        return _number(Fraction, key, cfg[key]) if key in cfg else default
+_TIMING_KEYS = tuple(f"timing.{field.name}" for field in dataclasses.fields(TimingParams))
 
-    return TimingParams(
-        t_pi_us=get("timing.t_pi_us", TimingParams().t_pi_us),
-        t_ising_per_ion_us=get(
-            "timing.t_ising_per_ion_us", TimingParams().t_ising_per_ion_us
-        ),
-    )
+
+def _timing_from_config(cfg: dict[str, str]) -> TimingParams:
+    return TimingParams(**{key.removeprefix("timing."): _number(Fraction, key, value)
+                           for key, value in cfg.items()})
 
 
 def _load_graph(path: str) -> Graph:
@@ -241,7 +246,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_cost(args) -> int:
     seq = _load_sequence(args.pulse)
-    cfg = parse_config(args.config)
+    cfg = parse_config(args.config, _TIMING_KEYS)
     params = _usage(_timing_from_config, cfg)
     total_us = estimate_time_us(seq, params)
     print(
@@ -357,22 +362,6 @@ def noise_standin_graphs() -> list[tuple[str, Graph]]:
     return [("star_k15", star), ("cycle_c6", cycle), ("k6", k6), ("two_hubs", two_hubs)]
 
 
-def _noise_graphs(cfg) -> list[tuple[str, Graph]]:
-    """The noise-sweep graphs that sweep.noise_graphs names (all by default);
-    an unknown name is a usage error."""
-    graphs = noise_standin_graphs()
-    names = cfg.get("sweep.noise_graphs")
-    if not names:
-        return graphs
-    wanted = {s.strip() for s in names.split(",")}
-    unknown = sorted(wanted - {name for name, _ in graphs})
-    if unknown:
-        raise CommandError(
-            f"sweep.noise_graphs: unknown graph {', '.join(map(repr, unknown))} (known: "
-            f"{', '.join(name for name, _ in graphs)})", EXIT_USAGE)
-    return [(name, g) for name, g in graphs if name in wanted]
-
-
 def _noise_rows(graphs, noises, grid_res):
     for name, g in graphs:
         seq = union_of_stars(g)
@@ -400,11 +389,9 @@ _SWEEP_NUMBERS = (
     ("sweep.p_count", int, 24),
     ("sweep.p_step", float, 0.04),
     ("sweep.n_max", int, 5),
-    ("sweep.seed", int, 0),
     ("sweep.workers", int, 1),
-    ("sweep.time_limit_s", float, DEFAULT_TIME_LIMIT),
-    ("sweep.grid_res", int, 32),
 )
+_SWEEP_KEYS = (*(key for key, _, _ in _SWEEP_NUMBERS), "sweep.weights")
 
 
 def _number(kind, key, text: str):
@@ -443,23 +430,17 @@ def _check_sweep_ranges(opts):
 
 
 def _cmd_sweep(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = parse_config(args.config, _SWEEP_KEYS)
     opts = {key: _number(kind, key, cfg[key]) if key in cfg else default
             for key, kind, default in _SWEEP_NUMBERS}
-    if args.time_limit is not None:
-        opts["sweep.time_limit_s"] = args.time_limit
-    if args.grid_res is not None:
-        opts["sweep.grid_res"] = args.grid_res
     _check_sweep_ranges(opts)
-    time_limit = _usage(check_time_limit, opts["sweep.time_limit_s"])
-    grid_res = _usage(check_grid_resolution, opts["sweep.grid_res"])
-    lam_text = args.lambda_grid or cfg.get("sweep.lambda_grid", "0.001,0.005,0.01")
-    noises = [_usage(NoiseSpec, _number(float, "lambda grid", x)) for x in lam_text.split(",")]
+    time_limit = _usage(check_time_limit, args.time_limit)
+    grid_res = _usage(check_grid_resolution, args.grid_res)
+    noises = [_usage(NoiseSpec, _number(float, "lambda grid", x))
+              for x in args.lambda_grid.split(",")]
     weights = _usage(check_weights, [_number(Fraction, "sweep.weights", w)
                                      for w in cfg.get("sweep.weights", "1,2,3").split(",")])
-    seed = args.seed if args.seed is not None else opts["sweep.seed"]
-    _usage(SplitMix64, seed)
-    graphs = _noise_graphs(cfg)
+    _usage(SplitMix64, args.seed)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -468,10 +449,10 @@ def _cmd_sweep(args) -> int:
     if args.kind == "fig_worstcase":
         rows = _worstcase_rows(opts["sweep.n_max"], time_limit)
     elif args.kind == "fig_noise":
-        rows = _noise_rows(graphs, noises, grid_res)
+        rows = _noise_rows(noise_standin_graphs(), noises, grid_res)
     else:
         weighted = args.kind == "fig_random_weighted"
-        rows = _random_rows(opts, weights if weighted else [], seed, time_limit)
+        rows = _random_rows(opts, weights if weighted else [], args.seed, time_limit)
     out = out_dir / f"{args.kind}.csv"
     # A generator's body runs only at the first next(), so every solve runs
     # inside the open file and an unwritable path fails before any of them.
@@ -482,7 +463,7 @@ def _cmd_sweep(args) -> int:
         writer.writeheader()
         writer.writerow(first)
         writer.writerows(rows)
-    _write_manifest(out, args, seed=seed, overrides=cfg)
+    _write_manifest(out, args, seed=args.seed, overrides=cfg)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -524,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cost", help="hardware execution-time estimate")
     p.add_argument("pulse")
-    p.add_argument("--config")
+    p.add_argument("--config", help=f"key = value file; keys: {', '.join(_TIMING_KEYS)}")
     p.set_defaults(func=_cmd_cost)
 
     p = sub.add_parser("simulate", help="noisy p=1 QAOA expectation")
@@ -543,12 +524,12 @@ def build_parser() -> argparse.ArgumentParser:
         "kind",
         choices=["fig_random_unweighted", "fig_random_weighted", "fig_worstcase", "fig_noise"],
     )
-    p.add_argument("--config")
+    p.add_argument("--config", help=f"key = value file; keys: {', '.join(_SWEEP_KEYS)}")
     p.add_argument("--out-dir", dest="out_dir", default="sweep_out")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--time-limit", dest="time_limit", type=float, default=None)
-    p.add_argument("--lambda-grid", dest="lambda_grid", default=None)
-    p.add_argument("--grid-res", dest="grid_res", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--time-limit", dest="time_limit", type=float, default=DEFAULT_TIME_LIMIT)
+    p.add_argument("--lambda-grid", dest="lambda_grid", default="0.001,0.005,0.01")
+    p.add_argument("--grid-res", dest="grid_res", type=int, default=32)
     p.set_defaults(func=_cmd_sweep)
     return parser
 

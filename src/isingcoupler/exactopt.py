@@ -440,8 +440,8 @@ def _lower_bound(n: int, b, cols, deadline):
             found, more, timed_out = _search_supports(restricted, b, rank + 1, rank, deadline,
                                                       (None,))
             nodes += more
-            if timed_out:
-                return bound, nodes, True
+            if timed_out:  # proven: c_lambda >= rank, and every later rank >= rank
+                return rank, nodes, True
             if found:
                 bound = rank
     return bound, nodes, False

@@ -413,9 +413,8 @@ def optimize_angles(
     the smallest maximizing (gamma, beta) is among those simulated.
     """
     check_grid_resolution(grid_resolution)
-    _check_float_range(g, compilation, seq)
-    cmax = float(maxcut_brute_force(g))
-    if cmax <= 0:
+    cut = maxcut_brute_force(g)
+    if cut <= 0:
         raise ValueError("graph has no positive cut; ratio undefined")
     steps = np.arange(grid_resolution)
     gammas = 2.0 * math.pi * steps / grid_resolution
@@ -423,6 +422,7 @@ def optimize_angles(
     if _periodic_layer(g, compilation, seq):
         gammas = gammas[: grid_resolution // 2 + 1]
     values = simulate_qaoa_p1(g, compilation, seq, gammas, betas, noise)
+    cmax = float(cut)  # within float64: simulate_qaoa_p1 checked the weight sum
     near_max = values >= values.max() - TIE_TOLERANCE * max(1.0, cmax)
     i, j = divmod(int(np.flatnonzero(near_max)[0]), grid_resolution)
     value = float(values[i, j])

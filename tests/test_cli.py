@@ -106,14 +106,11 @@ def test_bad_option_values_are_usage_errors(tmp_path, capsys, command, option, m
 
 
 @pytest.mark.parametrize("line, message", [
-    ("sweep.time_limit_s = 0", "time limit must be positive"),
-    ("sweep.grid_res = 4", "grid resolution must be at least 8"),
     *[(f"{key} = seven", f"{key}: not a number") for key in (
         "sweep.n", "sweep.graphs_per_p", "sweep.p_count", "sweep.p_step", "sweep.n_max",
-        "sweep.seed", "sweep.workers", "sweep.time_limit_s", "sweep.grid_res")],
+        "sweep.workers")],
     ("sweep.n = 7.5", "sweep.n: not a number"),
     ("sweep.weights = 1,two", "sweep.weights: not a number"),
-    ("sweep.lambda_grid = 0.005,abc", "lambda grid: not a number"),
     ("sweep.n_max = 6", "sweep.n_max=6 too large to enumerate (limit 5)"),
     ("sweep.n = 9", "sweep.n=9 outside [1, 8]"),
     ("sweep.n = 0", "sweep.n=0 outside [1, 8]"),
@@ -124,12 +121,15 @@ def test_bad_option_values_are_usage_errors(tmp_path, capsys, command, option, m
     ("sweep.p_count = 0", "sweep.p_count=0 must be at least 1"),
     ("sweep.graphs_per_p = -2", "sweep.graphs_per_p=-2 must be at least 1"),
     ("sweep.n_max = 2", "sweep.n_max=2 below 3"),
-    ("sweep.seed = -1", "seed -1 outside [0, 2^64)"),
-    ("sweep.seed = 18446744073709551616", "seed 18446744073709551616 outside [0, 2^64)"),
     ("sweep.workers = -3", "sweep.workers=-3 must be at least 1"),
     ("sweep.workers = 0", "sweep.workers=0 must be at least 1"),
-    ("sweep.noise_graphs = k7", "sweep.noise_graphs: unknown graph 'k7'"),
-    ("sweep.noise_graphs = k6,k7", "sweep.noise_graphs: unknown graph 'k7'"),
+    # keys that only a flag sets (--time-limit, --grid-res, --seed,
+    # --lambda-grid), and one that no sweep reads
+    *[(line, f"unknown config key {line.split()[0]!r}") for line in (
+        "sweep.time_limit_s = 0", "sweep.grid_res = 4", "sweep.seed = seven",
+        "sweep.time_limit_s = seven", "sweep.grid_res = seven", "sweep.lambda_grid = 0.005,abc",
+        "sweep.seed = -1", "sweep.seed = 18446744073709551616", "sweep.noise_graphs = k7",
+        "sweep.noise_graphs = k6,k7")],
 ])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, line, message):
     config = tmp_path / "sweep.cfg"
@@ -143,34 +143,28 @@ def test_bad_config_values_are_usage_errors(tmp_path, capsys, line, message):
 
 @pytest.mark.parametrize("kind", [
     "fig_random_unweighted", "fig_random_weighted", "fig_worstcase", "fig_noise"])
-@pytest.mark.parametrize("line, message", [
-    ("sweep.workers = -3", "sweep.workers=-3 must be at least 1"),
-    ("sweep.noise_graphs = k7", "sweep.noise_graphs: unknown graph 'k7'"),
-    ("sweep.seed = -1", "seed -1 outside [0, 2^64)"),
+@pytest.mark.parametrize("line, option, message", [
+    ("sweep.workers = -3", [], "sweep.workers=-3 must be at least 1"),
+    ("sweep.noise_graphs = k7", [], "unknown config key 'sweep.noise_graphs'"),
+    ("", ["--seed=-1"], "seed -1 outside [0, 2^64)"),
 ])
 def test_every_sweep_kind_refuses_bad_values_before_any_output(
-        tmp_path, capsys, kind, line, message):
+        tmp_path, capsys, kind, line, option, message):
     config = tmp_path / "sweep.cfg"
     config.write_text(line + "\nsweep.n = 3\nsweep.p_count = 1\nsweep.graphs_per_p = 1\n"
-                      "sweep.n_max = 3\nsweep.grid_res = 8\nsweep.lambda_grid = 0.005\n")
+                      "sweep.n_max = 3\n")
     out_dir = tmp_path / "out"
-    code, _, err = run(["sweep", kind, "--config", str(config), "--out-dir", str(out_dir)],
-                       capsys)
+    code, _, err = run(["sweep", kind, "--config", str(config), "--grid-res", "8",
+                        "--lambda-grid", "0.005", "--out-dir", str(out_dir), *option], capsys)
     assert code == cli.EXIT_USAGE and message in err
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("source", ["option", "config"])
-def test_bad_lambda_grid_is_a_usage_error_before_any_output(tmp_path, capsys, source):
+@pytest.mark.parametrize("rates", ["0.005,1.5", "-0.5"])
+def test_bad_lambda_grid_is_a_usage_error_before_any_output(tmp_path, capsys, rates):
     out_dir = tmp_path / "out"
-    argv = ["sweep", "fig_noise", "--grid-res", "8", "--out-dir", str(out_dir)]
-    if source == "option":
-        argv += ["--lambda-grid", "0.005,1.5"]
-    else:
-        config = tmp_path / "sweep.cfg"
-        config.write_text("sweep.lambda_grid = 0.005,1.5\n")
-        argv += ["--config", str(config)]
-    code, _, err = run(argv, capsys)
+    code, _, err = run(["sweep", "fig_noise", "--grid-res", "8", f"--lambda-grid={rates}",
+                        "--out-dir", str(out_dir)], capsys)
     assert code == cli.EXIT_USAGE and "major rate must be in [0, 1]" in err
     assert not out_dir.exists()
 
@@ -264,23 +258,25 @@ def test_worstcase_sweep_counts_unproven_classes(tmp_path, capsys, monkeypatch):
 
 def test_noise_sweep_writes_the_optimized_ratios(tmp_path, capsys):
     config = tmp_path / "sweep.cfg"
-    config.write_text("sweep.noise_graphs = k6\n")
+    config.write_text("sweep.workers = 1\n")
     code, _, _ = run(["sweep", "fig_noise", "--config", str(config), "--grid-res", "8",
                       "--lambda-grid", "0.005", "--out-dir", str(tmp_path)], capsys)
     assert code == cli.EXIT_OK
     with (tmp_path / "fig_noise.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["graph_id"], r["compilation"], r["lambda"]) for r in rows] == [
-        ("k6", "cx", "0.005"), ("k6", "ms", "0.005")]
+        (name, compilation, "0.005") for name, _ in cli.noise_standin_graphs()
+        for compilation in ("cx", "ms")]
     k6 = Graph.complete(6)
-    for row, seq in zip(rows, [None, union_of_stars(k6)]):
+    k6_rows = [r for r in rows if r["graph_id"] == "k6"]
+    for row, seq in zip(k6_rows, [None, union_of_stars(k6)]):
         gamma, beta, value, ratio = optimize_angles(
             k6, row["compilation"], seq, NoiseSpec(0.005), 8)
         assert (row["gamma"], row["beta"], row["expectation"], row["ratio"]) == (
             f"{gamma:.9f}", f"{beta:.9f}", f"{value:.9f}", f"{ratio:.9f}")
     manifest = json.loads((tmp_path / "fig_noise.csv.manifest.json").read_text())
     assert manifest["subcommand"] == "sweep"
-    assert manifest["config_overrides"] == {"sweep.noise_graphs": "k6"}
+    assert manifest["config_overrides"] == {"sweep.workers": "1"}
 
 
 def test_missing_graph_file_exits_1(tmp_path, capsys):
@@ -366,12 +362,12 @@ def test_an_unwritable_output_path_exits_1_with_one_line(tmp_path, capsys, argv)
 def test_a_directory_at_a_sweep_csv_path_exits_1_with_one_line(tmp_path, capsys, kind):
     config = tmp_path / "sweep.cfg"
     config.write_text("sweep.n = 3\nsweep.p_count = 1\nsweep.graphs_per_p = 1\n"
-                      "sweep.n_max = 3\nsweep.grid_res = 8\nsweep.lambda_grid = 0.005\n"
-                      "sweep.noise_graphs = star_k15\n")
+                      "sweep.n_max = 3\n")
     path = tmp_path / "out" / f"{kind}.csv"
     path.mkdir(parents=True)
-    code, stdout, err = run(["sweep", kind, "--config", str(config),
-                             "--out-dir", str(tmp_path / "out")], capsys)
+    code, stdout, err = run(["sweep", kind, "--config", str(config), "--grid-res", "8",
+                             "--lambda-grid", "0.005", "--out-dir", str(tmp_path / "out")],
+                            capsys)
     assert code == cli.EXIT_FAILURE and stdout == ""
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
     assert not list(path.iterdir())
@@ -397,10 +393,9 @@ def test_a_directory_at_the_csv_path_fails_before_any_solve(tmp_path, capsys, mo
 def test_each_sweep_csv_starts_with_its_header_line(tmp_path, capsys, kind, header):
     config = tmp_path / "sweep.cfg"
     config.write_text("sweep.n = 3\nsweep.p_count = 1\nsweep.graphs_per_p = 1\n"
-                      "sweep.n_max = 3\nsweep.grid_res = 8\nsweep.lambda_grid = 0.005\n"
-                      "sweep.noise_graphs = star_k15\n")
-    code, _, _ = run(["sweep", kind, "--config", str(config), "--out-dir", str(tmp_path)],
-                     capsys)
+                      "sweep.n_max = 3\n")
+    code, _, _ = run(["sweep", kind, "--config", str(config), "--grid-res", "8",
+                      "--lambda-grid", "0.005", "--out-dir", str(tmp_path)], capsys)
     assert code == cli.EXIT_OK
     lines = (tmp_path / f"{kind}.csv").read_bytes().splitlines(keepends=True)
     assert lines[0] == f"{header}\r\n".encode()
@@ -436,6 +431,36 @@ def test_a_zero_denominator_is_a_usage_error_with_one_line(tmp_path, capsys, com
     code, stdout, err = run(argv, capsys)
     assert code == cli.EXIT_USAGE and stdout == ""
     assert err == f"error: {key}: not a number: '1/0'\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", [
+    "fig_random_unweighted", "fig_random_weighted", "fig_worstcase", "fig_noise", "cost"])
+@pytest.mark.parametrize("case", ["unknown", "repeated", "removed"])
+def test_a_config_key_its_command_does_not_read_exits_3_with_one_line(
+        tmp_path, capsys, command, case):
+    """A typo, a key given twice, and a key that only a flag sets now (for
+    cost, the deleted timing.t_ms_us)."""
+    reader = "cost" if command == "cost" else "sweep"
+    key, text = {
+        ("sweep", "unknown"): ("sweep.n_maxx", "sweep.n_maxx = 3\n"),
+        ("sweep", "repeated"): ("sweep.n_max", "sweep.n_max = 3\nsweep.n_max = 4\n"),
+        ("sweep", "removed"): ("sweep.grid_res", "sweep.grid_res = 8\n"),
+        ("cost", "unknown"): ("timing.t_pi", "timing.t_pi = 100\n"),
+        ("cost", "repeated"): ("timing.t_pi_us", "timing.t_pi_us = 7\ntiming.t_pi_us = 8\n"),
+        ("cost", "removed"): ("timing.t_ms_us", "timing.t_ms_us = 10\n"),
+    }[reader, case]
+    known = {"cost": cli._TIMING_KEYS, "sweep": cli._SWEEP_KEYS}[reader]
+    config = tmp_path / "c.cfg"
+    config.write_text(text)
+    (tmp_path / "p.json").write_text(sequence_to_json(union_of_stars(Graph.complete(3))))
+    out_dir = tmp_path / "out"
+    argv = (["cost", str(tmp_path / "p.json")] if command == "cost"
+            else ["sweep", command, "--out-dir", str(out_dir)])
+    code, stdout, err = run([*argv, "--config", str(config)], capsys)
+    assert code == cli.EXIT_USAGE and stdout == ""
+    assert err == (f"error: config key {key!r} given twice\n" if case == "repeated" else
+                   f"error: unknown config key {key!r} (known: {', '.join(known)})\n")
     assert not out_dir.exists()
 
 
@@ -539,14 +564,15 @@ def test_the_parser_is_built_once_and_no_option_leaks_into_the_next_call(tmp_pat
     code, stdout, _ = run(["optimize", graph], capsys)
     assert code == cli.EXIT_OK and " kind=l0 " in stdout
     config = tmp_path / "sweep.cfg"
-    config.write_text("sweep.noise_graphs = k6\n")
+    config.write_text("sweep.n_max = 3\n")
     seeds = []
     for extra in (["--seed", "5"], []):
         out_dir = tmp_path / f"out{len(extra)}"
-        code, _, _ = run(["sweep", "fig_noise", "--config", str(config), "--grid-res", "8",
+        code, _, _ = run(["sweep", "fig_worstcase", "--config", str(config),
                           "--out-dir", str(out_dir), *extra], capsys)
         assert code == cli.EXIT_OK
-        seeds.append(json.loads((out_dir / "fig_noise.csv.manifest.json").read_text())["seed"])
+        manifest = (out_dir / "fig_worstcase.csv.manifest.json").read_text()
+        seeds.append(json.loads(manifest)["seed"])
     assert seeds == [5, 0]
 
 

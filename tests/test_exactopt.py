@@ -11,6 +11,7 @@ import math
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,11 +22,12 @@ from isingcoupler import (
     Graph, enumerate_labeled_graphs, random_er_graph, solve_l0, solve_l1, union_of_stars,
     verify, weighted_edge_by_edge,
 )
+from isingcoupler import exactopt
 from isingcoupler.exactopt import (
     INCUMBENT_TIMEOUT, OPTIMAL, _char_poly, _cut_columns, _default_incumbent, _eliminate,
     _l1_program, _lower_bound, _nullspace, _scaled, _search_supports, _symmetries,
 )
-from isingcoupler.graphs import couplings, relabelings
+from isingcoupler.graphs import couplings, pair_order, relabelings
 from isingcoupler.pulses import PulseSequence, canonicalize
 
 FROZEN_L0 = json.loads(
@@ -176,6 +178,29 @@ def test_lower_bound_is_tight_on_37_of_the_49_classes_up_to_n5():
 @given(weighted_graphs())
 def test_lower_bound_never_exceeds_brute_force_l0(g):
     assert lower_bound(g) <= enumerated_l0(g)
+
+
+def test_a_timed_out_restricted_search_returns_only_a_proven_bound(monkeypatch):
+    """A clock that lets the Gershgorin scan's 2R + 1 reads pass and then
+    reads past the deadline times out the first restricted-search node.
+    The bound returned then is still at most the frozen optimum."""
+    timed_out_classes = 0
+    for n in (3, 4, 5):
+        for g in enumerate_labeled_graphs(n, distinct_only=True):
+            b = couplings(g)
+            row_sums = [0] * n
+            for (i, j), v in zip(pair_order(n), _scaled(b)):
+                row_sums[i] += abs(v)
+                row_sums[j] += abs(v)
+            reads = itertools.count()
+            scan_reads = 2 * max(row_sums) + 1
+            monkeypatch.setattr(exactopt, "time", SimpleNamespace(
+                monotonic=lambda: 0.0 if next(reads) < scan_reads else 2.0))
+            bound, _, timed_out = _lower_bound(n, b, _cut_columns(n), 1.0)
+            l0 = FROZEN_L0[str(n)][",".join(f"{u}-{v}" for u, v, _ in g.edges)]
+            assert bound <= l0, g.edges
+            timed_out_classes += timed_out
+    assert timed_out_classes > 0
 
 
 def test_lower_bound_of_a_zero_target_is_zero():
