@@ -1,18 +1,17 @@
 """Command-line surface: compile, optimize, verify, cost, simulate, sweep, gen.
 
 Exit codes: 0 success, 1 verification/parse failure, 2 finished with an
-unproven incumbent (time limit reached), 3 usage error.  Every file-producing
-command writes a ``<output>.manifest.json`` sidecar recording the invocation,
-seed, config overrides, version, and wall time, so runs can be replayed.
-A ``--config`` file holds ``key = value`` lines; a key its command does not
-read, or one given twice, is a usage error.
+unproven incumbent (time limit reached), 3 usage error.  Every setting is a
+flag of the command, or sweep kind, that reads it; any other flag, and any
+abbreviated one, is a usage error.  Every file-producing command writes a
+``<output>.manifest.json`` sidecar recording the invocation, seed, version,
+and wall time; its ``command`` replays the run.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import shlex
@@ -57,7 +56,7 @@ from .qaoa import (
     simulate_qaoa_p1,
 )
 from .rng import SplitMix64
-from .timing import TimingParams, estimate_time_us
+from .timing import DEFAULT_T_ISING_PER_ION_US, DEFAULT_T_PI_US, TimingParams, estimate_time_us
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -66,6 +65,10 @@ EXIT_USAGE = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # an abbreviation would be a second spelling of a flag
+        super().__init__(allow_abbrev=False,
+                         formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+
     def error(self, message):  # argparse default exits 2; the contract says 3
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
@@ -85,38 +88,17 @@ def _usage(call, *args):
         raise CommandError(str(exc), EXIT_USAGE) from None
 
 
-def parse_config(path: str | None, known: tuple[str, ...]) -> dict[str, str]:
-    """key = value lines; '#' starts a comment.  A key outside known, or one
-    given twice, is a usage error."""
-    if not path:
-        return {}
+def _number(kind, flag, text):
+    """text as a kind (int, float or Fraction); anything else is a usage error."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CommandError(f"cannot read config file {path}: {exc.strerror}")
-    out = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CommandError(f"bad config line: {raw!r}", EXIT_USAGE)
-        key, value = map(str.strip, line.split("=", 1))
-        if key not in known:
-            raise CommandError(
-                f"unknown config key {key!r} (known: {', '.join(known)})", EXIT_USAGE)
-        if key in out:
-            raise CommandError(f"config key {key!r} given twice", EXIT_USAGE)
-        out[key] = value
-    return out
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise CommandError(f"{flag}: not a number: {text!r}", EXIT_USAGE) from None
 
 
-_TIMING_KEYS = tuple(f"timing.{field.name}" for field in dataclasses.fields(TimingParams))
-
-
-def _timing_from_config(cfg: dict[str, str]) -> TimingParams:
-    return TimingParams(**{key.removeprefix("timing."): _number(Fraction, key, value)
-                           for key, value in cfg.items()})
+def _weights(text: str) -> list[Fraction]:
+    """The comma list of a --weights flag."""
+    return [_number(Fraction, "--weights", w) for w in text.split(",")]
 
 
 def _load_graph(path: str) -> Graph:
@@ -157,13 +139,12 @@ def _open_out(path):
         raise CommandError(f"cannot write {path}: {exc.strerror}")
 
 
-def _write_manifest(out_path: Path, args_ns, seed=None, overrides=None):
+def _write_manifest(out_path: Path, args_ns):
     manifest = {
         "command": shlex.join(["isingcoupler", *args_ns._argv]),
         "subcommand": args_ns.command,
         "inputs": [args_ns.graph] if hasattr(args_ns, "graph") else [],
-        "seed": seed,
-        "config_overrides": overrides or {},
+        "seed": getattr(args_ns, "seed", None),
         "tool_version": __version__,
         "wall_time_ms": round((time.monotonic() - args_ns._started) * 1000, 3),
     }
@@ -171,13 +152,12 @@ def _write_manifest(out_path: Path, args_ns, seed=None, overrides=None):
 
 
 def _cmd_gen(args) -> int:
-    weights = ([_number(Fraction, "--weights", w) for w in args.weights.split(",")]
-               if args.weights else [])
+    weights = _weights(args.weights) if args.weights else []
     g = _usage(random_er_graph, args.n, args.p, weights, args.seed)
     text = serialize_edge_list(g)
     if args.out:
         _write_text(args.out, text)
-        _write_manifest(Path(args.out), args, seed=args.seed)
+        _write_manifest(Path(args.out), args)
         print(f"wrote {args.out} (n={g.n}, m={g.m})")
     else:
         sys.stdout.write(text)
@@ -245,9 +225,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cost(args) -> int:
+    params = _usage(TimingParams, _number(Fraction, "--t-pi-us", args.t_pi_us),
+                    _number(Fraction, "--t-ising-per-ion-us", args.t_ising_per_ion_us))
     seq = _load_sequence(args.pulse)
-    cfg = parse_config(args.config, _TIMING_KEYS)
-    params = _usage(_timing_from_config, cfg)
     total_us = estimate_time_us(seq, params)
     print(
         f"n={seq.n} L0={seq.l0} L1={seq.l1} t_pi_us={params.t_pi_us} "
@@ -273,6 +253,8 @@ def _cmd_simulate(args) -> int:
     _usage(check_grid_resolution, args.grid_res)
     noise = _usage(NoiseSpec, args.noise_lambda)
     _usage(check_angles, [args.gamma, args.beta])
+    if args.pulse and args.compilation == CX:
+        raise CommandError("--pulse is read only by --compilation ms", EXIT_USAGE)
     g = _load_graph(args.graph)
     seq = None
     if args.compilation == MS:
@@ -319,17 +301,15 @@ def _random_sweep_instance(task):
     }
 
 
-def _random_rows(opts, weights, seed, time_limit):
-    n, per_p = opts["sweep.n"], opts["sweep.graphs_per_p"]
-    p_count, p_step = opts["sweep.p_count"], opts["sweep.p_step"]
-    workers = opts["sweep.workers"]
-    rng = SplitMix64(seed)
+def _random_rows(args, weights):
+    rng = SplitMix64(args.seed)
     tasks = []
-    for ip in range(1, p_count + 1):
-        for _ in range(per_p):
-            tasks.append((n, p_step * ip, tuple(weights), rng.next_u64(), time_limit))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    for ip in range(1, args.p_count + 1):
+        for _ in range(args.graphs_per_p):
+            tasks.append((args.n, args.p_step * ip, tuple(weights), rng.next_u64(),
+                          args.time_limit))
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_random_sweep_instance, tasks))
     else:
         rows = map(_random_sweep_instance, tasks)
@@ -382,88 +362,64 @@ def _noise_rows(graphs, noises, grid_res):
                 }
 
 
-# numeric --config keys of sweep: (key, type, default)
-_SWEEP_NUMBERS = (
-    ("sweep.n", int, 7),
-    ("sweep.graphs_per_p", int, 4),
-    ("sweep.p_count", int, 24),
-    ("sweep.p_step", float, 0.04),
-    ("sweep.n_max", int, 5),
-    ("sweep.workers", int, 1),
-)
-_SWEEP_KEYS = (*(key for key, _, _ in _SWEEP_NUMBERS), "sweep.weights")
-
-
-def _number(kind, key, text: str):
-    """text as a kind (int, float or Fraction); anything else is a usage error."""
-    try:
-        return kind(text)
-    except (ValueError, ZeroDivisionError):
-        raise CommandError(f"{key}: not a number: {text!r}", EXIT_USAGE) from None
-
-
-def _check_sweep_ranges(opts):
-    """Reject sizes and edge probabilities the sweeps cannot run, before any
-    output is written."""
-    n, n_max = opts["sweep.n"], opts["sweep.n_max"]
-    if not 1 <= n <= MAX_EXACT_N:
-        raise CommandError(f"sweep.n={n} outside [1, {MAX_EXACT_N}]", EXIT_USAGE)
-    for key in ("sweep.graphs_per_p", "sweep.p_count", "sweep.workers"):
-        if opts[key] < 1:
-            raise CommandError(f"{key}={opts[key]} must be at least 1", EXIT_USAGE)
-    if n_max < 3:
-        raise CommandError(
-            f"sweep.n_max={n_max} below 3, the smallest size fig_worstcase covers",
-            EXIT_USAGE,
-        )
-    if n_max > MAX_ENUMERATION_N:
-        raise CommandError(
-            f"sweep.n_max={n_max} too large to enumerate (limit {MAX_ENUMERATION_N})",
-            EXIT_USAGE,
-        )
-    for k in range(1, opts["sweep.p_count"] + 1):
-        p = opts["sweep.p_step"] * k
+def _check_random_ranges(args):
+    """Reject sizes, counts and edge probabilities a random sweep cannot run."""
+    if not 1 <= args.n <= MAX_EXACT_N:
+        raise CommandError(f"--n={args.n} outside [1, {MAX_EXACT_N}]", EXIT_USAGE)
+    for flag, value in (("--graphs-per-p", args.graphs_per_p), ("--p-count", args.p_count),
+                        ("--workers", args.workers)):
+        if value < 1:
+            raise CommandError(f"{flag}={value} must be at least 1", EXIT_USAGE)
+    for k in range(1, args.p_count + 1):
+        p = args.p_step * k
         if not 0.0 <= p <= 1.0:
             raise CommandError(
-                f"edge probability {p} (sweep.p_step * {k}) outside [0, 1]", EXIT_USAGE
+                f"edge probability {p} (--p-step * {k}) outside [0, 1]", EXIT_USAGE
             )
 
 
 def _cmd_sweep(args) -> int:
-    cfg = parse_config(args.config, _SWEEP_KEYS)
-    opts = {key: _number(kind, key, cfg[key]) if key in cfg else default
-            for key, kind, default in _SWEEP_NUMBERS}
-    _check_sweep_ranges(opts)
-    time_limit = _usage(check_time_limit, args.time_limit)
-    grid_res = _usage(check_grid_resolution, args.grid_res)
-    noises = [_usage(NoiseSpec, _number(float, "lambda grid", x))
-              for x in args.lambda_grid.split(",")]
-    weights = _usage(check_weights, [_number(Fraction, "sweep.weights", w)
-                                     for w in cfg.get("sweep.weights", "1,2,3").split(",")])
-    _usage(SplitMix64, args.seed)
+    # Each branch checks the values its kind reads, before out_dir is made.
+    # A generator's body runs only at the first next(), so every solve runs
+    # inside the open file and an unwritable path fails before any of them.
+    # The checks reject every empty grid, so there is a first row.
+    if args.kind == "fig_worstcase":
+        if args.n_max < 3:
+            raise CommandError(
+                f"--n-max={args.n_max} below 3, the smallest size fig_worstcase covers",
+                EXIT_USAGE,
+            )
+        if args.n_max > MAX_ENUMERATION_N:
+            raise CommandError(
+                f"--n-max={args.n_max} too large to enumerate (limit {MAX_ENUMERATION_N})",
+                EXIT_USAGE,
+            )
+        rows = _worstcase_rows(args.n_max, _usage(check_time_limit, args.time_limit))
+    elif args.kind == "fig_noise":
+        grid_res = _usage(check_grid_resolution, args.grid_res)
+        noises = [_usage(NoiseSpec, _number(float, "--lambda-grid", x))
+                  for x in args.lambda_grid.split(",")]
+        rows = _noise_rows(noise_standin_graphs(), noises, grid_res)
+    else:
+        _check_random_ranges(args)
+        _usage(check_time_limit, args.time_limit)
+        weighted = args.kind == "fig_random_weighted"
+        weights = _usage(check_weights, _weights(args.weights)) if weighted else []
+        _usage(SplitMix64, args.seed)
+        rows = _random_rows(args, weights)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CommandError(f"cannot write {out_dir}: {exc.strerror}")
-    if args.kind == "fig_worstcase":
-        rows = _worstcase_rows(opts["sweep.n_max"], time_limit)
-    elif args.kind == "fig_noise":
-        rows = _noise_rows(noise_standin_graphs(), noises, grid_res)
-    else:
-        weighted = args.kind == "fig_random_weighted"
-        rows = _random_rows(opts, weights if weighted else [], args.seed, time_limit)
     out = out_dir / f"{args.kind}.csv"
-    # A generator's body runs only at the first next(), so every solve runs
-    # inside the open file and an unwritable path fails before any of them.
-    # The checks above reject every empty grid, so there is a first row.
     with _open_out(out) as fh:
         first = next(rows)
         writer = csv.DictWriter(fh, fieldnames=list(first))
         writer.writeheader()
         writer.writerow(first)
         writer.writerows(rows)
-    _write_manifest(out, args, seed=args.seed, overrides=cfg)
+    _write_manifest(out, args)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -474,10 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a random graph", parents=[])
+    p = sub.add_parser("gen", help="generate a random graph")
     p.add_argument("n", type=int)
     p.add_argument("p", type=float)
-    p.add_argument("--weights", default="", help="comma list, e.g. 1,2,3")
+    p.add_argument("--weights", default="", help="comma list, e.g. 1,2,3; empty for unweighted")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
@@ -491,10 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="exact L0/L1 minimization")
     p.add_argument("graph")
     p.add_argument("--objective", choices=["l0", "l1"], default="l0")
-    p.add_argument(
-        "--time-limit", dest="time_limit", type=float, default=DEFAULT_TIME_LIMIT,
-        help="seconds for the L0 search (default %(default)s); an L1 solve has no limit",
-    )
+    p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
+                   help="seconds for the L0 search; an L1 solve has no limit")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_optimize)
 
@@ -505,32 +459,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cost", help="hardware execution-time estimate")
     p.add_argument("pulse")
-    p.add_argument("--config", help=f"key = value file; keys: {', '.join(_TIMING_KEYS)}")
+    p.add_argument("--t-pi-us", default=DEFAULT_T_PI_US, help="microseconds per flip round")
+    p.add_argument("--t-ising-per-ion-us", default=DEFAULT_T_ISING_PER_ION_US,
+                   help="microseconds per unit of Ising strength per ion")
     p.set_defaults(func=_cmd_cost)
 
     p = sub.add_parser("simulate", help="noisy p=1 QAOA expectation")
     p.add_argument("graph")
     p.add_argument("--compilation", choices=[CX, MS], default=MS)
-    p.add_argument("--pulse")
+    p.add_argument("--pulse", help="ms pulse sequence (default: union of stars)")
     p.add_argument("--lambda", dest="noise_lambda", type=float, default=0.0)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--grid-res", dest="grid_res", type=int, default=32)
+    p.add_argument("--grid-res", type=int, default=32)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="experiment sweeps emitting CSV")
-    p.add_argument(
-        "kind",
-        choices=["fig_random_unweighted", "fig_random_weighted", "fig_worstcase", "fig_noise"],
-    )
-    p.add_argument("--config", help=f"key = value file; keys: {', '.join(_SWEEP_KEYS)}")
-    p.add_argument("--out-dir", dest="out_dir", default="sweep_out")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--time-limit", dest="time_limit", type=float, default=DEFAULT_TIME_LIMIT)
-    p.add_argument("--lambda-grid", dest="lambda_grid", default="0.001,0.005,0.01")
-    p.add_argument("--grid-res", dest="grid_res", type=int, default=32)
-    p.set_defaults(func=_cmd_sweep)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    unweighted = kinds.add_parser("fig_random_unweighted", help="random graphs: stars vs optima")
+    weighted = kinds.add_parser("fig_random_weighted", help="weighted graphs: edges vs optima")
+    worstcase = kinds.add_parser("fig_worstcase", help="largest optimal L0 over all graph classes")
+    noise = kinds.add_parser("fig_noise", help="optimized noisy QAOA, cx vs ms")
+    for p in (unweighted, weighted, worstcase, noise):
+        p.add_argument("--out-dir", default="sweep_out", help="directory for <kind>.csv")
+        p.set_defaults(func=_cmd_sweep)
+    for p in (unweighted, weighted, worstcase):
+        p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
+                       help="seconds per L0 solve")
+    for p in (unweighted, weighted):
+        p.add_argument("--n", type=int, default=7, help="vertices per graph")
+        p.add_argument("--graphs-per-p", type=int, default=4, help="graphs per edge probability")
+        p.add_argument("--p-count", type=int, default=24, help="edge probabilities per sweep")
+        p.add_argument("--p-step", type=float, default=0.04, help="edge probability step")
+        p.add_argument("--workers", type=int, default=1, help="solver processes")
+        p.add_argument("--seed", type=int, default=0, help="draws the seed of each graph")
+    weighted.add_argument("--weights", default="1,2,3", help="comma list of edge weights")
+    worstcase.add_argument("--n-max", type=int, default=5, help="covers n = 3..n-max")
+    noise.add_argument("--lambda-grid", default="0.001,0.005,0.01",
+                       help="comma list of major depolarizing rates")
+    noise.add_argument("--grid-res", type=int, default=32, help="points per angle in the scan")
     return parser
 
 

@@ -33,6 +33,16 @@ def write_graph(tmp_path, g, name="g.txt"):
     return str(path)
 
 
+KINDS = ["fig_random_unweighted", "fig_random_weighted", "fig_worstcase", "fig_noise"]
+# the flags that make each sweep kind small enough for a unit test
+SMALL = {
+    "fig_random_unweighted": ["--n", "3", "--p-count", "1", "--graphs-per-p", "1"],
+    "fig_random_weighted": ["--n", "3", "--p-count", "1", "--graphs-per-p", "1"],
+    "fig_worstcase": ["--n-max", "3"],
+    "fig_noise": ["--grid-res", "8", "--lambda-grid", "0.005"],
+}
+
+
 def test_time_limit_exits_2_with_a_verified_incumbent(tmp_path, capsys):
     g = random_er_graph(6, 0.5, (), 1)
     out = tmp_path / "out.json"
@@ -78,8 +88,8 @@ def test_removed_gen_json_option_is_a_usage_error(capsys):
 @pytest.mark.parametrize("command, option, message", [
     ("optimize", ["--time-limit", "0"], "time limit must be positive"),
     ("optimize", ["--time-limit", "-1"], "time limit must be positive"),
-    ("sweep", ["--time-limit", "0"], "time limit must be positive"),
-    ("sweep", ["--grid-res", "7"], "grid resolution must be at least 8"),
+    ("fig_worstcase", ["--time-limit", "0"], "time limit must be positive"),
+    ("fig_noise", ["--grid-res", "7"], "grid resolution must be at least 8"),
     ("simulate", ["--grid-res", "7"], "grid resolution must be at least 8"),
     ("simulate", ["--lambda", "1.5"], "major rate must be in [0, 1]"),
     ("simulate", ["--lambda", "nan"], "major rate must be in [0, 1]"),
@@ -92,70 +102,77 @@ def test_removed_gen_json_option_is_a_usage_error(capsys):
     ("gen", ["4", "0.5", "--seed", "18446744073709551617"],
      "seed 18446744073709551617 outside [0, 2^64)"),
     ("gen", ["4", "0.5", "--seed=-1"], "seed -1 outside [0, 2^64)"),
-    ("sweep", ["--seed", "18446744073709551616"], "seed 18446744073709551616 outside [0, 2^64)"),
-    ("sweep", ["--seed=-1"], "seed -1 outside [0, 2^64)"),
+    ("fig_random_unweighted", ["--seed", "18446744073709551616"],
+     "seed 18446744073709551616 outside [0, 2^64)"),
+    ("fig_random_unweighted", ["--seed=-1"], "seed -1 outside [0, 2^64)"),
 ])
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, command, option, message):
     argv = {"gen": ["gen"],
             "optimize": ["optimize", write_graph(tmp_path, Graph.complete(3))],
-            "sweep": ["sweep", "fig_worstcase", "--out-dir", str(tmp_path)],
             "simulate": ["simulate", write_graph(tmp_path, Graph.complete(3)), "--optimize"]}
+    argv.update({kind: ["sweep", kind, "--out-dir", str(tmp_path)] for kind in KINDS})
     code, _, err = run([*argv[command], *option], capsys)
     assert code == cli.EXIT_USAGE and message in err
-    assert not (tmp_path / "fig_worstcase.csv").exists()
+    assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("line, message", [
-    *[(f"{key} = seven", f"{key}: not a number") for key in (
-        "sweep.n", "sweep.graphs_per_p", "sweep.p_count", "sweep.p_step", "sweep.n_max",
-        "sweep.workers")],
-    ("sweep.n = 7.5", "sweep.n: not a number"),
-    ("sweep.weights = 1,two", "sweep.weights: not a number"),
-    ("sweep.n_max = 6", "sweep.n_max=6 too large to enumerate (limit 5)"),
-    ("sweep.n = 9", "sweep.n=9 outside [1, 8]"),
-    ("sweep.n = 0", "sweep.n=0 outside [1, 8]"),
-    ("sweep.p_step = 0.5\nsweep.p_count = 3", "edge probability 1.5 (sweep.p_step * 3)"),
-    ("sweep.p_step = -0.1", "edge probability -0.1 (sweep.p_step * 1)"),
-    ("sweep.p_step = nan", "edge probability nan"),
-    ("sweep.weights = 1,0", "weight_set must not contain zero"),
-    ("sweep.p_count = 0", "sweep.p_count=0 must be at least 1"),
-    ("sweep.graphs_per_p = -2", "sweep.graphs_per_p=-2 must be at least 1"),
-    ("sweep.n_max = 2", "sweep.n_max=2 below 3"),
-    ("sweep.workers = -3", "sweep.workers=-3 must be at least 1"),
-    ("sweep.workers = 0", "sweep.workers=0 must be at least 1"),
-    # keys that only a flag sets (--time-limit, --grid-res, --seed,
-    # --lambda-grid), and one that no sweep reads
-    *[(line, f"unknown config key {line.split()[0]!r}") for line in (
-        "sweep.time_limit_s = 0", "sweep.grid_res = 4", "sweep.seed = seven",
-        "sweep.time_limit_s = seven", "sweep.grid_res = seven", "sweep.lambda_grid = 0.005,abc",
-        "sweep.seed = -1", "sweep.seed = 18446744073709551616", "sweep.noise_graphs = k7",
-        "sweep.noise_graphs = k6,k7")],
+@pytest.mark.parametrize("kind, option, message", [
+    *[("fig_random_unweighted", [flag, "seven"], f"argument {flag}: invalid {type_name} value")
+      for flag, type_name in (("--n", "int"), ("--graphs-per-p", "int"), ("--p-count", "int"),
+                         ("--p-step", "float"), ("--workers", "int"))],
+    ("fig_worstcase", ["--n-max", "seven"], "argument --n-max: invalid int value"),
+    ("fig_random_unweighted", ["--n", "7.5"], "argument --n: invalid int value: '7.5'"),
+    ("fig_random_weighted", ["--weights", "1,two"], "--weights: not a number"),
+    ("fig_worstcase", ["--n-max", "6"], "--n-max=6 too large to enumerate (limit 5)"),
+    ("fig_random_unweighted", ["--n", "9"], "--n=9 outside [1, 8]"),
+    ("fig_random_unweighted", ["--n", "0"], "--n=0 outside [1, 8]"),
+    ("fig_random_unweighted", ["--p-step", "0.5", "--p-count", "3"],
+     "edge probability 1.5 (--p-step * 3)"),
+    ("fig_random_unweighted", ["--p-step=-0.1"], "edge probability -0.1 (--p-step * 1)"),
+    ("fig_random_unweighted", ["--p-step", "nan"], "edge probability nan"),
+    ("fig_random_weighted", ["--weights", "1,0"], "weight_set must not contain zero"),
+    ("fig_random_unweighted", ["--p-count", "0"], "--p-count=0 must be at least 1"),
+    ("fig_random_unweighted", ["--graphs-per-p=-2"], "--graphs-per-p=-2 must be at least 1"),
+    ("fig_worstcase", ["--n-max", "2"], "--n-max=2 below 3"),
+    ("fig_random_unweighted", ["--workers=-3"], "--workers=-3 must be at least 1"),
+    ("fig_random_unweighted", ["--workers", "0"], "--workers=0 must be at least 1"),
+    # the time limit, grid, seed and rates, each on a kind that reads it, and
+    # a flag that no sweep reads
+    ("fig_worstcase", ["--time-limit", "0"], "time limit must be positive"),
+    ("fig_noise", ["--grid-res", "4"], "grid resolution must be at least 8"),
+    ("fig_random_unweighted", ["--seed", "seven"], "argument --seed: invalid int value"),
+    ("fig_worstcase", ["--time-limit", "seven"], "argument --time-limit: invalid float value"),
+    ("fig_noise", ["--grid-res", "seven"], "argument --grid-res: invalid int value"),
+    ("fig_noise", ["--lambda-grid", "0.005,abc"], "--lambda-grid: not a number: 'abc'"),
+    ("fig_random_unweighted", ["--seed=-1"], "seed -1 outside [0, 2^64)"),
+    ("fig_random_unweighted", ["--seed", "18446744073709551616"],
+     "seed 18446744073709551616 outside [0, 2^64)"),
+    ("fig_noise", ["--noise-graphs", "k7"], "unrecognized arguments: --noise-graphs k7"),
+    ("fig_noise", ["--noise-graphs", "k6,k7"], "unrecognized arguments: --noise-graphs k6,k7"),
 ])
-def test_bad_config_values_are_usage_errors(tmp_path, capsys, line, message):
-    config = tmp_path / "sweep.cfg"
-    config.write_text(line + "\n")
+def test_bad_sweep_values_are_usage_errors(tmp_path, capsys, kind, option, message):
     out_dir = tmp_path / "out"
-    code, _, err = run(["sweep", "fig_worstcase", "--config", str(config),
-                        "--out-dir", str(out_dir)], capsys)
+    code, _, err = run(["sweep", kind, "--out-dir", str(out_dir), *option], capsys)
     assert code == cli.EXIT_USAGE and message in err
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("kind", [
-    "fig_random_unweighted", "fig_random_weighted", "fig_worstcase", "fig_noise"])
-@pytest.mark.parametrize("line, option, message", [
-    ("sweep.workers = -3", [], "sweep.workers=-3 must be at least 1"),
-    ("sweep.noise_graphs = k7", [], "unknown config key 'sweep.noise_graphs'"),
-    ("", ["--seed=-1"], "seed -1 outside [0, 2^64)"),
-])
-def test_every_sweep_kind_refuses_bad_values_before_any_output(
-        tmp_path, capsys, kind, line, option, message):
-    config = tmp_path / "sweep.cfg"
-    config.write_text(line + "\nsweep.n = 3\nsweep.p_count = 1\nsweep.graphs_per_p = 1\n"
-                      "sweep.n_max = 3\n")
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("case", ["bad-value", "unknown", "seed"])
+def test_every_sweep_kind_refuses_bad_values_before_any_output(tmp_path, capsys, kind, case):
+    """A bad value of a flag the kind reads, an unknown flag, and --seed,
+    which only the random kinds read."""
+    random = kind.startswith("fig_random")
+    option, message = {
+        "bad-value": {"fig_worstcase": ("--n-max=2", "--n-max=2 below 3"),
+                      "fig_noise": ("--grid-res=7", "grid resolution must be at least 8")}.get(
+                          kind, ("--workers=-3", "--workers=-3 must be at least 1")),
+        "unknown": ("--noise-graphs=k7", "unrecognized arguments: --noise-graphs=k7"),
+        "seed": ("--seed=-1", "seed -1 outside [0, 2^64)" if random
+                 else "unrecognized arguments: --seed=-1"),
+    }[case]
     out_dir = tmp_path / "out"
-    code, _, err = run(["sweep", kind, "--config", str(config), "--grid-res", "8",
-                        "--lambda-grid", "0.005", "--out-dir", str(out_dir), *option], capsys)
+    code, _, err = run(["sweep", kind, *SMALL[kind], "--out-dir", str(out_dir), option], capsys)
     assert code == cli.EXIT_USAGE and message in err
     assert not out_dir.exists()
 
@@ -173,7 +190,7 @@ def test_non_numeric_lambda_grid_is_a_usage_error_before_any_output(tmp_path, ca
     out_dir = tmp_path / "out"
     code, _, err = run(["sweep", "fig_noise", "--lambda-grid", "0.005,abc",
                         "--out-dir", str(out_dir)], capsys)
-    assert code == cli.EXIT_USAGE and "lambda grid: not a number: 'abc'" in err
+    assert code == cli.EXIT_USAGE and "--lambda-grid: not a number: 'abc'" in err
     assert not out_dir.exists()
 
 
@@ -189,6 +206,14 @@ def test_simulate_verifies_an_ms_sequence_once(tmp_path, capsys, monkeypatch):
     code, _, _ = run(["simulate", write_graph(tmp_path, Graph.complete(4)), "--optimize",
                       "--grid-res", "8"], capsys)
     assert code == cli.EXIT_OK and len(calls) == 1
+
+
+def test_a_pulse_with_the_cx_compilation_exits_3_before_the_graph_is_read(tmp_path, capsys):
+    code, stdout, err = run(["simulate", str(tmp_path / "missing.txt"), "--compilation", "cx",
+                             "--pulse", str(tmp_path / "missing.json"), "--gamma", "0.3"],
+                            capsys)
+    assert code == cli.EXIT_USAGE and stdout == ""
+    assert err == "error: --pulse is read only by --compilation ms\n"
 
 
 @pytest.mark.parametrize("extra", [[], ["--optimize", "--grid-res", "8"]])
@@ -231,9 +256,7 @@ def test_malformed_pulse_json_is_reported_as_bad_pulse_json(tmp_path, capsys, te
 
 
 def sweep_worstcase(tmp_path, capsys, n_max):
-    config = tmp_path / "sweep.cfg"
-    config.write_text(f"sweep.n_max = {n_max}\n")
-    code, _, _ = run(["sweep", "fig_worstcase", "--config", str(config),
+    code, _, _ = run(["sweep", "fig_worstcase", "--n-max", str(n_max),
                       "--out-dir", str(tmp_path)], capsys)
     assert code == cli.EXIT_OK
     with (tmp_path / "fig_worstcase.csv").open() as fh:
@@ -257,10 +280,8 @@ def test_worstcase_sweep_counts_unproven_classes(tmp_path, capsys, monkeypatch):
 
 
 def test_noise_sweep_writes_the_optimized_ratios(tmp_path, capsys):
-    config = tmp_path / "sweep.cfg"
-    config.write_text("sweep.workers = 1\n")
-    code, _, _ = run(["sweep", "fig_noise", "--config", str(config), "--grid-res", "8",
-                      "--lambda-grid", "0.005", "--out-dir", str(tmp_path)], capsys)
+    code, _, _ = run(["sweep", "fig_noise", "--grid-res", "8", "--lambda-grid", "0.005",
+                      "--out-dir", str(tmp_path)], capsys)
     assert code == cli.EXIT_OK
     with (tmp_path / "fig_noise.csv").open() as fh:
         rows = list(csv.DictReader(fh))
@@ -275,8 +296,8 @@ def test_noise_sweep_writes_the_optimized_ratios(tmp_path, capsys):
         assert (row["gamma"], row["beta"], row["expectation"], row["ratio"]) == (
             f"{gamma:.9f}", f"{beta:.9f}", f"{value:.9f}", f"{ratio:.9f}")
     manifest = json.loads((tmp_path / "fig_noise.csv.manifest.json").read_text())
-    assert manifest["subcommand"] == "sweep"
-    assert manifest["config_overrides"] == {"sweep.workers": "1"}
+    assert manifest["subcommand"] == "sweep" and manifest["seed"] is None
+    assert "config_overrides" not in manifest
 
 
 def test_missing_graph_file_exits_1(tmp_path, capsys):
@@ -357,16 +378,11 @@ def test_an_unwritable_output_path_exits_1_with_one_line(tmp_path, capsys, argv)
     assert not (tmp_path / "no").exists()
 
 
-@pytest.mark.parametrize("kind", [
-    "fig_random_unweighted", "fig_random_weighted", "fig_worstcase", "fig_noise"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_a_directory_at_a_sweep_csv_path_exits_1_with_one_line(tmp_path, capsys, kind):
-    config = tmp_path / "sweep.cfg"
-    config.write_text("sweep.n = 3\nsweep.p_count = 1\nsweep.graphs_per_p = 1\n"
-                      "sweep.n_max = 3\n")
     path = tmp_path / "out" / f"{kind}.csv"
     path.mkdir(parents=True)
-    code, stdout, err = run(["sweep", kind, "--config", str(config), "--grid-res", "8",
-                             "--lambda-grid", "0.005", "--out-dir", str(tmp_path / "out")],
+    code, stdout, err = run(["sweep", kind, *SMALL[kind], "--out-dir", str(tmp_path / "out")],
                             capsys)
     assert code == cli.EXIT_FAILURE and stdout == ""
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
@@ -376,10 +392,8 @@ def test_a_directory_at_a_sweep_csv_path_exits_1_with_one_line(tmp_path, capsys,
 def test_a_directory_at_the_csv_path_fails_before_any_solve(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "solve_l0", lambda *args, **kwargs: calls.append(args))
-    config = tmp_path / "sweep.cfg"
-    config.write_text("sweep.n = 3\nsweep.p_count = 1\nsweep.graphs_per_p = 1\n")
     (tmp_path / "out" / "fig_random_unweighted.csv").mkdir(parents=True)
-    code, _, _ = run(["sweep", "fig_random_unweighted", "--config", str(config),
+    code, _, _ = run(["sweep", "fig_random_unweighted", *SMALL["fig_random_unweighted"],
                       "--out-dir", str(tmp_path / "out")], capsys)
     assert code == cli.EXIT_FAILURE and calls == []
 
@@ -391,76 +405,58 @@ def test_a_directory_at_the_csv_path_fails_before_any_solve(tmp_path, capsys, mo
     ("fig_noise", "graph_id,compilation,lambda,gamma,beta,expectation,ratio"),
 ])
 def test_each_sweep_csv_starts_with_its_header_line(tmp_path, capsys, kind, header):
-    config = tmp_path / "sweep.cfg"
-    config.write_text("sweep.n = 3\nsweep.p_count = 1\nsweep.graphs_per_p = 1\n"
-                      "sweep.n_max = 3\n")
-    code, _, _ = run(["sweep", kind, "--config", str(config), "--grid-res", "8",
-                      "--lambda-grid", "0.005", "--out-dir", str(tmp_path)], capsys)
+    code, _, _ = run(["sweep", kind, *SMALL[kind], "--out-dir", str(tmp_path)], capsys)
     assert code == cli.EXIT_OK
     lines = (tmp_path / f"{kind}.csv").read_bytes().splitlines(keepends=True)
     assert lines[0] == f"{header}\r\n".encode()
 
 
-@pytest.mark.parametrize("command", ["cost", "sweep"])
-@pytest.mark.parametrize("config", ["missing.cfg", "d"], ids=["missing", "directory"])
-def test_an_unreadable_config_file_exits_1_with_one_line(tmp_path, capsys, command, config):
-    (tmp_path / "d").mkdir()
+@pytest.mark.parametrize("command, flag", [
+    ("gen", "--weights"), ("sweep", "--weights"), ("cost", "--t-pi-us")])
+def test_a_zero_denominator_is_a_usage_error_with_one_line(tmp_path, capsys, command, flag):
     (tmp_path / "p.json").write_text(sequence_to_json(union_of_stars(Graph.complete(3))))
-    out_dir = tmp_path / "out"
-    argv = {"cost": ["cost", str(tmp_path / "p.json")],
-            "sweep": ["sweep", "fig_noise", "--out-dir", str(out_dir)]}[command]
-    path = str(tmp_path / config)
-    code, stdout, err = run(argv + ["--config", path], capsys)
-    assert code == cli.EXIT_FAILURE and stdout == ""
-    assert err.startswith(f"error: cannot read config file {path}: ") and err.count("\n") == 1
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("command, key", [
-    ("gen", "--weights"), ("sweep", "sweep.weights"), ("cost", "timing.t_pi_us")])
-def test_a_zero_denominator_is_a_usage_error_with_one_line(tmp_path, capsys, command, key):
-    (tmp_path / "p.json").write_text(sequence_to_json(union_of_stars(Graph.complete(3))))
-    config = tmp_path / "c.cfg"
-    config.write_text({"sweep": "sweep.weights = 1,1/0\n", "cost": "timing.t_pi_us = 1/0\n"}
-                      .get(command, ""))
     out_dir = tmp_path / "out"
     argv = {"gen": ["gen", "3", "0.5", "--weights", "1/0"],
-            "sweep": ["sweep", "fig_random_weighted", "--config", str(config),
+            "sweep": ["sweep", "fig_random_weighted", "--weights", "1,1/0",
                       "--out-dir", str(out_dir)],
-            "cost": ["cost", str(tmp_path / "p.json"), "--config", str(config)]}[command]
+            "cost": ["cost", str(tmp_path / "p.json"), "--t-pi-us", "1/0"]}[command]
     code, stdout, err = run(argv, capsys)
     assert code == cli.EXIT_USAGE and stdout == ""
-    assert err == f"error: {key}: not a number: '1/0'\n"
+    assert err == f"error: {flag}: not a number: '1/0'\n"
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("command", [
-    "fig_random_unweighted", "fig_random_weighted", "fig_worstcase", "fig_noise", "cost"])
-@pytest.mark.parametrize("case", ["unknown", "repeated", "removed"])
-def test_a_config_key_its_command_does_not_read_exits_3_with_one_line(
-        tmp_path, capsys, command, case):
-    """A typo, a key given twice, and a key that only a flag sets now (for
-    cost, the deleted timing.t_ms_us)."""
-    reader = "cost" if command == "cost" else "sweep"
-    key, text = {
-        ("sweep", "unknown"): ("sweep.n_maxx", "sweep.n_maxx = 3\n"),
-        ("sweep", "repeated"): ("sweep.n_max", "sweep.n_max = 3\nsweep.n_max = 4\n"),
-        ("sweep", "removed"): ("sweep.grid_res", "sweep.grid_res = 8\n"),
-        ("cost", "unknown"): ("timing.t_pi", "timing.t_pi = 100\n"),
-        ("cost", "repeated"): ("timing.t_pi_us", "timing.t_pi_us = 7\ntiming.t_pi_us = 8\n"),
-        ("cost", "removed"): ("timing.t_ms_us", "timing.t_ms_us = 10\n"),
-    }[reader, case]
-    known = {"cost": cli._TIMING_KEYS, "sweep": cli._SWEEP_KEYS}[reader]
-    config = tmp_path / "c.cfg"
-    config.write_text(text)
+@pytest.mark.parametrize("command, case, option", [
+    *[(kind, case, option) for kind in KINDS for case, option in (
+        ("unknown", ["--n-maxx", "3"]),
+        ("other-kind", {"fig_random_unweighted": ["--weights", "1"],
+                        "fig_random_weighted": ["--n-max", "3"],
+                        "fig_worstcase": ["--seed", "5"],
+                        "fig_noise": ["--workers", "2"]}[kind]),
+        ("abbreviated", {"fig_random_unweighted": ["--graphs", "1"],
+                         "fig_random_weighted": ["--weight", "1,2"],
+                         "fig_worstcase": ["--n", "4"],
+                         "fig_noise": ["--grid", "8"]}[kind]))],
+    ("cost", "unknown", ["--t-pi-ms", "100"]),
+    ("cost", "removed", ["--t-ms-us", "10"]),
+    ("cost", "abbreviated", ["--t-pi", "100"]),
+    ("optimize", "abbreviated", ["--obj", "l1"]),
+    ("optimize", "abbreviated", ["--time", "5"]),
+    ("simulate", "abbreviated", ["--grid", "8"]),
+])
+def test_a_flag_its_command_does_not_read_exits_3_with_one_line(
+        tmp_path, capsys, command, case, option):
+    """A typo, a flag of another sweep kind or one deleted (for cost,
+    --t-ms-us), and an abbreviation of a flag the command reads."""
     (tmp_path / "p.json").write_text(sequence_to_json(union_of_stars(Graph.complete(3))))
     out_dir = tmp_path / "out"
-    argv = (["cost", str(tmp_path / "p.json")] if command == "cost"
-            else ["sweep", command, "--out-dir", str(out_dir)])
-    code, stdout, err = run([*argv, "--config", str(config)], capsys)
+    graph = write_graph(tmp_path, Graph.complete(3))
+    argv = {"cost": ["cost", str(tmp_path / "p.json")], "optimize": ["optimize", graph],
+            "simulate": ["simulate", graph, "--optimize"]}.get(
+                command, ["sweep", command, "--out-dir", str(out_dir)])
+    code, stdout, err = run([*argv, *option], capsys)
     assert code == cli.EXIT_USAGE and stdout == ""
-    assert err == (f"error: config key {key!r} given twice\n" if case == "repeated" else
-                   f"error: unknown config key {key!r} (known: {', '.join(known)})\n")
+    assert err == f"isingcoupler: error: unrecognized arguments: {' '.join(option)}\n"
     assert not out_dir.exists()
 
 
@@ -563,25 +559,21 @@ def test_the_parser_is_built_once_and_no_option_leaks_into_the_next_call(tmp_pat
     assert run(["optimize", graph, "--objective", "l1"], capsys)[1].startswith("objective=")
     code, stdout, _ = run(["optimize", graph], capsys)
     assert code == cli.EXIT_OK and " kind=l0 " in stdout
-    config = tmp_path / "sweep.cfg"
-    config.write_text("sweep.n_max = 3\n")
     seeds = []
     for extra in (["--seed", "5"], []):
         out_dir = tmp_path / f"out{len(extra)}"
-        code, _, _ = run(["sweep", "fig_worstcase", "--config", str(config),
+        code, _, _ = run(["sweep", "fig_random_unweighted", *SMALL["fig_random_unweighted"],
                           "--out-dir", str(out_dir), *extra], capsys)
         assert code == cli.EXIT_OK
-        manifest = (out_dir / "fig_worstcase.csv.manifest.json").read_text()
+        manifest = (out_dir / "fig_random_unweighted.csv.manifest.json").read_text()
         seeds.append(json.loads(manifest)["seed"])
     assert seeds == [5, 0]
 
 
 def test_random_sweep_writes_its_columns_and_manifest(tmp_path, capsys):
-    config = tmp_path / "sweep.cfg"
-    config.write_text("sweep.n = 4\nsweep.p_count = 2\nsweep.p_step = 0.4\n"
-                      "sweep.graphs_per_p = 1\n")
-    code, _, _ = run(["sweep", "fig_random_unweighted", "--config", str(config),
-                      "--out-dir", str(tmp_path)], capsys)
+    code, _, _ = run(["sweep", "fig_random_unweighted", "--n", "4", "--p-count", "2",
+                      "--p-step", "0.4", "--graphs-per-p", "1", "--out-dir", str(tmp_path)],
+                     capsys)
     assert code == cli.EXIT_OK
     with (tmp_path / "fig_random_unweighted.csv").open() as fh:
         reader = csv.DictReader(fh)
@@ -595,20 +587,32 @@ def test_random_sweep_writes_its_columns_and_manifest(tmp_path, capsys):
         assert Fraction(r["L1_opt"]) <= Fraction(r["L1_stars"])
     manifest = json.loads((tmp_path / "fig_random_unweighted.csv.manifest.json").read_text())
     assert manifest["subcommand"] == "sweep" and manifest["seed"] == 0
-    assert manifest["config_overrides"] == {
-        "sweep.n": "4", "sweep.p_count": "2", "sweep.p_step": "0.4", "sweep.graphs_per_p": "1"}
+    assert "config_overrides" not in manifest
 
 
 def test_random_sweep_with_two_workers_writes_the_same_csv(tmp_path, capsys):
     texts = []
     for workers in (1, 2):
-        config = tmp_path / f"sweep{workers}.cfg"
-        config.write_text("sweep.n = 4\nsweep.p_count = 2\nsweep.p_step = 0.4\n"
-                          f"sweep.graphs_per_p = 2\nsweep.workers = {workers}\n")
         out_dir = tmp_path / f"out{workers}"
-        code, _, _ = run(["sweep", "fig_random_unweighted", "--config", str(config),
+        code, _, _ = run(["sweep", "fig_random_unweighted", "--n", "4", "--p-count", "2",
+                          "--p-step", "0.4", "--graphs-per-p", "2", "--workers", str(workers),
                           "--out-dir", str(out_dir)], capsys)
         assert code == cli.EXIT_OK
         texts.append((out_dir / "fig_random_unweighted.csv").read_bytes())
     assert texts[0] == texts[1]
     assert texts[0].count(b"\n") == 1 + 2 * 2
+
+
+def test_a_manifest_command_replays_its_sweep(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, _ = run(["sweep", "fig_random_weighted", "--n", "4", "--p-count", "2",
+                      "--p-step", "0.4", "--graphs-per-p", "2", "--workers", "2",
+                      "--weights", "1,-1", "--out-dir", str(out_dir)], capsys)
+    assert code == cli.EXIT_OK
+    csv_path = out_dir / "fig_random_weighted.csv"
+    first = csv_path.read_bytes()
+    manifest = json.loads((out_dir / "fig_random_weighted.csv.manifest.json").read_text())
+    assert "config_overrides" not in manifest
+    csv_path.unlink()
+    assert run(shlex.split(manifest["command"])[1:], capsys)[0] == cli.EXIT_OK
+    assert csv_path.read_bytes() == first

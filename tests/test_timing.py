@@ -33,15 +33,10 @@ def test_timing_params_reject_durations_that_are_not_positive(name, value):
         TimingParams(**{name: value})
 
 
-def run_cost(tmp_path, capsys, config=None):
+def run_cost(tmp_path, capsys, *flags):
     pulse = tmp_path / "pulse.json"
     pulse.write_text(sequence_to_json(PulseSequence.from_pairs(3, [(0b010, 2)])))
-    argv = ["cost", str(pulse)]
-    if config is not None:
-        path = tmp_path / "timing.cfg"
-        path.write_text(config)
-        argv += ["--config", str(path)]
-    code = cli.main(argv)
+    code = cli.main(["cost", str(pulse), *flags])
     return code, capsys.readouterr()
 
 
@@ -54,8 +49,8 @@ def test_cost_prints_the_estimate(tmp_path, capsys):
     ]
 
 
-def test_cost_reads_durations_from_config(tmp_path, capsys):
-    code, captured = run_cost(tmp_path, capsys, "timing.t_pi_us = 3/2\ntiming.t_ising_per_ion_us = 10\n")
+def test_cost_reads_durations_from_flags(tmp_path, capsys):
+    code, captured = run_cost(tmp_path, capsys, "--t-pi-us", "3/2", "--t-ising-per-ion-us", "10")
     assert code == cli.EXIT_OK
     # (1 + 1) * 3/2 + 2 * 3 * 10
     assert captured.out.splitlines() == [
@@ -64,7 +59,7 @@ def test_cost_reads_durations_from_config(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("line", ["timing.t_pi_us = 0", "timing.t_ising_per_ion_us = fast"])
-def test_bad_timing_config_is_a_usage_error(tmp_path, capsys, line):
-    code, captured = run_cost(tmp_path, capsys, line + "\n")
+@pytest.mark.parametrize("flag, value", [("--t-pi-us", "0"), ("--t-ising-per-ion-us", "fast")])
+def test_bad_timing_flag_is_a_usage_error(tmp_path, capsys, flag, value):
+    code, captured = run_cost(tmp_path, capsys, flag, value)
     assert code == cli.EXIT_USAGE and captured.out == ""
