@@ -70,7 +70,8 @@ class _Parser(argparse.ArgumentParser):
                          formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
 
     def error(self, message):  # argparse default exits 2; the contract says 3
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        # the prefix main gives a CommandError, so every usage error starts alike
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
 class CommandError(Exception):
@@ -225,8 +226,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    params = _usage(TimingParams, _number(Fraction, "--t-pi-us", args.t_pi_us),
-                    _number(Fraction, "--t-ising-per-ion-us", args.t_ising_per_ion_us))
+    durations = []
+    for flag, text in (("--t-pi-us", args.t_pi_us),
+                       ("--t-ising-per-ion-us", args.t_ising_per_ion_us)):
+        value = _number(Fraction, flag, text)
+        if value <= 0:  # checked here, so that the message names the flag
+            raise CommandError(f"{flag}={value} must be positive", EXIT_USAGE)
+        durations.append(value)
+    params = TimingParams(*durations)
     seq = _load_sequence(args.pulse)
     total_us = estimate_time_us(seq, params)
     print(

@@ -50,6 +50,25 @@ and the entry's own row, so the division is exact and:
   realizes the graph; ``simplex._solve_integer`` then solves the support
   system once for the exact strengths.  A nonzero residual is a miss.
 
+Each column, and the residual, is held as one Python integer, the sum of
+x_i 2^(k i) over the pair rows i with signed fields x_i of k bits
+(``_pack``), so a step is a handful of big-integer operations on whole
+columns rather than one per entry (``_packed_step``).  With m pairs, a
+minor of [support | column] is at most m^(m/2) in absolute value by
+Hadamard's inequality, and one of [support | b] at most m^(m/2) |b|; k is
+fixed once per search so that 2^(k-2) exceeds both (``_field_width``).
+Packing is linear and prev divides every entry, so (f U - g V) // prev on
+the packed integers U and V of u and v, with f = v[r] and g = u[r], is
+exactly the packed column of minors.  The products f U and g V may carry
+across fields; that does no harm, since only the exact result is decoded,
+and decoding needs only |x_i| < 2^(k-1):
+
+- a column is zero when its integer is;
+- its pivot row is the field holding its lowest set bit;
+- field i is ((U + 2^(k i - 1)) >> k i) mod 2^k, re-centred to
+  [-2^(k-1), 2^(k-1)); the added half unit absorbs the borrow that
+  negative lower fields take from it.
+
 Before the search, ``_lower_bound`` proves a lower bound on L0, and the
 search stops as soon as its incumbent meets it.  A realization with k rows
 S (k x n, +-1 entries) and strengths W satisfies S^T diag(W) S = A + tI,
@@ -119,6 +138,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -219,12 +239,43 @@ def _eliminate(u: list[int], v: list[int], piv: int, prev: int) -> list[int]:
     return [(f * a - g * x) // prev for a, x in zip(u, v)]
 
 
-def _ordered(cands, floats, r_float):
+def _field_width(m: int, b_int) -> int:
+    """Bits k per entry of a packed column, for m pair rows and the integer
+    target b_int: every reduced entry is a minor, at most m^(m/2) *
+    max(1, |b_int|) in absolute value (Hadamard), so below 2^(k-2)."""
+    norm = math.isqrt(sum(x * x for x in b_int))
+    return ((math.isqrt(m ** m) + 1) * (norm + 1)).bit_length() + 2
+
+
+def _pack(column, k: int) -> int:
+    """The integer sum of column[i] * 2^(k i): one signed field per entry."""
+    return sum(x << k * i for i, x in enumerate(column))
+
+
+def _packed_step(us, v: int, k: int, prev: int):
+    """``_eliminate`` on packed columns with fields of k bits: the pivot row
+    piv of the nonzero column v (the field of its lowest set bit), v[piv],
+    and each u of us replaced by (v[piv] u - u[piv] v) // prev."""
+    piv = ((v & -v).bit_length() - 1) // k
+    s, half, mask = k * piv, 1 << (k - 1), (1 << k) - 1
+    # field piv moved to [0, 2^k), plus half a unit below it to absorb the
+    # borrow of the lower fields
+    off = (half << s) + ((1 << s) >> 1)
+    f = ((v + off) >> s & mask) - half
+    reduced = []  # a loop: in Python 3.11 a comprehension costs more for one column
+    for u in us:
+        reduced.append((f * u - ((((u + off) >> s) & mask) - half) * v) // prev)
+    return piv, f, reduced
+
+
+def _ordered(ts, vs, floats, r_float):
     """Sort candidates by |<r, v>| / |v|, the share of the float residual r
-    each would remove next (a heuristic: it orders the search, never prunes)."""
+    each would remove next (a heuristic: it orders the search, never prunes).
+    ts, vs and floats hold the candidates' masks, packed columns and float
+    columns, and come back in the new order."""
     norms = np.maximum(np.linalg.norm(floats, axis=1), 1e-12)
     order = np.argsort(-np.abs(floats @ r_float) / norms, kind="stable")
-    return [cands[i] for i in order], floats[order]
+    return [ts[i] for i in order], [vs[i] for i in order], floats[order]
 
 
 def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
@@ -241,30 +292,31 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
     found, or None when no set was accepted.
     """
     b_int = _scaled(b)
+    k = _field_width(len(b_int), b_int)
     best_entries = None
     nodes = 0
 
-    def extend(support, prev, cands, floats, residual, r_float, width, stab=()):
+    def extend(support, prev, ts, vs, floats, residual, r_float, width, stab=()):
         """Try each of the first width candidate columns on top of support.
 
-        cands holds (t, v) with v column t reduced against the support's
-        columns and nonzero; residual is b_int reduced the same way, and
-        prev is the pivot of the support's last column (1 at the root).
-        floats and r_float are the same reductions done by float
-        projection, used only to order the candidates of each child (None
-        when no child expands further in the full pass).  stab holds the
-        symmetries that fix every support column; a candidate that one of
-        them maps to an earlier candidate, or to a column that is not a
+        Candidate ts[i] has the packed column vs[i], reduced against the
+        support's columns and nonzero; residual is b_int packed and reduced
+        the same way, and prev is the pivot of the support's last column (1
+        at the root).  floats and r_float are the same reductions done by
+        float projection, used only to order the candidates of each child
+        (None when no child expands further in the full pass).  stab holds
+        the symmetries that fix every support column; a candidate that one
+        of them maps to an earlier candidate, or to a column that is not a
         candidate here, is skipped.
         """
         nonlocal best, best_entries, nodes
         if len(stab):
-            idx = np.array([t >> 1 for t, _ in cands], dtype=np.intp)
+            idx = np.array(ts, dtype=np.intp) >> 1
             order = np.arange(len(idx))
             rank = np.full(stab.shape[1], -1)
             rank[idx] = order
             skip = (rank[stab[:, idx]] < order).any(axis=0)
-        for pos, (t, v) in enumerate(cands[:width]):
+        for pos, t in enumerate(ts[:width]):
             if best <= floor or len(support) + 1 >= best:
                 return
             if len(stab) and skip[pos]:
@@ -272,40 +324,44 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
             nodes += 1
             if time.monotonic() > deadline:
                 raise _Timeout
-            piv = next(r for r, a in enumerate(v) if a)
+            v = vs[pos]
             trial = support + [t]
-            rest = _eliminate(residual, v, piv, prev)
-            if not any(rest):
+            expand = len(trial) + 1 < best
+            # the residual with, below the last level, the later candidates
+            _, f, (rest, *reduced) = _packed_step([residual, *vs[pos + 1:]] if expand
+                                                  else [residual], v, k, prev)
+            if not rest:
                 d, (num,) = _solve_integer([*zip(*(cols[s] for s in trial))], [b])
                 best = len(trial)
                 best_entries = [(s, Fraction(w, d)) for s, w in zip(trial, num)]
                 return
-            if len(trial) + 1 < best:
-                reduced = [(t2, _eliminate(v2, v, piv, prev)) for t2, v2 in cands[pos + 1:]]
-                kept = [i for i, (_, v2) in enumerate(reduced) if any(v2)]
-                children = [reduced[i] for i in kept]
+            if expand:
+                kept = [i for i, v2 in enumerate(reduced) if v2]
+                child_ts = [ts[pos + 1 + i] for i in kept]
+                child_vs = [reduced[i] for i in kept]
                 child_floats = r_child = None
                 # Last-level children of the full pass are all tried anyway.
                 if width is not None or len(trial) + 2 < best:
                     u = floats[pos] / max(np.linalg.norm(floats[pos]), 1e-12)
                     later = floats[pos + 1:][kept]
                     r_child = r_float - (r_float @ u) * u
-                    children, child_floats = _ordered(
-                        children, later - np.outer(later @ u, u), r_child
+                    child_ts, child_vs, child_floats = _ordered(
+                        child_ts, child_vs, later - np.outer(later @ u, u), r_child
                     )
                 child_stab = stab[stab[:, t >> 1] == t >> 1] if len(stab) else ()
-                extend(trial, v[piv], children, child_floats, rest, r_child, width, child_stab)
+                extend(trial, f, child_ts, child_vs, child_floats, rest, r_child, width,
+                       child_stab)
 
     try:
         b_float = np.array([float(v) for v in b])
     except OverflowError:
         raise ValueError("a coupling is beyond float64 range, in which the L0 search "
                          "orders its candidates") from None
-    cands, floats = _ordered(list(cols.items()), np.array(list(cols.values()), dtype=float),
-                             b_float)
+    ts, vs, floats = _ordered(list(cols), [_pack(v, k) for v in cols.values()],
+                              np.array(list(cols.values()), dtype=float), b_float)
     try:
         for width in widths:
-            extend([], 1, cands, floats, b_int, b_float, width,
+            extend([], 1, ts, vs, floats, _pack(b_int, k), b_float, width,
                    symmetries if width is None else ())
     except _Timeout:
         return best_entries, nodes, True

@@ -456,8 +456,22 @@ def test_a_flag_its_command_does_not_read_exits_3_with_one_line(
                 command, ["sweep", command, "--out-dir", str(out_dir)])
     code, stdout, err = run([*argv, *option], capsys)
     assert code == cli.EXIT_USAGE and stdout == ""
-    assert err == f"isingcoupler: error: unrecognized arguments: {' '.join(option)}\n"
+    assert err == f"error: unrecognized arguments: {' '.join(option)}\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep"], ["sweep", "fig_worstcase", "--seed", "5"], ["optimize"],
+    ["sweep", "fig_random_unweighted", "--n", "9"], ["cost", "p.json", "--t-pi-us", "x"],
+], ids=["argparse-missing-kind", "argparse-unknown-flag", "argparse-missing-path",
+        "command-range", "command-number"])
+def test_every_usage_error_is_one_line_with_the_same_prefix(tmp_path, capsys, monkeypatch, argv):
+    """argparse's refusals and a CommandError's both print 'error: '
+    first, so one pattern matches every exit-3 line."""
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("ops, estimate", [

@@ -1,9 +1,10 @@
 """solve_l0 and solve_l1 against scipy's HiGHS on the same models, with every
 emitted sequence checked by verify; the L0 lower bound against the frozen
-optima and HiGHS brute force; the L0 search's fraction-free step, the
-bound's nullspace and characteristic polynomial against Fraction
-elimination; and the symmetries the full pass prunes with against
-networkx's isomorphism matcher, the cut matrix and the unpruned search."""
+optima and HiGHS brute force; the L0 search's fraction-free step (and its
+packed form against it), the bound's nullspace and characteristic
+polynomial against Fraction elimination; and the symmetries the full pass
+prunes with against networkx's isomorphism matcher, the cut matrix and the
+unpruned search."""
 
 import itertools
 import json
@@ -25,7 +26,8 @@ from isingcoupler import (
 from isingcoupler import exactopt
 from isingcoupler.exactopt import (
     INCUMBENT_TIMEOUT, OPTIMAL, _char_poly, _cut_columns, _default_incumbent, _eliminate,
-    _l1_program, _lower_bound, _nullspace, _scaled, _search_supports, _symmetries,
+    _field_width, _l1_program, _lower_bound, _nullspace, _pack, _packed_step, _scaled,
+    _search_supports, _symmetries,
 )
 from isingcoupler.graphs import couplings, pair_order, relabelings
 from isingcoupler.pulses import PulseSequence, canonicalize
@@ -141,6 +143,18 @@ def test_solve_l0_never_loses_to_the_construction(g):
     assert res.objective <= weighted_edge_by_edge(g).l0
     if g.uniform_weight() is not None:
         assert res.objective <= union_of_stars(g).l0
+
+
+def test_solve_l0_on_couplings_far_apart_in_size():
+    """Couplings of 10^30 beside -1/7 scale b to entries of about 10^31, so
+    the packed fields of the search are over 100 bits wide; the objective,
+    node count and rows are those of the list-of-ints search."""
+    g = Graph.from_edges(5, [(0, 1, 10**30), (1, 2, Fraction(-1, 7)), (2, 3, 3),
+                             (3, 4, 10**30), (0, 4, 2)])
+    res = solve_l0(g)
+    assert res.status == OPTIMAL and verify(res.sequence, g)
+    assert res.objective == 9 and res.nodes_explored == 64224
+    assert res.sequence.rows == (0, 24, 28, 4, 18, 10, 14, 6, 8)
 
 
 @pytest.mark.parametrize("n, nodes", [(3, 8), (4, 720), (5, 24185)])
@@ -289,6 +303,67 @@ def test_fraction_free_step_leaves_minors(case):
             else:
                 assert entry == fraction_det([[c[r] for c in block] for r in pivots + [i]])
         assert (not any(u)) == (fraction_rank(block) == len(support))
+
+
+@st.composite
+def packed_chains(draw):
+    """Cut columns for n <= 8, an ordered list of distinct masks to add as
+    support columns, and an integer target with entries up to 10^30 in
+    absolute value, in the span of a few cut columns or drawn at random."""
+    n = draw(st.integers(2, 8))
+    cols = _cut_columns(n)
+    m = len(cols[0])
+    order = draw(st.lists(st.sampled_from(list(cols)), unique=True, max_size=m + 2))
+    if order and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-10**29, 10**29), min_size=1, max_size=8))
+        b = [sum(c * cols[t][r] for c, t in zip(coeffs, order)) for r in range(m)]
+    else:
+        b = draw(st.lists(st.integers(-10**30, 10**30), min_size=m, max_size=m))
+    return cols, order, b
+
+
+def unpack(u, m, k):
+    """The m balanced base-2^k digits of u, each in [-2^(k-1), 2^(k-1))."""
+    digits = []
+    for _ in range(m):
+        x = u % (1 << k)
+        x -= (x >> (k - 1)) << k
+        digits.append(x)
+        u = (u - x) >> k
+    assert u == 0
+    return digits
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_chains())
+def test_packed_step_decodes_to_the_eliminate_chain(case):
+    """Add the drawn columns one by one as the search does, reducing every
+    column and the target both by _eliminate and by _packed_step on the
+    packed integers.  After each step the packed pivot row and entry are
+    those of the list column, every packed column decodes entry for entry
+    to its list, inside the field's bound, and is zero exactly when the
+    list is."""
+    cols, order, b = case
+    m = len(b)
+    k = _field_width(m, b)
+    lists = {t: list(v) for t, v in cols.items()}
+    lists[None] = list(b)  # the residual
+    packed = {t: _pack(v, k) for t, v in lists.items()}
+    prev = 1
+    for t in order:
+        v, pv = lists[t], packed[t]
+        if not any(v):
+            assert pv == 0
+            continue
+        piv, f, reduced = _packed_step(list(packed.values()), pv, k, prev)
+        assert piv == next(r for r, a in enumerate(v) if a) and f == v[piv]
+        lists = {t2: _eliminate(u, v, piv, prev) for t2, u in lists.items()}
+        packed = dict(zip(packed, reduced))
+        prev = f
+        for t2, u in lists.items():
+            assert unpack(packed[t2], m, k) == u
+            assert (packed[t2] == 0) == (not any(u))
+            assert all(abs(x) < 1 << (k - 2) for x in u)
 
 
 @st.composite

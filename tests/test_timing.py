@@ -59,7 +59,14 @@ def test_cost_reads_durations_from_flags(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("flag, value", [("--t-pi-us", "0"), ("--t-ising-per-ion-us", "fast")])
+@pytest.mark.parametrize("flag, value", [
+    ("--t-pi-us", "0"), ("--t-ising-per-ion-us", "fast"), ("--t-pi-us", "-1/2"),
+    ("--t-ising-per-ion-us", "0"),
+])
 def test_bad_timing_flag_is_a_usage_error(tmp_path, capsys, flag, value):
-    code, captured = run_cost(tmp_path, capsys, flag, value)
+    """One line that names the flag the user typed, for a duration that is
+    not a number or not positive ("=" keeps argparse from reading -1/2 as
+    a flag)."""
+    code, captured = run_cost(tmp_path, capsys, f"{flag}={value}")
     assert code == cli.EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith(f"error: {flag}") and captured.err.count("\n") == 1
