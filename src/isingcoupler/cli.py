@@ -315,8 +315,10 @@ def _random_rows(args, weights):
         for _ in range(args.graphs_per_p):
             tasks.append((args.n, args.p_step * ip, tuple(weights), rng.next_u64(),
                           args.time_limit))
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool forks all its processes at once, so ask for no more than tasks
+    workers = min(args.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_random_sweep_instance, tasks))
     else:
         rows = map(_random_sweep_instance, tasks)

@@ -77,8 +77,8 @@ So rank(A + tI) <= k.  A minimum realization has independent columns, so
 its W, and with it t, is rational; when k < n, A + tI is singular, and
 lambda = -t is a rational, hence integer, eigenvalue of A with
 r = rank(A - lambda I) <= k.  When r = k, the k rows span exactly the
-column space of A - lambda I, so each is a "restricted" row: one
-orthogonal to the nullspace of A - lambda I.  Hence
+column space of A - lambda I, so each is a "restricted" row: one whose
++-1 vector lies in that column space.  Hence
 
     bound = min(n, min over integer eigenvalues lambda of c_lambda),
 
@@ -88,10 +88,13 @@ otherwise; 0 when b = 0.  The optimum's own lambda has c_lambda <= L0, so
 the bound is sound.  Every decision is made in integers: the eigenvalues
 are the integers in the Gershgorin interval [-R, R] (R the largest
 absolute row sum of A) at which the characteristic polynomial, computed
-once by the Faddeev-LeVerrier recurrence, evaluates to zero, and the rank
-and an integer nullspace basis come from fraction-free Gauss-Jordan
-elimination at each such root.  A radius above MAX_SCAN_RADIUS skips the
-scan, which only lets the search run longer.
+once by the Faddeev-LeVerrier recurrence, evaluates to zero.  At each
+such root, ``_column_space`` adds the columns of A - lambda I one by one
+with the search's packed step and reduces every row's +-1 vector in the
+same calls: the rank is the number of pivots, and a row is restricted
+exactly when its vector reduces to zero.  No nullspace basis is built.
+A radius above MAX_SCAN_RADIUS skips the scan, which only lets the search
+run longer.
 
 The bound never changes the emitted sequence.  The search runs its passes
 exactly as without it and accepts only a strictly smaller support, and no
@@ -137,6 +140,7 @@ Instances above MAX_EXACT_N qubits are refused; the constructions in
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import time
@@ -231,14 +235,6 @@ class _Timeout(Exception):
     pass
 
 
-def _eliminate(u: list[int], v: list[int], piv: int, prev: int) -> list[int]:
-    """(v[piv] * u - u[piv] * v) // prev: one fraction-free step clearing
-    entry piv of u, exact because every result entry is a minor (see the
-    module docstring)."""
-    f, g = v[piv], u[piv]
-    return [(f * a - g * x) // prev for a, x in zip(u, v)]
-
-
 def _field_width(m: int, b_int) -> int:
     """Bits k per entry of a packed column, for m pair rows and the integer
     target b_int: every reduced entry is a minor, at most m^(m/2) *
@@ -249,13 +245,17 @@ def _field_width(m: int, b_int) -> int:
 
 def _pack(column, k: int) -> int:
     """The integer sum of column[i] * 2^(k i): one signed field per entry."""
-    return sum(x << k * i for i, x in enumerate(column))
+    packed = 0
+    for x in reversed(column):  # a loop costs less than a sum over a generator
+        packed = (packed << k) + x
+    return packed
 
 
 def _packed_step(us, v: int, k: int, prev: int):
-    """``_eliminate`` on packed columns with fields of k bits: the pivot row
-    piv of the nonzero column v (the field of its lowest set bit), v[piv],
-    and each u of us replaced by (v[piv] u - u[piv] v) // prev."""
+    """One fraction-free step on packed columns with fields of k bits: the
+    pivot row piv of the nonzero column v (the field of its lowest set bit),
+    v[piv], and each u of us replaced by (v[piv] u - u[piv] v) // prev, exact
+    because every result entry is a minor (see the module docstring)."""
     piv = ((v & -v).bit_length() - 1) // k
     s, half, mask = k * piv, 1 << (k - 1), (1 << k) - 1
     # field piv moved to [0, 2^k), plus half a unit below it to absorb the
@@ -424,33 +424,30 @@ def _horner(coeffs: list[int], x: int) -> int:
     return acc
 
 
-def _nullspace(rows: list[list[int]]) -> list[list[int]]:
-    """An integer basis of the nullspace of an integer matrix, by
-    fraction-free Gauss-Jordan elimination (the step of ``_eliminate``,
-    skipping columns with no pivot).  Every pivot ends equal to the last
-    one, d, so each free column f gives the vector with d at f and minus
-    the pivot rows' entries of column f at their pivot columns."""
-    n = len(rows[0])
-    rows = list(rows)
-    pivots: list[int] = []
-    prev = 1
-    for c in range(n):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows = [row if i == r else _eliminate(row, rows[r], c, prev) for i, row in enumerate(rows)]
-        prev = rows[r][c]
-        pivots.append(c)
-    basis = []
-    for f in (c for c in range(n) if c not in pivots):
-        x = [0] * n
-        x[f] = prev
-        for row, c in zip(rows, pivots):
-            x[c] = -row[f]
-        basis.append(x)
-    return basis
+def _column_space(a: list[list[int]], vectors) -> tuple[int, list[bool]]:
+    """The rank of the integer matrix a and, for each integer vector of
+    vectors, whether it lies in the column space of a.
+
+    The columns of a are added one by one with ``_packed_step``, as the
+    support search adds its columns, and every vector is reduced in the
+    same calls; a vector lies in the span exactly when it reduces to zero.
+    Every reduced entry is a minor of [a | vector] of order at most n, at
+    most n^(n/2) M^n in absolute value (Hadamard), with M the largest
+    absolute entry of a and the vectors, or 1.
+    """
+    n = len(a)
+    big = max(map(abs, itertools.chain(*a, *vectors)), default=0) or 1
+    k = ((math.isqrt(n ** n) + 1) * big ** n).bit_length() + 2
+    columns = [_pack(column, k) for column in zip(*a)]
+    packed = [_pack(vector, k) for vector in vectors]
+    rank, prev = 0, 1
+    while columns:
+        v, *columns = columns
+        if v:
+            _, prev, reduced = _packed_step(columns + packed, v, k, prev)
+            columns, packed = reduced[:len(columns)], reduced[len(columns):]
+            rank += 1
+    return rank, [not v for v in packed]
 
 
 def _lower_bound(n: int, b, cols, deadline):
@@ -470,26 +467,24 @@ def _lower_bound(n: int, b, cols, deadline):
     if radius > MAX_SCAN_RADIUS:
         return 1, 0, False
     poly = _char_poly(a)
-    nulls = []
+    # the +-1 vector of each row, -1 at each flipped qubit
+    signs = [[-1 if t >> i & 1 else 1 for i in range(n)] for t in cols]
+    roots = []
     for lam in range(-radius, radius + 1):
         if time.monotonic() > deadline:
             return 1, 0, True
         if _horner(poly, lam) == 0:
             shifted = [[x - lam * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
-            nulls.append(_nullspace(shifted))
+            roots.append(_column_space(shifted, signs))
     bound, nodes = n, 0
     # by rank, smallest first; sorted() keeps equal ranks in eigenvalue order
-    for null in sorted(nulls, key=len, reverse=True):
-        rank = n - len(null)
+    for rank, inside in sorted(roots, key=lambda root: root[0]):
         if rank >= bound:
             break
         bound = rank + 1
-        # rows whose +-1 vector (-1 at each flipped qubit) is orthogonal
-        # to the nullspace
-        restricted = {
-            t: v for t, v in cols.items()
-            if all(sum(-x if t >> i & 1 else x for i, x in enumerate(z)) == 0 for z in null)
-        }
+        # rows whose +-1 vector lies in the column space of A - lambda I,
+        # that is (A being symmetric) orthogonal to its nullspace
+        restricted = {t: v for (t, v), ok in zip(cols.items(), inside) if ok}
         if restricted:
             # Any set ends this search, and a failed one must try them all,
             # so the narrow passes would only repeat the full one.

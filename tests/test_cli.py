@@ -617,6 +617,36 @@ def test_random_sweep_with_two_workers_writes_the_same_csv(tmp_path, capsys):
     assert texts[0].count(b"\n") == 1 + 2 * 2
 
 
+def test_random_sweep_asks_for_no_more_worker_processes_than_tasks(tmp_path, capsys,
+                                                                  monkeypatch):
+    """--workers 8 with 3 tasks asks the pool for 3 processes, and with 1 task
+    runs serially.  The fake pool records max_workers and maps in this
+    process, so the test starts no process."""
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    for graphs_per_p, expected in ((3, [3]), (1, [])):
+        asked.clear()
+        code, _, _ = run(["sweep", "fig_random_unweighted", "--n", "3", "--p-count", "1",
+                          "--graphs-per-p", str(graphs_per_p), "--workers", "8",
+                          "--out-dir", str(tmp_path / str(graphs_per_p))], capsys)
+        assert code == cli.EXIT_OK
+        assert asked == expected
+
+
 def test_a_manifest_command_replays_its_sweep(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, _, _ = run(["sweep", "fig_random_weighted", "--n", "4", "--p-count", "2",

@@ -1,10 +1,11 @@
 """solve_l0 and solve_l1 against scipy's HiGHS on the same models, with every
 emitted sequence checked by verify; the L0 lower bound against the frozen
-optima and HiGHS brute force; the L0 search's fraction-free step (and its
-packed form against it), the bound's nullspace and characteristic
-polynomial against Fraction elimination; and the symmetries the full pass
-prunes with against networkx's isomorphism matcher, the cut matrix and the
-unpruned search."""
+optima and HiGHS brute force, and pinned over the n=6 classes; the
+fraction-free step against Fraction elimination, through a list-of-ints
+reference, and the packed step of the search against that reference; the
+bound's column-space test and characteristic polynomial against Fraction
+elimination; and the symmetries the full pass prunes with against
+networkx's isomorphism matcher, the cut matrix and the unpruned search."""
 
 import itertools
 import json
@@ -25,11 +26,11 @@ from isingcoupler import (
 )
 from isingcoupler import exactopt
 from isingcoupler.exactopt import (
-    INCUMBENT_TIMEOUT, OPTIMAL, _char_poly, _cut_columns, _default_incumbent, _eliminate,
-    _field_width, _l1_program, _lower_bound, _nullspace, _pack, _packed_step, _scaled,
+    INCUMBENT_TIMEOUT, MAX_SCAN_RADIUS, OPTIMAL, _char_poly, _column_space, _cut_columns,
+    _default_incumbent, _field_width, _l1_program, _lower_bound, _pack, _packed_step, _scaled,
     _search_supports, _symmetries,
 )
-from isingcoupler.graphs import couplings, pair_order, relabelings
+from isingcoupler.graphs import canonical_edge_mask, couplings, pair_order, relabelings
 from isingcoupler.pulses import PulseSequence, canonicalize
 
 FROZEN_L0 = json.loads(
@@ -221,6 +222,23 @@ def test_lower_bound_of_a_zero_target_is_zero():
     assert lower_bound(Graph(4, ())) == 0
 
 
+def test_lower_bound_over_the_n6_classes_is_pinned():
+    """The bounds and the restricted searches' nodes, summed over the 156
+    n=6 classes, where the node pin of solve_l0 (n=3..5) does not reach:
+    they move only if a rank, a restricted set or the search changes."""
+    pairs = pair_order(6)
+    masks = {canonical_edge_mask(mask, 6) for mask in range(1 << len(pairs))}
+    assert len(masks) == 156
+    bounds = nodes = 0
+    for mask in masks:
+        g = Graph.unweighted(6, [uv for bit, uv in enumerate(pairs) if mask >> bit & 1])
+        bound, more, timed_out = _lower_bound(6, couplings(g), _cut_columns(6), math.inf)
+        assert not timed_out
+        bounds += bound
+        nodes += more
+    assert (bounds, nodes) == (768, 251052)
+
+
 def fraction_det(rows):
     """Determinant by Gaussian elimination in Fractions."""
     a = [[Fraction(v) for v in row] for row in rows]
@@ -255,6 +273,13 @@ def fraction_rank(cols):
     return rank
 
 
+def eliminate(u, v, piv, prev):
+    """(v[piv] * u - u[piv] * v) // prev on lists of ints: the reference
+    fraction-free step that _packed_step performs on packed columns."""
+    f, g = v[piv], u[piv]
+    return [(f * a - g * x) // prev for a, x in zip(u, v)]
+
+
 @st.composite
 def supports_and_targets(draw):
     """Cut columns for n <= 5, an ordered list of distinct masks to add as
@@ -275,7 +300,7 @@ def supports_and_targets(draw):
 def test_fraction_free_step_leaves_minors(case):
     """Add the drawn columns one by one as the search does (a column that
     reduces to zero is skipped), reducing every column and the target by
-    _eliminate.  Each reduced entry must then be the determinant of the
+    eliminate.  Each reduced entry must then be the determinant of the
     support columns plus that column on the rows (pivot rows in order, then
     its own row); a column must reduce to zero exactly when it is dependent
     on the support, and the target exactly when it is in the span."""
@@ -289,8 +314,8 @@ def test_fraction_free_step_leaves_minors(case):
             assert fraction_rank([cols[s] for s in support + [t]]) == len(support)
             continue
         piv = next(r for r, a in enumerate(v) if a)
-        reduced = {t2: _eliminate(u, v, piv, prev) for t2, u in reduced.items()}
-        residual = _eliminate(residual, v, piv, prev)
+        reduced = {t2: eliminate(u, v, piv, prev) for t2, u in reduced.items()}
+        residual = eliminate(residual, v, piv, prev)
         support.append(t)
         pivots.append(piv)
         prev = v[piv]
@@ -338,7 +363,7 @@ def unpack(u, m, k):
 @given(packed_chains())
 def test_packed_step_decodes_to_the_eliminate_chain(case):
     """Add the drawn columns one by one as the search does, reducing every
-    column and the target both by _eliminate and by _packed_step on the
+    column and the target both by eliminate and by _packed_step on the
     packed integers.  After each step the packed pivot row and entry are
     those of the list column, every packed column decodes entry for entry
     to its list, inside the field's bound, and is zero exactly when the
@@ -357,7 +382,7 @@ def test_packed_step_decodes_to_the_eliminate_chain(case):
             continue
         piv, f, reduced = _packed_step(list(packed.values()), pv, k, prev)
         assert piv == next(r for r, a in enumerate(v) if a) and f == v[piv]
-        lists = {t2: _eliminate(u, v, piv, prev) for t2, u in lists.items()}
+        lists = {t2: eliminate(u, v, piv, prev) for t2, u in lists.items()}
         packed = dict(zip(packed, reduced))
         prev = f
         for t2, u in lists.items():
@@ -379,21 +404,54 @@ def symmetric_matrices(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(symmetric_matrices(), st.integers(-4, 4))
-def test_char_poly_and_nullspace_match_fraction_elimination(a, lam):
-    """det(lam I - a) is the polynomial's value at lam, and the nullspace of
-    a - lam I has an integer basis of n - rank vectors, each mapped to 0."""
-    n = len(a)
+def test_char_poly_matches_fraction_determinant(a, lam):
+    """det(lam I - a) is the polynomial's value at lam."""
     shifted = [[x - lam * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
     value = 0
     for c in _char_poly(a):
         value = value * lam + c
     assert value == fraction_det([[-x for x in row] for row in shifted])
-    basis = _nullspace(shifted)
-    assert len(basis) == n - fraction_rank(shifted)
-    assert fraction_rank(basis) == len(basis)
-    for x in basis:
-        assert all(type(v) is int for v in x)
-        assert all(sum(r * v for r, v in zip(row, x)) == 0 for row in shifted)
+
+
+@st.composite
+def matrices_and_vectors(draw):
+    """A symmetric integer matrix with n <= 8 and entries up to about
+    MAX_SCAN_RADIUS / (n - 1), so that a row can reach the largest radius
+    the lower bound scans, either drawn entry by entry or as a sum of a few
+    rank-one terms c x x^T (so often singular); and vectors to test against
+    its column space: +-1 vectors, integer combinations of its columns and
+    arbitrary ones."""
+    n = draw(st.integers(1, 8))
+    cap = MAX_SCAN_RADIUS // max(n - 1, 1)
+    a = [[0] * n for _ in range(n)]
+    if draw(st.booleans()):
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            a[i][j] = a[j][i] = draw(st.integers(-cap, cap))
+    else:
+        for _ in range(draw(st.integers(0, n))):
+            c = draw(st.integers(-cap // n, cap // n))
+            x = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+            for i, j in itertools.product(range(n), repeat=2):
+                a[i][j] += c * x[i] * x[j]
+    vectors = draw(st.lists(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n),
+                            max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        vectors.append([sum(c * x for c, x in zip(k, row)) for row in a])
+    vectors += draw(st.lists(st.lists(st.integers(-cap, cap), min_size=n, max_size=n),
+                             max_size=2))
+    return a, vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_and_vectors())
+def test_column_space_matches_fraction_rank(case):
+    """The rank is the Fraction rank of a, and a vector is inside exactly
+    when appending it to the columns of a keeps that rank."""
+    a, vectors = case
+    rank, inside = _column_space(a, vectors)
+    assert rank == fraction_rank(a)
+    assert inside == [fraction_rank([*a, v]) == rank for v in vectors]
 
 
 def highs_l1(g):
