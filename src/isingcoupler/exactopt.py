@@ -35,39 +35,21 @@ full search; they find small supports early, which tightens the bound when
 the full search cannot finish in time.  Floats only order the search; every
 decision to skip, prune or accept is exact.
 
-Elimination runs incrementally and exactly in Python integers, with the
-fraction-free step of Bareiss (Math. Comp. 22, 1968), on b scaled to
-integers.  Adding a column v with pivot row r (its first nonzero entry)
-replaces every other candidate column u, and the residual of b, by
-(v[r] u - u[r] v) / prev, with prev the pivot of the column added before v
-(1 at the root).  By Sylvester's identity each entry of a reduced column is
-then the minor of [support | column] on the support's pivot rows, in order,
-and the entry's own row, so the division is exact and:
+Elimination runs incrementally and exactly, on b scaled to integers, with
+the fraction-free step of ``simplex`` (``_packed_step``; ``simplex`` owns
+the packing, its decoding and the field width).  Each column, and the
+residual, is one Python integer with a k-bit field per pair row.  Adding a
+column v with pivot row r (its first nonzero entry) replaces every other
+candidate column u, and the residual of b, by (v[r] u - u[r] v) / prev,
+with prev the pivot of the column added before v (1 at the root).  Each
+entry of a reduced column is then the minor of [support | column] on the
+support's pivot rows, in order, and the entry's own row, so:
 
 - a column that reduces to zero lies in the span of the support, and is
   skipped as dependent;
 - a residual that reduces to zero means b lies in the span, so the support
   realizes the graph; ``simplex._solve_integer`` then solves the support
   system once for the exact strengths.  A nonzero residual is a miss.
-
-Each column, and the residual, is held as one Python integer, the sum of
-x_i 2^(k i) over the pair rows i with signed fields x_i of k bits
-(``_pack``), so a step is a handful of big-integer operations on whole
-columns rather than one per entry (``_packed_step``).  With m pairs, a
-minor of [support | column] is at most m^(m/2) in absolute value by
-Hadamard's inequality, and one of [support | b] at most m^(m/2) |b|; k is
-fixed once per search so that 2^(k-2) exceeds both (``_field_width``).
-Packing is linear and prev divides every entry, so (f U - g V) // prev on
-the packed integers U and V of u and v, with f = v[r] and g = u[r], is
-exactly the packed column of minors.  The products f U and g V may carry
-across fields; that does no harm, since only the exact result is decoded,
-and decoding needs only |x_i| < 2^(k-1):
-
-- a column is zero when its integer is;
-- its pivot row is the field holding its lowest set bit;
-- field i is ((U + 2^(k i - 1)) >> k i) mod 2^k, re-centred to
-  [-2^(k-1), 2^(k-1)); the added half unit absorbs the borrow that
-  negative lower fields take from it.
 
 Before the search, ``_lower_bound`` proves a lower bound on L0, and the
 search stops as soon as its incumbent meets it.  A realization with k rows
@@ -142,7 +124,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -157,7 +138,8 @@ from .pulses import PulseSequence, canonicalize, coupling_sign, sequence_to_json
 # float_solve is unused here; perfbench's tracing test still checks that this
 # module holds the traced simplex.float_solve, and perfbench changes only
 # together with the benchmark.
-from .simplex import _scaled, _solve_integer, float_solve, solve_lp  # noqa: F401
+from .simplex import (  # noqa: F401
+    _field_width, _pack, _packed_step, _scaled, _solve_integer, float_solve, solve_lp)
 
 MAX_EXACT_N = 8
 # Largest Gershgorin radius R the lower bound scans for integer eigenvalues:
@@ -235,39 +217,6 @@ class _Timeout(Exception):
     pass
 
 
-def _field_width(m: int, b_int) -> int:
-    """Bits k per entry of a packed column, for m pair rows and the integer
-    target b_int: every reduced entry is a minor, at most m^(m/2) *
-    max(1, |b_int|) in absolute value (Hadamard), so below 2^(k-2)."""
-    norm = math.isqrt(sum(x * x for x in b_int))
-    return ((math.isqrt(m ** m) + 1) * (norm + 1)).bit_length() + 2
-
-
-def _pack(column, k: int) -> int:
-    """The integer sum of column[i] * 2^(k i): one signed field per entry."""
-    packed = 0
-    for x in reversed(column):  # a loop costs less than a sum over a generator
-        packed = (packed << k) + x
-    return packed
-
-
-def _packed_step(us, v: int, k: int, prev: int):
-    """One fraction-free step on packed columns with fields of k bits: the
-    pivot row piv of the nonzero column v (the field of its lowest set bit),
-    v[piv], and each u of us replaced by (v[piv] u - u[piv] v) // prev, exact
-    because every result entry is a minor (see the module docstring)."""
-    piv = ((v & -v).bit_length() - 1) // k
-    s, half, mask = k * piv, 1 << (k - 1), (1 << k) - 1
-    # field piv moved to [0, 2^k), plus half a unit below it to absorb the
-    # borrow of the lower fields
-    off = (half << s) + ((1 << s) >> 1)
-    f = ((v + off) >> s & mask) - half
-    reduced = []  # a loop: in Python 3.11 a comprehension costs more for one column
-    for u in us:
-        reduced.append((f * u - ((((u + off) >> s) & mask) - half) * v) // prev)
-    return piv, f, reduced
-
-
 def _ordered(ts, vs, floats, r_float):
     """Sort candidates by |<r, v>| / |v|, the share of the float residual r
     each would remove next (a heuristic: it orders the search, never prunes).
@@ -292,7 +241,8 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
     found, or None when no set was accepted.
     """
     b_int = _scaled(b)
-    k = _field_width(len(b_int), b_int)
+    # a minor holds at most m = len(b_int) cut columns, all of norm^2 m, and b_int
+    k = _field_width(itertools.islice(cols.values(), len(b_int)), [b_int])
     best_entries = None
     nodes = 0
 
@@ -431,14 +381,10 @@ def _column_space(a: list[list[int]], vectors) -> tuple[int, list[bool]]:
     The columns of a are added one by one with ``_packed_step``, as the
     support search adds its columns, and every vector is reduced in the
     same calls; a vector lies in the span exactly when it reduces to zero.
-    Every reduced entry is a minor of [a | vector] of order at most n, at
-    most n^(n/2) M^n in absolute value (Hadamard), with M the largest
-    absolute entry of a and the vectors, or 1.
     """
-    n = len(a)
-    big = max(map(abs, itertools.chain(*a, *vectors)), default=0) or 1
-    k = ((math.isqrt(n ** n) + 1) * big ** n).bit_length() + 2
-    columns = [_pack(column, k) for column in zip(*a)]
+    columns = list(zip(*a))
+    k = _field_width(columns, vectors)
+    columns = [_pack(column, k) for column in columns]
     packed = [_pack(vector, k) for vector in vectors]
     rank, prev = 0, 1
     while columns:
@@ -527,7 +473,9 @@ def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     When time_limit runs out, during the bound or the search, the best
     incumbent found so far is returned with status INCUMBENT_TIMEOUT; the
     greedy order makes it far smaller than the construction even where the
-    search cannot finish (n=7).
+    search cannot finish (n=7).  At n=8, though, the bound's restricted
+    searches can use the whole limit, and then the construction itself is
+    returned (ER(8, 0.5) seeds 2 and 8 at time_limit=5).
     """
     _check_size(g)
     check_time_limit(time_limit)
@@ -564,11 +512,11 @@ def solve_l1(g: Graph) -> OptResult:
     The objective bounds each strength directly, and the program is solved
     to exact rational optimality.  There is no time limit: time limits
     apply to the L0 search only.  When the float basis certifies, as it
-    does on every graph of the benchmark, a solve takes a median 2.5, 6 and
-    16 ms at n=6, 7 and 8, and at most 27 ms at n=8 (the benchmark's 72 L1
-    graphs, best of 5, on a 2-core x86-64 VM).  The exact fallbacks of
-    ``simplex`` take up to about a second to resume and a few seconds to
-    solve from scratch at n=8.
+    does on every graph of the benchmark, a solve takes a median 1.5, 5.7
+    and 18 ms at n=6, 7 and 8, and at most 31 ms at n=8 (the benchmark's 72
+    L1 graphs, best of 5, Python 3.11 on a 2-core x86-64 VM).  The exact
+    fallbacks of ``simplex`` take up to about a second to resume and 1.5 to
+    4 s to solve from scratch at n=8 (ER(8, 0.5), seeds 0-2).
     """
     _check_size(g)
     start = time.monotonic()

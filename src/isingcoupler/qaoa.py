@@ -170,11 +170,15 @@ def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def _popcounts(n: int) -> np.ndarray:
+    """popcount(x) for every basis state x < 2^n, as int64."""
+    return np.array([x.bit_count() for x in range(1 << n)], dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=None)
 def _zz_energies(n: int) -> np.ndarray:
     """sum_{i<j} z_i z_j for each basis state, z_i = +-1 from bit i."""
-    idx = np.arange(1 << n)
-    pop = np.array([int(b).bit_count() for b in idx])
-    s = n - 2 * pop
+    s = n - 2 * _popcounts(n)
     return (s * s - n) / 2.0
 
 
@@ -252,8 +256,7 @@ def _apply_cnot(rho: np.ndarray, pair_index: np.ndarray) -> np.ndarray:
 def _pair_popcounts(n: int) -> np.ndarray:
     """popcount(x ^ y) for every pair of basis states, as int8."""
     idx = np.arange(1 << n)
-    pop = np.array([int(b).bit_count() for b in idx], dtype=np.int8)
-    return pop[idx[:, None] ^ idx[None, :]]
+    return _popcounts(n).astype(np.int8)[idx[:, None] ^ idx[None, :]]
 
 
 def _mixer_unitary(n: int, beta: float) -> np.ndarray:

@@ -41,15 +41,26 @@ identical results.
 Every exact solve of a linear system (the primal and dual basis systems
 here, and the L0 support systems of ``exactopt``) runs through
 ``_solve_integer``: fraction-free Gauss-Jordan elimination (Bareiss, Math.
-Comp. 22, 1968) in Python integers, after each row is scaled to integers by
-the lcm of its denominators.  A step on pivot p replaces each other entry x
-by (p x - f y) / prev, with f the row's entry in the pivot column, y the
-pivot row's entry and prev the previous pivot.  By Sylvester's identity the
-result is a minor of the scaled system, so the division is exact, and no
-gcd is taken.  The elimination ends with x = num / d for integer num and
-the last pivot d != 0, so x is negative where num * d is, and the ratio
-of two entries of one solve is the ratio of their numerators: Fractions
-are built only for those ratios and for a solution that is returned.
+Comp. 22, 1968) on the rows of [mat | rhs], each scaled to integers by the
+lcm of its denominators and packed into one Python integer, the sum of
+x_i 2^(k i) over its entries x_i, matrix entries lowest (``_pack``).  Rows
+are taken in order: one whose matrix part is zero is skipped if the whole
+row is, and is inconsistent otherwise; any other row v pivots on its first
+nonzero field r, and ``_packed_step`` replaces every other row u by
+(v[r] u - u[r] v) / prev, prev the previous pivot.  By Sylvester's identity
+every entry is then, up to sign, a minor of the scaled system, so the
+division is exact, and no gcd is taken.  Packing is linear, so the step
+acts field by field; products may carry across fields, but decoding the
+exact result needs only |x_i| < 2^(k-1): its lowest set bit lies in its
+first nonzero field, and field i is ((U + 2^(k i - 1)) >> k i) mod 2^k,
+re-centred, the half unit absorbing the borrow of negative lower fields.
+``_field_width`` sets k by Hadamard's inequality on column norms, since a
+minor holds some matrix columns and at most one other (a right-hand side).
+After s pivots each pivot row holds the last pivot d on its diagonal and
+num in its right-hand-side fields, x = num / d; so x is negative where
+num * d is, and the ratio of two entries of one solve is the ratio of their
+numerators: Fractions are built only for those ratios and for a solution
+that is returned.
 """
 
 from __future__ import annotations
@@ -186,8 +197,43 @@ def _scaled(b) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in b]
 
 
+def _field_width(columns, extras) -> int:
+    """Bits k per packed field, 2^(k-2) above every minor of some of columns
+    and at most one of extras (Hadamard; each column norm taken as >= 1)."""
+    bound = max([1, *(sum(x * x for x in e) for e in extras)])
+    for c in columns:
+        bound *= max(1, sum(x * x for x in c))
+    return (math.isqrt(bound) + 1).bit_length() + 2
+
+
+def _pack(column, k: int) -> int:
+    """The integer sum of column[i] * 2^(k i): one signed field per entry."""
+    packed = 0
+    for x in reversed(column):  # a loop costs less than a sum over a generator
+        packed = (packed << k) + x
+    return packed
+
+
+def _packed_step(us, v: int, k: int, prev: int):
+    """One fraction-free step on packed vectors with fields of k bits: the
+    pivot field piv of the nonzero v (the field of its lowest set bit),
+    v[piv], and each u of us replaced by (v[piv] u - u[piv] v) // prev, exact
+    because every result entry is a minor (see the module docstring)."""
+    piv = ((v & -v).bit_length() - 1) // k
+    s, half, mask = k * piv, 1 << (k - 1), (1 << k) - 1
+    # field piv moved to [0, 2^k), plus half a unit below it to absorb the
+    # borrow of the lower fields
+    off = (half << s) + ((1 << s) >> 1)
+    f = ((v + off) >> s & mask) - half
+    reduced = []  # a loop: in Python 3.11 a comprehension costs more for one vector
+    for u in us:
+        reduced.append((f * u - ((((u + off) >> s) & mask) - half) * v) // prev)
+    return piv, f, reduced
+
+
 def _solve_integer(mat, rhs_cols):
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of mat.x = rhs.
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of mat.x = rhs on
+    packed rows (see the module docstring).
 
     mat has m >= s rows of s entries; mat and the right-hand sides hold ints
     or Fractions.  Returns (d, nums), one integer list per right-hand side,
@@ -197,26 +243,28 @@ def _solve_integer(mat, rhs_cols):
     s = len(mat[0])
     # a row times a nonzero constant has the same solutions
     rows = [_scaled([*row, *(rhs[r] for rhs in rhs_cols)]) for r, row in enumerate(mat)]
-    # Each row holds its entries in the columns not yet pivoted on; the
-    # eliminated columns hold the latest pivot on the diagonal and 0
-    # elsewhere.  After k pivots every entry is a minor of the scaled
-    # [mat | rhs], of order k in the pivot rows and k+1 in the others
-    # (Sylvester's identity), so the division by prev is exact.
-    prev = 1
-    for c in range(s):
-        piv = next((r for r in range(c, len(rows)) if rows[r][0]), None)
-        if piv is None:
+    columns = list(zip(*rows))
+    k = _field_width(columns[:s], columns[s:])
+    matrix_part = (1 << k * s) - 1
+    pivots, done, rest, prev = [], [], [_pack(row, k) for row in rows], 1
+    while rest:
+        v, *rest = rest
+        if v & matrix_part:
+            piv, prev, reduced = _packed_step(done + rest, v, k, prev)
+            done, rest = [*reduced[:len(done)], v], reduced[len(done):]
+            pivots.append(piv)
+        elif v:  # 0 = a nonzero right-hand side
             return None
-        rows[c], rows[piv] = rows[piv], rows[c]
-        top = rows[c]
-        p, tail = top[0], top[1:]
-        for r, row in enumerate(rows):
-            f = row[0]
-            rows[r] = tail if r == c else [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
-        prev = p
-    if any(any(row) for row in rows[s:]):
+    if len(pivots) < s:
         return None
-    return prev, [list(col) for col in zip(*rows[:s])]
+    half = 1 << (k - 1)
+    nums = [[0] * s for _ in rhs_cols]
+    for piv, row in zip(pivots, done):
+        row = (row - (prev << k * piv)) >> k * s  # the right-hand-side fields
+        for num in nums:
+            row, x = divmod(row + half, 1 << k)
+            num[piv] = x - half
+    return prev, nums
 
 
 def _columns(a_rows, b):

@@ -27,11 +27,11 @@ from isingcoupler import (
 from isingcoupler import exactopt
 from isingcoupler.exactopt import (
     INCUMBENT_TIMEOUT, MAX_SCAN_RADIUS, OPTIMAL, _char_poly, _column_space, _cut_columns,
-    _default_incumbent, _field_width, _l1_program, _lower_bound, _pack, _packed_step, _scaled,
-    _search_supports, _symmetries,
+    _default_incumbent, _l1_program, _lower_bound, _scaled, _search_supports, _symmetries,
 )
 from isingcoupler.graphs import canonical_edge_mask, couplings, pair_order, relabelings
 from isingcoupler.pulses import PulseSequence, canonicalize
+from isingcoupler.simplex import _field_width, _pack, _packed_step
 
 FROZEN_L0 = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "frozen.json").read_text())["l0"]
@@ -370,7 +370,7 @@ def test_packed_step_decodes_to_the_eliminate_chain(case):
     list is."""
     cols, order, b = case
     m = len(b)
-    k = _field_width(m, b)
+    k = _field_width(list(cols.values())[:m], [b])
     lists = {t: list(v) for t, v in cols.items()}
     lists[None] = list(b)  # the residual
     packed = {t: _pack(v, k) for t, v in lists.items()}

@@ -8,6 +8,7 @@ cut-matrix LPs with pinned optimal vertices, and the integer eliminator and
 certify_basis against Fraction elimination."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -400,10 +401,12 @@ def fraction_gauss_jordan(mat, rhs_cols):
 
 @st.composite
 def linear_systems(draw):
-    """An m x s matrix (m >= s) of small ints, some rows rational, with one
-    or two right-hand sides, each either consistent by construction or drawn
-    at random; sometimes a column is a multiple of another."""
-    s = draw(st.integers(1, 4))
+    """An m x s matrix (s <= 6, m <= s + 2) of small ints, some rows
+    rational, with one or two right-hand sides, each either consistent by
+    construction or drawn at random.  Sometimes a column is a multiple of
+    another, a row's matrix part is zero, or one column or the first
+    right-hand side has entries up to 10^30."""
+    s = draw(st.integers(1, 6))
     m = draw(st.integers(s, s + 2))
     mat = []
     for _ in range(m):
@@ -414,13 +417,20 @@ def linear_systems(draw):
         k = draw(st.integers(-2, 2))
         for row in mat:
             row[-1] = k * row[0]
+    for r in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        mat[r] = [0] * s
+    big = draw(st.integers(-1, s))  # the column with huge entries; s: the first rhs
+    if 0 <= big < s:
+        for row in mat:
+            row[big] = draw(st.integers(-10**30, 10**30))
     rhs_cols = []
-    for _ in range(draw(st.integers(1, 2))):
+    for i in range(draw(st.integers(1, 2))):
+        bound = 10**30 if big == s and i == 0 else 4
         if draw(st.booleans()):
-            x = draw(st.lists(st.integers(-3, 3), min_size=s, max_size=s))
+            x = draw(st.lists(st.integers(-bound, bound), min_size=s, max_size=s))
             rhs_cols.append([sum(a * v for a, v in zip(row, x)) for row in mat])
         else:
-            rhs_cols.append(draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)))
+            rhs_cols.append(draw(st.lists(st.integers(-bound, bound), min_size=m, max_size=m)))
     return mat, rhs_cols
 
 
@@ -432,6 +442,9 @@ def linear_systems(draw):
 @example(([[1, 1], [1, -1], [2, 0]], [[2, 0, 2]]))  # tall, consistent
 @example(([[1, 1], [1, -1], [2, 0]], [[2, 0, 3]]))  # tall, inconsistent
 @example(([[Fraction(1, 2), 1], [Fraction(-1, 3), 1]], [[Fraction(5, 6), 2]]))  # rational rows
+@example(([[1, 2], [0, 0], [3, 1]], [[5, 0, 5]]))  # a zero row, skipped
+@example(([[1, 1], [1, 2], [2, 3]], [[2, 3, 6]]))  # row 2 reduces to 0 = 1
+@example(([[0, 2, 1], [1, 0, 0], [3, 1, 0]], [[3, 1, 4]]))  # row 0 leads in column 1
 def test_integer_elimination_matches_fraction_elimination(system):
     mat, rhs_cols = system
     expected = fraction_gauss_jordan(mat, rhs_cols)
@@ -450,6 +463,20 @@ def test_integer_elimination_matches_fraction_elimination(system):
         Fraction(v).denominator == 1 for rhs in rhs_cols for v in rhs)
     if len(mat) == len(mat[0]) and integral:
         assert abs(d) == abs(det)
+
+
+def test_field_width_takes_hadamards_bound_on_column_norms():
+    """28 +-1 columns of length 28 and one column of 10^400 entries: every
+    minor is below 28^14 * sqrt(28) * 10^400, about 2^1399, so about 1,400
+    bits suffice, where the largest entry to the power of the order (29)
+    would ask for about 39,000."""
+    columns = [[1 - 2 * (i * j % 3 == 1) for i in range(28)] for j in range(28)]
+    big = [10**400] * 28
+    k = simplex._field_width(columns, [big])
+    assert k <= 1410
+    assert 1 << (k - 2) > math.isqrt(28**28 * 28 * 10**800)
+    # only the largest extra column counts, and a zero column counts as 1
+    assert simplex._field_width(columns + [[0] * 28], [[1] * 28, big]) == k
 
 
 def reference_certificate(a_rows, b, c, basis):
