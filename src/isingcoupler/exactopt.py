@@ -51,6 +51,16 @@ support's pivot rows, in order, and the entry's own row, so:
   realizes the graph; ``simplex._solve_integer`` then solves the support
   system once for the exact strengths.  A nonzero residual is a miss.
 
+At the last level, where adding a column makes best - 1 columns (the
+largest size still accepted), every candidate is a leaf and only that
+zero test is read, so the step is not run there.  The reduced residual
+(v[r] R - R[r] v) / prev is zero exactly when v[r] R = R[r] v, that is when
+the nonzero R is parallel to v.  Parallel vectors have their first nonzero
+entry in the same row, so once per node the residual's pivot row p and
+R[p] are read, a candidate whose lowest set bit lies outside field p is
+rejected by two masks, and any other is a hit exactly when v[p] R = R[p] v:
+two products, with no division and no list.
+
 Before the search, ``_lower_bound`` proves a lower bound on L0, and the
 search stops as soon as its incumbent meets it.  A realization with k rows
 S (k x n, +-1 entries) and strengths W satisfies S^T diag(W) S = A + tI,
@@ -221,10 +231,16 @@ def _ordered(ts, vs, floats, r_float):
     """Sort candidates by |<r, v>| / |v|, the share of the float residual r
     each would remove next (a heuristic: it orders the search, never prunes).
     ts, vs and floats hold the candidates' masks, packed columns and float
-    columns, and come back in the new order."""
-    norms = np.maximum(np.linalg.norm(floats, axis=1), 1e-12)
-    order = np.argsort(-np.abs(floats @ r_float) / norms, kind="stable")
-    return [ts[i] for i in order], [vs[i] for i in order], floats[order]
+    columns, and come back in the new order, ties in their old order.
+
+    The norms run the ufuncs that ``np.linalg.norm(floats, axis=1)`` runs,
+    without its argument handling, so they are bit for bit the same.  The
+    order indexes the two lists as Python ints, which cost less than numpy
+    integer scalars."""
+    norms = np.maximum(np.sqrt(np.add.reduce(floats * floats, axis=1)), 1e-12)
+    order = (-np.abs(floats @ r_float) / norms).argsort(kind="stable")
+    picks = order.tolist()
+    return [ts[i] for i in picks], [vs[i] for i in picks], floats[order]
 
 
 def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
@@ -243,8 +259,15 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
     b_int = _scaled(b)
     # a minor holds at most m = len(b_int) cut columns, all of norm^2 m, and b_int
     k = _field_width(itertools.islice(cols.values(), len(b_int)), [b_int])
+    half, mask = 1 << (k - 1), (1 << k) - 1
     best_entries = None
     nodes = 0
+
+    def accept(trial):
+        nonlocal best, best_entries
+        d, (num,) = _solve_integer([*zip(*(cols[s] for s in trial))], [b])
+        best = len(trial)
+        best_entries = [(s, Fraction(w, d)) for s, w in zip(trial, num)]
 
     def extend(support, prev, ts, vs, floats, residual, r_float, width, stab=()):
         """Try each of the first width candidate columns on top of support.
@@ -259,13 +282,34 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
         of them maps to an earlier candidate, or to a column that is not a
         candidate here, is skipped.
         """
-        nonlocal best, best_entries, nodes
+        nonlocal nodes
+        if best <= floor or len(support) + 1 >= best:
+            return
         if len(stab):
             idx = np.array(ts, dtype=np.intp) >> 1
             order = np.arange(len(idx))
             rank = np.full(stab.shape[1], -1)
             rank[idx] = order
-            skip = (rank[stab[:, idx]] < order).any(axis=0)
+            skip = (rank[stab[:, idx]] < order).any(axis=0).tolist()
+        # (a zero residual, b = 0 at the root, has no pivot field)
+        if residual and len(support) + 2 >= best:
+            # Every candidate is a leaf, a hit exactly when it is parallel to
+            # the residual (see the module docstring): its pivot field must
+            # be the residual's field p, and v[p] residual = r[p] v.
+            s = ((residual & -residual).bit_length() - 1) // k * k
+            below, upto = (1 << s) - 1, (1 << s + k) - 1
+            r_p = ((residual >> s) + half & mask) - half
+            for pos, v in enumerate(vs[:width]):
+                if len(stab) and skip[pos]:
+                    continue
+                nodes += 1
+                if time.monotonic() > deadline:
+                    raise _Timeout
+                if (not v & below and v & upto
+                        and (((v >> s) + half & mask) - half) * residual == r_p * v):
+                    accept(support + [ts[pos]])
+                    return
+            return
         for pos, t in enumerate(ts[:width]):
             if best <= floor or len(support) + 1 >= best:
                 return
@@ -281,9 +325,7 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
             _, f, (rest, *reduced) = _packed_step([residual, *vs[pos + 1:]] if expand
                                                   else [residual], v, k, prev)
             if not rest:
-                d, (num,) = _solve_integer([*zip(*(cols[s] for s in trial))], [b])
-                best = len(trial)
-                best_entries = [(s, Fraction(w, d)) for s, w in zip(trial, num)]
+                accept(trial)
                 return
             if expand:
                 kept = [i for i, v2 in enumerate(reduced) if v2]
@@ -292,11 +334,12 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
                 child_floats = r_child = None
                 # Last-level children of the full pass are all tried anyway.
                 if width is not None or len(trial) + 2 < best:
-                    u = floats[pos] / max(np.linalg.norm(floats[pos]), 1e-12)
+                    f_pos = floats[pos]
+                    u = f_pos / max(np.sqrt(f_pos.dot(f_pos)), 1e-12)
                     later = floats[pos + 1:][kept]
                     r_child = r_float - (r_float @ u) * u
                     child_ts, child_vs, child_floats = _ordered(
-                        child_ts, child_vs, later - np.outer(later @ u, u), r_child
+                        child_ts, child_vs, later - (later @ u)[:, None] * u, r_child
                     )
                 child_stab = stab[stab[:, t >> 1] == t >> 1] if len(stab) else ()
                 extend(trial, f, child_ts, child_vs, child_floats, rest, r_child, width,
@@ -470,30 +513,32 @@ def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     counts the columns tried on top of a support, in all passes of the
     search and in the restricted searches of the bound; columns the full
     pass skips by symmetry are not tried, so it counts the pruned search.
-    When time_limit runs out, during the bound or the search, the best
-    incumbent found so far is returned with status INCUMBENT_TIMEOUT; the
-    greedy order makes it far smaller than the construction even where the
-    search cannot finish (n=7).  At n=8, though, the bound's restricted
-    searches can use the whole limit, and then the construction itself is
-    returned (ER(8, 0.5) seeds 2 and 8 at time_limit=5).
+    The bound may use the first half of time_limit; if it runs out there,
+    the bound proven so far stands and the search still runs.  When
+    time_limit runs out during the search, the best incumbent found so far
+    is returned with status INCUMBENT_TIMEOUT; the greedy order makes it
+    far smaller than the construction even where the search cannot finish
+    (n=7, and n=8 after a bound that timed out).  The status is OPTIMAL
+    exactly when the search was skipped or finished.
     """
     _check_size(g)
     check_time_limit(time_limit)
     start = time.monotonic()
-    deadline = start + time_limit
     b = couplings(g)
     cols = _cut_columns(g.n)
     incumbent = canonicalize(_default_incumbent(g))
     entries = list(zip(incumbent.rows, incumbent.strengths))
-    bound, nodes, timed_out = _lower_bound(g.n, b, cols, deadline)
+    # a bound that timed out is still proven; only the search's timeout counts
+    bound, nodes, _ = _lower_bound(g.n, b, cols, start + time_limit / 2)
+    timed_out = False
     # The symmetries are built only for the full pass, so solves that the
     # probe passes settle never pay for them.
     for widths in (_PROBE_WIDTHS, (None,)):
         if timed_out or len(entries) <= bound:
             break
         symmetries = _symmetries(g.n, b) if widths == (None,) else ()
-        found, more, timed_out = _search_supports(cols, b, len(entries), bound, deadline,
-                                                  widths, symmetries)
+        found, more, timed_out = _search_supports(cols, b, len(entries), bound,
+                                                  start + time_limit, widths, symmetries)
         nodes += more
         entries = found or entries
     return OptResult(

@@ -1,11 +1,13 @@
 """solve_l0 and solve_l1 against scipy's HiGHS on the same models, with every
 emitted sequence checked by verify; the L0 lower bound against the frozen
-optima and HiGHS brute force, and pinned over the n=6 classes; the
-fraction-free step against Fraction elimination, through a list-of-ints
-reference, and the packed step of the search against that reference; the
-bound's column-space test and characteristic polynomial against Fraction
-elimination; and the symmetries the full pass prunes with against
-networkx's isomorphism matcher, the cut matrix and the unpruned search."""
+optima and HiGHS brute force, and pinned over the n=6 classes; fake clocks
+for the bound's and the search's deadlines; the search's last-level leaf
+test on crafted targets, pinned; the fraction-free step against Fraction
+elimination, through a list-of-ints reference, and the packed step of the
+search against that reference; the bound's column-space test and
+characteristic polynomial against Fraction elimination; and the symmetries
+the full pass prunes with against networkx's isomorphism matcher, the cut
+matrix and the unpruned search."""
 
 import itertools
 import json
@@ -195,6 +197,16 @@ def test_lower_bound_never_exceeds_brute_force_l0(g):
     assert lower_bound(g) <= enumerated_l0(g)
 
 
+def scan_reads(g):
+    """The clock reads of the bound's Gershgorin scan: one per integer of
+    [-R, R], R the largest absolute row sum of the scaled coupling matrix."""
+    row_sums = [0] * g.n
+    for (i, j), v in zip(pair_order(g.n), _scaled(couplings(g))):
+        row_sums[i] += abs(v)
+        row_sums[j] += abs(v)
+    return 2 * max(row_sums) + 1
+
+
 def test_a_timed_out_restricted_search_returns_only_a_proven_bound(monkeypatch):
     """A clock that lets the Gershgorin scan's 2R + 1 reads pass and then
     reads past the deadline times out the first restricted-search node.
@@ -203,19 +215,86 @@ def test_a_timed_out_restricted_search_returns_only_a_proven_bound(monkeypatch):
     for n in (3, 4, 5):
         for g in enumerate_labeled_graphs(n, distinct_only=True):
             b = couplings(g)
-            row_sums = [0] * n
-            for (i, j), v in zip(pair_order(n), _scaled(b)):
-                row_sums[i] += abs(v)
-                row_sums[j] += abs(v)
             reads = itertools.count()
-            scan_reads = 2 * max(row_sums) + 1
+            scan = scan_reads(g)
             monkeypatch.setattr(exactopt, "time", SimpleNamespace(
-                monotonic=lambda: 0.0 if next(reads) < scan_reads else 2.0))
+                monotonic=lambda: 0.0 if next(reads) < scan else 2.0))
             bound, _, timed_out = _lower_bound(n, b, _cut_columns(n), 1.0)
             l0 = FROZEN_L0[str(n)][",".join(f"{u}-{v}" for u, v, _ in g.edges)]
             assert bound <= l0, g.edges
             timed_out_classes += timed_out
     assert timed_out_classes > 0
+
+
+def test_a_bound_that_times_out_leaves_the_search_its_time(monkeypatch):
+    """The bound gets half of the time limit.  A clock that reads 0 for
+    solve_l0's start and the Gershgorin scan, then 3/4 of the limit, times
+    out the bound's first restricted-search node but not the search, which
+    still proves the frozen optimum; the empty graph needs no scan."""
+    real_lower_bound = exactopt._lower_bound
+    bound_timeouts = []
+
+    def lower_bound_spy(*args):
+        bound, nodes, timed_out = real_lower_bound(*args)
+        bound_timeouts.append(timed_out)
+        return bound, nodes, timed_out
+
+    monkeypatch.setattr(exactopt, "_lower_bound", lower_bound_spy)
+    for n in (3, 4, 5):
+        for g in enumerate_labeled_graphs(n, distinct_only=True):
+            reads = itertools.count()
+            start_and_scan = 1 + scan_reads(g) if g.m else 1
+            monkeypatch.setattr(exactopt, "time", SimpleNamespace(
+                monotonic=lambda: 0.0 if next(reads) < start_and_scan else 7.5))
+            res = solve_l0(g, time_limit=10.0)
+            assert res.status == OPTIMAL and verify(res.sequence, g), g.edges
+            assert res.objective == FROZEN_L0[str(n)][
+                ",".join(f"{u}-{v}" for u, v, _ in g.edges)], g.edges
+    assert sum(bound_timeouts) > 0
+
+
+@pytest.mark.parametrize("n, b, entries, nodes", [
+    # b = 5 col(2) - 3 col(12): past col(2), the residual is -3 times the
+    # reduced col(12), its first leaf
+    (4, (-8, 8, 8, -2, -2, 2), [(2, 5), (12, -3)], 9),
+    # b = 7 col(0) - 3 col(2): four leaves share the residual's pivot field
+    # without being parallel to it, and four others lead in other fields
+    (5, (10, 4, 4, 4, 10, 10, 10, 4, 4, 4), [(0, 7), (2, -3)], 25),
+    # no two columns span b: every leaf is a miss
+    (4, (1, 2, 3, 4, 5, 6), None, 36),
+    # past col(6), the residual (0, 0, -1) leads in the top field
+    (3, (2, 2, -1), [(6, Fraction(-3, 2)), (0, Fraction(1, 2))], 5),
+    # b = 10^30 col(2) - 3 col(12): fields of 111 bits
+    (4, (-10**30 - 3, 10**30 + 3, 10**30 + 3, 3 - 10**30, 3 - 10**30, 10**30 - 3),
+     [(2, 10**30), (12, -3)], 15),
+], ids=["minus-three-times", "shared-pivot-field", "miss", "top-field", "wide-fields"])
+def test_last_level_leaves_are_pinned(n, b, entries, nodes):
+    """With best = 3 every child of the root is a last-level node, whose
+    candidates are all leaves tried in the root's order; entries and node
+    counts are those of the search that reduced each leaf's residual with
+    the full fraction-free step."""
+    assert _search_supports(_cut_columns(n), b, 3, 0, math.inf, (None,)) == (
+        entries, nodes, False)
+
+
+def test_a_clock_past_the_deadline_at_the_first_leaf_keeps_the_incumbent(monkeypatch):
+    """The width-2 pass finds s rows in some number of nodes; the width-3
+    pass then tries the first candidate of s - 2 levels and reaches its
+    first last-level node.  A clock that jumps past the deadline there
+    times the search out at that leaf, with the width-2 pass's rows."""
+    for n in (4, 5):
+        for g in enumerate_labeled_graphs(n, distinct_only=True):
+            cols, b = _cut_columns(n), couplings(g)
+            best = len(canonicalize(_default_incumbent(g)).rows)
+            first, first_nodes, _ = _search_supports(cols, b, best, 0, math.inf, (2,))
+            if first is None or len(first) < 2:
+                continue
+            reads = itertools.count()
+            jump = first_nodes + len(first) - 2
+            monkeypatch.setattr(exactopt, "time", SimpleNamespace(
+                monotonic=lambda: 0.0 if next(reads) < jump else 2.0))
+            assert _search_supports(cols, b, best, 0, 1.0, (2, 3)) == (
+                first, jump + 1, True), g.edges
 
 
 def test_lower_bound_of_a_zero_target_is_zero():
