@@ -30,6 +30,7 @@ Each node orders its remaining candidates, and a child may only add the
 candidates after it, so every set is reached once whatever the order.  The
 order is greedy, as in orthogonal matching pursuit: candidates come by how
 much of the float residual of b (b projected off the support) they remove.
+A join node (below) builds its order only when it finds a set.
 Passes that try only the first few candidates at each node run before the
 full search; they find small supports early, which tightens the bound when
 the full search cannot finish in time.  Floats only order the search; every
@@ -51,15 +52,46 @@ support's pivot rows, in order, and the entry's own row, so:
   realizes the graph; ``simplex._solve_integer`` then solves the support
   system once for the exact strengths.  A nonzero residual is a miss.
 
-At the last level, where adding a column makes best - 1 columns (the
-largest size still accepted), every candidate is a leaf and only that
-zero test is read, so the step is not run there.  The reduced residual
-(v[r] R - R[r] v) / prev is zero exactly when v[r] R = R[r] v, that is when
-the nonzero R is parallel to v.  Parallel vectors have their first nonzero
-entry in the same row, so once per node the residual's pivot row p and
-R[p] are read, a candidate whose lowest set bit lies outside field p is
-rejected by two masks, and any other is a hit exactly when v[p] R = R[p] v:
-two products, with no division and no list.
+The last two levels are a join.  A node whose support is within two
+columns of best (len(support) + 3 >= best) with a nonzero residual R runs
+one step of all its candidates against R, as if R were the next support
+column: red_v = (R[p] v - v[p] R) / prev, with p R's pivot row.  red_v is
+linear in v and zero exactly when v is parallel to R, so:
+
+- support + [v] realizes b exactly when red_v = 0 (a single);
+- for candidates u and v that are not parallel (a v parallel to u is
+  dependent once u is added, so it is no child of u), support + [u, v]
+  realizes b exactly when R lies in span(u, v), that is when some nonzero
+  a u + c v is a multiple of R, that is when red_u and red_v are parallel
+  or one of them is zero (a pair).  Pairs are sought only when
+  len(support) + 3 = best: a node one column from best, left by a drop
+  of best, accepts singles only.
+
+Parallel vectors have their first nonzero entry in the same row, and v is
+parallel to w exactly when v[s] w = w[s] v there.  Each nonzero red_v is
+keyed by its pivot field s and red_v / red_v[s] mod P, P = 2^61 - 1,
+computed on the packed integer: w mod P is linear in w's fields, so
+parallel columns share a key.  The key is only a hash: 2^61 = 1 mod P
+folds the fields onto 61 bit positions, so columns that are not parallel
+may share one too, and every shared key is confirmed by the exact test.
+When red_v[s] = 0 mod P, red_v is divided by its content (the gcd of its
+fields) first, and keyed exactly by that primitive column, with its sign
+made positive at s, if its entry at s still vanishes mod P.  A node then
+costs one step over its c candidates instead of c children and their
+leaves, and it counts c nodes.
+
+The join accepts the set that the two levels below the node would accept
+if searched one candidate at a time, which try the candidates u in the
+node's order: u alone when red_u = 0, else the first pair (u, v) among u's
+children, the later candidates not parallel to u; then, unless the pair
+reaches floor, the first later u alone.  The full pass keeps the node's
+order among u's children, so v is u's first partner after it in that
+order; a probe pass tries only the first width u and, for each, the first
+width children in their own float order.  Each node projects its parent's
+float columns and orders its candidates itself: any other node on entry,
+a join node only when a single or a confirmed pair exists, which is rare,
+and then also (in a probe pass) the re-sorted children of a u with a
+partner.  A join node skips no candidate by symmetry (see below).
 
 Before the search, ``_lower_bound`` proves a lower bound on L0, and the
 search stops as soon as its incumbent meets it.  A realization with k rows
@@ -114,7 +146,10 @@ realizing b exactly when S does, whose path leaves S's path at an earlier
 branch of a node on it.  The orders of those nodes are fixed before c is
 reached, so the unpruned search tries g(S) before S and never accepts S.
 Skipping only such subtrees, the search accepts the same sets in the same
-order and emits the same sequence; only ``nodes_explored`` falls.
+order and emits the same sequence; only ``nodes_explored`` falls.  Each
+skip is sound on its own, as the search without it accepts no set in the
+skipped subtree, so skipping only some of them accepts the same sets too:
+join nodes skip none, and need neither the skip test nor the stabilizers.
 
 The rule is sound for any subset of the symmetries, so at most
 MAX_SYMMETRIES maps are kept: an n=8 graph with one edge has 92,159.  The
@@ -134,6 +169,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -164,6 +200,8 @@ MAX_SYMMETRIES = 1 << 12
 
 # candidates tried per node in the passes before the full search
 _PROBE_WIDTHS = (2, 3, 4)
+# the Mersenne prime 2^61 - 1, modulus of the join's fingerprints
+_PRIME = (1 << 61) - 1
 
 OPTIMAL = "optimal"
 INCUMBENT_TIMEOUT = "incumbent_timeout"
@@ -227,20 +265,33 @@ class _Timeout(Exception):
     pass
 
 
-def _ordered(ts, vs, floats, r_float):
-    """Sort candidates by |<r, v>| / |v|, the share of the float residual r
+def _ordered(floats, r_float):
+    """Order candidates by |<r, v>| / |v|, the share of the float residual r
     each would remove next (a heuristic: it orders the search, never prunes).
-    ts, vs and floats hold the candidates' masks, packed columns and float
-    columns, and come back in the new order, ties in their old order.
+    floats holds the candidates' float columns.  Returns the order, as a list
+    of Python ints (which index lists faster than numpy integers), ties in
+    their old order, and floats in that order.
 
     The norms run the ufuncs that ``np.linalg.norm(floats, axis=1)`` runs,
-    without its argument handling, so they are bit for bit the same.  The
-    order indexes the two lists as Python ints, which cost less than numpy
-    integer scalars."""
+    without its argument handling, so they are bit for bit the same."""
     norms = np.maximum(np.sqrt(np.add.reduce(floats * floats, axis=1)), 1e-12)
     order = (-np.abs(floats @ r_float) / norms).argsort(kind="stable")
-    picks = order.tolist()
-    return [ts[i] for i in picks], [vs[i] for i in picks], floats[order]
+    return order.tolist(), floats[order]
+
+
+def _child_order(floats, r_float, pos, kept):
+    """The order of a child's candidates, for the candidate at position pos
+    of a node whose candidates have the float columns floats (in the node's
+    order) and whose float residual is r_float.  The child keeps the later
+    candidates at offsets kept after pos; each, and the residual, is
+    projected off the float column at pos.  Returns ``_ordered``'s order
+    (indexing kept), the projected columns in that order and the child's
+    float residual."""
+    f_pos = floats[pos]
+    u = f_pos / max(np.sqrt(f_pos.dot(f_pos)), 1e-12)
+    later = floats[pos + 1:][kept]
+    r_child = r_float - (r_float @ u) * u
+    return (*_ordered(later - (later @ u)[:, None] * u, r_child), r_child)
 
 
 def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
@@ -262,6 +313,7 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
     half, mask = 1 << (k - 1), (1 << k) - 1
     best_entries = None
     nodes = 0
+    inverses = {}  # pivot entry to its inverse mod _PRIME
 
     def accept(trial):
         nonlocal best, best_entries
@@ -269,47 +321,134 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
         best = len(trial)
         best_entries = [(s, Fraction(w, d)) for s, w in zip(trial, num)]
 
-    def extend(support, prev, ts, vs, floats, residual, r_float, width, stab=()):
+    def lead(w):
+        """The shift s of the nonzero packed w's pivot field (the field of
+        its lowest set bit) and its entry w[s]."""
+        s = ((w & -w).bit_length() - 1) // k * k
+        return s, ((w >> s) + half & mask) - half
+
+    def parallel(x, y):
+        """Whether the nonzero packed x and y are parallel: then they share
+        their pivot field s, and x[s] y = y[s] x."""
+        (s, x_s), (t, y_t) = lead(x), lead(y)
+        return s == t and x_s * y == y_t * x
+
+    def fingerprint(w):
+        """A key that parallel nonzero packed columns share: the pivot field
+        and w / w[s] mod _PRIME, which is linear in w's fields (see the
+        module docstring)."""
+        s, w_s = lead(w)
+        if not w_s % _PRIME:
+            # w / gcd(fields) is primitive, so all parallel columns reach
+            # the same one up to sign, and key on it exactly if w[s] still
+            # vanishes mod _PRIME
+            fields, rest = [], w
+            for _ in b_int:
+                fields.append((rest + half & mask) - half)
+                rest = (rest - fields[-1]) >> k
+            g = math.gcd(*fields)
+            w, w_s = w // g, w_s // g
+            if not w_s % _PRIME:
+                return s, None, w if w_s > 0 else -w
+        inverse = inverses.get(w_s)
+        if inverse is None:
+            inverse = inverses[w_s] = pow(w_s, -1, _PRIME)
+        return s, w % _PRIME * inverse % _PRIME
+
+    def join(support, prev, ts, vs, residual, width, order):
+        """Accept the set that the last two levels below support would
+        accept: a candidate alone, or with a later one below it (see the
+        module docstring).  Arguments are as in ``extend``.
+
+        Candidate i alone is a hit when its column reduced against the
+        residual, red_i, is zero, and i with j when red_j is zero or
+        parallel to red_i and v_i is not parallel to v_j.  Pairs are sought
+        only when len(support) + 3 == best.
+        """
+        nonlocal nodes
+        if time.monotonic() > deadline:
+            raise _Timeout
+        nodes += len(vs)
+        _, _, reds = _packed_step(vs, residual, k, prev)
+        pairs = len(support) + 3 == best
+        singles, first, groups = [], {}, {}  # groups: the keys two or more share
+        for i, w in enumerate(reds):
+            if not w:
+                singles.append(i)
+            elif pairs:  # fingerprint(w), inlined while w[s]'s inverse is known
+                s = ((w & -w).bit_length() - 1) // k * k
+                inverse = inverses.get(((w >> s) + half & mask) - half)
+                key = (s, w % _PRIME * inverse % _PRIME) if inverse else fingerprint(w)
+                j = first.setdefault(key, i)
+                if j != i:
+                    groups.setdefault(key, [j]).append(i)
+        mates = {}  # i to the j whose pair with i is a hit, singles aside
+        for group in groups.values():
+            for i, j in itertools.combinations(group, 2):
+                if parallel(reds[i], reds[j]) and not parallel(vs[i], vs[j]):
+                    mates.setdefault(i, []).append(j)
+                    mates.setdefault(j, []).append(i)
+        if not singles and not mates:
+            return
+        picks, floats, r_float = order()
+        rank = {i: q for q, i in enumerate(picks)}
+        firsts = picks[:width]
+        for a, i in enumerate(firsts):
+            if not reds[i]:
+                accept(support + [ts[i]])
+                return
+            q = rank[i]
+            later = {j for j in [*mates.get(i, ()), *singles] if rank[j] > q} if pairs else ()
+            if not later:
+                continue
+            if width is None:  # the full pass keeps the node's order below it
+                j = min(later, key=rank.get)
+            else:  # a probe pass re-sorts the later candidates not parallel to i
+                kept = [d for d, j in enumerate(picks[q + 1:]) if not parallel(vs[j], vs[i])]
+                child = [picks[q + 1 + kept[c]] for c in _child_order(floats, r_float, q, kept)[0]]
+                j = next((j for j in child[:width] if j in later), None)
+                if j is None:
+                    continue
+            accept(support + [ts[i], ts[j]])
+            if best > floor:
+                single = next((j for j in firsts[a + 1:] if not reds[j]), None)
+                if single is not None:
+                    accept(support + [ts[single]])
+            return
+
+    def extend(support, prev, ts, vs, residual, order, width, stab=()):
         """Try each of the first width candidate columns on top of support.
 
         Candidate ts[i] has the packed column vs[i], reduced against the
         support's columns and nonzero; residual is b_int packed and reduced
         the same way, and prev is the pivot of the support's last column (1
-        at the root).  floats and r_float are the same reductions done by
-        float projection, used only to order the candidates of each child
-        (None when no child expands further in the full pass).  stab holds
-        the symmetries that fix every support column; a candidate that one
-        of them maps to an earlier candidate, or to a column that is not a
-        candidate here, is skipped.
+        at the root).  order() returns the node's order (a list indexing
+        ts), the float columns of the candidates in that order and the
+        float residual: the same reductions done by float projection, used
+        only to order candidates.  stab holds symmetries that fix every
+        support column but the last; the node keeps those that fix the
+        last one too, and skips a candidate that one of them maps to an
+        earlier candidate, or to a column that is not a candidate here.  A
+        node within two columns of best is a join node (``join``), which
+        orders its candidates only when it finds a set and prunes none.
         """
         nonlocal nodes
         if best <= floor or len(support) + 1 >= best:
             return
+        # (a zero residual, b = 0 at the root, has no pivot field)
+        if residual and len(support) + 3 >= best:
+            join(support, prev, ts, vs, residual, width, order)
+            return
+        picks, floats, r_float = order()
+        ts, vs = [ts[i] for i in picks], [vs[i] for i in picks]
+        if len(stab) and support:
+            stab = stab[stab[:, support[-1] >> 1] == support[-1] >> 1]
         if len(stab):
             idx = np.array(ts, dtype=np.intp) >> 1
-            order = np.arange(len(idx))
+            here = np.arange(len(idx))
             rank = np.full(stab.shape[1], -1)
-            rank[idx] = order
-            skip = (rank[stab[:, idx]] < order).any(axis=0).tolist()
-        # (a zero residual, b = 0 at the root, has no pivot field)
-        if residual and len(support) + 2 >= best:
-            # Every candidate is a leaf, a hit exactly when it is parallel to
-            # the residual (see the module docstring): its pivot field must
-            # be the residual's field p, and v[p] residual = r[p] v.
-            s = ((residual & -residual).bit_length() - 1) // k * k
-            below, upto = (1 << s) - 1, (1 << s + k) - 1
-            r_p = ((residual >> s) + half & mask) - half
-            for pos, v in enumerate(vs[:width]):
-                if len(stab) and skip[pos]:
-                    continue
-                nodes += 1
-                if time.monotonic() > deadline:
-                    raise _Timeout
-                if (not v & below and v & upto
-                        and (((v >> s) + half & mask) - half) * residual == r_p * v):
-                    accept(support + [ts[pos]])
-                    return
-            return
+            rank[idx] = here
+            skip = (rank[stab[:, idx]] < here).any(axis=0).tolist()
         for pos, t in enumerate(ts[:width]):
             if best <= floor or len(support) + 1 >= best:
                 return
@@ -329,32 +468,21 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
                 return
             if expand:
                 kept = [i for i, v2 in enumerate(reduced) if v2]
-                child_ts = [ts[pos + 1 + i] for i in kept]
-                child_vs = [reduced[i] for i in kept]
-                child_floats = r_child = None
-                # Last-level children of the full pass are all tried anyway.
-                if width is not None or len(trial) + 2 < best:
-                    f_pos = floats[pos]
-                    u = f_pos / max(np.sqrt(f_pos.dot(f_pos)), 1e-12)
-                    later = floats[pos + 1:][kept]
-                    r_child = r_float - (r_float @ u) * u
-                    child_ts, child_vs, child_floats = _ordered(
-                        child_ts, child_vs, later - (later @ u)[:, None] * u, r_child
-                    )
-                child_stab = stab[stab[:, t >> 1] == t >> 1] if len(stab) else ()
-                extend(trial, f, child_ts, child_vs, child_floats, rest, r_child, width,
-                       child_stab)
+                extend(trial, f, [ts[pos + 1 + i] for i in kept], [reduced[i] for i in kept],
+                       rest, functools.partial(_child_order, floats, r_float, pos, kept), width,
+                       stab)
 
     try:
         b_float = np.array([float(v) for v in b])
     except OverflowError:
         raise ValueError("a coupling is beyond float64 range, in which the L0 search "
                          "orders its candidates") from None
-    ts, vs, floats = _ordered(list(cols), [_pack(v, k) for v in cols.values()],
-                              np.array(list(cols.values()), dtype=float), b_float)
+    root_order = functools.cache(
+        lambda: (*_ordered(np.array(list(cols.values()), dtype=float), b_float), b_float))
+    vs = [_pack(v, k) for v in cols.values()]
     try:
         for width in widths:
-            extend([], 1, ts, vs, floats, _pack(b_int, k), b_float, width,
+            extend([], 1, list(cols), vs, _pack(b_int, k), root_order, width,
                    symmetries if width is None else ())
     except _Timeout:
         return best_entries, nodes, True
@@ -513,6 +641,9 @@ def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     counts the columns tried on top of a support, in all passes of the
     search and in the restricted searches of the bound; columns the full
     pass skips by symmetry are not tried, so it counts the pruned search.
+    A join node (the last two levels, see the module docstring) reduces
+    all its candidates in one step and counts each of them once, whether
+    or not it finds a set; one that times out counts none.
     The bound may use the first half of time_limit; if it runs out there,
     the bound proven so far stands and the search still runs.  When
     time_limit runs out during the search, the best incumbent found so far

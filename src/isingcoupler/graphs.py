@@ -28,9 +28,10 @@ import numpy as np
 
 from .rng import SplitMix64
 
-# 2^(n(n-1)/2) labeled graphs, keyed in 0.3 s at n = 6; the cap stays at 5
-# because the exact L0 search cannot yet prove every n = 6 class in minutes.
-MAX_ENUMERATION_N = 5
+# 2^(n(n-1)/2) labeled graphs, keyed in 0.3 s at n = 6, where the exact L0
+# search proves all 156 classes in well under a minute; at n = 7 keying the
+# 2^21 masks alone would take about 100 s.
+MAX_ENUMERATION_N = 6
 
 
 class GraphParseError(ValueError):

@@ -125,7 +125,7 @@ def test_bad_option_values_are_usage_errors(tmp_path, capsys, command, option, m
     ("fig_worstcase", ["--n-max", "seven"], "argument --n-max: invalid int value"),
     ("fig_random_unweighted", ["--n", "7.5"], "argument --n: invalid int value: '7.5'"),
     ("fig_random_weighted", ["--weights", "1,two"], "--weights: not a number"),
-    ("fig_worstcase", ["--n-max", "6"], "--n-max=6 too large to enumerate (limit 5)"),
+    ("fig_worstcase", ["--n-max", "7"], "--n-max=7 too large to enumerate (limit 6)"),
     ("fig_random_unweighted", ["--n", "9"], "--n=9 outside [1, 8]"),
     ("fig_random_unweighted", ["--n", "0"], "--n=0 outside [1, 8]"),
     ("fig_random_unweighted", ["--p-step", "0.5", "--p-count", "3"],

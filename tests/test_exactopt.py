@@ -1,14 +1,16 @@
 """solve_l0 and solve_l1 against scipy's HiGHS on the same models, with every
 emitted sequence checked by verify; the L0 lower bound against the frozen
 optima and HiGHS brute force, and pinned over the n=6 classes; fake clocks
-for the bound's and the search's deadlines; the search's last-level leaf
-test on crafted targets, pinned; the fraction-free step against Fraction
+for the bound's and the search's deadlines; the join of the search's last
+two levels on crafted targets and columns, pinned, and the sequences the
+search emits, pinned by a hash; the fraction-free step against Fraction
 elimination, through a list-of-ints reference, and the packed step of the
 search against that reference; the bound's column-space test and
 characteristic polynomial against Fraction elimination; and the symmetries
 the full pass prunes with against networkx's isomorphism matcher, the cut
 matrix and the unpruned search."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -156,11 +158,11 @@ def test_solve_l0_on_couplings_far_apart_in_size():
                              (3, 4, 10**30), (0, 4, 2)])
     res = solve_l0(g)
     assert res.status == OPTIMAL and verify(res.sequence, g)
-    assert res.objective == 9 and res.nodes_explored == 64224
+    assert res.objective == 9 and res.nodes_explored == 41694
     assert res.sequence.rows == (0, 24, 28, 4, 18, 10, 14, 6, 8)
 
 
-@pytest.mark.parametrize("n, nodes", [(3, 8), (4, 720), (5, 24185)])
+@pytest.mark.parametrize("n, nodes", [(3, 10), (4, 423), (5, 11532)])
 def test_search_path_is_pinned_by_its_node_count(n, nodes):
     """Nodes summed over every class, including the lower bound's restricted
     searches, its early stop of the search and the subtrees the full pass
@@ -254,47 +256,135 @@ def test_a_bound_that_times_out_leaves_the_search_its_time(monkeypatch):
 
 
 @pytest.mark.parametrize("n, b, entries, nodes", [
-    # b = 5 col(2) - 3 col(12): past col(2), the residual is -3 times the
-    # reduced col(12), its first leaf
-    (4, (-8, 8, 8, -2, -2, 2), [(2, 5), (12, -3)], 9),
-    # b = 7 col(0) - 3 col(2): four leaves share the residual's pivot field
+    # b = 5 col(2) - 3 col(12): reduced against b, col(2) and col(12) are
+    # parallel
+    (4, (-8, 8, 8, -2, -2, 2), [(2, 5), (12, -3)], 8),
+    # b = 7 col(0) - 3 col(2): four columns share the residual's pivot field
     # without being parallel to it, and four others lead in other fields
-    (5, (10, 4, 4, 4, 10, 10, 10, 4, 4, 4), [(0, 7), (2, -3)], 25),
-    # no two columns span b: every leaf is a miss
-    (4, (1, 2, 3, 4, 5, 6), None, 36),
+    (5, (10, 4, 4, 4, 10, 10, 10, 4, 4, 4), [(0, 7), (2, -3)], 16),
+    # no two columns span b: no pair of reduced columns is parallel
+    (4, (1, 2, 3, 4, 5, 6), None, 8),
     # past col(6), the residual (0, 0, -1) leads in the top field
-    (3, (2, 2, -1), [(6, Fraction(-3, 2)), (0, Fraction(1, 2))], 5),
+    (3, (2, 2, -1), [(6, Fraction(-3, 2)), (0, Fraction(1, 2))], 4),
     # b = 10^30 col(2) - 3 col(12): fields of 111 bits
     (4, (-10**30 - 3, 10**30 + 3, 10**30 + 3, 3 - 10**30, 3 - 10**30, 10**30 - 3),
-     [(2, 10**30), (12, -3)], 15),
+     [(2, 10**30), (12, -3)], 8),
 ], ids=["minus-three-times", "shared-pivot-field", "miss", "top-field", "wide-fields"])
 def test_last_level_leaves_are_pinned(n, b, entries, nodes):
-    """With best = 3 every child of the root is a last-level node, whose
-    candidates are all leaves tried in the root's order; entries and node
-    counts are those of the search that reduced each leaf's residual with
-    the full fraction-free step."""
+    """With best = 3 the root is a join node: it counts one node per
+    candidate, and accepts the pair the search that tried every last-level
+    leaf accepted (the entries are that search's)."""
     assert _search_supports(_cut_columns(n), b, 3, 0, math.inf, (None,)) == (
         entries, nodes, False)
 
 
+P = (1 << 61) - 1  # the join's fingerprint modulus
+E = 1 << 60  # 2^60 + j rounds to 2^60 in float64 for |j| < 128
+CUT4 = _cut_columns(4)
+CUT4_FALLBACK = tuple(3 * x + P * y for x, y in zip(CUT4[2], CUT4[12]))
+# b = 2 S + 5 T for S = col 2 and T = col 4: reduced against b, S and T
+# become -5 D and 2 D, with D = (0, P, -1, 1) primitive
+EXACT_KEY = {0: (0, 1, 1, 1), 2: (1, 0, 1, 0), 4: (1, P, 0, 1)}
+EXACT_KEY_B = tuple(2 * s + 5 * t for s, t in zip(EXACT_KEY[2], EXACT_KEY[4]))
+# reduced against b = (1, 0, 0, 0), cols 0 and 2 become (0, 1, 0, 0) and
+# (0, 1, P, 0), one fingerprint; col 0 - col 4 = b
+COLLIDING = {0: (1, 1, 0, 0), 2: (1, 1, P, 0), 4: (0, 1, 0, 0)}
+PARALLEL = {0: (1, 1, 0), 2: (2, 2, 0), 4: (0, 1, 1)}
+# col 0 leads the order, and cols 2 and 4 tie in float64 with col 6, col
+# 0's partner, so they hide it from a width-2 probe
+HIDDEN = {0: (1, 0, 0), 2: (0, E + 5, 1), 4: (0, E + 7, 1), 6: (0, E + 1, 1)}
+HIDDEN_B = (1 << 62, 3 * E + 3, 3)
+# col 4 = b, but col 0 ties with it in float64 and comes first; col 2 is
+# col 4 - col 0
+SINGLE = {0: (1, E + 3, 0), 2: (0, -2, 0), 4: (1, E + 1, 0)}
+SINGLE_B = SINGLE[4]
+
+
+@pytest.mark.parametrize("cols, b, floor, widths, entries, nodes", [
+    # col(2)'s column reduced against b has its pivot entry divisible by P;
+    # divided by its content it meets col(12)'s fingerprint
+    (CUT4, CUT4_FALLBACK, 0, (None,), [(12, P), (2, 3)], 8),
+    # there the pivot entry stays divisible by P, so both key on +-D
+    (EXACT_KEY, EXACT_KEY_B, 0, (None,), [(4, 5), (2, 2)], 3),
+    # the shared fingerprint is rejected by the exact test
+    (COLLIDING, (1, 0, 0, 0), 0, (None,), [(0, 1), (4, -1)], 3),
+    # cols 0 and 2 are parallel, so they are not a pair although their
+    # reduced columns are
+    (PARALLEL, (1, 2, 1), 0, (None,), [(0, 1), (4, 1)], 3),
+    ({t: PARALLEL[t] for t in (0, 2)}, (1, 2, 1), 0, (None,), None, 2),
+    # the pair (0, 2) is found first, then the single col 4 after it
+    (SINGLE, SINGLE_B, 0, (None,), [(4, 1)], 3),
+    # ... unless the pair reaches floor
+    (SINGLE, SINGLE_B, 2, (None,), [(0, 1), (2, 1)], 3),
+    # ... or col 4 lies past the probe's width
+    (SINGLE, SINGLE_B, 0, (2,), [(0, 1), (2, 1)], 3),
+    # a later single is a partner too; at floor this pair stands, with
+    # strength 0 on col 0, as it did before the join
+    ({t: SINGLE[t] for t in (0, 4)}, SINGLE_B, 2, (None,), [(0, 0), (4, 1)], 2),
+    (HIDDEN, HIDDEN_B, 0, (2,), None, 4),
+    (HIDDEN, HIDDEN_B, 0, (3,), [(0, 1 << 62), (6, 3)], 4),
+    (HIDDEN, HIDDEN_B, 0, (None,), [(0, 1 << 62), (6, 3)], 4),
+    # col(6), the partner of col(12), leads col(12)'s re-sorted children but
+    # is not among its first two later candidates in the root's order
+    (_cut_columns(5), (-1, 3, 1, -3, 1, 3, -1, -1, 3, 1), 0, (2,), [(12, -2), (6, -1)], 16),
+], ids=["content-fallback", "exact-key", "fingerprint-collision", "parallel-pair",
+        "parallel-only", "single-after-pair", "floor-keeps-pair", "single-past-width",
+        "single-as-partner", "hidden-partner", "partner-in-width", "partner-in-full", "partner-re-sorted"])
+def test_join_cases_are_pinned(cols, b, floor, widths, entries, nodes):
+    """Crafted columns reach cases of the join that the cut matrix reaches
+    only deep in a search or on couplings near 2^61.  The entries are those
+    of the search before the join, which tried every last-level leaf by
+    itself."""
+    assert _search_supports(cols, b, 3, floor, math.inf, widths) == (entries, nodes, False)
+
+
+def test_a_join_below_the_root_takes_partners_in_its_own_order():
+    """A join node below the root gets its candidates in its parent's order
+    and builds its own only when it finds a set.  Past col 0, cols 2, 4 and
+    6 lie in one plane with the residual (0, 1, 1, 0): col 2 leads the
+    join's order and has cols 6 and 4 as partners, in that order, though
+    col 4 comes first in the root's."""
+    cols = {0: (1, 0, 0, 0), 2: (0, 3, 2, 0), 4: (5, 0, 1, 0), 6: (0, 1, 3, 0)}
+    assert _search_supports(cols, (100, 1, 1, 0), 4, 0, math.inf, (None,)) == (
+        [(0, 100), (2, Fraction(2, 7)), (6, Fraction(1, 7))], 10, False)
+
+
 def test_a_clock_past_the_deadline_at_the_first_leaf_keeps_the_incumbent(monkeypatch):
-    """The width-2 pass finds s rows in some number of nodes; the width-3
-    pass then tries the first candidate of s - 2 levels and reaches its
-    first last-level node.  A clock that jumps past the deadline there
-    times the search out at that leaf, with the width-2 pass's rows."""
+    """The width-2 pass finds s rows after r clock reads; the width-3 pass
+    then tries the first candidate of each of the s - 3 levels above its
+    first join node, which reads the clock before it reduces anything.  A
+    clock that jumps past the deadline there times the search out with the
+    width-2 pass's rows and s - 3 more nodes than that pass counted."""
     for n in (4, 5):
         for g in enumerate_labeled_graphs(n, distinct_only=True):
             cols, b = _cut_columns(n), couplings(g)
             best = len(canonicalize(_default_incumbent(g)).rows)
+            reads = itertools.count()
+            monkeypatch.setattr(exactopt, "time", SimpleNamespace(
+                monotonic=lambda: next(reads) * 0.0))
             first, first_nodes, _ = _search_supports(cols, b, best, 0, math.inf, (2,))
             if first is None or len(first) < 2:
                 continue
+            above = max(len(first) - 3, 0)
+            jump = next(reads) + above
             reads = itertools.count()
-            jump = first_nodes + len(first) - 2
             monkeypatch.setattr(exactopt, "time", SimpleNamespace(
                 monotonic=lambda: 0.0 if next(reads) < jump else 2.0))
             assert _search_supports(cols, b, best, 0, 1.0, (2, 3)) == (
-                first, jump + 1, True), g.edges
+                first, first_nodes + above, True), g.edges
+
+
+def test_emitted_sequences_are_pinned():
+    """The rows and strengths solve_l0 emits for every class up to n=5 and
+    six weighted ER(5) graphs, pinned by their SHA-256 as the search emitted
+    them before its last two levels became a join."""
+    graphs = [g for n in (3, 4, 5) for g in enumerate_labeled_graphs(n, distinct_only=True)]
+    graphs += [random_er_graph(5, 0.5, weights, seed)
+               for weights in ((1, 2, 3), (1, -1)) for seed in range(3)]
+    sequences = [solve_l0(g).sequence for g in graphs]
+    text = json.dumps([[list(seq.rows), [str(w) for w in seq.strengths]] for seq in sequences])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ea6553d6ec94570e685ba5ebf3f37e9b2dbe2bc315d00d4fb11d2fc54242d125")
 
 
 def test_lower_bound_of_a_zero_target_is_zero():
@@ -315,7 +405,7 @@ def test_lower_bound_over_the_n6_classes_is_pinned():
         assert not timed_out
         bounds += bound
         nodes += more
-    assert (bounds, nodes) == (768, 251052)
+    assert (bounds, nodes) == (768, 96555)
 
 
 def fraction_det(rows):
@@ -672,7 +762,8 @@ def test_pruning_leaves_the_found_support_unchanged(n, widths):
     (any subset is sound, as a cap keeps) and with none finds the same
     entries from the construction down to floor 0; pruning only skips
     nodes.  Without the probe passes, the full pass must find the first
-    best set itself."""
+    best set itself.  At n=3 the probe passes leave the full pass at most 3
+    rows to beat, so its root is a join node, which prunes nothing."""
     graphs = list(enumerate_labeled_graphs(n, distinct_only=True))
     graphs += [random_er_graph(n, p, weights, seed)
                for p in (0.4, 0.7) for weights in ((1, 2, 3), (1, -1)) for seed in range(3)]
@@ -687,4 +778,4 @@ def test_pruning_leaves_the_found_support_unchanged(n, widths):
         assert not any(timed_out for _, _, timed_out in runs)
         assert runs[0][1] >= runs[1][1] >= runs[2][1]
         skipped += runs[0][1] - runs[2][1]
-    assert skipped > 0
+    assert (skipped > 0) == (n > 3 or widths == (None,))

@@ -146,7 +146,7 @@ def test_enumerate_single_vertex():
 
 def test_enumerate_guard():
     with pytest.raises(ValueError, match="too large"):
-        next(enumerate_labeled_graphs(6))
+        next(enumerate_labeled_graphs(7))
 
 
 def test_isomorphism_classes_match_networkx():
