@@ -188,7 +188,9 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    _usage(check_time_limit, args.time_limit)
+    if args.objective == "l1" and "time_limit" in args:
+        raise CommandError("--time-limit is read only by --objective l0", EXIT_USAGE)
+    time_limit = _usage(check_time_limit, getattr(args, "time_limit", DEFAULT_TIME_LIMIT))
     g = _load_graph(args.graph)
     if g.n > MAX_EXACT_N:
         raise CommandError(
@@ -199,7 +201,7 @@ def _cmd_optimize(args) -> int:
     if args.objective == "l1":
         result = solve_l1(g)
     else:
-        result = solve_l0(g, time_limit=args.time_limit)
+        result = solve_l0(g, time_limit=time_limit)
     if args.out:
         _write_text(args.out, result.to_json() + "\n")
         _write_manifest(Path(args.out), args)
@@ -257,9 +259,17 @@ def _milliseconds(total_us: Fraction) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    _usage(check_grid_resolution, args.grid_res)
+    for dest in ("gamma", "beta") if args.optimize else ("grid_res",):
+        if dest in args:  # (the parser sets no default for them)
+            raise CommandError(f"--{dest.replace('_', '-')} is read only "
+                               f"{'without' if args.optimize else 'with'} --optimize", EXIT_USAGE)
+    gamma, beta = getattr(args, "gamma", 0.0), getattr(args, "beta", 0.0)
+    grid_res = getattr(args, "grid_res", 32)
+    if args.optimize:
+        _usage(check_grid_resolution, grid_res)
+    else:
+        _usage(check_angles, [gamma, beta])
     noise = _usage(NoiseSpec, args.noise_lambda)
-    _usage(check_angles, [args.gamma, args.beta])
     if args.pulse and args.compilation == CX:
         raise CommandError("--pulse is read only by --compilation ms", EXIT_USAGE)
     g = _load_graph(args.graph)
@@ -273,7 +283,7 @@ def _cmd_simulate(args) -> int:
             seq = union_of_stars(g)
     if args.optimize:
         gamma, beta, expectation, ratio = optimize_angles(
-            g, args.compilation, seq, noise, grid_resolution=args.grid_res
+            g, args.compilation, seq, noise, grid_resolution=grid_res
         )
         print(
             f"compilation={args.compilation} lambda={args.noise_lambda} "
@@ -281,10 +291,10 @@ def _cmd_simulate(args) -> int:
             f"expectation={expectation:.9f} ratio={ratio:.9f}"
         )
     else:
-        value = simulate_qaoa_p1(g, args.compilation, seq, args.gamma, args.beta, noise)
+        value = simulate_qaoa_p1(g, args.compilation, seq, gamma, beta, noise)
         print(
             f"compilation={args.compilation} lambda={args.noise_lambda} "
-            f"gamma={args.gamma:.6f} beta={args.beta:.6f} expectation={value:.9f}"
+            f"gamma={gamma:.6f} beta={beta:.6f} expectation={value:.9f}"
         )
     return EXIT_OK
 
@@ -456,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="exact L0/L1 minimization")
     p.add_argument("graph")
     p.add_argument("--objective", choices=["l0", "l1"], default="l0")
-    p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
-                   help="seconds for the L0 search; an L1 solve has no limit")
+    p.add_argument("--time-limit", type=float, default=argparse.SUPPRESS,
+                   help=f"seconds for the L0 search (default: {DEFAULT_TIME_LIMIT:g})")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_optimize)
 
@@ -478,10 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compilation", choices=[CX, MS], default=MS)
     p.add_argument("--pulse", help="ms pulse sequence (default: union of stars)")
     p.add_argument("--lambda", dest="noise_lambda", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.0)
+    # absent unless given: the angles (0) are read without --optimize, the grid (32) with it
+    p.add_argument("--gamma", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--beta", type=float, default=argparse.SUPPRESS)
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--grid-res", type=int, default=32)
+    p.add_argument("--grid-res", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="experiment sweeps emitting CSV")

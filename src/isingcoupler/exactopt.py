@@ -31,10 +31,11 @@ candidates after it, so every set is reached once whatever the order.  The
 order is greedy, as in orthogonal matching pursuit: candidates come by how
 much of the float residual of b (b projected off the support) they remove.
 A join node (below) builds its order only when it finds a set.
-Passes that try only the first few candidates at each node run before the
-full search; they find small supports early, which tightens the bound when
-the full search cannot finish in time.  Floats only order the search; every
-decision to skip, prune or accept is exact.
+Passes that try only the first few candidates at each node above the join
+run before the full search, in the same call; they find small supports
+early, which tightens the bound when the full search cannot finish in time.
+Floats only order the search; every decision to skip, prune or accept is
+exact.
 
 Elimination runs incrementally and exactly, on b scaled to integers, with
 the fraction-free step of ``simplex`` (``_packed_step``; ``simplex`` owns
@@ -80,18 +81,15 @@ made positive at s, if its entry at s still vanishes mod P.  A node then
 costs one step over its c candidates instead of c children and their
 leaves, and it counts c nodes.
 
-The join accepts the set that the two levels below the node would accept
-if searched one candidate at a time, which try the candidates u in the
-node's order: u alone when red_u = 0, else the first pair (u, v) among u's
-children, the later candidates not parallel to u; then, unless the pair
-reaches floor, the first later u alone.  The full pass keeps the node's
-order among u's children, so v is u's first partner after it in that
-order; a probe pass tries only the first width u and, for each, the first
-width children in their own float order.  Each node projects its parent's
-float columns and orders its candidates itself: any other node on entry,
-a join node only when a single or a confirmed pair exists, which is rare,
-and then also (in a probe pass) the re-sorted children of a u with a
-partner.  A join node skips no candidate by symmetry (see below).
+A join node accepts, in every pass, the set that the two levels below it
+would accept in the full pass, searched one candidate at a time: the first
+candidate u in the node's order that is a single or has a later partner;
+u alone if it is a single, else u with its first partner after it in that
+order, and then, unless the pair reaches floor, the first later single.
+A pass's width limits only the nodes above the join.  Each node projects
+its parent's float columns and orders its candidates itself: any other
+node on entry, a join node only when a single or a confirmed pair exists,
+which is rare.  A join node skips no candidate by symmetry (see below).
 
 Before the search, ``_lower_bound`` proves a lower bound on L0, and the
 search stops as soon as its incumbent meets it.  A realization with k rows
@@ -153,12 +151,12 @@ join nodes skip none, and need neither the skip test nor the stabilizers.
 
 The rule is sound for any subset of the symmetries, so at most
 MAX_SYMMETRIES maps are kept: an n=8 graph with one edge has 92,159.  The
-maps are built only when the full pass runs, so solves that the probe
-passes settle pay nothing for them.  The probe passes stay unpruned: they
-try only the first few candidates of a node, so the image of a skipped set
-may lie outside them.  The restricted searches of the bound stay unpruned
-too; pruning them would skip only 1.5% more nodes over the classes up to
-n=5.
+maps are built only when the full pass starts with best above floor, so
+solves that the probe passes settle pay nothing for them.  The probe passes
+stay unpruned: above the join they try only the first few candidates of a
+node, so the image of a skipped set may lie outside them.  The restricted
+searches of the bound stay unpruned too; pruning them would skip only 1.5%
+more nodes over the classes up to n=5.
 
 Instances above MAX_EXACT_N qubits are refused; the constructions in
 ``constructions`` cover them.
@@ -210,7 +208,7 @@ INCUMBENT_TIMEOUT = "incumbent_timeout"
 @dataclass
 class OptResult:
     sequence: PulseSequence
-    objective: Fraction | None
+    objective: Fraction
     objective_kind: str  # "l0" | "l1"
     status: str
     nodes_explored: int
@@ -220,7 +218,7 @@ class OptResult:
         return json.dumps(
             {
                 "status": self.status,
-                "objective": None if self.objective is None else str(self.objective),
+                "objective": str(self.objective),
                 "objective_kind": self.objective_kind,
                 "sequence": json.loads(sequence_to_json(self.sequence)),
                 "nodes_explored": self.nodes_explored,
@@ -294,18 +292,20 @@ def _child_order(floats, r_float, pos, kept):
     return (*_ordered(later - (later @ u)[:, None] * u, r_child), r_child)
 
 
-def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
+def _search_supports(cols, b, best, floor, deadline, widths, symmetries=tuple):
     """Smallest set of the columns cols (canonical row mask to coupling
     signs) whose span holds the target couplings b.
 
     Only sets of fewer than best columns are accepted.  Each entry of
-    widths is one pass, trying that many candidates per node (None: all),
-    and every pass stops as soon as a set of at most floor columns is
-    found.  symmetries holds column maps (as ``_symmetries`` returns them)
-    that fix b and permute cols; the full pass skips the subtrees they map
-    to earlier ones, and the others ignore them.  Returns (entries, nodes,
-    timed_out) with entries the (row mask, strength) pairs of the best set
-    found, or None when no set was accepted.
+    widths is one pass, trying that many candidates per node above the
+    join (None: all), and every pass stops as soon as a set of at most
+    floor columns is found.  symmetries() builds column maps (as
+    ``_symmetries`` returns them, none by default) that fix b and permute
+    cols.  A full pass that starts with best above floor calls it, and
+    skips the subtrees the maps send to earlier ones; the other passes
+    ignore them.  Returns (entries, nodes, timed_out) with entries the (row
+    mask, strength) pairs of the best set found, or None when no set was
+    accepted.
     """
     b_int = _scaled(b)
     # a minor holds at most m = len(b_int) cut columns, all of norm^2 m, and b_int
@@ -355,10 +355,11 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
             inverse = inverses[w_s] = pow(w_s, -1, _PRIME)
         return s, w % _PRIME * inverse % _PRIME
 
-    def join(support, prev, ts, vs, residual, width, order):
+    def join(support, prev, ts, vs, residual, order):
         """Accept the set that the last two levels below support would
-        accept: a candidate alone, or with a later one below it (see the
-        module docstring).  Arguments are as in ``extend``.
+        accept in the full pass: a candidate alone, or with a later one
+        below it (see the module docstring).  Arguments are as in
+        ``extend``.
 
         Candidate i alone is a hit when its column reduced against the
         residual, red_i, is zero, and i with j when red_j is zero or
@@ -390,31 +391,19 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
                     mates.setdefault(j, []).append(i)
         if not singles and not mates:
             return
-        picks, floats, r_float = order()
+        picks = order()[0]
         rank = {i: q for q, i in enumerate(picks)}
-        firsts = picks[:width]
-        for a, i in enumerate(firsts):
+        for i in picks:
             if not reds[i]:
                 accept(support + [ts[i]])
                 return
-            q = rank[i]
-            later = {j for j in [*mates.get(i, ()), *singles] if rank[j] > q} if pairs else ()
-            if not later:
-                continue
-            if width is None:  # the full pass keeps the node's order below it
-                j = min(later, key=rank.get)
-            else:  # a probe pass re-sorts the later candidates not parallel to i
-                kept = [d for d, j in enumerate(picks[q + 1:]) if not parallel(vs[j], vs[i])]
-                child = [picks[q + 1 + kept[c]] for c in _child_order(floats, r_float, q, kept)[0]]
-                j = next((j for j in child[:width] if j in later), None)
-                if j is None:
-                    continue
-            accept(support + [ts[i], ts[j]])
-            if best > floor:
-                single = next((j for j in firsts[a + 1:] if not reds[j]), None)
-                if single is not None:
-                    accept(support + [ts[single]])
-            return
+            later = [j for j in [*mates.get(i, ()), *singles] if rank[j] > rank[i]] if pairs else ()
+            if later:
+                accept(support + [ts[i], ts[min(later, key=rank.get)]])
+                # every single comes after i, or i would not be reached
+                if singles and best > floor:
+                    accept(support + [ts[min(singles, key=rank.get)]])
+                return
 
     def extend(support, prev, ts, vs, residual, order, width, stab=()):
         """Try each of the first width candidate columns on top of support.
@@ -430,14 +419,15 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
         last one too, and skips a candidate that one of them maps to an
         earlier candidate, or to a column that is not a candidate here.  A
         node within two columns of best is a join node (``join``), which
-        orders its candidates only when it finds a set and prunes none.
+        ignores width, orders its candidates only when it finds a set and
+        prunes none.
         """
         nonlocal nodes
         if best <= floor or len(support) + 1 >= best:
             return
         # (a zero residual, b = 0 at the root, has no pivot field)
         if residual and len(support) + 3 >= best:
-            join(support, prev, ts, vs, residual, width, order)
+            join(support, prev, ts, vs, residual, order)
             return
         picks, floats, r_float = order()
         ts, vs = [ts[i] for i in picks], [vs[i] for i in picks]
@@ -483,7 +473,7 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=()):
     try:
         for width in widths:
             extend([], 1, list(cols), vs, _pack(b_int, k), root_order, width,
-                   symmetries if width is None else ())
+                   symmetries() if width is None and best > floor else ())
     except _Timeout:
         return best_entries, nodes, True
     return best_entries, nodes, False
@@ -636,11 +626,12 @@ def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     Strengths are unbounded rationals.  The support search (see the module
     docstring) is seeded with the star construction (uniform weights) or
     the edge-by-edge construction.  It is skipped when the construction
-    already meets the lower bound, and otherwise stops as soon as its
-    incumbent does, or when every pass has finished.  ``nodes_explored``
-    counts the columns tried on top of a support, in all passes of the
-    search and in the restricted searches of the bound; columns the full
-    pass skips by symmetry are not tried, so it counts the pruned search.
+    already meets the lower bound; otherwise one call runs the probe passes
+    and the full pass, and stops as soon as its incumbent meets the bound,
+    or when every pass has finished.  ``nodes_explored`` counts the
+    columns tried on top of a support, in all passes of the search and in
+    the restricted searches of the bound; columns the full pass skips by
+    symmetry are not tried, so it counts the pruned search.
     A join node (the last two levels, see the module docstring) reduces
     all its candidates in one step and counts each of them once, whether
     or not it finds a set; one that times out counts none.
@@ -662,14 +653,10 @@ def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     # a bound that timed out is still proven; only the search's timeout counts
     bound, nodes, _ = _lower_bound(g.n, b, cols, start + time_limit / 2)
     timed_out = False
-    # The symmetries are built only for the full pass, so solves that the
-    # probe passes settle never pay for them.
-    for widths in (_PROBE_WIDTHS, (None,)):
-        if timed_out or len(entries) <= bound:
-            break
-        symmetries = _symmetries(g.n, b) if widths == (None,) else ()
-        found, more, timed_out = _search_supports(cols, b, len(entries), bound,
-                                                  start + time_limit, widths, symmetries)
+    if len(entries) > bound:
+        found, more, timed_out = _search_supports(
+            cols, b, len(entries), bound, start + time_limit, (*_PROBE_WIDTHS, None),
+            functools.partial(_symmetries, g.n, b))
         nodes += more
         entries = found or entries
     return OptResult(

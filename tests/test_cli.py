@@ -92,7 +92,7 @@ def test_removed_gen_json_option_is_a_usage_error(capsys):
     ("optimize", ["--time-limit", "-1"], "time limit must be positive"),
     ("fig_worstcase", ["--time-limit", "0"], "time limit must be positive"),
     ("fig_noise", ["--grid-res", "7"], "grid resolution must be at least 8"),
-    ("simulate", ["--grid-res", "7"], "grid resolution must be at least 8"),
+    ("simulate", ["--optimize", "--grid-res", "7"], "grid resolution must be at least 8"),
     ("simulate", ["--lambda", "1.5"], "major rate must be in [0, 1]"),
     ("simulate", ["--lambda", "nan"], "major rate must be in [0, 1]"),
     ("simulate", ["--gamma", "nan"], "angles must be finite"),
@@ -111,7 +111,7 @@ def test_removed_gen_json_option_is_a_usage_error(capsys):
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, command, option, message):
     argv = {"gen": ["gen"],
             "optimize": ["optimize", write_graph(tmp_path, Graph.complete(3))],
-            "simulate": ["simulate", write_graph(tmp_path, Graph.complete(3)), "--optimize"]}
+            "simulate": ["simulate", write_graph(tmp_path, Graph.complete(3))]}
     argv.update({kind: ["sweep", kind, "--out-dir", str(tmp_path)] for kind in KINDS})
     code, _, err = run([*argv[command], *option], capsys)
     assert code == cli.EXIT_USAGE and message in err
@@ -216,6 +216,30 @@ def test_a_pulse_with_the_cx_compilation_exits_3_before_the_graph_is_read(tmp_pa
                             capsys)
     assert code == cli.EXIT_USAGE and stdout == ""
     assert err == "error: --pulse is read only by --compilation ms\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--optimize", "--gamma", "0.3", "--beta", "0.2"],
+     "--gamma is read only without --optimize"),
+    (["simulate", "--optimize", "--beta", "0"], "--beta is read only without --optimize"),
+    (["simulate", "--grid-res", "16", "--gamma", "0.3"],
+     "--grid-res is read only with --optimize"),
+    (["simulate", "--grid-res", "4"], "--grid-res is read only with --optimize"),
+    (["optimize", "--objective", "l1", "--time-limit", "0.5"],
+     "--time-limit is read only by --objective l0"),
+    (["optimize", "--objective", "l1", "--time-limit", "0"],
+     "--time-limit is read only by --objective l0"),
+], ids=["angles-with-optimize", "default-angle-with-optimize", "grid-without-optimize",
+        "bad-grid-without-optimize", "time-limit-with-l1", "bad-time-limit-with-l1"])
+def test_a_flag_the_chosen_mode_does_not_read_exits_3_before_the_graph_is_read(
+        tmp_path, capsys, argv, message):
+    """Given explicitly, even at its default value, a flag that the other
+    mode of the command reads is a usage error, checked before any value
+    of it and before the (missing) graph file."""
+    command, *flags = argv
+    code, stdout, err = run([command, str(tmp_path / "missing.txt"), *flags], capsys)
+    assert code == cli.EXIT_USAGE and stdout == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("extra", [[], ["--optimize", "--grid-res", "8"]])

@@ -291,7 +291,8 @@ EXACT_KEY_B = tuple(2 * s + 5 * t for s, t in zip(EXACT_KEY[2], EXACT_KEY[4]))
 COLLIDING = {0: (1, 1, 0, 0), 2: (1, 1, P, 0), 4: (0, 1, 0, 0)}
 PARALLEL = {0: (1, 1, 0), 2: (2, 2, 0), 4: (0, 1, 1)}
 # col 0 leads the order, and cols 2 and 4 tie in float64 with col 6, col
-# 0's partner, so they hide it from a width-2 probe
+# 0's partner, so they would hide it from a width-2 probe of col 0's
+# children
 HIDDEN = {0: (1, 0, 0), 2: (0, E + 5, 1), 4: (0, E + 7, 1), 6: (0, E + 1, 1)}
 HIDDEN_B = (1 << 62, 3 * E + 3, 3)
 # col 4 = b, but col 0 ties with it in float64 and comes first; col 2 is
@@ -316,26 +317,50 @@ SINGLE_B = SINGLE[4]
     (SINGLE, SINGLE_B, 0, (None,), [(4, 1)], 3),
     # ... unless the pair reaches floor
     (SINGLE, SINGLE_B, 2, (None,), [(0, 1), (2, 1)], 3),
-    # ... or col 4 lies past the probe's width
-    (SINGLE, SINGLE_B, 0, (2,), [(0, 1), (2, 1)], 3),
+    # ... in every pass: a probe's join ignores its width
+    (SINGLE, SINGLE_B, 0, (2,), [(4, 1)], 3),
+    (SINGLE, SINGLE_B, 0, (3,), [(4, 1)], 3),
     # a later single is a partner too; at floor this pair stands, with
     # strength 0 on col 0, as it did before the join
     ({t: SINGLE[t] for t in (0, 4)}, SINGLE_B, 2, (None,), [(0, 0), (4, 1)], 2),
-    (HIDDEN, HIDDEN_B, 0, (2,), None, 4),
+    # col 0 with its first partner, col 6, in every pass
+    (HIDDEN, HIDDEN_B, 0, (2,), [(0, 1 << 62), (6, 3)], 4),
     (HIDDEN, HIDDEN_B, 0, (3,), [(0, 1 << 62), (6, 3)], 4),
     (HIDDEN, HIDDEN_B, 0, (None,), [(0, 1 << 62), (6, 3)], 4),
-    # col(6), the partner of col(12), leads col(12)'s re-sorted children but
-    # is not among its first two later candidates in the root's order
+    # col(6) is col(12)'s first partner, though not among its first two
+    # later candidates in the root's order
     (_cut_columns(5), (-1, 3, 1, -3, 1, 3, -1, -1, 3, 1), 0, (2,), [(12, -2), (6, -1)], 16),
 ], ids=["content-fallback", "exact-key", "fingerprint-collision", "parallel-pair",
         "parallel-only", "single-after-pair", "floor-keeps-pair", "single-past-width",
-        "single-as-partner", "hidden-partner", "partner-in-width", "partner-in-full", "partner-re-sorted"])
+        "single-past-width-3", "single-as-partner", "hidden-partner", "partner-in-width",
+        "partner-in-full", "partner-re-sorted"])
 def test_join_cases_are_pinned(cols, b, floor, widths, entries, nodes):
     """Crafted columns reach cases of the join that the cut matrix reaches
     only deep in a search or on couplings near 2^61.  The entries are those
-    of the search before the join, which tried every last-level leaf by
-    itself."""
+    of the full pass before the join, which tried every last-level leaf by
+    itself; a probe's join accepts the same set."""
     assert _search_supports(cols, b, 3, floor, math.inf, widths) == (entries, nodes, False)
+
+
+@st.composite
+def columns_and_targets(draw):
+    """Three to seven nonzero integer columns, keyed as row masks, and a
+    target of the same length: a single or a pair past the first few
+    candidates is common, as it is not for the cut matrix of small n."""
+    m = draw(st.integers(2, 4))
+    vector = st.lists(st.integers(-2, 2), min_size=m, max_size=m).map(tuple)
+    cols = draw(st.lists(vector.filter(any), min_size=3, max_size=7))
+    return {2 * t: col for t, col in enumerate(cols)}, draw(vector)
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns_and_targets())
+def test_a_root_join_ignores_the_pass_width(case):
+    """With best = 3 the root is a join node, so every width finds the same
+    entries with the same nodes."""
+    cols, b = case
+    runs = [_search_supports(cols, b, 3, 0, math.inf, (width,)) for width in (2, 3, None)]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_a_join_below_the_root_takes_partners_in_its_own_order():
@@ -773,7 +798,7 @@ def test_pruning_leaves_the_found_support_unchanged(n, widths):
         best = len(canonicalize(_default_incumbent(g)).rows)
         maps = _symmetries(n, b)
         runs = [_search_supports(cols, b, best, 0, math.inf, widths, symmetries)
-                for symmetries in ((), maps[::2], maps)]
+                for symmetries in (tuple, lambda: maps[::2], lambda: maps)]
         assert runs[0][0] == runs[1][0] == runs[2][0], g.edges
         assert not any(timed_out for _, _, timed_out in runs)
         assert runs[0][1] >= runs[1][1] >= runs[2][1]
