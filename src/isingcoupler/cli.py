@@ -64,10 +64,14 @@ EXIT_INCUMBENT = 2
 EXIT_USAGE = 3
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    def _get_help_string(self, action):  # None or "" means absent: the help says what then
+        return action.help if action.default in (None, "") else super()._get_help_string(action)
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):  # an abbreviation would be a second spelling of a flag
-        super().__init__(allow_abbrev=False,
-                         formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+        super().__init__(allow_abbrev=False, formatter_class=_HelpFormatter, **kwargs)
 
     def error(self, message):  # argparse default exits 2; the contract says 3
         # the prefix main gives a CommandError, so every usage error starts alike
@@ -452,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a random graph")
     p.add_argument("n", type=int)
     p.add_argument("p", type=float)
-    p.add_argument("--weights", default="", help="comma list, e.g. 1,2,3; empty for unweighted")
+    p.add_argument("--weights", default="",
+                   help="comma list, e.g. 1,2,3; empty (the default) for unweighted")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)

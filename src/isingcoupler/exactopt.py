@@ -118,11 +118,52 @@ exactly when its vector reduces to zero.  No nullspace basis is built.
 A radius above MAX_SCAN_RADIUS skips the scan, which only lets the search
 run longer.
 
-The bound never changes the emitted sequence.  The search runs its passes
-exactly as without it and accepts only a strictly smaller support, and no
-support smaller than the bound exists; so stopping when the incumbent
-meets the bound only skips the part of the search that could not have
-replaced it.
+When the bound is n, the search's floor can still rise by one.  The
+moment the incumbent has n + 1 rows (at entry, or when the search finds
+such a set), ``_decide_n_rows`` decides whether some n rows realize b;
+when none do, the floor becomes n + 1 and every pass stops.  A bound of n
+means that no set of fewer than n rows realizes b, and that every integer
+eigenvalue lambda of A is simple: rank(A - lambda I) = n - 1.  An n-row
+realization then has nonzero strengths, and one of two kinds:
+
+- A + tI invertible.  Then S is invertible and S (A + tI)^-1 S^T =
+  diag(1/W), so the rows are pairwise orthogonal under adj(A + tI), each
+  with a nonzero self-product.  Conversely, any n such rows realize b,
+  with W_i = det(A + tI) / (s_i^T adj(A + tI) s_i), and sum(W) = t
+  follows from the diagonal.  adj(A + tI) is sum over k of t^(n-k) M_k,
+  with M_k the Faddeev-LeVerrier matrices of -A, so every pair of rows has
+  an integer polynomial s^T adj(A + tI) s'.  W, hence t, is rational (the
+  n columns are independent), and t is a root of the polynomial of some
+  pair of the set: if every pair's polynomial vanished identically, the
+  rows would realize b at infinitely many t, so their columns would be
+  dependent and fewer rows would do.  So the rational roots of the
+  distinct nonzero pair polynomials (``_rational_roots``) are the only t
+  to try; at each one where det(A + tI) != 0, a clique search looks for n
+  rows pairwise orthogonal there (the pairs whose polynomial vanishes at
+  t or identically) with nonzero self-products.
+- A + tI singular, so t = -lambda for an integer eigenvalue lambda.  S is
+  singular (an invertible S would force a zero strength), and S y = 0
+  makes y a null vector of A - lambda I.  Every row is orthogonal to y,
+  which spans the nullspace, so every row is a restricted row of lambda:
+  the restricted search of the bound, rerun with best n + 1 and floor n,
+  decides this kind.
+
+The clique half runs first, as the cheaper one: over the n=6 classes of
+bound 6 it tries at most a few hundred rows, while a restricted search
+can take thousands of nodes (7,010 on one class) to find its set or fail.
+The decision is skipped, which only lets the search run longer, when the
+absolute entries of some M_k sum beyond MAX_ROOT_COEFF (then int64 might
+not hold the pair polynomials, whose coefficients that sum bounds), when
+the lowest nonzero coefficient of det(A + tI) does, or at an eigenvalue of
+multiplicity two or more, which a bound of n excludes.  The decision's
+nodes are one per row tried on top of a partial clique (the empty one
+included) and those of its restricted searches.
+
+The bound never changes the emitted sequence, and neither does the
+decision.  The search runs its passes exactly as without them and accepts
+only a strictly smaller support, and no support below the floor exists; so
+stopping when the incumbent meets the floor only skips the part of the
+search that could not have replaced it.
 
 The full pass also prunes by symmetry, in the spirit of orbital branching
 (Ostrowski et al., Math. Prog. 126, 2011).  ``_symmetries`` lists column
@@ -190,6 +231,12 @@ MAX_EXACT_N = 8
 # one Horner evaluation per integer in [-R, R], about 20 ms at the cap for
 # n=8 on a 2-core VM.  Unweighted graphs have R <= n-1.
 MAX_SCAN_RADIUS = 10_000
+# Largest |coefficient| of a polynomial whose rational roots the decision of
+# n rows seeks (trial division up to its square root: about 0.7 ms per
+# distinct coefficient at the cap on a 2-core VM), and largest sum of the
+# absolute entries of a term of adj(A + tI), so that int64 holds the pair
+# polynomials.  Unweighted graphs stay far below it.
+MAX_ROOT_COEFF = 10 ** 8
 DEFAULT_TIME_LIMIT = 600.0
 # Most column maps the full pass prunes with (see ``_symmetries``): at the
 # cap, building them takes at most about 15 ms at n=8 on a 2-core VM, after
@@ -292,7 +339,7 @@ def _child_order(floats, r_float, pos, kept):
     return (*_ordered(later - (later @ u)[:, None] * u, r_child), r_child)
 
 
-def _search_supports(cols, b, best, floor, deadline, widths, symmetries=tuple):
+def _search_supports(cols, b, best, floor, deadline, widths, symmetries=tuple, decide=None):
     """Smallest set of the columns cols (canonical row mask to coupling
     signs) whose span holds the target couplings b.
 
@@ -303,9 +350,13 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=tuple):
     ``_symmetries`` returns them, none by default) that fix b and permute
     cols.  A full pass that starts with best above floor calls it, and
     skips the subtrees the maps send to earlier ones; the other passes
-    ignore them.  Returns (entries, nodes, timed_out) with entries the (row
-    mask, strength) pairs of the best set found, or None when no set was
-    accepted.
+    ignore them.  decide(deadline), when given, answers as
+    ``_decide_n_rows`` does whether floor columns realize b; it runs once,
+    when best first equals floor + 1 (at entry or on accepting a set), and
+    an answer of False raises floor to best, which stops every pass.  Its
+    nodes are counted, and it may raise _Timeout.  Returns (entries, nodes,
+    timed_out) with entries the (row mask, strength) pairs of the best set
+    found, or None when no set was accepted.
     """
     b_int = _scaled(b)
     # a minor holds at most m = len(b_int) cut columns, all of norm^2 m, and b_int
@@ -320,6 +371,18 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=tuple):
         d, (num,) = _solve_integer([*zip(*(cols[s] for s in trial))], [b])
         best = len(trial)
         best_entries = [(s, Fraction(w, d)) for s, w in zip(trial, num)]
+        settle()
+
+    def settle():
+        """Once best is floor + 1, ask decide whether floor columns realize
+        b, and raise floor to best when none do."""
+        nonlocal decide, floor, nodes
+        if decide is not None and best == floor + 1:
+            answer, _, more = decide(deadline)
+            decide = None
+            nodes += more
+            if answer is False:
+                floor = best
 
     def lead(w):
         """The shift s of the nonzero packed w's pivot field (the field of
@@ -471,6 +534,7 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=tuple):
         lambda: (*_ordered(np.array(list(cols.values()), dtype=float), b_float), b_float))
     vs = [_pack(v, k) for v in cols.values()]
     try:
+        settle()
         for width in widths:
             extend([], 1, list(cols), vs, _pack(b_int, k), root_order, width,
                    symmetries() if width is None and best > floor else ())
@@ -512,23 +576,27 @@ def _symmetries(n: int, b) -> np.ndarray:
     return image[list(first.values())[:MAX_SYMMETRIES]]
 
 
-def _char_poly(a: list[list[int]]) -> list[int]:
+def _char_poly(a: list[list[int]]) -> tuple[list[int], list[list[list[int]]]]:
     """Coefficients of det(xI - a), highest degree first, for a symmetric
-    integer matrix a: the Faddeev-LeVerrier recurrence M_1 = I,
-    c_k = -tr(a M_k) / k, M_(k+1) = a M_k + c_k I, whose divisions are exact
-    because the coefficients are integers."""
+    integer matrix a, and the matrices M_1 .. M_n of the Faddeev-LeVerrier
+    recurrence M_1 = I, c_k = -tr(a M_k) / k, M_(k+1) = a M_k + c_k I, whose
+    divisions are exact because the coefficients are integers.  The
+    adjugate is adj(xI - a) = sum over k of x^(n-k) M_k."""
     n = len(a)
     coeffs = [1]
     m = [[int(i == j) for j in range(n)] for i in range(n)]
+    matrices = []
     for k in range(1, n + 1):
+        matrices.append(m)
         # every M_k is a polynomial in a, hence symmetric: (a M)_ij = a_i . M_j
         am = [[sum(x * y for x, y in zip(ra, rm)) for rm in m] for ra in a]
         coeffs.append(-sum(am[i][i] for i in range(n)) // k)
         m = [[x + coeffs[-1] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(am)]
-    return coeffs
+    return coeffs, matrices
 
 
-def _horner(coeffs: list[int], x: int) -> int:
+def _horner(coeffs, x):
+    """The polynomial coeffs (highest degree first) at x."""
     acc = 0
     for c in coeffs:
         acc = acc * x + c
@@ -567,13 +635,11 @@ def _lower_bound(n: int, b, cols, deadline):
     """
     if not any(b):
         return 0, 0, False
-    a = [[0] * n for _ in range(n)]  # the integer-scaled coupling matrix
-    for (i, j), v in zip(pair_order(n), _scaled(b)):
-        a[i][j] = a[j][i] = v
+    a = _coupling_matrix(n, b)
     radius = max(sum(map(abs, row)) for row in a)
     if radius > MAX_SCAN_RADIUS:
         return 1, 0, False
-    poly = _char_poly(a)
+    poly, _ = _char_poly(a)
     # the +-1 vector of each row, -1 at each flipped qubit
     signs = [[-1 if t >> i & 1 else 1 for i in range(n)] for t in cols]
     roots = []
@@ -605,6 +671,139 @@ def _lower_bound(n: int, b, cols, deadline):
     return bound, nodes, False
 
 
+def _coupling_matrix(n: int, b) -> list[list[int]]:
+    """The symmetric coupling matrix A of b, scaled to integers as
+    ``_scaled`` scales b, with a zero diagonal."""
+    a = [[0] * n for _ in range(n)]
+    for (i, j), v in zip(pair_order(n), _scaled(b)):
+        a[i][j] = a[j][i] = v
+    return a
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _divisors(m: int) -> tuple[int, ...]:
+    """The positive divisors of the positive integer m, by trial division."""
+    small = [d for d in range(1, math.isqrt(m) + 1) if not m % d]
+    return (*small, *(m // d for d in reversed(small) if d * d != m))
+
+
+def _rational_roots(coeffs) -> set[Fraction] | None:
+    """The rational roots of the nonzero integer polynomial coeffs (highest
+    degree first), or None when its leading or its lowest nonzero
+    coefficient exceeds MAX_ROOT_COEFF in absolute value.
+
+    A root p/q in lowest terms has p dividing the lowest nonzero
+    coefficient and q the leading one (the rational root theorem).  Since
+    f = (q x - p) g with g integer (Gauss's lemma), q - p divides f(1) and
+    q + p divides f(-1).  A candidate that passes both tests is evaluated
+    exactly, as f(p/q) q^d; one not in lowest terms may fail them, but then
+    its lowest terms are a candidate too.
+    """
+    coeffs = list(itertools.dropwhile(lambda c: not c, coeffs))
+    roots = set()
+    while not coeffs[-1]:
+        coeffs.pop()
+        roots.add(Fraction(0))
+    lead, last = abs(coeffs[0]), abs(coeffs[-1])
+    if max(lead, last) > MAX_ROOT_COEFF:
+        return None
+    at_one, at_minus_one = sum(coeffs), _horner(coeffs, -1)
+    for q in _divisors(lead):
+        for d in _divisors(last):
+            for p in (d, -d):
+                if ((at_one % (q - p) if q != p else at_one)
+                        or (at_minus_one % (q + p) if q != -p else at_minus_one)):
+                    continue
+                acc, power = 0, 1
+                for c in coeffs:
+                    acc, power = acc * p + c * power, power * q
+                if not acc:
+                    roots.add(Fraction(p, q))
+    return roots
+
+
+def _decide_n_rows(n: int, b, cols, deadline):
+    """Whether some n of the columns cols realize b, given that fewer do
+    not (see the module docstring): the clique half, then the singular
+    half.
+
+    Returns (answer, witness, nodes): answer True with witness the (row
+    mask, strength) entries of such a set, False when none exists, or None
+    when the decision is skipped, with a coefficient above MAX_ROOT_COEFF or
+    an integer eigenvalue of multiplicity two or more.  nodes counts one per
+    row tried on top of a partial clique, and the restricted searches'
+    nodes.  Raises _Timeout past deadline.
+    """
+    a = _coupling_matrix(n, b)
+    # det(tI + A), and adj(tI + A) = sum over k of t^(n-k) M_k
+    det, matrices = _char_poly([[-x for x in row] for row in a])
+    eigen = _rational_roots(det)  # the t = -lambda at which A + tI is singular
+    if eigen is None or max(sum(map(abs, itertools.chain(*m))) for m in matrices) > MAX_ROOT_COEFF:
+        return None, None, 0
+    masks = list(cols)
+    signs = [[-1 if t >> i & 1 else 1 for i in range(n)] for t in masks]
+    s = np.array(signs, dtype=np.int64)
+    # the coefficients of s_r^T adj(A + tI) s_c, highest degree first; each
+    # is at most the sum of |M_k|, so int64 holds them
+    polys = (s @ np.array(matrices, dtype=np.int64) @ s.T).transpose(1, 2, 0).tolist()
+    by_poly = {}
+    for r, c in itertools.combinations(range(len(masks)), 2):
+        by_poly.setdefault(tuple(polys[r][c]), []).append((r, c))
+    always = by_poly.pop((0,) * n, [])  # the pairs orthogonal at every t
+    pairs_at = {}  # t to the other pairs orthogonal there
+    for poly, pairs in by_poly.items():
+        if time.monotonic() > deadline:
+            raise _Timeout
+        for t in _rational_roots(poly):
+            pairs_at.setdefault(t, []).extend(pairs)
+    nodes = 0
+
+    def grow(chosen, cand, adj):
+        """Extend the clique chosen by rows of cand, which are adjacent to
+        all of it, to n rows, trying them in increasing order."""
+        nonlocal nodes
+        while len(chosen) < n <= len(chosen) + cand.bit_count():
+            low = cand & -cand
+            cand ^= low
+            nodes += 1
+            if time.monotonic() > deadline:
+                raise _Timeout
+            chosen.append(low.bit_length() - 1)
+            if grow(chosen, cand & adj[chosen[-1]], adj):
+                return True
+            chosen.pop()
+        return len(chosen) == n
+
+    for t in sorted(pairs_at.keys() - eigen):
+        pairs = pairs_at[t] + always
+        if len(pairs) < n * (n - 1) // 2:
+            continue
+        adj = [0] * len(masks)
+        for r, c in pairs:
+            adj[r] |= 1 << c
+            adj[c] |= 1 << r
+        chosen = []
+        if grow(chosen, sum(1 << r for r in range(len(masks)) if _horner(polys[r][r], t)), adj):
+            # W_r = det(A + tI) / s_r^T adj(A + tI) s_r, in the units of b
+            d = _horner(det, t) / math.lcm(*(v.denominator for v in b))
+            return True, [(masks[r], d / _horner(polys[r][r], t)) for r in chosen], nodes
+    for t in sorted(eigen):
+        shifted = [[x + t.numerator * (i == j) for j, x in enumerate(row)]
+                   for i, row in enumerate(a)]
+        rank, inside = _column_space(shifted, signs)
+        if rank < n - 1:
+            return None, None, nodes
+        restricted = {mask: v for (mask, v), ok in zip(cols.items(), inside) if ok}
+        if restricted:
+            found, more, timed_out = _search_supports(restricted, b, n + 1, n, deadline, (None,))
+            nodes += more
+            if timed_out:
+                raise _Timeout
+            if found:
+                return True, found, nodes
+    return False, None, nodes
+
+
 def check_time_limit(time_limit: float) -> float:
     """Return time_limit, or raise ValueError when it is not positive."""
     if not time_limit > 0:
@@ -628,10 +827,13 @@ def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     the edge-by-edge construction.  It is skipped when the construction
     already meets the lower bound; otherwise one call runs the probe passes
     and the full pass, and stops as soon as its incumbent meets the bound,
-    or when every pass has finished.  ``nodes_explored`` counts the
+    or when every pass has finished.  When the bound is n, the search asks
+    ``_decide_n_rows`` once, when its incumbent has n + 1 rows, whether n
+    rows realize g, and stops when none do.  ``nodes_explored`` counts the
     columns tried on top of a support, in all passes of the search and in
-    the restricted searches of the bound; columns the full pass skips by
-    symmetry are not tried, so it counts the pruned search.
+    the restricted searches of the bound and of the decision, and the rows
+    the decision tries on top of a partial clique; columns the full pass
+    skips by symmetry are not tried, so it counts the pruned search.
     A join node (the last two levels, see the module docstring) reduces
     all its candidates in one step and counts each of them once, whether
     or not it finds a set; one that times out counts none.
@@ -640,8 +842,8 @@ def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     time_limit runs out during the search, the best incumbent found so far
     is returned with status INCUMBENT_TIMEOUT; the greedy order makes it
     far smaller than the construction even where the search cannot finish
-    (n=7, and n=8 after a bound that timed out).  The status is OPTIMAL
-    exactly when the search was skipped or finished.
+    (weighted n=7, and n=8 after a bound that timed out).  The status is
+    OPTIMAL exactly when the search was skipped or finished.
     """
     _check_size(g)
     check_time_limit(time_limit)
@@ -656,7 +858,8 @@ def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     if len(entries) > bound:
         found, more, timed_out = _search_supports(
             cols, b, len(entries), bound, start + time_limit, (*_PROBE_WIDTHS, None),
-            functools.partial(_symmetries, g.n, b))
+            functools.partial(_symmetries, g.n, b),
+            functools.partial(_decide_n_rows, g.n, b, cols) if bound == g.n else None)
         nodes += more
         entries = found or entries
     return OptResult(

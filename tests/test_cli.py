@@ -87,6 +87,21 @@ def test_removed_gen_json_option_is_a_usage_error(capsys):
     assert run(["gen", "3", "0.5", "--json"], capsys)[0] == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", [
+    ["gen"], ["compile"], ["optimize"], ["verify"], ["cost"], ["simulate"], ["sweep"],
+    *(["sweep", kind] for kind in KINDS)], ids=" ".join)
+def test_help_states_no_default_of_none(capsys, command):
+    """An option whose default is None or empty is absent unless given; its
+    help text says what happens then (simulate's --pulse: the union of
+    stars; gen's --weights: unweighted)."""
+    code, out, _ = run([*command, "--help"], capsys)
+    text = " ".join(out.split())
+    assert code == 0 and "usage:" in text
+    assert "(default: None)" not in text and "(default: )" not in text
+    if command == ["simulate"]:
+        assert text.count("(default:") == 1
+
+
 @pytest.mark.parametrize("command, option, message", [
     ("optimize", ["--time-limit", "0"], "time limit must be positive"),
     ("optimize", ["--time-limit", "-1"], "time limit must be positive"),

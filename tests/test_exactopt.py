@@ -3,7 +3,10 @@ emitted sequence checked by verify; the L0 lower bound against the frozen
 optima and HiGHS brute force, and pinned over the n=6 classes; fake clocks
 for the bound's and the search's deadlines; the join of the search's last
 two levels on crafted targets and columns, pinned, and the sequences the
-search emits, pinned by a hash; the fraction-free step against Fraction
+search emits, pinned by a hash; the decision of n rows against the frozen
+optima, a brute force over n-row supports and the n=6 optima, its
+witnesses against Fraction adjugates, and its rational roots against a
+scan of every fraction; the fraction-free step against Fraction
 elimination, through a list-of-ints reference, and the packed step of the
 search against that reference; the bound's column-space test and
 characteristic polynomial against Fraction elimination; and the symmetries
@@ -30,8 +33,9 @@ from isingcoupler import (
 )
 from isingcoupler import exactopt
 from isingcoupler.exactopt import (
-    INCUMBENT_TIMEOUT, MAX_SCAN_RADIUS, OPTIMAL, _char_poly, _column_space, _cut_columns,
-    _default_incumbent, _l1_program, _lower_bound, _scaled, _search_supports, _symmetries,
+    INCUMBENT_TIMEOUT, MAX_ROOT_COEFF, MAX_SCAN_RADIUS, OPTIMAL, _char_poly, _column_space,
+    _cut_columns, _decide_n_rows, _default_incumbent, _l1_program, _lower_bound,
+    _rational_roots, _scaled, _search_supports, _symmetries,
 )
 from isingcoupler.graphs import canonical_edge_mask, couplings, pair_order, relabelings
 from isingcoupler.pulses import PulseSequence, canonicalize
@@ -162,12 +166,14 @@ def test_solve_l0_on_couplings_far_apart_in_size():
     assert res.sequence.rows == (0, 24, 28, 4, 18, 10, 14, 6, 8)
 
 
-@pytest.mark.parametrize("n, nodes", [(3, 10), (4, 423), (5, 11532)])
+@pytest.mark.parametrize("n, nodes", [(3, 10), (4, 250), (5, 2747)])
 def test_search_path_is_pinned_by_its_node_count(n, nodes):
     """Nodes summed over every class, including the lower bound's restricted
-    searches, its early stop of the search and the subtrees the full pass
-    prunes by symmetry: the path moves only when pruning skips more or
-    fewer subtrees, never by a change to the search's arithmetic alone."""
+    searches, its early stop of the search, the subtrees the full pass
+    prunes by symmetry and the rows the decision of n rows tries: the path
+    moves only when pruning skips more or fewer subtrees, or the decision
+    runs at other incumbents, never by a change to the search's arithmetic
+    alone."""
     graphs = enumerate_labeled_graphs(n, distinct_only=True)
     assert sum(solve_l0(g).nodes_explored for g in graphs) == nodes
 
@@ -433,6 +439,169 @@ def test_lower_bound_over_the_n6_classes_is_pinned():
     assert (bounds, nodes) == (768, 96555)
 
 
+def decide(g):
+    return _decide_n_rows(g.n, couplings(g), _cut_columns(g.n), math.inf)
+
+
+def n6_classes():
+    """One graph per class of 6-vertex graphs, with its canonical edge mask."""
+    pairs = pair_order(6)
+    for mask in sorted({canonical_edge_mask(mask, 6) for mask in range(1 << len(pairs))}):
+        yield mask, Graph.unweighted(6, [uv for bit, uv in enumerate(pairs) if mask >> bit & 1])
+
+
+# the n=6 classes whose L0 is 7, by canonical edge mask, as the search
+# proved them before the decision of n rows existed; every other n=6 class
+# has L0 <= 6
+N6_SEVEN_ROWS = {687, 695, 701, 703, 762, 763, 1781, 1881, 1885, 1915, 1916}
+
+
+def some_n_rows_realize(g):
+    """Whether b lies in the span of some g.n columns of the cut matrix: the
+    float rank of [Q_S | b] equals that of Q_S for some g.n-subset S
+    (numpy's batched SVD, on small integer matrices)."""
+    q, b = sign_matrix(g)
+    subsets = np.array(list(itertools.combinations(range(q.shape[1]), g.n)))
+    qs = q.T[subsets].transpose(0, 2, 1)
+    augmented = np.concatenate([qs, np.broadcast_to(b[:, None], (len(subsets), len(b), 1))], 2)
+    return bool((np.linalg.matrix_rank(augmented) == np.linalg.matrix_rank(qs)).any())
+
+
+def test_the_decision_of_n_rows_matches_l0_where_the_bound_is_n():
+    """On every class up to n=6 whose lower bound is n, the decision says
+    that no n rows realize b exactly when L0 > n: against the frozen optima
+    and a brute force over all n-row supports up to n=5, and at n=6 against
+    the optima the search proved without the decision.  Every witness is n
+    rows that realize b."""
+    cases = [(g, FROZEN_L0[str(n)][",".join(f"{u}-{v}" for u, v, _ in g.edges)] > n)
+             for n in (3, 4, 5) for g in enumerate_labeled_graphs(n, distinct_only=True)]
+    cases += [(g, mask in N6_SEVEN_ROWS) for mask, g in n6_classes()]
+    answers = []
+    for g, above_n in cases:
+        if lower_bound(g) != g.n:
+            continue
+        answer, witness, _ = decide(g)
+        assert answer is not above_n, g.edges
+        if g.n < 6:
+            assert answer == some_n_rows_realize(g), g.edges
+        if answer:
+            assert len(witness) == g.n, g.edges
+            assert verify(PulseSequence.from_pairs(g.n, witness), g), g.edges
+        answers.append((g.n, answer))
+    assert [answers.count((n, False)) for n in (3, 4, 5, 6)] == [0, 1, 4, 11]
+    assert [answers.count((n, True)) for n in (3, 4, 5, 6)] == [0, 2, 9, 41]
+
+
+def test_a_clique_witness_has_the_strengths_of_the_adjugate():
+    """A witness that the clique half finds, with t = sum(W) and A + tI
+    invertible: W_i = det(A + tI) / s_i^T adj(A + tI) s_i for each row, and
+    s_i^T adj(A + tI) s_j = 0 for i != j, in Fractions.  s^T adj(M) s' is
+    minus the determinant of M bordered by the column s' and the row s."""
+    cliques = 0
+    graphs = [g for n in (4, 5) for g in enumerate_labeled_graphs(n, distinct_only=True)]
+    for g in graphs + [g for _, g in n6_classes()]:
+        if lower_bound(g) != g.n:
+            continue
+        answer, witness, _ = decide(g)
+        if not answer:
+            continue
+        t = sum(w for _, w in witness)
+        shifted = [[t if i == j else 0 for j in range(g.n)] for i in range(g.n)]
+        for u, v, z in g.edges:
+            shifted[u][v] = shifted[v][u] = z
+        det = fraction_det(shifted)
+        if not det:
+            continue  # the singular half's witness
+        signs = [[-1 if mask >> i & 1 else 1 for i in range(g.n)] for mask, _ in witness]
+        for (_, w), s in zip(witness, signs):
+            for s2 in signs:
+                bordered = [row + [x] for row, x in zip(shifted, s2)] + [s + [0]]
+                product = -fraction_det(bordered)
+                assert product == (det / w if s2 is s else 0), g.edges
+        cliques += 1
+    assert cliques == 18
+
+
+@st.composite
+def integer_polynomials(draw):
+    """A nonzero integer polynomial, highest degree first, with up to one
+    leading zero: small random coefficients times up to two factors q x - p,
+    which plant rational roots."""
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(any))
+    for _ in range(draw(st.integers(0, 2))):
+        q, p = draw(st.integers(1, 3)), draw(st.integers(-4, 4))
+        coeffs = [q * x - p * y for x, y in zip(coeffs + [0], [0] + coeffs)]
+    return [0] * draw(st.integers(0, 1)) + coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_polynomials())
+def test_rational_roots_match_a_scan_of_every_fraction(coeffs):
+    """Every p/q with 1 <= q <= |leading coefficient| and |p| <= |lowest
+    nonzero coefficient|, and 0, tried by exact evaluation."""
+    c = list(itertools.dropwhile(lambda x: not x, coeffs))
+    lead, low = abs(c[0]), abs(next(x for x in reversed(c) if x))
+    scan = {Fraction(p, q) for q in range(1, lead + 1) for p in range(-low, low + 1)
+            if not sum(x * p ** (len(c) - 1 - i) * q ** i for i, x in enumerate(c))}
+    if not c[-1]:
+        scan.add(Fraction(0))
+    assert _rational_roots(coeffs) == scan
+
+
+def test_rational_roots_skip_a_coefficient_beyond_the_cap():
+    assert _rational_roots([1, -MAX_ROOT_COEFF]) == {MAX_ROOT_COEFF}
+    assert _rational_roots([1, -MAX_ROOT_COEFF - 1]) is None
+    assert _rational_roots([MAX_ROOT_COEFF + 1, 0, 0]) is None
+
+
+def test_a_weight_beyond_the_cap_skips_the_decision():
+    """On the n=5 class 0-1,0-2,0-4,1-2,1-3 (bound 5, L0 6), weight 100 makes
+    the terms of adj(A + tI) exceed MAX_ROOT_COEFF: the decision is skipped
+    and the search runs as it did without the decision (rows, strengths and
+    nodes).  At weight 1 the decision settles the class at entry."""
+    edges = [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)]
+    heavy = Graph.from_edges(5, [(u, v, 100) for u, v in edges])
+    assert decide(heavy) == (None, None, 0)
+    res = solve_l0(heavy)
+    assert (res.status, res.nodes_explored) == (OPTIMAL, 2606)
+    assert res.sequence.rows == (0, 8, 16, 22, 28, 18)
+    assert res.sequence.strengths == (25, 25, 25, -25, -25, -25)
+    light = Graph.unweighted(5, edges)
+    assert decide(light)[0] is False
+    res = solve_l0(light)
+    assert (res.status, res.nodes_explored, res.sequence.rows) == (
+        OPTIMAL, 16, (0, 8, 16, 22, 28, 18))
+
+
+@pytest.mark.parametrize("best", [5, 6])
+def test_a_decision_of_no_floor_rows_stops_every_pass(best):
+    """The decision runs once, when best first equals floor + 1: at entry
+    from 5 rows on the path 3-0-1-2 (bound 4, L0 5), or at the first
+    5-row set from 6.  An answer of no raises floor to best, so the search
+    stops there with the set it has; True or None leaves the search as it
+    was.  The decision's nodes are counted."""
+    cols, b = _cut_columns(4), couplings(Graph.unweighted(4, [(0, 1), (0, 3), (1, 2)]))
+    widths = (*exactopt._PROBE_WIDTHS, None)
+    plain = _search_supports(cols, b, best, 4, math.inf, widths)
+    calls = []
+
+    def answering(answer):
+        def decide_floor(deadline):
+            calls.append(answer)
+            return answer, None, 7
+        return decide_floor
+
+    for answer in (True, None):
+        entries, nodes, timed_out = _search_supports(cols, b, best, 4, math.inf, widths,
+                                                     decide=answering(answer))
+        assert (entries, nodes - 7, timed_out) == plain
+    entries, nodes, timed_out = _search_supports(cols, b, best, 4, math.inf, widths,
+                                                 decide=answering(False))
+    assert calls == [True, None, False] and not timed_out
+    assert entries == plain[0] if best == 6 else entries is None
+    assert nodes < plain[1] + 7
+
+
 def fraction_det(rows):
     """Determinant by Gaussian elimination in Fractions."""
     a = [[Fraction(v) for v in row] for row in rows]
@@ -599,12 +768,21 @@ def symmetric_matrices(draw):
 @settings(max_examples=100, deadline=None)
 @given(symmetric_matrices(), st.integers(-4, 4))
 def test_char_poly_matches_fraction_determinant(a, lam):
-    """det(lam I - a) is the polynomial's value at lam."""
-    shifted = [[x - lam * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+    """det(lam I - a) is the polynomial's value at lam, and entry (i, j) of
+    adj(lam I - a) = sum over k of lam^(n-k) M_k is minus the determinant
+    of lam I - a bordered by the unit column e_j and the unit row e_i."""
+    shifted = [[lam * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(a)]
+    coeffs, matrices = _char_poly(a)
     value = 0
-    for c in _char_poly(a):
+    for c in coeffs:
         value = value * lam + c
-    assert value == fraction_det([[-x for x in row] for row in shifted])
+    assert value == fraction_det(shifted)
+    n = len(a)
+    for i, j in itertools.product(range(n), repeat=2):
+        bordered = [row + [int(r == j)] for r, row in enumerate(shifted)]
+        bordered.append([int(c == i) for c in range(n)] + [0])
+        adj = sum(lam ** (n - 1 - k) * m[i][j] for k, m in enumerate(matrices))
+        assert adj == -fraction_det(bordered)
 
 
 @st.composite
