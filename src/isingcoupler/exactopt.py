@@ -108,9 +108,9 @@ with c_lambda = r if at most r restricted rows realize b (the support search
 over the restricted columns, stopping at the first set found) and r + 1
 otherwise; 0 when b = 0.  The optimum's own lambda has c_lambda <= L0, so
 the bound is sound.  Every decision is made in integers: the eigenvalues
-are the integers in the Gershgorin interval [-R, R] (R the largest
-absolute row sum of A) at which the characteristic polynomial, computed
-once by the Faddeev-LeVerrier recurrence, evaluates to zero.  At each
+are the integers lambda in the Gershgorin interval [-R, R] (R the largest
+absolute row sum of A) at which det(tI + A), one polynomial computed by
+the Faddeev-LeVerrier recurrence, vanishes at t = -lambda.  At each
 such root, ``_column_space`` adds the columns of A - lambda I one by one
 with the search's packed step and reduces every row's +-1 vector in the
 same calls: the rank is the number of pivots, and a row is restricted
@@ -148,16 +148,16 @@ realization then has nonzero strengths, and one of two kinds:
   the restricted search of the bound, rerun with best n + 1 and floor n,
   decides this kind.
 
+The decision does no spectral work of its own: it reads the bound's
+det(tI + A), its M_k, its integer eigenvalues and their restricted rows.
 The clique half runs first, as the cheaper one: over the n=6 classes of
 bound 6 it tries at most a few hundred rows, while a restricted search
 can take thousands of nodes (7,010 on one class) to find its set or fail.
 The decision is skipped, which only lets the search run longer, when the
-absolute entries of some M_k sum beyond MAX_ROOT_COEFF (then int64 might
-not hold the pair polynomials, whose coefficients that sum bounds), when
-the lowest nonzero coefficient of det(A + tI) does, or at an eigenvalue of
-multiplicity two or more, which a bound of n excludes.  The decision's
-nodes are one per row tried on top of a partial clique (the empty one
-included) and those of its restricted searches.
+absolute entries of some M_k sum beyond MAX_ROOT_COEFF: then int64 might
+not hold the pair polynomials, whose coefficients that sum bounds.  The
+decision's nodes are one per row tried on top of a partial clique (the
+empty one included) and those of its restricted searches.
 
 The bound never changes the emitted sequence, and neither does the
 decision.  The search runs its passes exactly as without them and accepts
@@ -231,11 +231,11 @@ MAX_EXACT_N = 8
 # one Horner evaluation per integer in [-R, R], about 20 ms at the cap for
 # n=8 on a 2-core VM.  Unweighted graphs have R <= n-1.
 MAX_SCAN_RADIUS = 10_000
-# Largest |coefficient| of a polynomial whose rational roots the decision of
-# n rows seeks (trial division up to its square root: about 0.7 ms per
-# distinct coefficient at the cap on a 2-core VM), and largest sum of the
-# absolute entries of a term of adj(A + tI), so that int64 holds the pair
-# polynomials.  Unweighted graphs stay far below it.
+# Largest sum of the absolute entries of a term M_k of adj(A + tI) for which
+# the decision of n rows runs.  It bounds every coefficient of the pair
+# polynomials, so int64 holds them, and trial division for their rational
+# roots (up to the square root: about 0.7 ms per distinct coefficient at the
+# cap on a 2-core VM) stays cheap.  Unweighted graphs stay far below it.
 MAX_ROOT_COEFF = 10 ** 8
 DEFAULT_TIME_LIMIT = 600.0
 # Most column maps the full pass prunes with (see ``_symmetries``): at the
@@ -629,35 +629,39 @@ def _lower_bound(n: int, b, cols, deadline):
     """A lower bound on L0 for the target couplings b (see the module
     docstring), decided in integers.
 
-    Returns (bound, nodes, timed_out), nodes counting the restricted
-    searches.  A Gershgorin radius above MAX_SCAN_RADIUS gives the trivial
-    bound 1.
+    Returns (bound, nodes, timed_out, spectrum), nodes counting the
+    restricted searches.  spectrum, which ``_decide_n_rows`` reads, is
+    ``_char_poly(-A)``, the +-1 vector of each row of cols and, for each
+    integer eigenvalue lambda ascending, (lambda, rank(A - lambda I),
+    restricted rows); None on any early return.  A Gershgorin radius above
+    MAX_SCAN_RADIUS gives the trivial bound 1.
     """
     if not any(b):
-        return 0, 0, False
+        return 0, 0, False, None
     a = _coupling_matrix(n, b)
     radius = max(sum(map(abs, row)) for row in a)
     if radius > MAX_SCAN_RADIUS:
-        return 1, 0, False
-    poly, _ = _char_poly(a)
+        return 1, 0, False, None
+    # det(tI + A), zero at t = -lambda, and adj(tI + A) = sum over k of t^(n-k) M_k
+    det, matrices = _char_poly([[-x for x in row] for row in a])
     # the +-1 vector of each row, -1 at each flipped qubit
     signs = [[-1 if t >> i & 1 else 1 for i in range(n)] for t in cols]
     roots = []
     for lam in range(-radius, radius + 1):
         if time.monotonic() > deadline:
-            return 1, 0, True
-        if _horner(poly, lam) == 0:
+            return 1, 0, True, None
+        if _horner(det, -lam) == 0:
             shifted = [[x - lam * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
-            roots.append(_column_space(shifted, signs))
+            rank, inside = _column_space(shifted, signs)
+            # rows whose +-1 vector lies in the column space of A - lambda I,
+            # that is (A being symmetric) orthogonal to its nullspace
+            roots.append((lam, rank, {t: v for (t, v), ok in zip(cols.items(), inside) if ok}))
     bound, nodes = n, 0
     # by rank, smallest first; sorted() keeps equal ranks in eigenvalue order
-    for rank, inside in sorted(roots, key=lambda root: root[0]):
+    for _, rank, restricted in sorted(roots, key=lambda root: root[1]):
         if rank >= bound:
             break
         bound = rank + 1
-        # rows whose +-1 vector lies in the column space of A - lambda I,
-        # that is (A being symmetric) orthogonal to its nullspace
-        restricted = {t: v for (t, v), ok in zip(cols.items(), inside) if ok}
         if restricted:
             # Any set ends this search, and a failed one must try them all,
             # so the narrow passes would only repeat the full one.
@@ -665,10 +669,10 @@ def _lower_bound(n: int, b, cols, deadline):
                                                       (None,))
             nodes += more
             if timed_out:  # proven: c_lambda >= rank, and every later rank >= rank
-                return rank, nodes, True
+                return rank, nodes, True, None
             if found:
                 bound = rank
-    return bound, nodes, False
+    return bound, nodes, False, (det, matrices, signs, roots)
 
 
 def _coupling_matrix(n: int, b) -> list[list[int]]:
@@ -687,10 +691,10 @@ def _divisors(m: int) -> tuple[int, ...]:
     return (*small, *(m // d for d in reversed(small) if d * d != m))
 
 
-def _rational_roots(coeffs) -> set[Fraction] | None:
+def _rational_roots(coeffs) -> set[Fraction]:
     """The rational roots of the nonzero integer polynomial coeffs (highest
-    degree first), or None when its leading or its lowest nonzero
-    coefficient exceeds MAX_ROOT_COEFF in absolute value.
+    degree first).  Trial division finds the divisors of its leading and
+    lowest nonzero coefficients, so the caller keeps those small.
 
     A root p/q in lowest terms has p dividing the lowest nonzero
     coefficient and q the leading one (the rational root theorem).  Since
@@ -705,8 +709,6 @@ def _rational_roots(coeffs) -> set[Fraction] | None:
         coeffs.pop()
         roots.add(Fraction(0))
     lead, last = abs(coeffs[0]), abs(coeffs[-1])
-    if max(lead, last) > MAX_ROOT_COEFF:
-        return None
     at_one, at_minus_one = sum(coeffs), _horner(coeffs, -1)
     for q in _divisors(lead):
         for d in _divisors(last):
@@ -722,26 +724,23 @@ def _rational_roots(coeffs) -> set[Fraction] | None:
     return roots
 
 
-def _decide_n_rows(n: int, b, cols, deadline):
+def _decide_n_rows(n: int, b, cols, spectrum, deadline):
     """Whether some n of the columns cols realize b, given that fewer do
     not (see the module docstring): the clique half, then the singular
-    half.
+    half.  spectrum is what ``_lower_bound`` returned with a bound of n,
+    so every integer eigenvalue has rank n - 1.
 
     Returns (answer, witness, nodes): answer True with witness the (row
     mask, strength) entries of such a set, False when none exists, or None
-    when the decision is skipped, with a coefficient above MAX_ROOT_COEFF or
-    an integer eigenvalue of multiplicity two or more.  nodes counts one per
-    row tried on top of a partial clique, and the restricted searches'
-    nodes.  Raises _Timeout past deadline.
+    when the decision is skipped, with a term of adj(A + tI) whose absolute
+    entries sum above MAX_ROOT_COEFF.  nodes counts one per row tried on
+    top of a partial clique, and the restricted searches' nodes.  Raises
+    _Timeout past deadline.
     """
-    a = _coupling_matrix(n, b)
-    # det(tI + A), and adj(tI + A) = sum over k of t^(n-k) M_k
-    det, matrices = _char_poly([[-x for x in row] for row in a])
-    eigen = _rational_roots(det)  # the t = -lambda at which A + tI is singular
-    if eigen is None or max(sum(map(abs, itertools.chain(*m))) for m in matrices) > MAX_ROOT_COEFF:
+    det, matrices, signs, roots = spectrum
+    if max(sum(map(abs, itertools.chain(*m))) for m in matrices) > MAX_ROOT_COEFF:
         return None, None, 0
     masks = list(cols)
-    signs = [[-1 if t >> i & 1 else 1 for i in range(n)] for t in masks]
     s = np.array(signs, dtype=np.int64)
     # the coefficients of s_r^T adj(A + tI) s_c, highest degree first; each
     # is at most the sum of |M_k|, so int64 holds them
@@ -774,7 +773,8 @@ def _decide_n_rows(n: int, b, cols, deadline):
             chosen.pop()
         return len(chosen) == n
 
-    for t in sorted(pairs_at.keys() - eigen):
+    # the t = -lambda at which A + tI is singular are left to the singular half
+    for t in sorted(pairs_at.keys() - {-lam for lam, _, _ in roots}):
         pairs = pairs_at[t] + always
         if len(pairs) < n * (n - 1) // 2:
             continue
@@ -787,13 +787,7 @@ def _decide_n_rows(n: int, b, cols, deadline):
             # W_r = det(A + tI) / s_r^T adj(A + tI) s_r, in the units of b
             d = _horner(det, t) / math.lcm(*(v.denominator for v in b))
             return True, [(masks[r], d / _horner(polys[r][r], t)) for r in chosen], nodes
-    for t in sorted(eigen):
-        shifted = [[x + t.numerator * (i == j) for j, x in enumerate(row)]
-                   for i, row in enumerate(a)]
-        rank, inside = _column_space(shifted, signs)
-        if rank < n - 1:
-            return None, None, nodes
-        restricted = {mask: v for (mask, v), ok in zip(cols.items(), inside) if ok}
+    for _, _, restricted in reversed(roots):  # t = -lambda ascending
         if restricted:
             found, more, timed_out = _search_supports(restricted, b, n + 1, n, deadline, (None,))
             nodes += more
@@ -829,11 +823,13 @@ def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     and the full pass, and stops as soon as its incumbent meets the bound,
     or when every pass has finished.  When the bound is n, the search asks
     ``_decide_n_rows`` once, when its incumbent has n + 1 rows, whether n
-    rows realize g, and stops when none do.  ``nodes_explored`` counts the
-    columns tried on top of a support, in all passes of the search and in
-    the restricted searches of the bound and of the decision, and the rows
-    the decision tries on top of a partial clique; columns the full pass
-    skips by symmetry are not tried, so it counts the pruned search.
+    rows realize g, and stops when none do; the decision reads the
+    polynomial, eigenvalues and restricted rows that the bound computed.
+    ``nodes_explored`` counts the columns tried on top of a support, in all
+    passes of the search and in the restricted searches of the bound and of
+    the decision, and the rows the decision tries on top of a partial
+    clique; columns the full pass skips by symmetry are not tried, so it
+    counts the pruned search.
     A join node (the last two levels, see the module docstring) reduces
     all its candidates in one step and counts each of them once, whether
     or not it finds a set; one that times out counts none.
@@ -853,13 +849,13 @@ def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     incumbent = canonicalize(_default_incumbent(g))
     entries = list(zip(incumbent.rows, incumbent.strengths))
     # a bound that timed out is still proven; only the search's timeout counts
-    bound, nodes, _ = _lower_bound(g.n, b, cols, start + time_limit / 2)
+    bound, nodes, _, spectrum = _lower_bound(g.n, b, cols, start + time_limit / 2)
     timed_out = False
     if len(entries) > bound:
         found, more, timed_out = _search_supports(
             cols, b, len(entries), bound, start + time_limit, (*_PROBE_WIDTHS, None),
             functools.partial(_symmetries, g.n, b),
-            functools.partial(_decide_n_rows, g.n, b, cols) if bound == g.n else None)
+            functools.partial(_decide_n_rows, g.n, b, cols, spectrum) if bound == g.n else None)
         nodes += more
         entries = found or entries
     return OptResult(

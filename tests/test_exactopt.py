@@ -3,12 +3,14 @@ emitted sequence checked by verify; the L0 lower bound against the frozen
 optima and HiGHS brute force, and pinned over the n=6 classes; fake clocks
 for the bound's and the search's deadlines; the join of the search's last
 two levels on crafted targets and columns, pinned, and the sequences the
-search emits, pinned by a hash; the decision of n rows against the frozen
-optima, a brute force over n-row supports and the n=6 optima, its
-witnesses against Fraction adjugates, and its rational roots against a
-scan of every fraction; the fraction-free step against Fraction
-elimination, through a list-of-ints reference, and the packed step of the
-search against that reference; the bound's column-space test and
+search emits, pinned by a hash; the decision of n rows, on the spectrum
+the bound computed, against the frozen optima, a brute force over n-row
+supports and the n=6 optima, its witnesses against Fraction adjugates, and
+its rational roots against a scan of every fraction; one characteristic
+polynomial and one column-space test per integer eigenvalue for the bound
+and the decision together, by counted calls; the fraction-free step
+against Fraction elimination, through a list-of-ints reference, and the
+packed step of the search against that reference; the bound's column-space test and
 characteristic polynomial against Fraction elimination; and the symmetries
 the full pass prunes with against networkx's isomorphism matcher, the cut
 matrix and the unpruned search."""
@@ -179,7 +181,7 @@ def test_search_path_is_pinned_by_its_node_count(n, nodes):
 
 
 def lower_bound(g):
-    bound, _, timed_out = _lower_bound(g.n, couplings(g), _cut_columns(g.n), math.inf)
+    bound, _, timed_out, _ = _lower_bound(g.n, couplings(g), _cut_columns(g.n), math.inf)
     assert not timed_out
     return bound
 
@@ -227,7 +229,7 @@ def test_a_timed_out_restricted_search_returns_only_a_proven_bound(monkeypatch):
             scan = scan_reads(g)
             monkeypatch.setattr(exactopt, "time", SimpleNamespace(
                 monotonic=lambda: 0.0 if next(reads) < scan else 2.0))
-            bound, _, timed_out = _lower_bound(n, b, _cut_columns(n), 1.0)
+            bound, _, timed_out, _ = _lower_bound(n, b, _cut_columns(n), 1.0)
             l0 = FROZEN_L0[str(n)][",".join(f"{u}-{v}" for u, v, _ in g.edges)]
             assert bound <= l0, g.edges
             timed_out_classes += timed_out
@@ -243,9 +245,9 @@ def test_a_bound_that_times_out_leaves_the_search_its_time(monkeypatch):
     bound_timeouts = []
 
     def lower_bound_spy(*args):
-        bound, nodes, timed_out = real_lower_bound(*args)
+        bound, nodes, timed_out, spectrum = real_lower_bound(*args)
         bound_timeouts.append(timed_out)
-        return bound, nodes, timed_out
+        return bound, nodes, timed_out, spectrum
 
     monkeypatch.setattr(exactopt, "_lower_bound", lower_bound_spy)
     for n in (3, 4, 5):
@@ -432,7 +434,7 @@ def test_lower_bound_over_the_n6_classes_is_pinned():
     bounds = nodes = 0
     for mask in masks:
         g = Graph.unweighted(6, [uv for bit, uv in enumerate(pairs) if mask >> bit & 1])
-        bound, more, timed_out = _lower_bound(6, couplings(g), _cut_columns(6), math.inf)
+        bound, more, timed_out, _ = _lower_bound(6, couplings(g), _cut_columns(6), math.inf)
         assert not timed_out
         bounds += bound
         nodes += more
@@ -440,7 +442,10 @@ def test_lower_bound_over_the_n6_classes_is_pinned():
 
 
 def decide(g):
-    return _decide_n_rows(g.n, couplings(g), _cut_columns(g.n), math.inf)
+    """The decision of n rows on the spectrum that g's lower bound computed."""
+    b, cols = couplings(g), _cut_columns(g.n)
+    *_, spectrum = _lower_bound(g.n, b, cols, math.inf)
+    return _decide_n_rows(g.n, b, cols, spectrum, math.inf)
 
 
 def n6_classes():
@@ -522,6 +527,36 @@ def test_a_clique_witness_has_the_strengths_of_the_adjugate():
     assert cliques == 18
 
 
+@pytest.mark.parametrize("g, decision_nodes, nodes", [
+    (Graph.unweighted(6, [(0, 1), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]), 133, 219),
+    (random_er_graph(6, 0.5, (1, 2, 3), 3), 132, 167),
+])
+def test_the_bound_and_the_decision_share_one_spectral_pass(monkeypatch, g, decision_nodes,
+                                                            nodes):
+    """On the hard n=6 class and a weighted ER(6) graph (bound 6, L0 7),
+    solve_l0 runs _char_poly once and _column_space once per integer
+    eigenvalue of A (counted by numpy), although the decision of n rows runs
+    and answers no: it reads the bound's polynomial, eigenvalues and
+    restricted rows."""
+    calls = {"_char_poly": 0, "_column_space": 0, "_decide_n_rows": []}
+    for name in calls:
+        def counted(*args, real=getattr(exactopt, name), name=name):
+            result = real(*args)
+            if name == "_decide_n_rows":
+                calls[name].append((result[0], result[2]))  # the answer and nodes
+            else:
+                calls[name] += 1
+            return result
+        monkeypatch.setattr(exactopt, name, counted)
+    res = solve_l0(g)
+    assert (res.status, res.objective, res.nodes_explored) == (OPTIMAL, 7, nodes)
+    assert verify(res.sequence, g)
+    a = np.array(exactopt._coupling_matrix(g.n, couplings(g)), dtype=float)
+    eigenvalues = {round(x) for x in np.linalg.eigvalsh(a) if abs(x - round(x)) < 1e-9}
+    assert calls == {"_char_poly": 1, "_column_space": len(eigenvalues),
+                     "_decide_n_rows": [(False, decision_nodes)]}
+
+
 @st.composite
 def integer_polynomials(draw):
     """A nonzero integer polynomial, highest degree first, with up to one
@@ -550,8 +585,6 @@ def test_rational_roots_match_a_scan_of_every_fraction(coeffs):
 
 def test_rational_roots_skip_a_coefficient_beyond_the_cap():
     assert _rational_roots([1, -MAX_ROOT_COEFF]) == {MAX_ROOT_COEFF}
-    assert _rational_roots([1, -MAX_ROOT_COEFF - 1]) is None
-    assert _rational_roots([MAX_ROOT_COEFF + 1, 0, 0]) is None
 
 
 def test_a_weight_beyond_the_cap_skips_the_decision():
@@ -561,6 +594,12 @@ def test_a_weight_beyond_the_cap_skips_the_decision():
     nodes).  At weight 1 the decision settles the class at entry."""
     edges = [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)]
     heavy = Graph.from_edges(5, [(u, v, 100) for u, v in edges])
+    # The Gershgorin scan finds the eigenvalue 0, so the bound stays 5.  The
+    # lowest nonzero coefficient of det(tI + A) is 3 * 10^8, beyond
+    # MAX_ROOT_COEFF: rational roots capped there would find no eigenvalue
+    # and leave the trivial bound 1.  That is why the scan, not the rational
+    # roots of det(tI + A), finds the eigenvalues.
+    assert lower_bound(heavy) == 5
     assert decide(heavy) == (None, None, 0)
     res = solve_l0(heavy)
     assert (res.status, res.nodes_explored) == (OPTIMAL, 2606)
