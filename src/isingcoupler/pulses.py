@@ -19,6 +19,7 @@ sequence_from_json.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -73,10 +74,13 @@ def coupling_sign(mask: int, i: int, j: int) -> int:
 
 def evaluate(seq: PulseSequence) -> tuple[Fraction, ...]:
     """Couplings realized by the sequence, one per pair in pair_order(n),
-    in exact arithmetic."""
-    rows = list(zip(seq.rows, seq.strengths))
+    in exact arithmetic: the strengths scaled by the lcm of their
+    denominators sum as integers, and each pair makes one Fraction."""
+    denom = math.lcm(*(w.denominator for w in seq.strengths))
+    rows = [(mask, w.numerator * (denom // w.denominator))
+            for mask, w in zip(seq.rows, seq.strengths)]
     return tuple(
-        sum((w * coupling_sign(mask, i, j) for mask, w in rows), Fraction(0))
+        Fraction(sum(w * coupling_sign(mask, i, j) for mask, w in rows), denom)
         for i, j in pair_order(seq.n)
     )
 

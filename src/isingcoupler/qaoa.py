@@ -21,11 +21,12 @@ One call to ``simulate_qaoa_p1`` evaluates a whole gamma x beta grid and
 shares every piece of work that does not depend on both angles:
 
 - The noisy cost layer depends only on gamma, and within it only the Rz and
-  Ising phase diagonals do.  So one pass over the circuit acts on the
-  (G, 2^n, 2^n) stack of all G gammas' density matrices at once; every other
-  op is the same for all of them.  The stack takes O(G 4^n) memory, the same
-  order as the O(B 4^n) ``rows`` array of the B observables below.  A call
-  needing over MAX_SIMULATION_BYTES for the two is refused before either.
+  Ising phase diagonals do.  So one pass over the circuit acts on one stack
+  of all G gammas' density matrices at once (stored as below); every other
+  op is the same for all of them.  The layer returns the (G, 2^n, 2^n)
+  stack, O(G 4^n) memory, the same order as the O(B 4^n) ``rows`` array of
+  the B observables below, which is built after the layer.  A call needing
+  over MAX_SIMULATION_BYTES for the two is refused before either.
 - After the mixer only diag(rho) is read, and every channel there maps
   diagonals to diagonals: minor depolarizing d -> (1-r) d + r (d + d o flip_q)/2,
   the phase flip leaves d unchanged, and the measurement flip
@@ -37,15 +38,49 @@ shares every piece of work that does not depend on both angles:
 
 An ms sequence is checked with ``pulses.verify`` once per call.
 
-Channels act on qubit blocks.  With rho viewed as one size-2 row axis and
-one size-2 column axis per qubit, depolarizing a qubit set S at rate lam
-scales rho by 1-lam and adds lam times the mean of the 2^|S| diagonal blocks
-(row bits equal column bits on S) to each of them: that is
-(1-lam) rho + lam I/2^|S| (x) tr_S rho.  Minor noise on qubit q mixes q's two
-diagonal blocks a, c into (1-r/2) a + (r/2) c and (1-r/2) c + (r/2) a and
-scales its two off-diagonal blocks by (1-r)(1-2r), in place.  Both
-compilations get their phases from one rule, D = exp(-i angles (x) values)
-applied as D rho D^dag, and a CNOT is one flat gather.
+The cost layer evolves each density matrix in the coordinates
+rho^[x, k] = rho[x, x ^ k], and every op of either compilation keeps k:
+
+- A diagonal phase D = diag(exp(-i phi)) multiplies rho^[x, k] by
+  exp(-i (phi(x) - phi(x ^ k))).
+- Conjugation by X_a shifts x alone: rho^[x, k] -> rho^[x ^ a, k], one row of
+  2^n contiguous entries to another.
+- Conjugation by Z_b multiplies rho^[x, k] by (-1)^(b.k): a factor that
+  depends on k alone.
+
+Every channel of the model is a Pauli channel, so it splits the same way.
+Where k is 0 on a qubit set S, depolarizing S at rate lam maps rho^[x, k]
+to (1-lam) rho^[x, k] + lam times the mean of rho^[x ^ a, k] over the masks
+a on S; elsewhere it is the factor 1-lam.
+Minor noise on qubit q at rate r is the x-mixing
+rho^[x] -> (1-r/2) rho^[x] + (r/2) rho^[x ^ e_q] where k_q = 0 and the
+factor (1-r)(1-2r) where k_q = 1.
+
+Three identities of the model then cut the work:
+
+- The Z-type factors depend on k alone and commute with every other op, so
+  they collect in one real vector sigma[k], applied once at the end.
+- Both layers commute with conjugation by X^n (the initial state, every
+  phase difference and every channel do), so rho^[~x, k] = rho^[x, k].
+  Only the rows x with bit n-1 clear are stored: a (G, 2^(n-1), 2^n) half
+  stack.  A shift on qubit n-1 reads that half reversed, since x ^ e_(n-1)
+  is stored as x ^ (2^(n-1) - 1), and averaging over a set that holds
+  qubit n-1 averages each row with its reversed partner.
+- c mixings on one qubit with no phase between them are one mixing at
+  weight (1 - (1-r)^c)/2, and on the uniform initial state a mixing changes
+  nothing.
+
+A cx edge is taken in Heisenberg form.  CNOT Rz_v(-gamma z) CNOT is the
+diagonal exp(i gamma z/2 Z_u Z_v), whose phase differences are 0 or
++-gamma z, and the minor noise on the rotation, conjugated through the
+CNOT, is the Pauli channel {I, X_v, Z_u Z_v, Z_u Y_v} with the same weights:
+an x-mixing on e_v where k_u = k_v, and the factor (1-r)(1-2r) elsewhere.
+So no CNOT is simulated, and the edge's phase (where k_u != k_v) and noise
+(where k_u = k_v) act on disjoint k.  Depolarizing on S commutes with every
+unitary and unital channel that acts only within S, and j of them at rate
+lam make one at rate 1-(1-lam)^j: an edge's two Dep(u, v) apply as one
+after it, and the L full-register Dep of an ms layer as one at its end,
+where it averages the diagonal (k = 0) and scales the rest.
 
 The ms flips are not simulated as gates.  A row with flip mask m is, in
 time order, X_m then minor noise M on the qubits of m, the Ising phase D,
@@ -58,10 +93,9 @@ model: every noisy flip is still applied, as often as before.  It is not a
 merged-flip model, which would charge fewer flips by sharing them between
 consecutive rows and so change the noise.
 
-Depolarizing on a qubit set S commutes with every unitary and every unital
-channel that acts only within S, and k of them at rate lam make one at rate
-1-(1-lam)^k.  So a cx edge's two Dep(u, v) apply as one after its second
-CNOT, and the L full-register Dep of an ms layer apply as one at its end.
+The phase tables are cached per n only: the ms codes (E(x) - E(x ^ k))/2,
+read with their rows permuted by x ^ m, and the index that turns the half
+stack back into the standard (G, 2^n, 2^n) stack the layers return.
 
 A grid scan needs only the gammas up to pi when the layer is 2pi-periodic
 in gamma, by two identities of the model:
@@ -164,12 +198,6 @@ def _check_float_range(g: Graph, compilation: str, seq: PulseSequence | None) ->
 
 
 @functools.lru_cache(maxsize=None)
-def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    return idx ^ (((idx >> control) & 1) << target)
-
-
-@functools.lru_cache(maxsize=None)
 def _popcounts(n: int) -> np.ndarray:
     """popcount(x) for every basis state x < 2^n, as int64."""
     return np.array([x.bit_count() for x in range(1 << n)], dtype=np.int64)
@@ -221,37 +249,6 @@ def apply_depolarizing(rho: np.ndarray, qubits, lam: float, n: int) -> np.ndarra
     return out
 
 
-def _apply_minor(rho: np.ndarray, qubit: int, rate: float, n: int) -> None:
-    """Minor noise on one qubit, in place on a C-contiguous stack: single-
-    qubit depolarizing then a phase flip, each at rate.  With a and c the
-    qubit's two diagonal blocks, a -> (1-r/2) a + (r/2) c and c likewise;
-    both off-diagonal blocks are scaled by (1-r)(1-2r)."""
-    if rate == 0.0:
-        return
-    high, low = 1 << (n - 1 - qubit), 1 << qubit
-    t = rho.reshape(-1, high, 2, low, high, 2, low)
-    a, c = t[:, :, 0, :, :, 0], t[:, :, 1, :, :, 1]
-    shift = c - a
-    shift *= rate / 2.0
-    a += shift
-    c -= shift
-    t[:, :, 0, :, :, 1] *= (1.0 - rate) * (1.0 - 2.0 * rate)
-    t[:, :, 1, :, :, 0] *= (1.0 - rate) * (1.0 - 2.0 * rate)
-
-
-def _apply_phases(rho: np.ndarray, angles: np.ndarray, values: np.ndarray) -> None:
-    """rho -> D rho D^dag in place for the (G, 2^n) stack of phase diagonals
-    D = exp(-i angles (x) values): row k is exp(-i angles[k] values)."""
-    d = np.exp(-1j * np.multiply.outer(angles, values))
-    rho *= d[..., :, None]
-    rho *= d.conj()[..., None, :]
-
-
-def _apply_cnot(rho: np.ndarray, pair_index: np.ndarray) -> np.ndarray:
-    """rho -> P rho P for the permutation P whose flat pair index is given."""
-    return np.take(rho.reshape(rho.shape[0], -1), pair_index, axis=-1).reshape(rho.shape)
-
-
 @functools.lru_cache(maxsize=None)
 def _pair_popcounts(n: int) -> np.ndarray:
     """popcount(x ^ y) for every pair of basis states, as int8."""
@@ -268,49 +265,163 @@ def _mixer_unitary(n: int, beta: float) -> np.ndarray:
     return amplitudes[_pair_popcounts(n)]
 
 
-def _plus_states(count: int, n: int) -> np.ndarray:
-    """count copies of |+...+><+...+|.  A layer makes its own, so that it
-    holds the only reference and each new stack frees the one before."""
+@functools.lru_cache(maxsize=None)
+def _bits(n: int) -> np.ndarray:
+    """Row q holds bit q of every index 0..2^n - 1, as int64."""
+    return (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
+
+
+@functools.lru_cache(maxsize=None)
+def _ising_codes(n: int) -> np.ndarray:
+    """c(x, k) + n^2 // 4 for the stored rows x < 2^(n-1) and every k, as
+    uint8, where 2 c(x, k) = E(x) - E(x ^ k) for the energies E of
+    ``_zz_energies``: with s = n - 2 popcount(x), 2E = s^2 - n, and s^2 - s'^2
+    is a multiple of 4 of size at most n^2."""
+    energy = 2 * _zz_energies(n).astype(np.int64)
+    stored = np.arange(1 << (n - 1))
+    diff = energy[stored, None] - energy[stored[:, None] ^ np.arange(1 << n)]
+    return (diff // 4 + n * n // 4).astype(np.uint8)
+
+
+@functools.lru_cache(maxsize=None)
+def _standard_index(n: int) -> np.ndarray:
+    """Flat index into a stored (2^(n-1), 2^n) slice of the standard entry
+    (x, y): row x, or its complement when bit n-1 of x is set, at k = x ^ y."""
     dim = 1 << n
-    return np.full((count, dim, dim), 1.0 / dim, dtype=complex)
+    idx = np.arange(dim)
+    stored = np.where(idx < dim >> 1, idx, idx ^ (dim - 1))
+    return stored[:, None] * dim + (idx[:, None] ^ idx[None, :])
+
+
+def _half_plus_states(count: int, n: int) -> np.ndarray:
+    """The stored half of count copies of |+...+><+...+|: every entry 2^-n."""
+    return np.full((count, 1 << (n - 1), 1 << n), 1.0 / (1 << n), dtype=complex)
+
+
+def _partners(rho: np.ndarray, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views (a, b) of a stored half stack that pair each stored row x with
+    the stored row of x ^ e_q, each pair once.  x ^ e_(n-1) is stored as its
+    complement x ^ (2^(n-1) - 1), so for q = n-1 b is the stack reversed."""
+    if q == n - 1:
+        half = rho.shape[1] // 2
+        return rho[:, :half], rho[:, ::-1][:, :half]
+    t = rho.reshape(len(rho), -1, 2, 1 << q, rho.shape[2])
+    return t[:, :, 0], t[:, :, 1]
+
+
+def _mix(rho: np.ndarray, q: int, n: int, weights: np.ndarray) -> None:
+    """rho[x, k] -> (1 - w[k]) rho[x, k] + w[k] rho[x ^ e_q, k], in place on a
+    stored half stack."""
+    a, b = _partners(rho, q, n)
+    shift = b - a
+    shift *= weights
+    a += shift
+    b -= shift
+
+
+def _average(rho: np.ndarray, qubits: tuple[int, ...], n: int, weights: np.ndarray) -> None:
+    """rho[x, k] -> (1 - w[k]) rho[x, k] + w[k] * (the mean of rho[x ^ a, k]
+    over the 2^|qubits| masks a on qubits), in place on a stored half stack;
+    a bit of qubit n-1 in a reverses the stored rows (``_partners``)."""
+    count, _, dim = rho.shape
+    shape, axes, top = [count], [], n - 1
+    for q in sorted(qubits, reverse=True):
+        if q < n - 1:
+            shape += [1 << (top - q - 1), 2]
+            axes.append(len(shape) - 1)
+            top = q
+    t = rho.reshape(shape + [1 << top, dim])
+    mean = t.sum(axis=tuple(axes), keepdims=True)
+    if n - 1 in qubits:
+        mean += mean.reshape(count, -1, dim)[:, ::-1].reshape(mean.shape)
+    mean *= weights / (1 << len(qubits))
+    t *= 1.0 - weights
+    t += mean
+
+
+def _standard_layout(rho: np.ndarray, n: int, sigma: np.ndarray) -> np.ndarray:
+    """The (G, 2^n, 2^n) stack of the stored half stack rho, which is scaled
+    by sigma in place: entry (x, y) is sigma[x ^ y] rho[x, x ^ y], read from
+    the complement of x when its bit n-1 is set."""
+    rho *= sigma
+    flat = np.take(rho.reshape(len(rho), -1), _standard_index(n), axis=1)
+    return flat.reshape(len(rho), 1 << n, 1 << n)
 
 
 def _cx_layer(g: Graph, gammas: np.ndarray, noise: NoiseSpec):
-    n, dim = g.n, 1 << g.n
-    rho = _plus_states(len(gammas), n)
-    # An edge's two Dep(u, v) commute with its CNOTs, Rz and minor noise,
-    # which act within {u, v}; they apply as one after the second CNOT.
-    pair_rate = 1.0 - (1.0 - noise.major_rate) ** 2
-    for u, v, z in g.edges:
-        perm = _cnot_perm(n, u, v)
-        pair_index = (perm[:, None] * dim + perm).ravel()
-        rho = _apply_cnot(rho, pair_index)
-        # Rz(-gamma z) on v: the phase -gamma z / 2 times the +-1 sign of v
-        _apply_phases(rho, -gammas * float(z) / 2.0, 1.0 - 2.0 * ((np.arange(dim) >> v) & 1))
-        _apply_minor(rho, v, noise.minor_rate, n)
-        rho = _apply_cnot(rho, pair_index)
-        rho = apply_depolarizing(rho, (u, v), pair_rate, n)
-    return rho
+    n = g.n
+    rho = _half_plus_states(len(gammas), n)
+    bits = _bits(n)
+    row_bits = bits[:, : rho.shape[1]]  # of the stored rows
+    r = noise.minor_rate
+    keep = (1.0 - noise.major_rate) ** 2  # an edge's two Dep(u, v), merged
+    minor_count = np.zeros(1 << n, dtype=np.int64)
+    pair_count = np.zeros(1 << n, dtype=np.int64)
+    for e, (u, v, z) in enumerate(g.edges):
+        odd = bits[u] ^ bits[v]
+        # The edge's noise acts where k_u = k_v and its phase where k_u != k_v,
+        # so the noise goes first; on the first edge the state is uniform in
+        # x and the mixings change nothing.
+        if e and r:
+            _mix(rho, v, n, r / 2.0 * (1 - odd))
+        if e and keep != 1.0:
+            _average(rho, (u, v), n, (1.0 - keep) * (1 - (bits[u] | bits[v])))
+        # CNOT Rz_v(-gamma z) CNOT = exp(i gamma z/2 Z_u Z_v) multiplies entry
+        # (x, k) by exp(i gamma z s(x) odd(k)), s(x) = (-1)^(x_u ^ x_v)
+        lut = np.exp(1j * np.multiply.outer(gammas * float(z), (-1.0, 0.0, 1.0)))
+        sign = 1 - 2 * (row_bits[u] ^ row_bits[v])
+        rho *= np.take(lut, 1 + np.multiply.outer(sign, odd), axis=1)
+        minor_count += odd
+        pair_count += bits[u] | bits[v]
+    sigma = ((1.0 - r) * (1.0 - 2.0 * r)) ** minor_count * keep ** pair_count
+    return _standard_layout(rho, n, sigma)
+
+
+def _fused_minors(rho: np.ndarray, pending: list[int], r: float, n: int) -> None:
+    """Apply the x-mixing of pending[q] minor channels on each qubit q, and
+    clear pending: c of them at rate r are one mixing at weight
+    (1 - (1-r)^c) / 2 where k_q = 0."""
+    bits = _bits(n)
+    for q, c in enumerate(pending):
+        if c and r:
+            _mix(rho, q, n, (1.0 - (1.0 - r) ** c) / 2.0 * (1 - bits[q]))
+        pending[q] = 0
 
 
 def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec):
     n = seq.n
-    rho = _plus_states(len(gammas), n)
-    # Each row's flips X_m fold into its Ising phase, evaluated at the
-    # energies E(x ^ m); the module docstring gives the identity.
-    energies = _zz_energies(n)
-    idx = np.arange(1 << n)
-    for mask, w in zip(seq.rows, seq.strengths):
+    rho = _half_plus_states(len(gammas), n)
+    bits = _bits(n)
+    codes = _ising_codes(n)
+    levels = np.arange(-(n * n // 4), n * n // 4 + 1)
+    stored = np.arange(rho.shape[1])
+    r = noise.minor_rate
+    pending = [0] * n  # minor channels per qubit not yet applied
+    minor_count = np.zeros(1 << n, dtype=np.int64)
+    for i, (mask, w) in enumerate(zip(seq.rows, seq.strengths)):
         flipped = [q for q in range(n) if mask >> q & 1]
         for q in flipped:
-            _apply_minor(rho, q, noise.minor_rate, n)
-        _apply_phases(rho, -gammas * float(w) / 2.0, energies[idx ^ mask])
+            pending[q] += 1
+        if i:
+            _fused_minors(rho, pending, r, n)
+        else:
+            pending = [0] * n  # mixing the uniform initial state changes nothing
+        # The row's Ising phase at the energies E(x ^ mask); a mask and its
+        # complement give the same energies, so the rows stay stored rows.
+        reduced = mask if mask < 1 << (n - 1) else mask ^ ((1 << n) - 1)
+        lut = np.exp(1j * np.multiply.outer(gammas * float(w), levels))
+        rho *= np.take(lut, codes[stored ^ reduced], axis=1)
         for q in flipped:
-            _apply_minor(rho, q, noise.minor_rate, n)
-    # Dep on all n qubits commutes with every op of the layer, so the L
-    # rows' depolarizings apply as one at the end.
-    full_rate = 1.0 - (1.0 - noise.major_rate) ** len(seq.rows)
-    return apply_depolarizing(rho, range(n), full_rate, n)
+            pending[q] += 1
+            minor_count += 2 * bits[q]
+    _fused_minors(rho, pending, r, n)
+    # Dep on all n qubits averages the diagonal (k = 0) and scales the rest;
+    # the L rows' depolarizings apply as one at the end.
+    keep = (1.0 - noise.major_rate) ** len(seq.rows)
+    diagonal = rho[:, :, 0]
+    diagonal += (1.0 - keep) * (diagonal.mean(axis=1, keepdims=True) - diagonal)
+    sigma = ((1.0 - r) * (1.0 - 2.0 * r)) ** minor_count * np.where(bits.any(axis=0), keep, 1.0)
+    return _standard_layout(rho, n, sigma)
 
 
 def _effective_cost(g: Graph, noise: NoiseSpec) -> np.ndarray:
@@ -361,15 +472,18 @@ def simulate_qaoa_p1(
     if 16 * (len(gammas) + len(betas)) << (2 * n) > MAX_SIMULATION_BYTES:
         raise ValueError(f"n={n} with {len(gammas)} gammas and {len(betas)} betas needs more "
                          f"than the {MAX_SIMULATION_BYTES >> 30} GiB simulation limit")
+    # The layer runs first: its stored half stack is gone before the rows exist.
+    rhos = _cx_layer(g, gammas, noise) if compilation == CX else _ms_layer(seq, gammas, noise)
     c_eff = _effective_cost(g, noise)
     # Row j holds conj(O_j) for O_j = U_j^dag diag(c_eff) U_j, so that
     # rows @ vec(rho) = <O_j, rho> = tr(diag(c_eff) U_j rho U_j^dag).
-    rows = np.empty((len(betas), 1 << (2 * n)), dtype=complex)
+    rows = np.empty((len(betas), 1 << n, 1 << n), dtype=complex)
     for j, b in enumerate(betas):
         u = _mixer_unitary(n, b)
-        rows[j] = (u.T @ (c_eff[:, None] * u.conj())).ravel()
-    rhos = _cx_layer(g, gammas, noise) if compilation == CX else _ms_layer(seq, gammas, noise)
-    values = np.real(rhos.reshape(len(gammas), -1) @ rows.T)
+        weighted = u.conj()
+        weighted *= c_eff[:, None]
+        np.matmul(u.T, weighted, out=rows[j])
+    values = np.real(rhos.reshape(len(gammas), -1) @ rows.reshape(len(betas), -1).T)
     if np.ndim(gamma) == 0 and np.ndim(beta) == 0:
         return float(values[0, 0])
     return values

@@ -60,6 +60,32 @@ def test_evaluate_matches_double_loop_oracle():
         assert evaluate(seq) == brute_force_coupling(seq)
 
 
+def fraction_evaluate(seq):
+    """The couplings summed in Fractions, one signed term per row."""
+    rows = list(zip(seq.rows, seq.strengths))
+    return tuple(
+        sum((w * (-1 if (mask >> i ^ mask >> j) & 1 else 1) for mask, w in rows), Fraction(0))
+        for i, j in pair_order(seq.n)
+    )
+
+
+def test_integer_evaluate_matches_fraction_sums():
+    for seed in range(40):
+        rng = SplitMix64(seed)
+        n = 2 + rng.next_index(6)
+        pairs = [(rng.next_index(1 << n),
+                  Fraction(rng.next_index(41) - 20, (1, 2, 3, 7, 12, 35)[rng.next_index(6)]))
+                 for _ in range(rng.next_index(9))]
+        seq = PulseSequence.from_pairs(n, pairs)
+        assert evaluate(seq) == fraction_evaluate(seq)
+    huge = PulseSequence.from_pairs(4, [(0b0010, Fraction("1e400")), (0b0110, Fraction(-1, 3)),
+                                        (0b0000, Fraction(5, 6))])
+    assert evaluate(huge) == fraction_evaluate(huge)
+    assert evaluate(huge)[0] == -Fraction(10**400) + Fraction(1, 3) + Fraction(5, 6)  # pair (0, 1)
+    for n in (1, 2, 5):
+        assert evaluate(PulseSequence.empty(n)) == (Fraction(0),) * (n * (n - 1) // 2)
+
+
 def test_verify_path_solution():
     seq = PulseSequence.from_pairs(
         3, [(0b000, Fraction(1, 2)), (0b010, Fraction(-1, 2))]

@@ -67,7 +67,8 @@ def ising(n, phi):
     return u
 
 
-def oracle(g, compilation, seq, gamma, beta, noise):
+def oracle_cost_layer(g, compilation, seq, gamma, noise):
+    """The density matrix after the noisy cost layer, from |+...+>."""
     n, dim = g.n, 1 << g.n
     major, rate = noise.major_rate, noise.minor_rate
     plus = np.full((dim, 1), 1 / math.sqrt(dim), dtype=complex)
@@ -89,6 +90,13 @@ def oracle(g, compilation, seq, gamma, beta, noise):
             rho = depolarize(rho, range(n), major, n)
             for q in flipped:
                 rho = minor(conjugate(rho, on(n, {q: X})), q, rate, n)
+    return rho
+
+
+def oracle(g, compilation, seq, gamma, beta, noise):
+    n, dim = g.n, 1 << g.n
+    rate = noise.minor_rate
+    rho = oracle_cost_layer(g, compilation, seq, gamma, noise)
     mixer = functools.reduce(
         np.matmul, [math.cos(beta) * np.eye(dim) - 1j * math.sin(beta) * on(n, {q: X})
                     for q in range(n)])
@@ -106,8 +114,9 @@ def simulate_qaoa_p1_statevector(g, compilation, seq, gamma, beta):
     n = g.n
     psi = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=complex)
     if compilation == "cx":
+        idx = np.arange(1 << n)
         for u, v, z in g.edges:
-            perm = qaoa._cnot_perm(n, u, v)
+            perm = idx ^ (((idx >> u) & 1) << v)  # CNOT with control u, target v
             psi = psi[perm]
             signs = 1.0 - 2.0 * ((np.arange(1 << n) >> v) & 1)
             psi = psi * np.exp(-1j * (-gamma * float(z) / 2.0) * signs)
@@ -140,6 +149,7 @@ def is_physical_density(rho, herm_tol=1e-12, trace_tol=1e-12, eig_tol=1e-10):
 
 
 CASES = [
+    ("edge", Graph.unweighted(2, [(0, 1)]), union_of_stars),
     ("triangle", Graph.complete(3), union_of_stars),
     ("k4", Graph.complete(4), union_of_stars),
     ("star4", Graph.unweighted(4, [(0, 1), (0, 2), (0, 3)]), union_of_stars),
@@ -163,6 +173,21 @@ def test_grid_matches_the_dense_oracle(name, g, construct, compilation):
     np.testing.assert_allclose(grid, want, rtol=0, atol=1e-12)
     for gm in gammas:
         assert is_physical_density(cost_layer(g, compilation, seq, np.array([gm]), noise)[0])
+
+
+@pytest.mark.parametrize("compilation", ["cx", "ms"])
+def test_the_oracle_cost_layer_commutes_with_flipping_every_qubit(compilation):
+    """X^n rho X^n = rho after the noisy cost layer: the identity that lets
+    the simulator store only the rows with the top bit clear."""
+    g = random_er_graph(4, 0.7, ("1/2", -1, 3), 7)
+    seq = weighted_edge_by_edge(g) if compilation == "ms" else None
+    noise = NoiseSpec(0.08, 0.6)
+    flip_all = on(g.n, {q: X for q in range(g.n)})
+    for gamma in (0.6, 2.3):
+        rho = oracle_cost_layer(g, compilation, seq, gamma, noise)
+        # flipping one qubit alone does change the state
+        assert np.abs(conjugate(rho, on(g.n, {0: X})) - rho).max() > 1e-3
+        np.testing.assert_allclose(conjugate(rho, flip_all), rho, rtol=0, atol=1e-12)
 
 
 def test_ms_rows_flipping_overlapping_qubits_match_the_dense_oracle():
