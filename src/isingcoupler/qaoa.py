@@ -23,18 +23,11 @@ shares every piece of work that does not depend on both angles:
 - The noisy cost layer depends only on gamma, and within it only the Rz and
   Ising phase diagonals do.  So one pass over the circuit acts on one stack
   of all G gammas' density matrices at once (stored as below); every other
-  op is the same for all of them.  The layer returns the (G, 2^n, 2^n)
-  stack, O(G 4^n) memory, the same order as the O(B 4^n) ``rows`` array of
-  the B observables below, which is built after the layer.  A call needing
-  over MAX_SIMULATION_BYTES for the two is refused before either.
-- After the mixer only diag(rho) is read, and every channel there maps
-  diagonals to diagonals: minor depolarizing d -> (1-r) d + r (d + d o flip_q)/2,
-  the phase flip leaves d unchanged, and the measurement flip
-  d -> (1-r) d + r d o flip_q.  These maps are symmetric and commute, so the
-  read-out folds into one effective cost vector c_eff = M c per call.
-- The value at (gamma, beta) is then Re <O_beta, rho_gamma> with the
-  observable O_beta = U_beta^dag diag(c_eff) U_beta, built once per beta;
-  the whole grid is one matrix product of the stack with those rows.
+  op is the same for all of them.  The stack takes O(G 4^n) memory, and a
+  call needing over MAX_SIMULATION_BYTES is refused before it is built.
+- The readout (below) takes three numbers per gamma from the stack, each a
+  sum over the edges of a two-qubit correlator, and three per beta; the
+  whole grid is one (G, 3) @ (3, B) product.
 
 An ms sequence is checked with ``pulses.verify`` once per call.
 
@@ -59,7 +52,7 @@ factor (1-r)(1-2r) where k_q = 1.
 Three identities of the model then cut the work:
 
 - The Z-type factors depend on k alone and commute with every other op, so
-  they collect in one real vector sigma[k], applied once at the end.
+  they collect in one real vector sigma[k], which the readout applies.
 - Both layers commute with conjugation by X^n (the initial state, every
   phase difference and every channel do), so rho^[~x, k] = rho^[x, k].
   Only the rows x with bit n-1 clear are stored: a (G, 2^(n-1), 2^n) half
@@ -93,23 +86,43 @@ model: every noisy flip is still applied, as often as before.  It is not a
 merged-flip model, which would charge fewer flips by sharing them between
 consecutive rows and so change the noise.
 
-The phase tables are cached per n only: the ms codes (E(x) - E(x ^ k))/2,
-read with their rows permuted by x ^ m, and the index that turns the half
-stack back into the standard (G, 2^n, 2^n) stack the layers return.
+The phase table is cached per n only: the ms codes (E(x) - E(x ^ k))/2,
+read with their rows permuted by x ^ m.
+
+The readout reads the stored half stack and sigma directly.  The cost is
+C' = sum_e z (1 - Z_u Z_v)/2.  After the mixer U = prod_q exp(-i beta X_q),
+the minor noise and the measurement flip scale each Z by f = (1-r)(1-2r)
+(its depolarizing part by 1-r, the phase flip not at all, the bit flip by
+1-2r), and U^dag Z U = cos 2beta Z + sin 2beta Y.  So with c = cos 2beta
+and s = sin 2beta,
+
+    E(gamma, beta) = sum_e z/2 (1 - f^2 <(c Z_u + s Y_u)(c Z_v + s Y_v)>).
+
+A Pauli string P with P|x> = p(x) |x ^ m> has <P> = sum_x p(x) rho^[x, m].
+Z_u Z_v, Z_u Y_v, Y_u Z_v and Y_u Y_v have m = 0, e_v, e_u and e_u ^ e_v
+and p = t, i t, i t and -t, where t(x) = (-1)^(x_u ^ x_v).  Since
+t(~x) = t(x), each sum over x is twice the t-weighted sum S[k] of the
+stored rows of column k, times sigma[k]:
+
+- <Z_u Z_v> is S[0];
+- <Z_u Y_v> + <Y_u Z_v> is -Im(S[e_v] + S[e_u]), as the sum is real;
+- <Y_u Y_v> is -Re S[e_u ^ e_v].
 
 A grid scan needs only the gammas up to pi when the layer is 2pi-periodic
 in gamma, by two identities of the model:
 
 - rho(-gamma) = conj rho(gamma): the initial state and every channel are
-  real, and only the phases depend on gamma.
-- O_{pi-beta} = conj O_beta: exp(-i pi X) = -I and X is real.
+  real, and only the phases depend on gamma.  So S[k] turns into its
+  conjugate, which flips the sign of the ZY + YZ term alone.
+- beta -> pi - beta keeps c and flips the sign of s, and so of the cs term
+  alone.
 
-So E(-gamma, beta) = <O_beta, conj rho(gamma)> = E(gamma, pi-beta), and
-E(gamma, pi) = E(gamma, 0).  The layer is 2pi-periodic when every cx edge
-weight z is an integer (gamma -> gamma + 2pi multiplies Rz(-gamma z) by the
-global sign (-1)^z), or every ms row strength w is (two basis states' Ising
-phases differ by gamma w dE/2, and dE/2 is an integer).  Otherwise the scan
-takes every gamma: a strength of 3/2 or -1/4 does break the symmetry.
+So E(-gamma, beta) = E(gamma, pi-beta), and E(gamma, pi) = E(gamma, 0).
+The layer is 2pi-periodic when every cx edge weight z is an integer
+(gamma -> gamma + 2pi multiplies Rz(-gamma z) by the global sign (-1)^z),
+or every ms row strength w is (two basis states' Ising phases differ by
+gamma w dE/2, and dE/2 is an integer).  Otherwise the scan takes every
+gamma: a strength of 3/2 or -1/4 does break the symmetry.
 """
 
 from __future__ import annotations
@@ -126,7 +139,8 @@ from .graphs import Graph
 from .pulses import PulseSequence, verify
 
 MAX_BRUTE_FORCE_N = 20
-# Safety cap on (G + B) 4^n complex entries for a G x B grid (stack plus rows)
+# Safety cap on (G + B) 4^n complex entries for a G x B grid; a simulation
+# holds about G 4^n at its peak (the half stack and a phase factor as large)
 MAX_SIMULATION_BYTES = 1 << 30
 CX = "cx"
 MS = "ms"
@@ -198,15 +212,9 @@ def _check_float_range(g: Graph, compilation: str, seq: PulseSequence | None) ->
 
 
 @functools.lru_cache(maxsize=None)
-def _popcounts(n: int) -> np.ndarray:
-    """popcount(x) for every basis state x < 2^n, as int64."""
-    return np.array([x.bit_count() for x in range(1 << n)], dtype=np.int64)
-
-
-@functools.lru_cache(maxsize=None)
 def _zz_energies(n: int) -> np.ndarray:
     """sum_{i<j} z_i z_j for each basis state, z_i = +-1 from bit i."""
-    s = n - 2 * _popcounts(n)
+    s = n - 2 * np.array([x.bit_count() for x in range(1 << n)], dtype=np.int64)
     return (s * s - n) / 2.0
 
 
@@ -250,22 +258,6 @@ def apply_depolarizing(rho: np.ndarray, qubits, lam: float, n: int) -> np.ndarra
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_popcounts(n: int) -> np.ndarray:
-    """popcount(x ^ y) for every pair of basis states, as int8."""
-    idx = np.arange(1 << n)
-    return _popcounts(n).astype(np.int8)[idx[:, None] ^ idx[None, :]]
-
-
-def _mixer_unitary(n: int, beta: float) -> np.ndarray:
-    """prod_q exp(-i beta X_q): entry (x, y) is cos^(n-k) beta (-i sin beta)^k
-    with k = popcount(x ^ y)."""
-    k = np.arange(n + 1)
-    powers = np.cos(beta) ** (n - k) * np.sin(beta) ** k
-    amplitudes = powers * np.array([1.0, -1j, -1.0, 1j])[k % 4]
-    return amplitudes[_pair_popcounts(n)]
-
-
-@functools.lru_cache(maxsize=None)
 def _bits(n: int) -> np.ndarray:
     """Row q holds bit q of every index 0..2^n - 1, as int64."""
     return (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
@@ -281,16 +273,6 @@ def _ising_codes(n: int) -> np.ndarray:
     stored = np.arange(1 << (n - 1))
     diff = energy[stored, None] - energy[stored[:, None] ^ np.arange(1 << n)]
     return (diff // 4 + n * n // 4).astype(np.uint8)
-
-
-@functools.lru_cache(maxsize=None)
-def _standard_index(n: int) -> np.ndarray:
-    """Flat index into a stored (2^(n-1), 2^n) slice of the standard entry
-    (x, y): row x, or its complement when bit n-1 of x is set, at k = x ^ y."""
-    dim = 1 << n
-    idx = np.arange(dim)
-    stored = np.where(idx < dim >> 1, idx, idx ^ (dim - 1))
-    return stored[:, None] * dim + (idx[:, None] ^ idx[None, :])
 
 
 def _half_plus_states(count: int, n: int) -> np.ndarray:
@@ -339,16 +321,9 @@ def _average(rho: np.ndarray, qubits: tuple[int, ...], n: int, weights: np.ndarr
     t += mean
 
 
-def _standard_layout(rho: np.ndarray, n: int, sigma: np.ndarray) -> np.ndarray:
-    """The (G, 2^n, 2^n) stack of the stored half stack rho, which is scaled
-    by sigma in place: entry (x, y) is sigma[x ^ y] rho[x, x ^ y], read from
-    the complement of x when its bit n-1 is set."""
-    rho *= sigma
-    flat = np.take(rho.reshape(len(rho), -1), _standard_index(n), axis=1)
-    return flat.reshape(len(rho), 1 << n, 1 << n)
-
-
 def _cx_layer(g: Graph, gammas: np.ndarray, noise: NoiseSpec):
+    """(rho, sigma) after the noisy cx cost layer at each gamma: the stored
+    half stack and the Z-type factor it still owes (module docstring)."""
     n = g.n
     rho = _half_plus_states(len(gammas), n)
     bits = _bits(n)
@@ -374,7 +349,7 @@ def _cx_layer(g: Graph, gammas: np.ndarray, noise: NoiseSpec):
         minor_count += odd
         pair_count += bits[u] | bits[v]
     sigma = ((1.0 - r) * (1.0 - 2.0 * r)) ** minor_count * keep ** pair_count
-    return _standard_layout(rho, n, sigma)
+    return rho, sigma
 
 
 def _fused_minors(rho: np.ndarray, pending: list[int], r: float, n: int) -> None:
@@ -389,6 +364,8 @@ def _fused_minors(rho: np.ndarray, pending: list[int], r: float, n: int) -> None
 
 
 def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec):
+    """(rho, sigma) after the noisy ms cost layer at each gamma, as
+    ``_cx_layer`` returns them."""
     n = seq.n
     rho = _half_plus_states(len(gammas), n)
     bits = _bits(n)
@@ -421,27 +398,31 @@ def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec):
     diagonal = rho[:, :, 0]
     diagonal += (1.0 - keep) * (diagonal.mean(axis=1, keepdims=True) - diagonal)
     sigma = ((1.0 - r) * (1.0 - 2.0 * r)) ** minor_count * np.where(bits.any(axis=0), keep, 1.0)
-    return _standard_layout(rho, n, sigma)
+    return rho, sigma
 
 
-def _effective_cost(g: Graph, noise: NoiseSpec) -> np.ndarray:
-    """c_eff = M c: the minor and measurement channels after the mixer, folded
-    into the cost vector (each is symmetric on diagonals, and they commute)."""
-    c = build_cost_operator(g)
-    r = noise.minor_rate
-    for q in range(g.n):
-        flip = np.arange(1 << g.n) ^ (1 << q)
-        c = (1.0 - r) * c + r * (c + c[flip]) / 2.0
-        c = (1.0 - r) * c + r * c[flip]
-    return c
+def _correlators(g: Graph, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """(G, 3): the sums over the edges of z <Z_u Z_v>, z (<Z_u Y_v> + <Y_u Z_v>)
+    and z <Y_u Y_v> on the states of a stored half stack rho whose Z-type
+    factor sigma is not yet applied (module docstring)."""
+    u, v = np.array([(a, b) for a, b, _ in g.edges], dtype=np.int64).reshape(-1, 2).T
+    z = np.array([float(w) for _, _, w in g.edges])
+    rows = _bits(g.n)[:, : rho.shape[1]]
+    weights = z[:, None] * (1 - 2 * (rows[u] ^ rows[v]))  # z t(x) on the stored rows
+    cols = np.stack([np.zeros_like(u), 1 << v, 1 << u, (1 << u) | (1 << v)], axis=1)
+    # the stored rows are half of the sum over x
+    zz, zy, yz, yy = 2.0 * np.einsum("ex,gxej,ej->jg", weights, rho[:, :, cols], sigma[cols])
+    return np.stack([zz.real, -(zy + yz).imag, -yy.real], axis=1)
 
 
 def check_angles(values) -> np.ndarray:
     """values (a float or a 1-D sequence) as a 1-D array, or raise
-    ValueError when it has another shape or a non-finite entry."""
+    ValueError when it has another shape, no entry or a non-finite entry."""
     angles = np.atleast_1d(np.asarray(values, dtype=float))
     if angles.ndim != 1:
         raise ValueError("angles must be floats or 1-D sequences")
+    if not angles.size:
+        raise ValueError("angles must not be empty")
     if not np.isfinite(angles).all():
         raise ValueError("angles must be finite")
     return angles
@@ -472,18 +453,11 @@ def simulate_qaoa_p1(
     if 16 * (len(gammas) + len(betas)) << (2 * n) > MAX_SIMULATION_BYTES:
         raise ValueError(f"n={n} with {len(gammas)} gammas and {len(betas)} betas needs more "
                          f"than the {MAX_SIMULATION_BYTES >> 30} GiB simulation limit")
-    # The layer runs first: its stored half stack is gone before the rows exist.
-    rhos = _cx_layer(g, gammas, noise) if compilation == CX else _ms_layer(seq, gammas, noise)
-    c_eff = _effective_cost(g, noise)
-    # Row j holds conj(O_j) for O_j = U_j^dag diag(c_eff) U_j, so that
-    # rows @ vec(rho) = <O_j, rho> = tr(diag(c_eff) U_j rho U_j^dag).
-    rows = np.empty((len(betas), 1 << n, 1 << n), dtype=complex)
-    for j, b in enumerate(betas):
-        u = _mixer_unitary(n, b)
-        weighted = u.conj()
-        weighted *= c_eff[:, None]
-        np.matmul(u.T, weighted, out=rows[j])
-    values = np.real(rhos.reshape(len(gammas), -1) @ rows.reshape(len(betas), -1).T)
+    rho, sigma = _cx_layer(g, gammas, noise) if compilation == CX else _ms_layer(seq, gammas, noise)
+    c, s = np.cos(2.0 * betas), np.sin(2.0 * betas)
+    f = (1.0 - noise.minor_rate) * (1.0 - 2.0 * noise.minor_rate)
+    total = sum(float(z) for _, _, z in g.edges)
+    values = (total - f * f * _correlators(g, rho, sigma) @ np.array([c * c, c * s, s * s])) / 2.0
     if np.ndim(gamma) == 0 and np.ndim(beta) == 0:
         return float(values[0, 0])
     return values

@@ -8,6 +8,7 @@ It shares no code with isingcoupler.qaoa."""
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,19 +94,23 @@ def oracle_cost_layer(g, compilation, seq, gamma, noise):
     return rho
 
 
+def mixer(n, beta):
+    """prod_q exp(-i beta X_q)."""
+    return functools.reduce(
+        np.matmul, [math.cos(beta) * np.eye(1 << n) - 1j * math.sin(beta) * on(n, {q: X})
+                    for q in range(n)])
+
+
 def oracle(g, compilation, seq, gamma, beta, noise):
     n, dim = g.n, 1 << g.n
     rate = noise.minor_rate
-    rho = oracle_cost_layer(g, compilation, seq, gamma, noise)
-    mixer = functools.reduce(
-        np.matmul, [math.cos(beta) * np.eye(dim) - 1j * math.sin(beta) * on(n, {q: X})
-                    for q in range(n)])
-    rho = conjugate(rho, mixer)
+    rho = conjugate(oracle_cost_layer(g, compilation, seq, gamma, noise), mixer(n, beta))
     for q in range(n):
         rho = minor(rho, q, rate, n)
     for q in range(n):
         rho = kraus_pair(rho, on(n, {q: X}), rate)
-    cost = sum(float(z) * (np.eye(dim) - on(n, {u: Z, v: Z})) / 2 for u, v, z in g.edges)
+    cost = sum((float(z) * (np.eye(dim) - on(n, {u: Z, v: Z})) / 2 for u, v, z in g.edges),
+               np.zeros((dim, dim)))
     return float(np.trace(cost @ rho).real)
 
 
@@ -132,12 +137,20 @@ def simulate_qaoa_p1_statevector(g, compilation, seq, gamma, beta):
             psi = psi[flips]
     else:
         raise ValueError(f"unknown compilation {compilation!r}")
-    psi = qaoa._mixer_unitary(n, beta) @ psi
+    psi = mixer(n, beta) @ psi
     return float(np.sum(qaoa.build_cost_operator(g) * np.abs(psi) ** 2))
 
 
 def cost_layer(g, kind, seq, gammas, noise):
-    return qaoa._cx_layer(g, gammas, noise) if kind == "cx" else qaoa._ms_layer(seq, gammas, noise)
+    """The (G, 2^n, 2^n) stack of the layer's stored half stack and Z-type
+    factor: entry (x, y) is sigma[x ^ y] half[x, x ^ y], read from the
+    complement of x when its top bit is set."""
+    half, sigma = (qaoa._cx_layer(g, gammas, noise) if kind == "cx"
+                   else qaoa._ms_layer(seq, gammas, noise))
+    idx = np.arange(1 << g.n)
+    stored = np.where(idx < len(idx) // 2, idx, idx ^ (len(idx) - 1))
+    k = idx[:, None] ^ idx[None, :]
+    return half[:, stored[:, None], k] * sigma[k]
 
 
 def is_physical_density(rho, herm_tol=1e-12, trace_tol=1e-12, eig_tol=1e-10):
@@ -149,6 +162,7 @@ def is_physical_density(rho, herm_tol=1e-12, trace_tol=1e-12, eig_tol=1e-10):
 
 
 CASES = [
+    ("edgeless", Graph(3, ()), union_of_stars),
     ("edge", Graph.unweighted(2, [(0, 1)]), union_of_stars),
     ("triangle", Graph.complete(3), union_of_stars),
     ("k4", Graph.complete(4), union_of_stars),
@@ -264,6 +278,9 @@ def test_bad_arguments_raise():
                         ([0.1, 0.2], [0.3, -math.inf]), ([[0.1]], [0.2])]:
         with pytest.raises(ValueError):
             simulate_qaoa_p1(g, "cx", None, gamma, beta)
+    for gamma, beta in [([], [0.1]), ([0.1], [])]:
+        with pytest.raises(ValueError, match="empty"):
+            simulate_qaoa_p1(g, "cx", None, gamma, beta)
     with pytest.raises(ValueError, match="unknown compilation"):
         simulate_qaoa_p1(g, "cz", None, 0.1, 0.2)
     with pytest.raises(ValueError, match="realizing"):
@@ -286,6 +303,26 @@ def test_a_grid_beyond_the_memory_cap_is_refused_before_any_allocation():
     path = Graph.unweighted(13, [(i, i + 1) for i in range(12)])
     with pytest.raises(ValueError, match=r"n=13 with 1 gammas and 1 betas .* 1 GiB"):
         simulate_qaoa_p1(path, "cx", None, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("compilation", ["cx", "ms"])
+@pytest.mark.parametrize("count_g, count_b", [(16, 2), (2, 16)])
+def test_a_simulation_holds_no_more_than_the_memory_cap_accounts_for(
+        compilation, count_g, count_b):
+    """The traced peak stays within the 16 (G + B) 4^n bytes that the call
+    checks against MAX_SIMULATION_BYTES."""
+    g = random_er_graph(8, 0.5, (), 1)
+    seq = union_of_stars(g) if compilation == "ms" else None
+    args = (g, compilation, seq, np.linspace(0.1, 6.0, count_g), np.linspace(0.1, 3.0, count_b),
+            NoiseSpec(0.02, 0.5))
+    simulate_qaoa_p1(*args)  # the per-n tables are cached before the measured call
+    tracemalloc.start()
+    try:
+        simulate_qaoa_p1(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (count_g + count_b) << (2 * g.n)
 
 
 def test_scalar_angles_give_the_one_point_grid_value():
