@@ -214,9 +214,7 @@ def _cmd_optimize(args) -> int:
         f"status={result.status} nodes={result.nodes_explored} "
         f"wall_time_ms={result.wall_time * 1000:.1f}"
     )
-    if result.status == INCUMBENT_TIMEOUT:
-        return EXIT_INCUMBENT
-    return EXIT_OK if result.status == OPTIMAL else EXIT_FAILURE
+    return EXIT_INCUMBENT if result.status == INCUMBENT_TIMEOUT else EXIT_OK
 
 
 def _cmd_verify(args) -> int:

@@ -219,7 +219,7 @@ import numpy as np
 
 from .constructions import union_of_stars, weighted_edge_by_edge
 from .graphs import Graph, couplings, pair_order, relabelings
-from .pulses import PulseSequence, canonicalize, coupling_sign, sequence_to_json
+from .pulses import PulseSequence, coupling_sign, sequence_to_json
 # float_solve is unused here; perfbench's tracing test still checks that this
 # module holds the traced simplex.float_solve, and perfbench changes only
 # together with the benchmark.
@@ -846,7 +846,7 @@ def solve_l0(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> OptResult:
     start = time.monotonic()
     b = couplings(g)
     cols = _cut_columns(g.n)
-    incumbent = canonicalize(_default_incumbent(g))
+    incumbent = _default_incumbent(g)
     entries = list(zip(incumbent.rows, incumbent.strengths))
     # a bound that timed out is still proven; only the search's timeout counts
     bound, nodes, _, spectrum = _lower_bound(g.n, b, cols, start + time_limit / 2)

@@ -81,13 +81,19 @@ full depolarizing Dep, and X_m then M again.  M commutes with X_m (the
 depolarizing part commutes with every single-qubit unitary, and the phase
 flip's Z anticommutes with X), and Dep on all n qubits commutes with every
 unitary, so X_m M D Dep X_m M = M D_m Dep M, where D_m = X_m D X_m is the
-Ising phase at the energies E(x ^ m).  This is an exact identity of the
+Ising phase at the energies E(x ^ m).  With the Deps moved to the end of
+the layer (above), the M after one row and the M before the next meet with
+no phase between them, so the flips between two rows form one round: round
+i holds, per qubit, the flips of row i-1 and of row i on it (0, 1 or 2),
+applied before row i's phase as one fused mixing per qubit.  Of the L+1
+rounds of L rows, round 0 acts on the uniform initial state and is skipped,
+and round L follows the last phase.  This is an exact identity of the
 model: every noisy flip is still applied, as often as before.  It is not a
 merged-flip model, which would charge fewer flips by sharing them between
 consecutive rows and so change the noise.
 
-The phase table is cached per n only: the ms codes (E(x) - E(x ^ k))/2,
-read with their rows permuted by x ^ m.
+The phase table is cached per n only: the ms codes (E(x) - E(x ^ k))/2 for
+every x, read at the rows x ^ m of the stored x for any mask m.
 
 The readout reads the stored half stack and sigma directly.  The cost is
 C' = sum_e z (1 - Z_u Z_v)/2.  After the mixer U = prod_q exp(-i beta X_q),
@@ -211,13 +217,6 @@ def _check_float_range(g: Graph, compilation: str, seq: PulseSequence | None) ->
         raise ValueError("weights beyond float64 range: the simulation runs in float64") from None
 
 
-@functools.lru_cache(maxsize=None)
-def _zz_energies(n: int) -> np.ndarray:
-    """sum_{i<j} z_i z_j for each basis state, z_i = +-1 from bit i."""
-    s = n - 2 * np.array([x.bit_count() for x in range(1 << n)], dtype=np.int64)
-    return (s * s - n) / 2.0
-
-
 def _diagonal_blocks(rho: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """A writeable view of the blocks of rho (a matrix or a stack) whose row
     and column bits agree on every qubit in qubits.  Its last len(qubits)
@@ -265,13 +264,15 @@ def _bits(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _ising_codes(n: int) -> np.ndarray:
-    """c(x, k) + n^2 // 4 for the stored rows x < 2^(n-1) and every k, as
-    uint8, where 2 c(x, k) = E(x) - E(x ^ k) for the energies E of
-    ``_zz_energies``: with s = n - 2 popcount(x), 2E = s^2 - n, and s^2 - s'^2
-    is a multiple of 4 of size at most n^2."""
-    energy = 2 * _zz_energies(n).astype(np.int64)
-    stored = np.arange(1 << (n - 1))
-    diff = energy[stored, None] - energy[stored[:, None] ^ np.arange(1 << n)]
+    """c(x, k) + n^2 // 4 for every x and k, as uint8, where
+    2 c(x, k) = E(x) - E(x ^ k) for the Ising energies
+    E(x) = sum_{i<j} z_i z_j, z_i = +-1 from bit i: with
+    s = n - 2 popcount(x), 2E = s^2 - n, and s^2 - s'^2 is a multiple of 4
+    of size at most n^2.  (The simulation cap keeps n <= 12, so int16 holds
+    every index and square.)"""
+    x = np.arange(1 << n, dtype=np.int16)
+    squares = ((n - 2 * _bits(n).sum(axis=0)) ** 2).astype(np.int16)
+    diff = squares[:, None] - squares[x[:, None] ^ x]
     return (diff // 4 + n * n // 4).astype(np.uint8)
 
 
@@ -352,15 +353,13 @@ def _cx_layer(g: Graph, gammas: np.ndarray, noise: NoiseSpec):
     return rho, sigma
 
 
-def _fused_minors(rho: np.ndarray, pending: list[int], r: float, n: int) -> None:
-    """Apply the x-mixing of pending[q] minor channels on each qubit q, and
-    clear pending: c of them at rate r are one mixing at weight
-    (1 - (1-r)^c) / 2 where k_q = 0."""
+def _fused_minors(rho: np.ndarray, counts: list[int], r: float, n: int) -> None:
+    """Apply the x-mixing of counts[q] minor channels on each qubit q: c of
+    them at rate r are one mixing at weight (1 - (1-r)^c) / 2 where k_q = 0."""
     bits = _bits(n)
-    for q, c in enumerate(pending):
+    for q, c in enumerate(counts):
         if c and r:
             _mix(rho, q, n, (1.0 - (1.0 - r) ** c) / 2.0 * (1 - bits[q]))
-        pending[q] = 0
 
 
 def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec):
@@ -373,30 +372,23 @@ def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec):
     levels = np.arange(-(n * n // 4), n * n // 4 + 1)
     stored = np.arange(rho.shape[1])
     r = noise.minor_rate
-    pending = [0] * n  # minor channels per qubit not yet applied
-    minor_count = np.zeros(1 << n, dtype=np.int64)
+    # Round i holds, per qubit, the minor channels of the flips after row i-1
+    # and before row i (module docstring).
+    rounds = [[(a >> q & 1) + (b >> q & 1) for q in range(n)]
+              for a, b in zip((0, *seq.rows), (*seq.rows, 0))]
     for i, (mask, w) in enumerate(zip(seq.rows, seq.strengths)):
-        flipped = [q for q in range(n) if mask >> q & 1]
-        for q in flipped:
-            pending[q] += 1
-        if i:
-            _fused_minors(rho, pending, r, n)
-        else:
-            pending = [0] * n  # mixing the uniform initial state changes nothing
-        # The row's Ising phase at the energies E(x ^ mask); a mask and its
-        # complement give the same energies, so the rows stay stored rows.
-        reduced = mask if mask < 1 << (n - 1) else mask ^ ((1 << n) - 1)
+        if i:  # round 0 mixes the uniform initial state, which changes nothing
+            _fused_minors(rho, rounds[i], r, n)
+        # the row's Ising phase at the energies E(x ^ mask)
         lut = np.exp(1j * np.multiply.outer(gammas * float(w), levels))
-        rho *= np.take(lut, codes[stored ^ reduced], axis=1)
-        for q in flipped:
-            pending[q] += 1
-            minor_count += 2 * bits[q]
-    _fused_minors(rho, pending, r, n)
+        rho *= np.take(lut, codes[stored ^ mask], axis=1)
+    _fused_minors(rho, rounds[-1], r, n)
     # Dep on all n qubits averages the diagonal (k = 0) and scales the rest;
     # the L rows' depolarizings apply as one at the end.
     keep = (1.0 - noise.major_rate) ** len(seq.rows)
     diagonal = rho[:, :, 0]
     diagonal += (1.0 - keep) * (diagonal.mean(axis=1, keepdims=True) - diagonal)
+    minor_count = np.sum(rounds, axis=0) @ bits
     sigma = ((1.0 - r) * (1.0 - 2.0 * r)) ** minor_count * np.where(bits.any(axis=0), keep, 1.0)
     return rho, sigma
 

@@ -533,6 +533,44 @@ def test_optimal_solve_exits_0(tmp_path, capsys):
     assert code == cli.EXIT_OK and "status=optimal" in stdout
 
 
+@pytest.mark.parametrize("objective", ["l0", "l1"])
+def test_a_one_vertex_graph_solves_to_the_empty_sequence(tmp_path, capsys, objective):
+    graph = tmp_path / "g.txt"
+    graph.write_text("n 1\n")
+    out = str(tmp_path / "o.json")
+    code, stdout, _ = run(["optimize", str(graph), "--objective", objective, "--out", out],
+                          capsys)
+    assert code == cli.EXIT_OK
+    assert stdout.startswith(f"objective=0 kind={objective} status=optimal ")
+    code, stdout, _ = run(["verify", out, str(graph)], capsys)
+    assert code == cli.EXIT_OK and stdout.startswith("verified=true n=1 m=0 L0=0 ")
+
+
+def test_a_malformed_graph_file_exits_1_with_its_line(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("n 3\n0 0\n")
+    code, stdout, err = run(["optimize", str(graph)], capsys)
+    assert code == cli.EXIT_FAILURE and stdout == ""
+    assert err == f"error: {graph}: line 2: self-loop at vertex 0\n"
+
+
+def test_verify_of_a_sequence_on_other_qubits_exits_1(tmp_path, capsys):
+    pulse = tmp_path / "p.json"
+    pulse.write_text(sequence_to_json(union_of_stars(Graph.complete(3))))
+    code, stdout, err = run(["verify", str(pulse), write_graph(tmp_path, Graph.complete(4))],
+                            capsys)
+    assert code == cli.EXIT_FAILURE and stdout == ""
+    assert err == "error: qubit count mismatch: sequence 3 vs graph 4\n"
+
+
+def test_ms_simulation_of_a_weighted_graph_without_a_pulse_exits_1(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("n 3\n0 1 2\n1 2\n")
+    code, stdout, err = run(["simulate", str(graph), "--compilation", "ms"], capsys)
+    assert code == cli.EXIT_FAILURE and stdout == ""
+    assert err == "error: ms simulation of a weighted graph needs --pulse\n"
+
+
 GRAPHS = {
     "unweighted": "n 5\n0 1\n0 2\n1 3\n2 3\n3 4\n",
     "weighted": "n 4\n0 1 1/2\n1 2 -3\n0 3 2\n2 3 2\n",

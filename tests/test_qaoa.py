@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from isingcoupler import (
-    Graph, NoiseSpec, PulseSequence, apply_depolarizing, maxcut_brute_force, optimize_angles,
-    random_er_graph, simulate_qaoa_p1, union_of_stars, verify, weighted_edge_by_edge,
+    Graph, NoiseSpec, PulseSequence, apply_depolarizing, evaluate, maxcut_brute_force,
+    optimize_angles, random_er_graph, simulate_qaoa_p1, union_of_stars, verify,
+    weighted_edge_by_edge,
 )
 from isingcoupler import qaoa
 from isingcoupler.exactopt import solve_l0
@@ -114,6 +115,14 @@ def oracle(g, compilation, seq, gamma, beta, noise):
     return float(np.trace(cost @ rho).real)
 
 
+def ising_energies(n):
+    """sum_{i<j} z_i z_j for each basis state x, z_i = +-1 from bit i of x,
+    as Python integers."""
+    return [sum((1 - 2 * (x >> i & 1)) * (1 - 2 * (x >> j & 1))
+                for i, j in itertools.combinations(range(n), 2))
+            for x in range(1 << n)]
+
+
 def simulate_qaoa_p1_statevector(g, compilation, seq, gamma, beta):
     """Noise-free cross-check using a pure state instead of a density matrix."""
     n = g.n
@@ -129,7 +138,7 @@ def simulate_qaoa_p1_statevector(g, compilation, seq, gamma, beta):
     elif compilation == "ms":
         if seq is None or not verify(seq, g):
             raise ValueError("ms compilation needs a sequence realizing the graph")
-        energies = qaoa._zz_energies(n)
+        energies = np.array(ising_energies(n), dtype=float)
         for mask, w in zip(seq.rows, seq.strengths):
             flips = np.arange(1 << n) ^ mask
             psi = psi[flips]
@@ -210,6 +219,34 @@ def test_ms_rows_flipping_overlapping_qubits_match_the_dense_oracle():
     g = Graph.unweighted(5, [(i, (i + 1) % 5) for i in range(5)])
     seq = solve_l0(g).sequence
     assert any(a & b for a, b in itertools.combinations(seq.rows, 2))
+    noise = NoiseSpec(0.05, 0.5)
+    gammas, betas = [0.4, 2.1, 5.3], [0.3, 1.9]
+    grid = simulate_qaoa_p1(g, "ms", seq, gammas, betas, noise)
+    want = [[oracle(g, "ms", seq, gm, b, noise) for b in betas] for gm in gammas]
+    np.testing.assert_allclose(grid, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_ising_codes_are_the_halved_energy_differences(n):
+    """Every x, the top bit set included, reads (E(x) - E(x ^ k))/2 shifted
+    by n^2 // 4 into the table's unsigned range."""
+    energy = ising_energies(n)
+    diffs = [[energy[x] - energy[x ^ k] for k in range(1 << n)] for x in range(1 << n)]
+    assert all(d % 2 == 0 for row in diffs for d in row)
+    codes = qaoa._ising_codes(n)
+    assert codes.dtype == np.uint8 and codes.shape == (1 << n, 1 << n)
+    assert codes.tolist() == [[d // 2 + n * n // 4 for d in row] for row in diffs]
+
+
+def test_ms_rows_with_repeated_and_complemented_masks_match_the_dense_oracle():
+    """A row repeated back to back puts two flips per qubit in the round
+    between them, a row followed by its complement one on every qubit, and
+    masks with the top bit set read the phase table directly."""
+    n = 4
+    seq = PulseSequence.from_pairs(n, [(0b1010, 1), (0b1010, "-1/2"), (0b0101, 2),
+                                       (0b1100, "3/4"), (0b1000, -1)])
+    g = Graph.from_edges(n, [(i, j, c) for (i, j), c in
+                             zip(itertools.combinations(range(n), 2), evaluate(seq)) if c])
     noise = NoiseSpec(0.05, 0.5)
     gammas, betas = [0.4, 2.1, 5.3], [0.3, 1.9]
     grid = simulate_qaoa_p1(g, "ms", seq, gammas, betas, noise)
