@@ -23,8 +23,10 @@ shares every piece of work that does not depend on both angles:
 - The noisy cost layer depends only on gamma, and within it only the Rz and
   Ising phase diagonals do.  So one pass over the circuit acts on one stack
   of all G gammas' density matrices at once (stored as below); every other
-  op is the same for all of them.  The stack takes O(G 4^n) memory, and a
-  call needing over MAX_SIMULATION_BYTES is refused before it is built.
+  op is the same for all of them.  The stack holds only the columns the
+  readout reads (below), G 2^(n-1) K entries for K of the 2^n columns, and
+  a call that MAX_SIMULATION_BYTES's (G + B) 4^n count puts over the cap is
+  refused before anything is built.
 - The readout (below) takes three numbers per gamma from the stack, each a
   sum over the edges of a two-qubit correlator, and three per beta; the
   whole grid is one (G, 3) @ (3, B) product.
@@ -37,7 +39,7 @@ rho^[x, k] = rho[x, x ^ k], and every op of either compilation keeps k:
 - A diagonal phase D = diag(exp(-i phi)) multiplies rho^[x, k] by
   exp(-i (phi(x) - phi(x ^ k))).
 - Conjugation by X_a shifts x alone: rho^[x, k] -> rho^[x ^ a, k], one row of
-  2^n contiguous entries to another.
+  contiguous entries to another.
 - Conjugation by Z_b multiplies rho^[x, k] by (-1)^(b.k): a factor that
   depends on k alone.
 
@@ -49,19 +51,26 @@ Minor noise on qubit q at rate r is the x-mixing
 rho^[x] -> (1-r/2) rho^[x] + (r/2) rho^[x ^ e_q] where k_q = 0 and the
 factor (1-r)(1-2r) where k_q = 1.
 
-Three identities of the model then cut the work:
+Four identities of the model then cut the work:
 
 - The Z-type factors depend on k alone and commute with every other op, so
   they collect in one real vector sigma[k], which the readout applies.
 - Both layers commute with conjugation by X^n (the initial state, every
   phase difference and every channel do), so rho^[~x, k] = rho^[x, k].
-  Only the rows x with bit n-1 clear are stored: a (G, 2^(n-1), 2^n) half
-  stack.  A shift on qubit n-1 reads that half reversed, since x ^ e_(n-1)
-  is stored as x ^ (2^(n-1) - 1), and averaging over a set that holds
-  qubit n-1 averages each row with its reversed partner.
+  Only the rows x with bit n-1 clear are stored: a (G, 2^(n-1), K) half
+  stack over K columns k (the last identity).  A shift on qubit n-1 reads
+  that half reversed, since x ^ e_(n-1) is stored as x ^ (2^(n-1) - 1), and
+  averaging over a set that holds qubit n-1 averages each row with its
+  reversed partner.
 - c mixings on one qubit with no phase between them are one mixing at
   weight (1 - (1-r)^c)/2, and on the uniform initial state a mixing changes
   nothing.
+- No op changes k, and each weight, phase difference and Z-type factor of
+  column k reads k alone, so every column evolves independently of the
+  others.  The layers evolve only the sorted columns they are given, and a
+  simulation gives them the readout's: 0 and e_u, e_v, e_u ^ e_v of every
+  edge (``_readout_columns``), K <= 1 + n(n+1)/2 of the 2^n.  Column 0
+  comes first, where the full-register Dep averages the diagonal.
 
 A cx edge is taken in Heisenberg form.  CNOT Rz_v(-gamma z) CNOT is the
 diagonal exp(i gamma z/2 Z_u Z_v), whose phase differences are 0 or
@@ -93,7 +102,8 @@ merged-flip model, which would charge fewer flips by sharing them between
 consecutive rows and so change the noise.
 
 The phase table is cached per n only: the ms codes (E(x) - E(x ^ k))/2 for
-every x, read at the rows x ^ m of the stored x for any mask m.
+every x, read at the rows x ^ m of the stored x for any mask m and at the
+evolved columns k.
 
 The readout reads the stored half stack and sigma directly.  The cost is
 C' = sum_e z (1 - Z_u Z_v)/2.  After the mixer U = prod_q exp(-i beta X_q),
@@ -145,8 +155,10 @@ from .graphs import Graph
 from .pulses import PulseSequence, verify
 
 MAX_BRUTE_FORCE_N = 20
-# Safety cap on (G + B) 4^n complex entries for a G x B grid; a simulation
-# holds about G 4^n at its peak (the half stack and a phase factor as large)
+# Safety cap on (G + B) 4^n complex entries for a G x B grid.  It over-counts:
+# a simulation holds a few G 2^(n-1) K entries at its peak (the half stack at
+# the readout's K columns, a phase factor as large, and the readout's four
+# columns per edge); resizing it would change which calls are refused.
 MAX_SIMULATION_BYTES = 1 << 30
 CX = "cx"
 MS = "ms"
@@ -276,9 +288,10 @@ def _ising_codes(n: int) -> np.ndarray:
     return (diff // 4 + n * n // 4).astype(np.uint8)
 
 
-def _half_plus_states(count: int, n: int) -> np.ndarray:
-    """The stored half of count copies of |+...+><+...+|: every entry 2^-n."""
-    return np.full((count, 1 << (n - 1), 1 << n), 1.0 / (1 << n), dtype=complex)
+def _half_plus_states(count: int, n: int, width: int) -> np.ndarray:
+    """The stored half of count copies of |+...+><+...+| at width columns k:
+    every entry 2^-n."""
+    return np.full((count, 1 << (n - 1), width), 1.0 / (1 << n), dtype=complex)
 
 
 def _partners(rho: np.ndarray, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -322,17 +335,27 @@ def _average(rho: np.ndarray, qubits: tuple[int, ...], n: int, weights: np.ndarr
     t += mean
 
 
-def _cx_layer(g: Graph, gammas: np.ndarray, noise: NoiseSpec):
+def _readout_columns(g: Graph) -> np.ndarray:
+    """The sorted columns k that the readout reads: 0, and e_u, e_v and
+    e_u ^ e_v of every edge."""
+    columns = {0}
+    for u, v, _ in g.edges:
+        columns |= {1 << u, 1 << v, (1 << u) | (1 << v)}
+    return np.array(sorted(columns), dtype=np.int64)
+
+
+def _cx_layer(g: Graph, gammas: np.ndarray, noise: NoiseSpec, columns: np.ndarray):
     """(rho, sigma) after the noisy cx cost layer at each gamma: the stored
-    half stack and the Z-type factor it still owes (module docstring)."""
+    half stack at the given sorted columns k, and the Z-type factor it still
+    owes there (module docstring)."""
     n = g.n
-    rho = _half_plus_states(len(gammas), n)
-    bits = _bits(n)
-    row_bits = bits[:, : rho.shape[1]]  # of the stored rows
+    rho = _half_plus_states(len(gammas), n, len(columns))
+    row_bits = _bits(n)[:, : rho.shape[1]]  # of the stored rows
+    bits = _bits(n)[:, columns]  # of the evolved columns
     r = noise.minor_rate
     keep = (1.0 - noise.major_rate) ** 2  # an edge's two Dep(u, v), merged
-    minor_count = np.zeros(1 << n, dtype=np.int64)
-    pair_count = np.zeros(1 << n, dtype=np.int64)
+    minor_count = np.zeros(len(columns), dtype=np.int64)
+    pair_count = np.zeros(len(columns), dtype=np.int64)
     for e, (u, v, z) in enumerate(g.edges):
         odd = bits[u] ^ bits[v]
         # The edge's noise acts where k_u = k_v and its phase where k_u != k_v,
@@ -353,22 +376,23 @@ def _cx_layer(g: Graph, gammas: np.ndarray, noise: NoiseSpec):
     return rho, sigma
 
 
-def _fused_minors(rho: np.ndarray, counts: list[int], r: float, n: int) -> None:
+def _fused_minors(rho: np.ndarray, counts: list[int], r: float, n: int,
+                  bits: np.ndarray) -> None:
     """Apply the x-mixing of counts[q] minor channels on each qubit q: c of
-    them at rate r are one mixing at weight (1 - (1-r)^c) / 2 where k_q = 0."""
-    bits = _bits(n)
+    them at rate r are one mixing at weight (1 - (1-r)^c) / 2 where k_q = 0
+    (bits[q] holds bit q of each column k of rho)."""
     for q, c in enumerate(counts):
         if c and r:
             _mix(rho, q, n, (1.0 - (1.0 - r) ** c) / 2.0 * (1 - bits[q]))
 
 
-def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec):
+def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec, columns: np.ndarray):
     """(rho, sigma) after the noisy ms cost layer at each gamma, as
     ``_cx_layer`` returns them."""
     n = seq.n
-    rho = _half_plus_states(len(gammas), n)
-    bits = _bits(n)
-    codes = _ising_codes(n)
+    rho = _half_plus_states(len(gammas), n, len(columns))
+    bits = _bits(n)[:, columns]
+    codes = _ising_codes(n)[:, columns]
     levels = np.arange(-(n * n // 4), n * n // 4 + 1)
     stored = np.arange(rho.shape[1])
     r = noise.minor_rate
@@ -378,13 +402,13 @@ def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec):
               for a, b in zip((0, *seq.rows), (*seq.rows, 0))]
     for i, (mask, w) in enumerate(zip(seq.rows, seq.strengths)):
         if i:  # round 0 mixes the uniform initial state, which changes nothing
-            _fused_minors(rho, rounds[i], r, n)
+            _fused_minors(rho, rounds[i], r, n, bits)
         # the row's Ising phase at the energies E(x ^ mask)
         lut = np.exp(1j * np.multiply.outer(gammas * float(w), levels))
         rho *= np.take(lut, codes[stored ^ mask], axis=1)
-    _fused_minors(rho, rounds[-1], r, n)
-    # Dep on all n qubits averages the diagonal (k = 0) and scales the rest;
-    # the L rows' depolarizings apply as one at the end.
+    _fused_minors(rho, rounds[-1], r, n, bits)
+    # Dep on all n qubits averages the diagonal (k = 0, the first column) and
+    # scales the rest; the L rows' depolarizings apply as one at the end.
     keep = (1.0 - noise.major_rate) ** len(seq.rows)
     diagonal = rho[:, :, 0]
     diagonal += (1.0 - keep) * (diagonal.mean(axis=1, keepdims=True) - diagonal)
@@ -393,15 +417,18 @@ def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec):
     return rho, sigma
 
 
-def _correlators(g: Graph, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _correlators(g: Graph, rho: np.ndarray, sigma: np.ndarray,
+                 columns: np.ndarray) -> np.ndarray:
     """(G, 3): the sums over the edges of z <Z_u Z_v>, z (<Z_u Y_v> + <Y_u Z_v>)
-    and z <Y_u Y_v> on the states of a stored half stack rho whose Z-type
-    factor sigma is not yet applied (module docstring)."""
+    and z <Y_u Y_v> on the states of a stored half stack rho at the sorted
+    columns k, whose Z-type factor sigma is not yet applied (module
+    docstring)."""
     u, v = np.array([(a, b) for a, b, _ in g.edges], dtype=np.int64).reshape(-1, 2).T
     z = np.array([float(w) for _, _, w in g.edges])
     rows = _bits(g.n)[:, : rho.shape[1]]
     weights = z[:, None] * (1 - 2 * (rows[u] ^ rows[v]))  # z t(x) on the stored rows
-    cols = np.stack([np.zeros_like(u), 1 << v, 1 << u, (1 << u) | (1 << v)], axis=1)
+    k = np.stack([np.zeros_like(u), 1 << v, 1 << u, (1 << u) | (1 << v)], axis=1)
+    cols = np.searchsorted(columns, k)  # each k's position in the stack
     # the stored rows are half of the sum over x
     zz, zy, yz, yy = 2.0 * np.einsum("ex,gxej,ej->jg", weights, rho[:, :, cols], sigma[cols])
     return np.stack([zz.real, -(zy + yz).imag, -yy.real], axis=1)
@@ -445,11 +472,14 @@ def simulate_qaoa_p1(
     if 16 * (len(gammas) + len(betas)) << (2 * n) > MAX_SIMULATION_BYTES:
         raise ValueError(f"n={n} with {len(gammas)} gammas and {len(betas)} betas needs more "
                          f"than the {MAX_SIMULATION_BYTES >> 30} GiB simulation limit")
-    rho, sigma = _cx_layer(g, gammas, noise) if compilation == CX else _ms_layer(seq, gammas, noise)
+    columns = _readout_columns(g)
+    rho, sigma = (_cx_layer(g, gammas, noise, columns) if compilation == CX
+                  else _ms_layer(seq, gammas, noise, columns))
     c, s = np.cos(2.0 * betas), np.sin(2.0 * betas)
     f = (1.0 - noise.minor_rate) * (1.0 - 2.0 * noise.minor_rate)
     total = sum(float(z) for _, _, z in g.edges)
-    values = (total - f * f * _correlators(g, rho, sigma) @ np.array([c * c, c * s, s * s])) / 2.0
+    correlators = _correlators(g, rho, sigma, columns)
+    values = (total - f * f * correlators @ np.array([c * c, c * s, s * s])) / 2.0
     if np.ndim(gamma) == 0 and np.ndim(beta) == 0:
         return float(values[0, 0])
     return values

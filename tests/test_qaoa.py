@@ -152,14 +152,20 @@ def simulate_qaoa_p1_statevector(g, compilation, seq, gamma, beta):
 
 def cost_layer(g, kind, seq, gammas, noise):
     """The (G, 2^n, 2^n) stack of the layer's stored half stack and Z-type
-    factor: entry (x, y) is sigma[x ^ y] half[x, x ^ y], read from the
-    complement of x when its top bit is set."""
-    half, sigma = (qaoa._cx_layer(g, gammas, noise) if kind == "cx"
-                   else qaoa._ms_layer(seq, gammas, noise))
+    factor over every column: entry (x, y) is sigma[x ^ y] half[x, x ^ y],
+    read from the complement of x when its top bit is set."""
     idx = np.arange(1 << g.n)
+    half, sigma = (qaoa._cx_layer(g, gammas, noise, idx) if kind == "cx"
+                   else qaoa._ms_layer(seq, gammas, noise, idx))
     stored = np.where(idx < len(idx) // 2, idx, idx ^ (len(idx) - 1))
     k = idx[:, None] ^ idx[None, :]
     return half[:, stored[:, None], k] * sigma[k]
+
+
+def realized_graph(seq):
+    """The graph whose couplings the sequence evaluates to."""
+    pairs = itertools.combinations(range(seq.n), 2)
+    return Graph.from_edges(seq.n, [(i, j, c) for (i, j), c in zip(pairs, evaluate(seq)) if c])
 
 
 def is_physical_density(rho, herm_tol=1e-12, trace_tol=1e-12, eig_tol=1e-10):
@@ -245,8 +251,7 @@ def test_ms_rows_with_repeated_and_complemented_masks_match_the_dense_oracle():
     n = 4
     seq = PulseSequence.from_pairs(n, [(0b1010, 1), (0b1010, "-1/2"), (0b0101, 2),
                                        (0b1100, "3/4"), (0b1000, -1)])
-    g = Graph.from_edges(n, [(i, j, c) for (i, j), c in
-                             zip(itertools.combinations(range(n), 2), evaluate(seq)) if c])
+    g = realized_graph(seq)
     noise = NoiseSpec(0.05, 0.5)
     gammas, betas = [0.4, 2.1, 5.3], [0.3, 1.9]
     grid = simulate_qaoa_p1(g, "ms", seq, gammas, betas, noise)
@@ -264,6 +269,40 @@ def test_cost_layer_on_a_gamma_array_stacks_its_scalar_calls(compilation):
     assert stack.shape == (4, 16, 16)
     want = np.array([cost_layer(g, compilation, seq, np.array([gm]), noise)[0] for gm in gammas])
     np.testing.assert_allclose(stack, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("weights", [(), (1, 2, 3), ("1/2", -1, "3/4")],
+                         ids=["none", "123", "mixed"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_layers_on_the_readout_columns_are_the_full_layers_at_those_columns(n, weights):
+    """No op of either layer changes k, so each column evolves alone: the
+    layers run on the readout's columns give bit for bit the all-column
+    layers' entries there, for random graphs and for ms sequences of
+    random masks, any of the 2^n (top bit and the empty mask included)."""
+    rng = np.random.default_rng([n, len(weights)])
+    everything = np.arange(1 << n)
+    strengths = weights or (1,)
+    for case in range(4):
+        noise = NoiseSpec(rng.uniform(0, 0.3), rng.uniform(0, 1))
+        gammas = rng.uniform(0, 2 * math.pi, 3)
+        seq = PulseSequence.from_pairs(n, [(int(rng.integers(1 << n)),
+                                            strengths[rng.integers(len(strengths))])
+                                           for _ in range(rng.integers(0, 6))])
+        for kind, g in [("cx", random_er_graph(n, rng.uniform(0.2, 0.9), weights, case)),
+                        ("ms", realized_graph(seq))]:
+            columns = qaoa._readout_columns(g)
+            assert columns[0] == 0 and np.all(np.diff(columns) > 0)
+            for u, v, _ in g.edges:
+                assert {1 << u, 1 << v, (1 << u) | (1 << v)} <= set(columns.tolist())
+            if kind == "cx":
+                rho, sigma = qaoa._cx_layer(g, gammas, noise, columns)
+                full_rho, full_sigma = qaoa._cx_layer(g, gammas, noise, everything)
+            else:
+                rho, sigma = qaoa._ms_layer(seq, gammas, noise, columns)
+                full_rho, full_sigma = qaoa._ms_layer(seq, gammas, noise, everything)
+            assert rho.shape == (3, 1 << (n - 1), len(columns))
+            np.testing.assert_array_equal(rho, full_rho[:, :, columns])
+            np.testing.assert_array_equal(sigma, full_sigma[columns])
 
 
 @pytest.mark.parametrize("name, g, construct", CASES, ids=[c[0] for c in CASES])
@@ -360,6 +399,11 @@ def test_a_simulation_holds_no_more_than_the_memory_cap_accounts_for(
     finally:
         tracemalloc.stop()
     assert peak <= 16 * (count_g + count_b) << (2 * g.n)
+    # the layers evolve only the readout's K columns of the 2^n: the peak
+    # is a few (G, 2^(n-1), K) stacks
+    width = len(qaoa._readout_columns(g))
+    assert width == 22
+    assert peak <= 4 * 16 * count_g * 2 ** (g.n - 1) * width
 
 
 def test_scalar_angles_give_the_one_point_grid_value():
