@@ -224,7 +224,8 @@ from .pulses import PulseSequence, coupling_sign, sequence_to_json
 # module holds the traced simplex.float_solve, and perfbench changes only
 # together with the benchmark.
 from .simplex import (  # noqa: F401
-    _field_width, _pack, _packed_step, _scaled, _solve_integer, float_solve, solve_lp)
+    _field_width, _integer_floats, _pack, _packed_step, _scaled, _solve_integer, float_solve,
+    solve_lp)
 
 MAX_EXACT_N = 8
 # Largest Gershgorin radius R the lower bound scans for integer eigenvalues:
@@ -289,12 +290,12 @@ def _cut_columns(n: int) -> Mapping[int, tuple[int, ...]]:
 def _l1_program(n: int) -> tuple[tuple, tuple, tuple[np.ndarray, np.ndarray]]:
     """The parts of the L1 program that depend only on n: the rows of
     [Q | -Q], column 2t holding cut column t and column 2t + 1 its
-    negation, the unit costs, and both as float64 arrays for the float
-    engine.  Built once per n; tuples and read-only arrays, so no caller
-    can alter the cached copy."""
+    negation, the unit costs, and both as exact float64 arrays for the
+    float engine and the certificate.  Built once per n; tuples and
+    read-only arrays, so no caller can alter the cached copy."""
     rows = tuple(tuple(x for q in row for x in (q, -q)) for row in zip(*_cut_columns(n).values()))
     costs = (1,) * (1 << n)
-    floats = np.array(rows, dtype=float), np.ones(len(costs))
+    floats = _integer_floats(rows, costs)
     for array in floats:
         array.flags.writeable = False
     return rows, costs, floats
@@ -873,10 +874,12 @@ def solve_l1(g: Graph) -> OptResult:
 
     The objective bounds each strength directly, and the program is solved
     to exact rational optimality.  There is no time limit: time limits
-    apply to the L0 search only.  When the float basis certifies, as it
-    does on every graph of the benchmark, a solve takes a median 1.5, 5.7
-    and 18 ms at n=6, 7 and 8, and at most 31 ms at n=8 (the benchmark's 72
-    L1 graphs, best of 5, Python 3.11 on a 2-core x86-64 VM).  The exact
+    apply to the L0 search only.  When the float basis certifies from its
+    float solves, as it does on every graph of the benchmark, a solve takes
+    a median 0.7, 1.8 and 6.8 ms at n=6, 7 and 8, and at most 14 ms at n=8
+    (the benchmark's 72 L1 graphs, best of 5, Python 3.11 on a 2-core
+    x86-64 VM; 1.2, 3.2 and 9.4 ms when both basis systems were solved by
+    fraction-free elimination, in the same session).  The exact
     fallbacks of ``simplex`` take up to about a second to resume and 1.5 to
     4 s to solve from scratch at n=8 (ER(8, 0.5), seeds 0-2).
     """

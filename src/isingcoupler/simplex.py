@@ -28,7 +28,7 @@ the L1 program, both forms, once per n.
 The exact engine keeps only the basis (revised form): each step takes the
 reduced costs from the dual system B^T y = c_B and the ratio test from
 B [x_B | d] = [b | a_e].
-``solve_lp`` re-solves the float basis exactly and checks it
+``solve_lp`` solves the float basis exactly and checks it
 (``certify_basis``); a basis that is feasible but not optimal is pivoted on
 exactly from there (``exact_resume``); anything else, including a float
 "infeasible", a float engine that fails and a program beyond float64
@@ -38,8 +38,34 @@ nonzero artificial raises SimplexError: the L1 programs always have a
 feasible point.  All rules are deterministic, so identical inputs give
 identical results.
 
-Every exact solve of a linear system (the primal and dual basis systems
-here, and the L0 support systems of ``exactopt``) runs through
+``certify_basis`` reads the basis's exact solutions off float64 solves and
+proves them in integers, instead of solving again (Applegate, Cook, Dash &
+Espinoza, Oper. Res. Lett. 35, 2007; Gleixner, Steffy & Wolter, INFORMS J.
+Comput. 28, 2016).  With s the lcm of b's denominators, one float inverse
+gives u = B^-1 (s b) = s x_B and y = B^-T c_B.  ``_common_denominator``
+finds d for u and e for y by continued fractions; its tolerance scales
+with the vector's largest entry, since a float solve errs in proportion
+to it, and it only picks candidates.  With p = rint(d u) and
+r = rint(e y), float64 then checks B p = d s b, B^T r = e c_B, and that
+rint(2^20 B^-1) B is strictly diagonally dominant, so that B is
+nonsingular (Levy-Desplanques).  When all three hold, x_B = p / (d s) and
+y = r / e are the basis's exact solutions: p >= 0 makes the basis
+feasible, and r.a_j <= e c_j for every column j makes it optimal (weak
+duality, as c.x = b.y); a column with r.a_j > e c_j makes it "resume".  A
+negative p leaves the outcome, None, to elimination, like a failed check.
+
+The checks are exact.  A, c, s b, p, r and the rounded inverse hold
+integers, and a guard checks, from their largest entries, that the terms
+of every sum the checks form have magnitudes adding up to less than 2^53.
+So every partial sum is an integer that float64 holds, float64 forms each
+sum exactly, in any order, fused or not, and no float tolerance decides
+any outcome.  When the guard or a check fails, an artificial is basic, or
+A or c holds a non-integer, fraction-free elimination solves both systems
+instead (``_exact_certificate``), with the same outcome.  On the
+benchmark's 72 L1 programs the float certificate decides all 72.
+
+Every exact solve of a linear system (the basis systems the float
+certificate leaves, and the L0 support systems of ``exactopt``) runs through
 ``_solve_integer``: fraction-free Gauss-Jordan elimination (Bareiss, Math.
 Comp. 22, 1968) on the rows of [mat | rhs], each scaled to integers by the
 lcm of its denominators and packed into one Python integer, the sum of
@@ -65,6 +91,7 @@ that is returned.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -75,6 +102,9 @@ import numpy as np
 FLOAT_TOL = 1e-9
 _PIVOT_EPS = 1e-11
 _MAX_ITERS = 200000
+_EXACT = 2**53  # float64 holds every integer of smaller magnitude
+_ROUNDING_TOL = 2.0**-32  # relative to a float solution's largest entry
+_INVERSE_SCALE = 2.0**20  # the float inverse, scaled and rounded to integers
 
 
 class SimplexError(RuntimeError):
@@ -337,14 +367,92 @@ def _pivot_exactly(cols, b, cost, basis, ns, artificials_fixed):
     raise SimplexError("iteration limit exceeded")
 
 
-def certify_basis(a_rows, b, c, basis):
-    """Exactly re-solve a phase-2 basis and check the optimality conditions.
+def _integer_floats(a_rows, c):
+    """a_rows and c as float64 arrays, or None unless every entry is an
+    integer below 2^53 in magnitude, which float64 holds exactly."""
+    if all(v.denominator == 1 and abs(v) < _EXACT for v in (*c, *itertools.chain(*a_rows))):
+        return np.array(a_rows, dtype=float), np.array(c, dtype=float)
+    return None
 
-    Basis entries j >= len(c) name the artificial of row j - len(c), whose
-    value must be 0.  Returns (x, objective) when the basis is primal
-    feasible and no reduced cost is negative, "resume" when it is feasible
-    but not optimal, and None when it is singular or infeasible.
-    """
+
+def _convergent_denominator(t: float, tol: float) -> int:
+    """The denominator k of the first continued-fraction convergent h / k of
+    t with |t - h / k| <= tol (t itself when none is closer)."""
+    num, den = t.as_integer_ratio()
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    while True:
+        a, rest = divmod(num, den)
+        h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
+        if not rest or abs(t * k - h) <= tol * k:
+            return k
+        num, den = den, rest
+
+
+def _common_denominator(v: np.ndarray) -> int | None:
+    """A d below 2^53 that makes every d v_i an integer up to d tol, or None.
+
+    tol is _ROUNDING_TOL times max(1, max |v_i|): a float solve errs in
+    proportion to the largest entry of its solution, not to each entry.
+    Each d v_i in turn that is farther than d tol from an integer multiplies
+    d by the denominator of its first convergent within d tol."""
+    tol = _ROUNDING_TOL * max(1.0, float(np.abs(v).max()))
+    d = 1
+    for t in v.tolist():
+        t *= d
+        if abs(t - round(t)) > d * tol:
+            d *= _convergent_denominator(t, d * tol)
+            if d >= _EXACT:
+                return None
+    return d
+
+
+def _float_certificate(b, c, basis, a, cost):
+    """certify_basis's outcome, (x, objective) or "resume", read off float64
+    solves and proven in integer arithmetic (see the module docstring); None
+    when the proof does not go through, which decides nothing.
+
+    a and cost hold a_rows and c as ``_integer_floats`` makes them."""
+    bs = _scaled(b)  # s b, s the lcm of b's denominators
+    if max(basis) >= len(c) or max(map(abs, bs)) >= _EXACT:
+        return None
+    mat, bs_float, cost_b = a[:, basis], np.array(bs, dtype=float), cost[basis]
+    try:
+        inv = np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        return None
+    x_float, y_float = inv @ bs_float, cost_b @ inv  # s x_B and y
+    if not (np.isfinite(x_float).all() and np.isfinite(y_float).all()):
+        return None
+    d, e = _common_denominator(x_float), _common_denominator(y_float)
+    if d is None or e is None:
+        return None
+    p, r, approx = np.rint(d * x_float), np.rint(e * y_float), np.rint(_INVERSE_SCALE * inv)
+    # Each sum below adds integer products whose magnitudes sum to at most
+    # one of these bounds; below 2^53 float64 forms it exactly in any order
+    # (2^52 absorbs the rounding of the bounds themselves).
+    width = max(float(np.abs(mat).sum(axis=1).max()), float(np.abs(a).sum(axis=0).max()))
+    bounds = (d * max(map(abs, bs)), e * float(np.abs(cost).max()), width * np.abs(p).max(),
+              width * np.abs(r).max(), 2 * len(bs) * width * np.abs(approx).max())
+    if not sum(bounds) < 2.0**52:
+        return None
+    check = approx @ mat  # strictly diagonally dominant, so mat is nonsingular
+    if not ((mat @ p == d * bs_float).all() and (r @ mat == e * cost_b).all() and (p >= 0).all()
+            and (2 * np.abs(check.diagonal()) > np.abs(check).sum(axis=1)).all()):
+        return None
+    # x_B = p / (d s) and y = r / e, exactly
+    if (r @ a > e * cost).any():
+        return "resume"
+    x, den = [Fraction(0)] * len(c), d * math.lcm(*(v.denominator for v in b))
+    p = p.tolist()
+    for j, v in zip(basis, p):
+        if v:
+            x[j] = Fraction(int(v), den)
+    return x, Fraction(sum(c[j] * int(v) for j, v in zip(basis, p)), den)
+
+
+def _exact_certificate(a_rows, b, c, basis):
+    """certify_basis's outcome from fraction-free solves of both basis
+    systems."""
     cols = _columns(a_rows, b)
     x = _basic_solution(cols, b, basis, len(c))
     if x is None:
@@ -352,6 +460,26 @@ def certify_basis(a_rows, b, c, basis):
     if _entering(cols, _integer_costs(c, len(b)), basis, range(len(c))) is not None:
         return "resume"
     return x, _objective(c, x)
+
+
+def certify_basis(a_rows, b, c, basis, floats=None):
+    """Exactly solve a phase-2 basis and check the optimality conditions.
+
+    Basis entries j >= len(c) name the artificial of row j - len(c), whose
+    value must be 0.  Returns (x, objective) when the basis is primal
+    feasible and no reduced cost is negative, "resume" when it is feasible
+    but not optimal, and None when it is singular or infeasible.
+
+    floats, when given, is ``_integer_floats(a_rows, c)``, made once by the
+    caller.  The float64 solves' rational reading decides when integer
+    checks prove it (``_float_certificate``).  Otherwise, and whenever
+    a_rows or c holds a non-integer, an artificial is basic or a check's
+    sums could leave float64's exact integers, fraction-free elimination
+    solves both basis systems (``_exact_certificate``).
+    """
+    floats = floats or _integer_floats(a_rows, c)
+    outcome = _float_certificate(b, c, basis, *floats) if floats else None
+    return outcome or _exact_certificate(a_rows, b, c, basis)
 
 
 def exact_resume(a_rows, b, c, basis):
@@ -382,10 +510,11 @@ def solve_lp(a_rows, b, c, floats=None) -> LPResult:
     """Solve min c.x s.t. a_rows x = b, x >= 0, exactly.
 
     a_rows (at least one row), b and c hold Fractions or ints.  floats, when
-    given, holds a_rows and c as float64 arrays, so that a caller solving
-    many programs with the same rows and costs converts them once.  The
-    float engine's basis is certified with ``certify_basis``; a basis that
-    is primal feasible but not optimal is resumed with ``exact_resume``.
+    given, is ``_integer_floats(a_rows, c)``: a_rows and c as exact float64
+    arrays, which a caller solving many programs with the same integer rows
+    and costs makes once.  The float engine runs on them, and
+    ``certify_basis`` reads them to certify its basis; a basis that is
+    primal feasible but not optimal is resumed with ``exact_resume``.
     Whatever cannot be certified or resumed, and every float "infeasible"
     or failure, is solved from scratch by ``exact_solve``; so is a program
     with an entry beyond float64 range, which the float engine cannot hold.
@@ -398,7 +527,7 @@ def solve_lp(a_rows, b, c, floats=None) -> LPResult:
     else:
         basis = float_solve(a_float, b_float, c_float)
     if basis is not None:
-        cert = certify_basis(a_rows, b, c, basis)
+        cert = certify_basis(a_rows, b, c, basis, floats)
         if cert == "resume":
             res = exact_resume(a_rows, b, c, basis)
             if res is not None:

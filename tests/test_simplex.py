@@ -4,8 +4,9 @@ singular basis, an untrusted float "infeasible", a target beyond float64
 range), the exact engine (revised Bland pivoting on integer solves) and the
 float tableau against scipy's HiGHS, the float tableau's bases against a
 plain reference copy of its pivot rules, the exact engine on real L1
-cut-matrix LPs with pinned optimal vertices, and the integer eliminator and
-certify_basis against Fraction elimination."""
+cut-matrix LPs with pinned optimal vertices, the integer eliminator and
+certify_basis against Fraction elimination, and the float certificate
+against elimination on L1 programs and integer LPs."""
 
 import itertools
 import math
@@ -525,3 +526,85 @@ def test_certify_basis_decides_every_basis_like_fraction_elimination():
             assert certify_basis(a_rows, b, c, list(basis)) == expected, (seed, basis)
             outcomes.add(expected if expected in (None, "resume") else "optimal")
     assert outcomes == {None, "resume", "optimal"}
+
+
+L1_WEIGHT_SETS = [(), (1, 2, 3), (1, -1), (1, -2, 5), (Fraction(1, 3), Fraction(2, 7)),
+                  (1, Fraction(1, 999983))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 8), st.sampled_from(L1_WEIGHT_SETS), st.floats(0.2, 1.0),
+       st.integers(0, 2**32))
+@example(8, (1, Fraction(1, 999983)), 0.8, 0)  # scaled basic values 1/8 beside 249996.75
+def test_float_certificate_of_an_l1_basis_is_the_elimination_result(n, weights, p, seed):
+    """The float certificate decides the float basis of random L1 programs,
+    unweighted and weighted, with weights of small and large denominators,
+    and gives the (x, objective) of fraction-free elimination."""
+    a_rows, costs, floats = _l1_program(n)
+    b = couplings(random_er_graph(n, p, weights, seed))
+    basis = float_solve(floats[0], np.array(b, dtype=float), floats[1])
+    cert = simplex._float_certificate(b, costs, basis, *floats)
+    assert isinstance(cert, tuple)
+    assert cert == simplex._exact_certificate(a_rows, b, costs, basis)
+
+
+def test_a_weight_beyond_the_exact_float_range_is_certified_by_elimination(log):
+    """A weight of 10^15 + 1 makes basic values near 2.5 10^14, whose
+    products with B's rows can sum beyond 2^53, so the guard declines the
+    float certificate and elimination certifies the basis."""
+    g = parse_edge_list("n 6\n0 1 1000000000000001\n1 2\n2 3\n3 4\n4 5\n0 5 2\n")
+    a_rows, costs, floats = _l1_program(6)
+    b = couplings(g)
+    basis = float_solve(floats[0], np.array(b, dtype=float), floats[1])
+    assert simplex._float_certificate(b, costs, basis, *floats) is None
+    cert = certify_basis(a_rows, b, costs, basis, floats)
+    assert cert == simplex._exact_certificate(a_rows, b, costs, basis)
+    assert cert[1] == 10**15 + 1
+    log.clear()
+    res = solve_l1(g)
+    assert [(name, isinstance(result, tuple)) for name, result in log] == [("certify_basis", True)]
+    assert res.objective == 10**15 + 1 and verify(res.sequence, g)
+
+
+def test_float_certificate_decides_bases_of_integer_programs_like_fraction_elimination():
+    """Every choice of m real basic columns of random integer LPs: whatever
+    the float certificate decides, optimal or "resume", is what Fraction
+    elimination decides, and it decides both kinds."""
+    decided = set()
+    for seed in range(40):
+        a_rows, b, c = random_feasible_lp(seed)
+        floats = simplex._integer_floats(a_rows, c)
+        for basis in itertools.combinations(range(len(c)), len(b)):
+            cert = simplex._float_certificate(b, c, list(basis), *floats)
+            if cert is not None:
+                assert cert == reference_certificate(a_rows, b, c, list(basis)), (seed, basis)
+                decided.add(cert if cert == "resume" else "optimal")
+    assert decided == {"resume", "optimal"}
+
+
+def test_a_singular_basis_is_not_certified_from_a_wrong_float_inverse(monkeypatch):
+    """B = [[1, 1], [1, 1]] is singular, yet B x = b and B^T y = c_B are
+    consistent, and the pseudo-inverse reads integer solutions that pass
+    both equations.  Only the check that the rounded inverse times B is
+    diagonally dominant refuses them, so the outcome stays elimination's."""
+    a_rows, b, c = [[1, 1, 0], [1, 1, 1]], [2, 2], [1, 1, 5]
+    monkeypatch.setattr(simplex.np.linalg, "inv", np.linalg.pinv)
+    assert simplex._float_certificate(b, c, [0, 1], *simplex._integer_floats(a_rows, c)) is None
+    assert certify_basis(a_rows, b, c, [0, 1]) is None
+
+
+@pytest.mark.parametrize("a_rows, b, c, basis", [
+    # x = 2^39 + 1/2 is within the rounding tolerance (2^-32 of 2^39) of
+    # 2^39, which only B p = d s b refuses
+    ([[2]], [2**40 + 1], [0], [0]),
+    # likewise y = 2^39 + 1/2, which only B^T r = e c_B refuses; read as
+    # 2^39 it would hide the negative reduced cost of column 1
+    ([[2, 2]], [0], [2**40 + 1, 2**40], [0]),
+    # x = (24452795164001734, 16429241658933691) / 5: rounded to integers,
+    # it passes B p = d s b in float64 sums that pass 2^53, which the guard
+    # refuses to form
+    ([[1, 1], [3, -2]], [8176407364587085, 8099980434827564], [0, 0], [0, 1]),
+], ids=["primal", "dual", "guard"])
+def test_a_float_reading_is_refused_unless_integer_checks_prove_it(a_rows, b, c, basis):
+    assert simplex._float_certificate(b, c, basis, *simplex._integer_floats(a_rows, c)) is None
+    assert certify_basis(a_rows, b, c, basis) == reference_certificate(a_rows, b, c, basis)
