@@ -14,7 +14,10 @@ Q (W+ - W-) = b.  It is always feasible, since the cut matrix spans every
 target (the constructions realize any graph), and ``simplex.solve_lp``
 solves it in floats and certifies the float basis exactly, in integers.
 Only b depends on the graph: the rows, the costs and their float64 forms
-are built once per n (``_l1_program``).
+are built once per n (``_l1_program``).  Each canonical row's W- column
+negates its W+ column, so the float tableau stores the pair once, and a
+basic solution has at most one nonzero part per pair: W is read off the
+pairs that have one.
 
 L0 is the smallest k for which b lies in the span of k columns of Q.  A
 minimum-row realization has linearly independent columns (a dependent one
@@ -876,12 +879,12 @@ def solve_l1(g: Graph) -> OptResult:
     to exact rational optimality.  There is no time limit: time limits
     apply to the L0 search only.  When the float basis certifies from its
     float solves, as it does on every graph of the benchmark, a solve takes
-    a median 0.7, 1.8 and 6.8 ms at n=6, 7 and 8, and at most 14 ms at n=8
-    (the benchmark's 72 L1 graphs, best of 5, Python 3.11 on a 2-core
-    x86-64 VM; 1.2, 3.2 and 9.4 ms when both basis systems were solved by
-    fraction-free elimination, in the same session).  The exact
-    fallbacks of ``simplex`` take up to about a second to resume and 1.5 to
-    4 s to solve from scratch at n=8 (ER(8, 0.5), seeds 0-2).
+    a median 0.65, 1.6 and 5.0 ms at n=6, 7 and 8, and at most 10 ms at n=8
+    (the benchmark's 72 L1 graphs, best of 5, median of 5 runs, Python 3.11
+    on a 2-core x86-64 VM; 0.7, 1.9 and 6.5 ms, and at most 13 ms, when the
+    float tableau stored both columns of each pair, in the same session).
+    The exact fallbacks of ``simplex`` take up to about a second to resume
+    and 1.5 to 4 s to solve from scratch at n=8 (ER(8, 0.5), seeds 0-2).
     """
     _check_size(g)
     start = time.monotonic()
@@ -891,13 +894,14 @@ def solve_l1(g: Graph) -> OptResult:
         return OptResult(
             PulseSequence.empty(n), Fraction(0), "l1", OPTIMAL, 0, 0.0
         )
-    res = solve_lp(a_rows, couplings(g), costs, floats)
-    # W_t = W+_t - W-_t, from columns 2t and 2t + 1
+    x = solve_lp(a_rows, couplings(g), costs, floats).x
+    # W_t = W+_t - W-_t, from columns 2t and 2t + 1; most pairs are 0
+    masks = list(_cut_columns(n))
     entries = []
-    for t, mask in enumerate(_cut_columns(n)):
-        w = res.x[2 * t] - res.x[2 * t + 1]
+    for t in sorted({j >> 1 for j, v in enumerate(x) if v}):
+        w = x[2 * t] - x[2 * t + 1]
         if w != 0:
-            entries.append((mask, w))
+            entries.append((masks[t], w))
     seq = PulseSequence.from_pairs(n, entries)
     return OptResult(
         sequence=seq,

@@ -21,7 +21,14 @@ that size (28 rows) a pivot's cost is mostly per-call overhead, so the
 ratio test reads the entering column and x_B once each as Python floats
 and runs its sequential rule on them: Python floats divide and compare as
 IEEE doubles, like numpy float64 scalars, so every choice is the same,
-without a numpy scalar access per row.  ``solve_lp`` also takes the
+without a numpy scalar access per row.  The tableau stores once each
+column that negates the column before it, as every W- column of the L1
+program does its W+ column, and holds x_B as its last column, so at n=8 a
+phase-1 pivot is one rank-one update, built in a buffer, of 28 x 157
+entries instead of 28 x 284 entries and a separate x_B update.  IEEE
+negation is exact, so every entry, step and basic value is the one a
+tableau of all columns holds (``_Tableau`` says why, and when a reduced
+cost may differ in its last bit).  ``solve_lp`` also takes the
 float64 rows and costs from a caller that has them: ``exactopt`` builds
 the L1 program, both forms, once per n.
 
@@ -118,8 +125,19 @@ class LPResult:
 
 
 class _Tableau:
-    """B^-1 [S A | I] and the basic values B^-1 |b| in float64, for
-    S = diag(sign b).  Columns ns.. are the artificials; phase 2 drops them.
+    """B^-1 [S A' | I | |b|] in float64, for S = diag(sign b): the stored
+    columns A' of A, the artificials and, last, the basic values x_B.
+
+    Column j of A reads stored column idx[j] times sign[j].  A column that
+    is the exact negation of the column before it shares that column's
+    stored one with the opposite sign, as every W- column of the L1 program
+    does its W+ column, so that program stores half of its columns of A.
+    IEEE negation is exact, and the pivot's division, products and
+    differences commute with it, so each stored entry is the one a tableau
+    of all columns holds, and the entering column sign[e] T[:, idx[e]] is
+    that tableau's column e (up to the sign of a zero).  The basis, the
+    entering column and every tie-break keep the indices of A; phase 2
+    drops the artificials' columns and their idx and sign entries.
 
     Phase 1 enters the column with the most negative reduced cost
     (Dantzig's rule), which reaches a feasible basis in far fewer pivots
@@ -131,56 +149,74 @@ class _Tableau:
     against 828).
 
     The basis is an int array updated in place, so c_B is one fancy index.
-    Reduced costs are recomputed as c - c_B T each iteration rather than
-    carried as an updated row, which would round differently.  The ratio
-    test is a Python loop over the column's floats (see the module
+    Reduced costs are recomputed as c - sign z[idx], z = c_B T, each
+    iteration rather than carried as an updated row, which would round
+    differently.  BLAS sums each column of z alike wherever it sits, except
+    the few it sums apart when it splits the width into blocks: there a
+    reduced cost can differ from the full tableau's in its last bit.  At
+    n=7 and 8 the L1 reduced costs match the full tableau's bit for bit;
+    elsewhere a few differ by at most 2e-15, far inside FLOAT_TOL, and the
+    tests check that the bases are a full reference tableau's.  The
+    ratio test is a Python loop over the column's floats (see the module
     docstring): a vectorized version (flatnonzero, min, then the lowest
-    basis index among ties) was slower on the 28-row L1 tableaux.
+    basis index among ties) was slower on the 28-row L1 tableaux.  A pivot
+    divides the pivot row, sets its x_B entry to the step and subtracts one
+    rank-one product, built in a buffer that lasts a phase, from the whole
+    tableau, which also gives every other x_B[r] - d[r] step.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         self.m, self.ns = a.shape
+        shared = np.zeros(self.ns, dtype=bool)
+        shared[1:] = (a[:, 1:] == -a[:, :-1]).all(axis=0)
+        columns = np.arange(self.ns)
+        # column j negates its stored column once per shared column between
+        # them, itself included
+        flips = columns - np.maximum.accumulate(np.where(shared, 0, columns))
+        self.idx = np.cumsum(np.r_[~shared, np.ones(self.m, dtype=bool)]) - 1
+        self.sign = np.r_[np.where(flips % 2, -1.0, 1.0), np.ones(self.m)]
         signs = np.where(b >= 0, 1.0, -1.0)
-        self.T = np.hstack([a * signs[:, None], np.eye(self.m)])
-        self.xB = np.abs(b)
+        self.T = np.hstack([a[:, ~shared] * signs[:, None], np.eye(self.m), np.abs(b)[:, None]])
         self.basis = np.arange(self.ns, self.ns + self.m)
 
     def phase_one(self) -> bool:
         """Minimize the artificials' sum; True when it ends at 0 (within tol)."""
-        scale = max(1.0, float(self.xB.sum()))
+        scale = max(1.0, float(self.T[:, -1].sum()))
         self._run(np.r_[np.zeros(self.ns), np.ones(self.m)], dantzig=True)
-        infeasibility = sum(self.xB[self.basis >= self.ns].tolist())
+        infeasibility = sum(self.T[self.basis >= self.ns, -1].tolist())
         return infeasibility <= FLOAT_TOL * scale
 
     def phase_two(self, c: np.ndarray):
         """Minimize c.x with the artificials held at 0.  They may not enter
         again, so their columns are no longer updated."""
-        self.T = self.T[:, :self.ns].copy()
+        self.T = np.delete(self.T, np.s_[-self.m - 1:-1], axis=1)
+        self.idx, self.sign = self.idx[:self.ns], self.sign[:self.ns]
         self._run(np.concatenate([c, np.zeros(self.m)]), dantzig=False)
 
     def _run(self, cost: np.ndarray, dantzig: bool):
-        """Pivot until no column of T has a reduced cost below -FLOAT_TOL;
-        cost covers the artificials too, which may be basic."""
-        width = self.T.shape[1]
-        basis = self.basis
+        """Pivot until no column in play (phase 2: no artificial) has a
+        reduced cost below -FLOAT_TOL; cost covers the artificials too,
+        which may be basic."""
+        idx, sign, basis = self.idx, self.sign, self.basis
+        width, in_play, buf = idx.size, cost[:idx.size], np.empty_like(self.T)
         stalled = 0
         for _ in range(_MAX_ITERS):
-            red = cost[:width] - cost[basis] @ self.T
+            red = in_play - sign * (cost[basis] @ self.T)[idx]
             red[basis[basis < width]] = 0
             entering = (red < -FLOAT_TOL).nonzero()[0]
             if entering.size == 0:
                 return
             e = int(red.argmin()) if dantzig and stalled < self.m else int(entering[0])
-            stalled = stalled + 1 if self._pivot(e) <= FLOAT_TOL else 0
+            stalled = stalled + 1 if self._pivot(e, buf) <= FLOAT_TOL else 0
         raise SimplexError("iteration limit exceeded")
 
-    def _pivot(self, e: int) -> float:
-        """Enter column e and return the step it moves."""
-        d = self.T[:, e]
-        width = self.T.shape[1]
+    def _pivot(self, e: int, buf: np.ndarray) -> float:
+        """Enter column e and return the step it moves; buf has T's shape."""
+        T, width = self.T, self.idx.size
+        d = T[:, self.idx[e]] * self.sign[e]
         basis = self.basis.tolist()
         block, step = -1, None
-        for r, (dr, x, j) in enumerate(zip(d.tolist(), self.xB.tolist(), basis)):
+        for r, (dr, x, j) in enumerate(zip(d.tolist(), T[:, -1].tolist(), basis)):
             # x_B[r] falls as x_e rises when d[r] > 0; an artificial whose
             # column phase 2 dropped is fixed at 0 and must not rise either
             if not (dr > _PIVOT_EPS or (j >= width and dr < -_PIVOT_EPS)):
@@ -193,13 +229,12 @@ class _Tableau:
         if block < 0:
             raise SimplexError("LP is unbounded")
         step = max(step, 0.0)  # only float rounding makes a limit negative
-        self.xB -= step * d
-        self.xB[block] = step
         self.basis[block] = e
-        self.T[block] /= d[block]
-        col = self.T[:, e].copy()
-        col[block] = 0
-        self.T -= np.outer(col, self.T[block])
+        row = T[block]
+        row /= d[block]
+        row[-1] = step  # so the update below leaves x_B[r] - d[r] step
+        d[block] = 0
+        T -= np.multiply(d[:, None], row, out=buf)
         return step
 
 

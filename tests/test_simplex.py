@@ -224,14 +224,17 @@ def test_phase_one_falls_back_to_blands_rule_after_m_degenerate_pivots(monkeypat
     pivots = []  # (phase-1 tableau's m, entered, Dantzig's column, Bland's column, step)
     original = simplex._Tableau._pivot
 
-    def recorded(tab, e):
-        if tab.T.shape[1] == tab.ns:  # phase 2 has dropped the artificials
-            return original(tab, e)
+    def recorded(tab, e, buf):
+        if tab.idx.size == tab.ns:  # phase 2 has dropped the artificials
+            return original(tab, e, buf)
+        # the reduced costs of the tableau of every column, the shared ones
+        # read off their stored columns
+        full = np.ascontiguousarray(tab.T[:, tab.idx] * tab.sign)
         cost = np.r_[np.zeros(tab.ns), np.ones(tab.m)]
-        red = cost - cost[tab.basis] @ tab.T
+        red = cost - cost[tab.basis] @ full
         red[tab.basis] = 0
         choices = int(np.argmin(red)), int(np.flatnonzero(red < -simplex.FLOAT_TOL)[0])
-        step = original(tab, e)
+        step = original(tab, e, buf)
         pivots.append((tab.m, e, *choices, step))
         return step
 
@@ -370,6 +373,74 @@ def test_float_engine_hands_over_the_reference_basis():
         basis = float_solve(*program)
         assert basis == reference_float_solve(*program), k
         assert basis is not None and all(type(j) is int for j in basis), k
+
+
+def with_negated_columns(seed):
+    """random_feasible_lp(seed) with the negation of some columns inserted
+    after them, once or twice (the negation of a negation), each at a cost
+    in [0, 4]; b stays A x0, x0 being 0 on the new columns."""
+    rng = random.Random(seed)
+    a_rows, b, c = random_feasible_lp(seed)
+    cols, costs = [], []
+    for col, cost in zip(zip(*a_rows), c):
+        cols.append(col)
+        costs.append(cost)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            cols.append(tuple(-v for v in cols[-1]))
+            costs.append(rng.randint(0, 4))
+    return [list(row) for row in zip(*cols)], b, costs
+
+
+def nearly_negated_lp(seed):
+    """A random feasible LP whose column 2t + 1 negates column 2t in every
+    row but one."""
+    rng = random.Random(seed)
+    m = rng.randint(2, 5)
+    cols = []
+    for _ in range(rng.randint(2, 4)):
+        col = [rng.randint(-3, 3) for _ in range(m)]
+        near = [-v for v in col]
+        near[rng.randrange(m)] += rng.choice([-1, 1])
+        cols += [col, near]
+    x0 = [Fraction(rng.choice([0, 1, 2, 3]), rng.choice([1, 2])) for _ in cols]
+    b = [sum(col[r] * x for col, x in zip(cols, x0)) for r in range(m)]
+    return [list(row) for row in zip(*cols)], b, [rng.randint(0, 4) for _ in cols]
+
+
+def test_shared_negated_columns_make_the_reference_pivots():
+    """The tableau stores once each column that negates the column before
+    it, and hands over the basis of the reference tableau, which stores
+    every column: on L1 programs (every W- column shared), on random LPs
+    where stored and shared columns mix, and on LPs whose columns negate
+    their predecessors in all rows but one, which share nothing."""
+    _, _, (a, _) = _l1_program(8)
+    assert simplex._Tableau(a, np.ones(a.shape[0])).T.shape == (28, 128 + 28 + 1)
+    programs = []
+    for weights in [(), (1, 2, 3), (1, -1), (1, -2, 5)]:
+        for n in range(2, 9):
+            _, _, (a, c) = _l1_program(n)
+            for seed in range(3):
+                g = random_er_graph(n, 0.3 + 0.25 * seed, weights, seed)
+                programs.append((a, np.array(couplings(g), dtype=float), c, "l1"))
+    for seed in range(40):
+        for make, kind in [(with_negated_columns, "mixed"), (nearly_negated_lp, "near")]:
+            a, b, c = (np.array(v, dtype=float) for v in make(seed))
+            programs.append((a, b, c, kind))
+    mixed = 0
+    for k, (a, b, c, kind) in enumerate(programs):
+        tab = simplex._Tableau(a, b)
+        m, ns = a.shape
+        # the stored columns, read through idx and sign, are [S A | I]
+        full = np.hstack([a * np.where(b >= 0, 1.0, -1.0)[:, None], np.eye(m)])
+        assert np.array_equal(tab.T[:, tab.idx] * tab.sign, full), k
+        stored = tab.T.shape[1] - m - 1
+        if kind == "l1":
+            assert stored == ns // 2, k
+        elif kind == "near":  # no odd column shares its predecessor's
+            assert (tab.idx[1:ns:2] != tab.idx[:ns:2]).all(), k
+        mixed += kind == "mixed" and stored < ns
+        assert float_solve(a, b, c) == reference_float_solve(a, b, c), k
+    assert len(programs) == 164 and mixed > 20
 
 
 def fraction_gauss_jordan(mat, rhs_cols):
