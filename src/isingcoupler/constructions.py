@@ -8,7 +8,9 @@ construction for arbitrary weighted graphs with at most 3m+1 rows after
 merging.  For unweighted graphs, decomposing the edge set into at most n-1
 edge-disjoint stars (a center vertex against its leaves) and realizing each
 star as a biclique gives at most 3n-2 rows with total absolute strength at
-most n-1.  Each construction collects all its rows and canonicalizes once.
+most n-1.  Each construction collects all its rows and merges them once:
+edge by edge through ``canonicalize``, the union of stars in integer units
+of mu/4.
 """
 
 from __future__ import annotations
@@ -20,17 +22,22 @@ from .graphs import Graph
 from .pulses import PulseSequence, canonicalize
 
 
+def _biclique_template(v2_mask: int, v3_mask: int) -> list[tuple[int, int]]:
+    """The four (mask, sign) rows of ``biclique_rows``, whose strengths are
+    sign * mu/4."""
+    # Lemma-style template: the rows flip V3, V2 and V3, nothing, and V2
+    # (never V1), with strengths +-mu/4.  A V1 x V2 pair gets the same sign
+    # product from all four rows; every other pair gets two of each sign.
+    return [(v3_mask, 1), (v2_mask | v3_mask, -1), (0, 1), (v2_mask, -1)]
+
+
 def biclique_rows(v2_mask: int, v3_mask: int, mu) -> list[tuple[int, Fraction]]:
     """Four (mask, strength) rows realizing weight mu on every V1 x V2 pair
     and 0 elsewhere, where V1 holds the qubits in neither mask."""
     if v2_mask & v3_mask:
         raise ValueError("V2 and V3 must be disjoint")
-    # Lemma-style template: the rows flip V3, V2 and V3, nothing, and V2
-    # (never V1), with strengths +-mu/4.  A V1 x V2 pair gets the same sign
-    # product from all four rows; every other pair gets two of each sign.
     quarter = Fraction(mu) / 4
-    return [(v3_mask, quarter), (v2_mask | v3_mask, -quarter), (0, quarter),
-            (v2_mask, -quarter)]
+    return [(mask, sign * quarter) for mask, sign in _biclique_template(v2_mask, v3_mask)]
 
 
 def weighted_edge_by_edge(g: Graph) -> PulseSequence:
@@ -100,9 +107,17 @@ def union_of_stars(g: Graph, order: Sequence[int] | None = None) -> PulseSequenc
         raise ValueError("order must be a permutation of 0..n-1")
     full = (1 << g.n) - 1
     position = {v: i for i, v in enumerate(order)}
-    rows = []
+    # Every row's strength is a multiple of mu/4, so the rows merge as
+    # integers, in canonicalize's order: each row with bit 0 set is
+    # complemented, equal rows merge in first-seen order, and zeros go.
+    merged: dict[int, int] = {}
     for i, center in enumerate(order):
         leaves = sum(1 << u for u in g.neighbors(center) if position[u] > i)
         if leaves:
-            rows += biclique_rows(leaves, full ^ (1 << center | leaves), mu)
-    return canonicalize(PulseSequence.from_pairs(g.n, rows))
+            for mask, sign in _biclique_template(leaves, full ^ (1 << center | leaves)):
+                key = mask ^ full if mask & 1 else mask
+                merged[key] = merged.get(key, 0) + sign
+    quarter = mu / 4
+    kept = [(mask, count) for mask, count in merged.items() if count]
+    return PulseSequence(g.n, tuple(mask for mask, _ in kept),
+                         tuple(count * quarter for _, count in kept))

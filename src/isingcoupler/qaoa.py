@@ -59,9 +59,7 @@ Four identities of the model then cut the work:
   phase difference and every channel do), so rho^[~x, k] = rho^[x, k].
   Only the rows x with bit n-1 clear are stored: a (G, 2^(n-1), K) half
   stack over K columns k (the last identity).  A shift on qubit n-1 reads
-  that half reversed, since x ^ e_(n-1) is stored as x ^ (2^(n-1) - 1), and
-  averaging over a set that holds qubit n-1 averages each row with its
-  reversed partner.
+  that half reversed, since x ^ e_(n-1) is stored as x ^ (2^(n-1) - 1).
 - c mixings on one qubit with no phase between them are one mixing at
   weight (1 - (1-r)^c)/2, and on the uniform initial state a mixing changes
   nothing.
@@ -71,6 +69,24 @@ Four identities of the model then cut the work:
   simulation gives them the readout's: 0 and e_u, e_v, e_u ^ e_v of every
   edge (``_readout_columns``), K <= 1 + n(n+1)/2 of the 2^n.  Column 0
   comes first, where the full-register Dep averages the diagonal.
+
+The Walsh coefficients F[f, k] = sum over all x of (-1)^(f.x) rho^[x, k]
+of a column make every x-mixing diagonal.  The X^n symmetry makes F vanish
+at odd-weight f, and at an even f it is twice the stored rows' coefficient
+
+    R[f', k] = sum over the stored x of (-1)^(f'.x) rho^[x, k],
+
+where f' is the low n-1 bits of f (bit n-1 of f is the parity of f').  R
+keeps the half stack's (G, 2^(n-1), K) shape, and ``_walsh`` computes it
+from the stored rows by one butterfly stage per qubit below n-1.  In R:
+
+- the x-mixing on qubit q at weight w multiplies R[f', k] by 1 - 2 w f_q,
+  f_q being bit q of f;
+- depolarizing S at rate lam, where k is 0 on S, multiplies it by 1 - lam
+  where f is nonzero on S (the mean over the masks a on S keeps f = 0
+  there);
+- multiplying rho^[x, k] by (-1)^(g.x), for an even-weight g, moves
+  R[f', k] to R[f' ^ g', k], with g' the low n-1 bits of g.
 
 A cx edge is taken in Heisenberg form.  CNOT Rz_v(-gamma z) CNOT is the
 diagonal exp(i gamma z/2 Z_u Z_v), whose phase differences are 0 or
@@ -83,6 +99,18 @@ unitary and unital channel that acts only within S, and j of them at rate
 lam make one at rate 1-(1-lam)^j: an edge's two Dep(u, v) apply as one
 after it, and the L full-register Dep of an ms layer as one at its end,
 where it averages the diagonal (k = 0) and scales the rest.
+
+The cx layer evolves R, which starts as 1/2 at f' = 0 and 0 elsewhere (the
+uniform initial state).  Each edge is one real multiply and one pairing:
+
+- its noise multiplies R[f', k] by (1 - r f_v)(1 - (1 - keep)[f_u or f_v])
+  where k_u = k_v, keep = (1-lam)^2 being the merged Dep(u, v), which acts
+  only where k_u = k_v = 0 (the first edge's noise meets R at f' = 0
+  alone, where it is 1, and is skipped);
+- its phase exp(i gamma z s(x)), s(x) = (-1)^(x_u ^ x_v), is
+  cos(gamma z) + i s(x) sin(gamma z), so where k_u != k_v
+  R[f'] <- cos(gamma z) R[f'] + i sin(gamma z) R[f' ^ g'],
+  g' = (e_u ^ e_v) mod 2^(n-1).
 
 The ms flips are not simulated as gates.  A row with flip mask m is, in
 time order, X_m then minor noise M on the qubits of m, the Ising phase D,
@@ -101,11 +129,14 @@ model: every noisy flip is still applied, as often as before.  It is not a
 merged-flip model, which would charge fewer flips by sharing them between
 consecutive rows and so change the noise.
 
-The phase table is cached per n only: the ms codes (E(x) - E(x ^ k))/2 for
-every x, read at the rows x ^ m of the stored x for any mask m and at the
+The ms layer evolves the stored rows, whose Ising phases are not diagonal
+in R, and takes R by one ``_walsh`` pass at its end.  Its tables are built
+once per layer: every row's phase lookup table in one exp, and every row's
+codes at the rows x ^ m of the stored x in one index.  The phase table is
+cached per n only: the ms codes (E(x) - E(x ^ k))/2 for every x, at the
 evolved columns k.
 
-The readout reads the stored half stack and sigma directly.  The cost is
+The readout reads R and sigma directly.  The cost is
 C' = sum_e z (1 - Z_u Z_v)/2.  After the mixer U = prod_q exp(-i beta X_q),
 the minor noise and the measurement flip scale each Z by f = (1-r)(1-2r)
 (its depolarizing part by 1-r, the phase flip not at all, the bit flip by
@@ -118,7 +149,9 @@ A Pauli string P with P|x> = p(x) |x ^ m> has <P> = sum_x p(x) rho^[x, m].
 Z_u Z_v, Z_u Y_v, Y_u Z_v and Y_u Y_v have m = 0, e_v, e_u and e_u ^ e_v
 and p = t, i t, i t and -t, where t(x) = (-1)^(x_u ^ x_v).  Since
 t(~x) = t(x), each sum over x is twice the t-weighted sum S[k] of the
-stored rows of column k, times sigma[k]:
+stored rows of column k, times sigma[k].  On the stored rows (bit n-1
+clear) t(x) = (-1)^(g'.x), so S[k] = R[g', k], g' = (e_u ^ e_v) mod
+2^(n-1), and the readout gathers each edge's four entries:
 
 - <Z_u Z_v> is S[0];
 - <Z_u Y_v> + <Y_u Z_v> is -Im(S[e_v] + S[e_u]), as the sum is real;
@@ -128,8 +161,9 @@ A grid scan needs only the gammas up to pi when the layer is 2pi-periodic
 in gamma, by two identities of the model:
 
 - rho(-gamma) = conj rho(gamma): the initial state and every channel are
-  real, and only the phases depend on gamma.  So S[k] turns into its
-  conjugate, which flips the sign of the ZY + YZ term alone.
+  real, and only the phases depend on gamma.  So R, a real combination of
+  the rows, and S[k] turn into their conjugates, which flips the sign of
+  the ZY + YZ term alone.
 - beta -> pi - beta keeps c and flips the sign of s, and so of the cs term
   alone.
 
@@ -156,9 +190,9 @@ from .pulses import PulseSequence, verify
 
 MAX_BRUTE_FORCE_N = 20
 # Safety cap on (G + B) 4^n complex entries for a G x B grid.  It over-counts:
-# a simulation holds a few G 2^(n-1) K entries at its peak (the half stack at
-# the readout's K columns, a phase factor as large, and the readout's four
-# columns per edge); resizing it would change which calls are refused.
+# a simulation holds a few G 2^(n-1) K entries at its peak (the stack at the
+# readout's K columns, and a phase factor or a partner copy as large);
+# resizing it would change which calls are refused.
 MAX_SIMULATION_BYTES = 1 << 30
 CX = "cx"
 MS = "ms"
@@ -199,8 +233,16 @@ def build_cost_operator(g: Graph) -> np.ndarray:
     return diag
 
 
+def _endpoints(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The edges' endpoints u and v, as int64 arrays."""
+    return np.array([(a, b) for a, b, _ in g.edges], dtype=np.int64).reshape(-1, 2).T
+
+
 def maxcut_brute_force(g: Graph) -> Fraction:
-    """Exact Max-Cut value by scanning all 2^n bitmasks."""
+    """Exact Max-Cut value by scanning every cut: the (2^(n-1), E) matrix of
+    which edges each bitmask x cuts, one byte an entry, times the weights
+    as integers.  x and its complement cut the same edges, so x runs over
+    the masks with bit n-1 clear."""
     if g.n > MAX_BRUTE_FORCE_N:
         raise ValueError(f"n={g.n} too large (limit {MAX_BRUTE_FORCE_N})")
     denom = math.lcm(*(z.denominator for _, _, z in g.edges)) if g.edges else 1
@@ -208,10 +250,9 @@ def maxcut_brute_force(g: Graph) -> Fraction:
     # int64 holds every cut sum while the absolute weights sum below 2^63;
     # beyond that the sums are Python integers
     dtype = np.int64 if sum(map(abs, weights)) < 1 << 63 else object
-    idx = np.arange(1 << g.n)
-    cuts = np.zeros(1 << g.n, dtype=dtype)
-    for (u, v, _), w in zip(g.edges, weights):
-        cuts += (((idx >> u) ^ (idx >> v)) & 1).astype(dtype, copy=False) * w
+    u, v = _endpoints(g)
+    bits = (np.arange(1 << (g.n - 1))[:, None] >> np.arange(g.n) & 1).astype(np.uint8)
+    cuts = np.einsum("xe,e->x", bits[:, u] ^ bits[:, v], np.array(weights, dtype=dtype))
     return Fraction(int(cuts.max()), denom)
 
 
@@ -305,34 +346,34 @@ def _partners(rho: np.ndarray, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return t[:, :, 0], t[:, :, 1]
 
 
-def _mix(rho: np.ndarray, q: int, n: int, weights: np.ndarray) -> None:
+def _mix(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> None:
     """rho[x, k] -> (1 - w[k]) rho[x, k] + w[k] rho[x ^ e_q, k], in place on a
-    stored half stack."""
-    a, b = _partners(rho, q, n)
+    stored half stack through its partner views (a, b) on qubit q."""
     shift = b - a
     shift *= weights
     a += shift
     b -= shift
 
 
-def _average(rho: np.ndarray, qubits: tuple[int, ...], n: int, weights: np.ndarray) -> None:
-    """rho[x, k] -> (1 - w[k]) rho[x, k] + w[k] * (the mean of rho[x ^ a, k]
-    over the 2^|qubits| masks a on qubits), in place on a stored half stack;
-    a bit of qubit n-1 in a reverses the stored rows (``_partners``)."""
-    count, _, dim = rho.shape
-    shape, axes, top = [count], [], n - 1
-    for q in sorted(qubits, reverse=True):
-        if q < n - 1:
-            shape += [1 << (top - q - 1), 2]
-            axes.append(len(shape) - 1)
-            top = q
-    t = rho.reshape(shape + [1 << top, dim])
-    mean = t.sum(axis=tuple(axes), keepdims=True)
-    if n - 1 in qubits:
-        mean += mean.reshape(count, -1, dim)[:, ::-1].reshape(mean.shape)
-    mean *= weights / (1 << len(qubits))
-    t *= 1.0 - weights
-    t += mean
+def _walsh(rho: np.ndarray, n: int) -> np.ndarray:
+    """A stored half stack's Walsh coefficients, in place:
+    R[f', k] = sum over the stored x of (-1)^(f'.x) rho[x, k], by one
+    butterfly stage per qubit below n-1."""
+    for q in range(n - 1):
+        a, b = _partners(rho, q, n)
+        diff = a - b
+        a += b
+        b[...] = diff
+    return rho
+
+
+@functools.lru_cache(maxsize=None)
+def _walsh_bits(n: int) -> np.ndarray:
+    """Row q holds bit q of the even-weight f of each stored Walsh index
+    f' = 0..2^(n-1) - 1: its low n-1 bits are f', and bit n-1 is their
+    parity."""
+    low = np.arange(1 << (n - 1))
+    return _bits(n)[:, low | (_bits(n)[:, low].sum(axis=0) & 1) << (n - 1)]
 
 
 def _readout_columns(g: Graph) -> np.ndarray:
@@ -345,68 +386,77 @@ def _readout_columns(g: Graph) -> np.ndarray:
 
 
 def _cx_layer(g: Graph, gammas: np.ndarray, noise: NoiseSpec, columns: np.ndarray):
-    """(rho, sigma) after the noisy cx cost layer at each gamma: the stored
-    half stack at the given sorted columns k, and the Z-type factor it still
-    owes there (module docstring)."""
+    """(R, sigma) after the noisy cx cost layer at each gamma: the Walsh
+    coefficients of the stored half stack at the given sorted columns k, and
+    the Z-type factor it still owes there (module docstring)."""
     n = g.n
-    rho = _half_plus_states(len(gammas), n, len(columns))
-    row_bits = _bits(n)[:, : rho.shape[1]]  # of the stored rows
+    half = 1 << (n - 1)
+    # |+...+><+...+| has every entry 2^-n: 1/2 summed over the stored rows
+    walsh = np.zeros((len(gammas), half, len(columns)), dtype=complex)
+    walsh[:, 0] = 0.5
+    u, v = _endpoints(g)
+    z = np.array([float(w) for _, _, w in g.edges])
     bits = _bits(n)[:, columns]  # of the evolved columns
+    fbits = _walsh_bits(n)
+    odd = bits[u] ^ bits[v]  # (E, K): where each edge's phase acts
+    touched = bits[u] | bits[v]
     r = noise.minor_rate
     keep = (1.0 - noise.major_rate) ** 2  # an edge's two Dep(u, v), merged
-    minor_count = np.zeros(len(columns), dtype=np.int64)
-    pair_count = np.zeros(len(columns), dtype=np.int64)
-    for e, (u, v, z) in enumerate(g.edges):
-        odd = bits[u] ^ bits[v]
-        # The edge's noise acts where k_u = k_v and its phase where k_u != k_v,
-        # so the noise goes first; on the first edge the state is uniform in
-        # x and the mixings change nothing.
-        if e and r:
-            _mix(rho, v, n, r / 2.0 * (1 - odd))
-        if e and keep != 1.0:
-            _average(rho, (u, v), n, (1.0 - keep) * (1 - (bits[u] | bits[v])))
-        # CNOT Rz_v(-gamma z) CNOT = exp(i gamma z/2 Z_u Z_v) multiplies entry
-        # (x, k) by exp(i gamma z s(x) odd(k)), s(x) = (-1)^(x_u ^ x_v)
-        lut = np.exp(1j * np.multiply.outer(gammas * float(z), (-1.0, 0.0, 1.0)))
-        sign = 1 - 2 * (row_bits[u] ^ row_bits[v])
-        rho *= np.take(lut, 1 + np.multiply.outer(sign, odd), axis=1)
-        minor_count += odd
-        pair_count += bits[u] | bits[v]
-    sigma = ((1.0 - r) * (1.0 - 2.0 * r)) ** minor_count * keep ** pair_count
-    return rho, sigma
-
-
-def _fused_minors(rho: np.ndarray, counts: list[int], r: float, n: int,
-                  bits: np.ndarray) -> None:
-    """Apply the x-mixing of counts[q] minor channels on each qubit q: c of
-    them at rate r are one mixing at weight (1 - (1-r)^c) / 2 where k_q = 0
-    (bits[q] holds bit q of each column k of rho)."""
-    for q, c in enumerate(counts):
-        if c and r:
-            _mix(rho, q, n, (1.0 - (1.0 - r) ** c) / 2.0 * (1 - bits[q]))
+    # An edge's noise multiplies R[f', k] by factor[f class, k class]: the
+    # f class is f_v + (f_u | f_v), the k class 0 where k_u != k_v, 1 where
+    # k_u = k_v = 1 (the minor channel alone) and 2 where k_u = k_v = 0.
+    factor = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, keep], [1.0, 1.0 - r, (1.0 - r) * keep]])
+    f_class = fbits[v] + (fbits[u] | fbits[v])
+    k_class = 2 - odd - touched
+    # CNOT Rz_v(-gamma z) CNOT = exp(i gamma z/2 Z_u Z_v) multiplies entry
+    # (x, k) by cos(gamma z) + i s(x) sin(gamma z) where k_u != k_v,
+    # s(x) = (-1)^(x_u ^ x_v), which pairs R[f'] with R[f' ^ g'],
+    # g' = (e_u ^ e_v) mod 2^(n-1)
+    angles = np.multiply.outer(z, gammas)
+    cos = np.where(odd[:, None], np.cos(angles)[:, :, None], 1.0)
+    isin = 1j * np.where(odd[:, None], np.sin(angles)[:, :, None], 0.0)
+    partners = np.arange(half) ^ ((1 << u ^ 1 << v) & (half - 1))[:, None]
+    paired = np.empty_like(walsh)
+    for e in range(len(z)):
+        # on the first edge R is 0 off f' = 0, where every factor is 1
+        if e and (r or keep != 1.0):
+            walsh *= factor[f_class[e][:, None], k_class[e]]
+        # every index is in range: mode "clip" only spares take a buffered copy
+        np.take(walsh, partners[e], axis=1, out=paired, mode="clip")
+        paired *= isin[e][:, None]
+        walsh *= cos[e][:, None]
+        walsh += paired
+    sigma = ((1.0 - r) * (1.0 - 2.0 * r)) ** odd.sum(axis=0) * keep ** touched.sum(axis=0)
+    return walsh, sigma
 
 
 def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec, columns: np.ndarray):
-    """(rho, sigma) after the noisy ms cost layer at each gamma, as
+    """(R, sigma) after the noisy ms cost layer at each gamma, as
     ``_cx_layer`` returns them."""
     n = seq.n
     rho = _half_plus_states(len(gammas), n, len(columns))
     bits = _bits(n)[:, columns]
-    codes = _ising_codes(n)[:, columns]
-    levels = np.arange(-(n * n // 4), n * n // 4 + 1)
     stored = np.arange(rho.shape[1])
+    levels = np.arange(-(n * n // 4), n * n // 4 + 1)
     r = noise.minor_rate
+    # Each row's Ising phase, at the energies E(x ^ mask), is lut[i] read at
+    # codes[i]; c fused minor channels mix qubit q at mixing[c, q].
+    strengths = np.array([float(w) for w in seq.strengths])
+    lut = np.exp(1j * np.multiply.outer(np.multiply.outer(strengths, gammas), levels))
+    codes = _ising_codes(n)[:, columns][stored ^ np.array(seq.rows, dtype=np.int64)[:, None]]
+    mixing = np.multiply.outer([0.0] + [(1.0 - (1.0 - r) ** c) / 2.0 for c in (1, 2)], 1 - bits)
     # Round i holds, per qubit, the minor channels of the flips after row i-1
     # and before row i (module docstring).
     rounds = [[(a >> q & 1) + (b >> q & 1) for q in range(n)]
               for a, b in zip((0, *seq.rows), (*seq.rows, 0))]
-    for i, (mask, w) in enumerate(zip(seq.rows, seq.strengths)):
-        if i:  # round 0 mixes the uniform initial state, which changes nothing
-            _fused_minors(rho, rounds[i], r, n, bits)
-        # the row's Ising phase at the energies E(x ^ mask)
-        lut = np.exp(1j * np.multiply.outer(gammas * float(w), levels))
-        rho *= np.take(lut, codes[stored ^ mask], axis=1)
-    _fused_minors(rho, rounds[-1], r, n, bits)
+    partners = [_partners(rho, q, n) for q in range(n)]
+    for i, counts in enumerate(rounds):
+        if i and r:  # round 0 mixes the uniform initial state, which changes nothing
+            for q, c in enumerate(counts):
+                if c:
+                    _mix(*partners[q], mixing[c, q])
+        if i < len(seq.rows):
+            rho *= np.take(lut[i], codes[i], axis=1)
     # Dep on all n qubits averages the diagonal (k = 0, the first column) and
     # scales the rest; the L rows' depolarizings apply as one at the end.
     keep = (1.0 - noise.major_rate) ** len(seq.rows)
@@ -414,23 +464,23 @@ def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec, columns:
     diagonal += (1.0 - keep) * (diagonal.mean(axis=1, keepdims=True) - diagonal)
     minor_count = np.sum(rounds, axis=0) @ bits
     sigma = ((1.0 - r) * (1.0 - 2.0 * r)) ** minor_count * np.where(bits.any(axis=0), keep, 1.0)
-    return rho, sigma
+    return _walsh(rho, n), sigma
 
 
-def _correlators(g: Graph, rho: np.ndarray, sigma: np.ndarray,
+def _correlators(g: Graph, walsh: np.ndarray, sigma: np.ndarray,
                  columns: np.ndarray) -> np.ndarray:
     """(G, 3): the sums over the edges of z <Z_u Z_v>, z (<Z_u Y_v> + <Y_u Z_v>)
-    and z <Y_u Y_v> on the states of a stored half stack rho at the sorted
-    columns k, whose Z-type factor sigma is not yet applied (module
-    docstring)."""
-    u, v = np.array([(a, b) for a, b, _ in g.edges], dtype=np.int64).reshape(-1, 2).T
+    and z <Y_u Y_v> on the states whose stored Walsh coefficients are walsh,
+    at the sorted columns k, and whose Z-type factor sigma is not yet
+    applied (module docstring)."""
+    u, v = _endpoints(g)
     z = np.array([float(w) for _, _, w in g.edges])
-    rows = _bits(g.n)[:, : rho.shape[1]]
-    weights = z[:, None] * (1 - 2 * (rows[u] ^ rows[v]))  # z t(x) on the stored rows
+    pair = (1 << u ^ 1 << v) & (walsh.shape[1] - 1)  # each edge's f'
     k = np.stack([np.zeros_like(u), 1 << v, 1 << u, (1 << u) | (1 << v)], axis=1)
     cols = np.searchsorted(columns, k)  # each k's position in the stack
     # the stored rows are half of the sum over x
-    zz, zy, yz, yy = 2.0 * np.einsum("ex,gxej,ej->jg", weights, rho[:, :, cols], sigma[cols])
+    zz, zy, yz, yy = 2.0 * np.einsum("gej,ej->jg", walsh[:, pair[:, None], cols],
+                                     z[:, None] * sigma[cols])
     return np.stack([zz.real, -(zy + yz).imag, -yy.real], axis=1)
 
 

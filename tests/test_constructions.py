@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isingcoupler import (
-    Graph, PulseSequence, biclique_rows, evaluate, union_of_stars, verify, weighted_edge_by_edge,
+    Graph, PulseSequence, biclique_rows, canonicalize, enumerate_labeled_graphs, evaluate,
+    union_of_stars, verify, weighted_edge_by_edge,
 )
 from isingcoupler.cli import noise_standin_graphs
+from isingcoupler.constructions import greedy_star_order
 
 
 @st.composite
@@ -90,6 +92,33 @@ def test_union_of_stars_rows_in_greedy_order(name, g):
 ])
 def test_union_of_stars_rows_in_an_explicit_order(g, order, expected):
     assert rows_and_strengths(union_of_stars(g, order)) == expected
+
+
+def fraction_union_of_stars(g):
+    """The union of stars merged in Fractions: every star's four biclique
+    rows, canonicalized together."""
+    mu = g.uniform_weight() if g.m else Fraction(1)
+    order = greedy_star_order(g)
+    full = (1 << g.n) - 1
+    position = {v: i for i, v in enumerate(order)}
+    rows = []
+    for i, center in enumerate(order):
+        leaves = sum(1 << u for u in g.neighbors(center) if position[u] > i)
+        if leaves:
+            rows += biclique_rows(leaves, full ^ (1 << center | leaves), mu)
+    return canonicalize(PulseSequence.from_pairs(g.n, rows))
+
+
+@pytest.mark.parametrize("mu", [1, Fraction(3, 2), -2], ids=["one", "three_halves", "minus_two"])
+def test_union_of_stars_merged_as_integers_is_the_fraction_merge(mu):
+    """Rows, their first-seen order and strengths equal the Fraction merge on
+    every graph class with n <= 6."""
+    for n in range(1, 7):
+        for g in enumerate_labeled_graphs(n, distinct_only=True):
+            g = Graph.from_edges(n, [(u, v, mu) for u, v, _ in g.edges])
+            seq = union_of_stars(g)
+            assert seq == fraction_union_of_stars(g)
+            assert all(type(w) is Fraction for w in seq.strengths)
 
 
 def test_edge_by_edge_rows():

@@ -9,6 +9,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -150,13 +151,22 @@ def simulate_qaoa_p1_statevector(g, compilation, seq, gamma, beta):
     return float(np.sum(qaoa.build_cost_operator(g) * np.abs(psi) ** 2))
 
 
+def walsh_matrix(bits):
+    """The Walsh-Hadamard matrix (-1)^(f.x) over bits-bit indices f, x."""
+    idx = np.arange(1 << bits)
+    ones = np.array([bin(f & x).count("1") for f in idx for x in idx]).reshape(len(idx), -1)
+    return 1 - 2 * (ones & 1)
+
+
 def cost_layer(g, kind, seq, gammas, noise):
-    """The (G, 2^n, 2^n) stack of the layer's stored half stack and Z-type
-    factor over every column: entry (x, y) is sigma[x ^ y] half[x, x ^ y],
-    read from the complement of x when its top bit is set."""
+    """The (G, 2^n, 2^n) stack of the layer over every column: entry (x, y)
+    is sigma[x ^ y] half[x, x ^ y], read from the complement of x when its
+    top bit is set, where the stored half stack is the inverse Walsh
+    transform of the layer's coefficients."""
     idx = np.arange(1 << g.n)
-    half, sigma = (qaoa._cx_layer(g, gammas, noise, idx) if kind == "cx"
-                   else qaoa._ms_layer(seq, gammas, noise, idx))
+    walsh, sigma = (qaoa._cx_layer(g, gammas, noise, idx) if kind == "cx"
+                    else qaoa._ms_layer(seq, gammas, noise, idx))
+    half = np.einsum("xf,gfk->gxk", walsh_matrix(g.n - 1), walsh) / (len(idx) // 2)
     stored = np.where(idx < len(idx) // 2, idx, idx ^ (len(idx) - 1))
     k = idx[:, None] ^ idx[None, :]
     return half[:, stored[:, None], k] * sigma[k]
@@ -202,6 +212,23 @@ def test_grid_matches_the_dense_oracle(name, g, construct, compilation):
     np.testing.assert_allclose(grid, want, rtol=0, atol=1e-12)
     for gm in gammas:
         assert is_physical_density(cost_layer(g, compilation, seq, np.array([gm]), noise)[0])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cx_grid_matches_the_dense_oracle_with_fractional_and_negative_weights(n):
+    """The cx layer's Walsh-basis noise factors and phase pairing against the
+    oracle, which applies every CNOT, rotation and channel as written, at
+    minor and major rates up to 0.3."""
+    rng = np.random.default_rng([n, 3])
+    pairs = [p for p in itertools.combinations(range(n), 2) if rng.uniform() < 0.45]
+    g = Graph.from_edges(n, [(u, v, (1, "3/2", -2)[i % 3]) for i, (u, v) in enumerate(pairs)])
+    if n >= 4:
+        assert {float(z) for _, _, z in g.edges} == {1.0, 1.5, -2.0}
+    noise = NoiseSpec(rng.uniform(0.1, 0.3), rng.uniform(0.5, 1))
+    gammas, betas = rng.uniform(0, 2 * math.pi, 2), rng.uniform(0, math.pi, 2)
+    grid = simulate_qaoa_p1(g, "cx", None, gammas, betas, noise)
+    want = [[oracle(g, "cx", None, gm, b, noise) for b in betas] for gm in gammas]
+    np.testing.assert_allclose(grid, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("compilation", ["cx", "ms"])
@@ -303,6 +330,54 @@ def test_the_layers_on_the_readout_columns_are_the_full_layers_at_those_columns(
             assert rho.shape == (3, 1 << (n - 1), len(columns))
             np.testing.assert_array_equal(rho, full_rho[:, :, columns])
             np.testing.assert_array_equal(sigma, full_sigma[columns])
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_readout_gathers_the_t_weighted_sums_of_the_stored_rows(n):
+    """On random half stacks, each edge's Walsh coefficient is the sum of
+    the stored rows weighted by t(x) = (-1)^(x_u ^ x_v), v = n-1 included,
+    where the partner of x is the reversed row; so the readout's gather
+    gives the correlators summed over the rows."""
+    rng = np.random.default_rng(n)
+    g = Graph.from_edges(n, [(u, v, rng.choice([1, "3/2", -2]))
+                             for u, v in itertools.combinations(range(n), 2)])
+    columns = qaoa._readout_columns(g)
+    rows = rng.normal(size=(3, 1 << (n - 1), len(columns), 2)) @ [1, 1j]
+    sigma = rng.uniform(0.5, 1, len(columns))
+    walsh = qaoa._walsh(rows.copy(), n)
+    stored = np.arange(1 << (n - 1))
+    at = {k: i for i, k in enumerate(columns.tolist())}
+    want = np.zeros((3, 3))
+    for u, v, z in g.edges:
+        t = 1 - 2 * ((stored >> u ^ stored >> v) & 1)
+        s = {k: 2 * sigma[at[k]] * np.einsum("x,gx->g", t, rows[:, :, at[k]])
+             for k in (0, 1 << u, 1 << v, 1 << u | 1 << v)}
+        pair = (1 << u ^ 1 << v) & ((1 << (n - 1)) - 1)
+        for k, sum_k in s.items():
+            np.testing.assert_allclose(2 * sigma[at[k]] * walsh[:, pair, at[k]], sum_k,
+                                       rtol=0, atol=1e-12)
+        want += float(z) * np.stack([s[0].real, -(s[1 << u] + s[1 << v]).imag,
+                                     -s[1 << u | 1 << v].real], axis=1)
+    np.testing.assert_allclose(qaoa._correlators(g, walsh, sigma, columns), want,
+                               rtol=0, atol=1e-11)
+
+
+def plain_max_cut(g):
+    return max(sum((z for u, v, z in g.edges if (x >> u ^ x >> v) & 1), Fraction(0))
+               for x in range(1 << g.n))
+
+
+@pytest.mark.parametrize("weights", [(), (1, 2, 3), ("1/2", -1, "3/4"), (10**30, -1, "1/3")],
+                         ids=["none", "123", "mixed", "huge"])
+def test_maxcut_brute_force_is_the_plain_scan(weights):
+    """The vectorized scan against a plain one, for n = 1..8; a weight of
+    10^30 puts the sums past int64, onto Python integers."""
+    for n in range(1, 9):
+        for seed in range(3):
+            g = random_er_graph(n, 0.6, weights, seed)
+            assert maxcut_brute_force(g) == plain_max_cut(g)
+    big = Graph.from_edges(3, [(0, 1, 10**30), (1, 2, 1), (0, 2, "1/2")])
+    assert maxcut_brute_force(big) == plain_max_cut(big) == 10**30 + 1
 
 
 @pytest.mark.parametrize("name, g, construct", CASES, ids=[c[0] for c in CASES])
