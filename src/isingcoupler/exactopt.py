@@ -883,8 +883,10 @@ def solve_l1(g: Graph) -> OptResult:
     (the benchmark's 72 L1 graphs, best of 5, median of 5 runs, Python 3.11
     on a 2-core x86-64 VM; 0.7, 1.9 and 6.5 ms, and at most 13 ms, when the
     float tableau stored both columns of each pair, in the same session).
-    The exact fallbacks of ``simplex`` take up to about a second to resume
-    and 1.5 to 4 s to solve from scratch at n=8 (ER(8, 0.5), seeds 0-2).
+    A float basis that does not certify so is settled exactly by
+    ``simplex.exact_resume``: an optimal one in three integer solves, and a
+    non-optimal one by pivoting on from it, in up to about a second at n=8,
+    where a solve from scratch takes 1.5 to 4 s (ER(8, 0.5), seeds 0-2).
     """
     _check_size(g)
     start = time.monotonic()

@@ -27,9 +27,9 @@ shares every piece of work that does not depend on both angles:
   readout reads (below), G 2^(n-1) K entries for K of the 2^n columns, and
   a call that MAX_SIMULATION_BYTES's (G + B) 4^n count puts over the cap is
   refused before anything is built.
-- The readout (below) takes three numbers per gamma from the stack, each a
-  sum over the edges of a two-qubit correlator, and three per beta; the
-  whole grid is one (G, 3) @ (3, B) product.
+- The readout (below) takes two numbers per gamma from the stack, each a
+  sum over the edges of two-qubit correlators, and two per beta; the whole
+  grid is one (G, 2) @ (2, B) product.
 
 An ms sequence is checked with ``pulses.verify`` once per call.
 
@@ -66,9 +66,10 @@ Four identities of the model then cut the work:
 - No op changes k, and each weight, phase difference and Z-type factor of
   column k reads k alone, so every column evolves independently of the
   others.  The layers evolve only the sorted columns they are given, and a
-  simulation gives them the readout's: 0 and e_u, e_v, e_u ^ e_v of every
-  edge (``_readout_columns``), K <= 1 + n(n+1)/2 of the 2^n.  Column 0
-  comes first, where the full-register Dep averages the diagonal.
+  simulation gives them the readout's: e_u, e_v and e_u ^ e_v of every
+  edge (``_readout_columns``), K <= n(n+1)/2 of the 2^n.  Column 0, the
+  diagonal, is not among them: the cost layer is diagonal and every
+  channel is unital, so the diagonal stays uniform.
 
 The Walsh coefficients F[f, k] = sum over all x of (-1)^(f.x) rho^[x, k]
 of a column make every x-mixing diagonal.  The X^n symmetry makes F vanish
@@ -98,7 +99,7 @@ So no CNOT is simulated, and the edge's phase (where k_u != k_v) and noise
 unitary and unital channel that acts only within S, and j of them at rate
 lam make one at rate 1-(1-lam)^j: an edge's two Dep(u, v) apply as one
 after it, and the L full-register Dep of an ms layer as one at its end,
-where it averages the diagonal (k = 0) and scales the rest.
+where it scales every column k != 0 and leaves the uniform diagonal.
 
 The cx layer evolves R, which starts as 1/2 at f' = 0 and 0 elsewhere (the
 uniform initial state).  Each edge is one real multiply and one pairing:
@@ -143,17 +144,18 @@ the minor noise and the measurement flip scale each Z by f = (1-r)(1-2r)
 1-2r), and U^dag Z U = cos 2beta Z + sin 2beta Y.  So with c = cos 2beta
 and s = sin 2beta,
 
-    E(gamma, beta) = sum_e z/2 (1 - f^2 <(c Z_u + s Y_u)(c Z_v + s Y_v)>).
+    E(gamma, beta) = sum_e z/2 (1 - f^2 <(c Z_u + s Y_u)(c Z_v + s Y_v)>)
+                   = sum_e z/2 (1 - f^2 (c s <Z_u Y_v + Y_u Z_v> + s^2 <Y_u Y_v>)),
 
-A Pauli string P with P|x> = p(x) |x ^ m> has <P> = sum_x p(x) rho^[x, m].
-Z_u Z_v, Z_u Y_v, Y_u Z_v and Y_u Y_v have m = 0, e_v, e_u and e_u ^ e_v
-and p = t, i t, i t and -t, where t(x) = (-1)^(x_u ^ x_v).  Since
-t(~x) = t(x), each sum over x is twice the t-weighted sum S[k] of the
-stored rows of column k, times sigma[k].  On the stored rows (bit n-1
-clear) t(x) = (-1)^(g'.x), so S[k] = R[g', k], g' = (e_u ^ e_v) mod
-2^(n-1), and the readout gathers each edge's four entries:
+as <Z_u Z_v> reads the diagonal, which is uniform, and so is 0.  A Pauli
+string P with P|x> = p(x) |x ^ m> has <P> = sum_x p(x) rho^[x, m].
+Z_u Y_v, Y_u Z_v and Y_u Y_v have m = e_v, e_u and e_u ^ e_v and p = i t,
+i t and -t, where t(x) = (-1)^(x_u ^ x_v).  Since t(~x) = t(x), each sum
+over x is twice the t-weighted sum S[k] of the stored rows of column k,
+times sigma[k].  On the stored rows (bit n-1 clear) t(x) = (-1)^(g'.x),
+so S[k] = R[g', k], g' = (e_u ^ e_v) mod 2^(n-1), and the readout gathers
+each edge's three entries:
 
-- <Z_u Z_v> is S[0];
 - <Z_u Y_v> + <Y_u Z_v> is -Im(S[e_v] + S[e_u]), as the sum is real;
 - <Y_u Y_v> is -Re S[e_u ^ e_v].
 
@@ -260,12 +262,11 @@ def _check_float_range(g: Graph, compilation: str, seq: PulseSequence | None) ->
     """Raise ValueError unless the absolute edge weights, and for ms the
     absolute row strengths, sum to a float64: the simulation runs in
     float64, and every cut value then stays finite."""
-    groups = [[z for _, _, z in g.edges]]
-    if compilation == MS and seq is not None:
-        groups.append(seq.strengths)
+    groups = [[z for _, _, z in g.edges], seq.strengths if compilation == MS else ()]
     try:
-        for values in groups:
-            float(sum(map(abs, values)))
+        for values in groups:  # the exact sum rounded once, as float() of a Fraction
+            denom = math.lcm(*(w.denominator for w in values))
+            sum(abs(w.numerator) * (denom // w.denominator) for w in values) / denom
     except OverflowError:
         raise ValueError("weights beyond float64 range: the simulation runs in float64") from None
 
@@ -342,7 +343,7 @@ def _partners(rho: np.ndarray, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     if q == n - 1:
         half = rho.shape[1] // 2
         return rho[:, :half], rho[:, ::-1][:, :half]
-    t = rho.reshape(len(rho), -1, 2, 1 << q, rho.shape[2])
+    t = rho.reshape(len(rho), rho.shape[1] >> (q + 1), 2, 1 << q, rho.shape[2])
     return t[:, :, 0], t[:, :, 1]
 
 
@@ -377,9 +378,9 @@ def _walsh_bits(n: int) -> np.ndarray:
 
 
 def _readout_columns(g: Graph) -> np.ndarray:
-    """The sorted columns k that the readout reads: 0, and e_u, e_v and
-    e_u ^ e_v of every edge."""
-    columns = {0}
+    """The sorted columns k that the readout reads: e_u, e_v and e_u ^ e_v
+    of every edge."""
+    columns = set()
     for u, v, _ in g.edges:
         columns |= {1 << u, 1 << v, (1 << u) | (1 << v)}
     return np.array(sorted(columns), dtype=np.int64)
@@ -457,11 +458,9 @@ def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec, columns:
                     _mix(*partners[q], mixing[c, q])
         if i < len(seq.rows):
             rho *= np.take(lut[i], codes[i], axis=1)
-    # Dep on all n qubits averages the diagonal (k = 0, the first column) and
-    # scales the rest; the L rows' depolarizings apply as one at the end.
+    # Dep on all n qubits scales every column k != 0 and leaves the uniform
+    # diagonal (k = 0); the L rows' depolarizings apply as one at the end.
     keep = (1.0 - noise.major_rate) ** len(seq.rows)
-    diagonal = rho[:, :, 0]
-    diagonal += (1.0 - keep) * (diagonal.mean(axis=1, keepdims=True) - diagonal)
     minor_count = np.sum(rounds, axis=0) @ bits
     sigma = ((1.0 - r) * (1.0 - 2.0 * r)) ** minor_count * np.where(bits.any(axis=0), keep, 1.0)
     return _walsh(rho, n), sigma
@@ -469,19 +468,19 @@ def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec, columns:
 
 def _correlators(g: Graph, walsh: np.ndarray, sigma: np.ndarray,
                  columns: np.ndarray) -> np.ndarray:
-    """(G, 3): the sums over the edges of z <Z_u Z_v>, z (<Z_u Y_v> + <Y_u Z_v>)
-    and z <Y_u Y_v> on the states whose stored Walsh coefficients are walsh,
-    at the sorted columns k, and whose Z-type factor sigma is not yet
-    applied (module docstring)."""
+    """(G, 2): the sums over the edges of z (<Z_u Y_v> + <Y_u Z_v>) and
+    z <Y_u Y_v> on the states whose stored Walsh coefficients are walsh, at
+    the sorted columns k, and whose Z-type factor sigma is not yet applied
+    (module docstring)."""
     u, v = _endpoints(g)
     z = np.array([float(w) for _, _, w in g.edges])
     pair = (1 << u ^ 1 << v) & (walsh.shape[1] - 1)  # each edge's f'
-    k = np.stack([np.zeros_like(u), 1 << v, 1 << u, (1 << u) | (1 << v)], axis=1)
+    k = np.stack([1 << v, 1 << u, (1 << u) | (1 << v)], axis=1)
     cols = np.searchsorted(columns, k)  # each k's position in the stack
     # the stored rows are half of the sum over x
-    zz, zy, yz, yy = 2.0 * np.einsum("gej,ej->jg", walsh[:, pair[:, None], cols],
-                                     z[:, None] * sigma[cols])
-    return np.stack([zz.real, -(zy + yz).imag, -yy.real], axis=1)
+    zy, yz, yy = 2.0 * np.einsum("gej,ej->jg", walsh[:, pair[:, None], cols],
+                                 z[:, None] * sigma[cols])
+    return np.stack([-(zy + yz).imag, -yy.real], axis=1)
 
 
 def check_angles(values) -> np.ndarray:
@@ -529,7 +528,7 @@ def simulate_qaoa_p1(
     f = (1.0 - noise.minor_rate) * (1.0 - 2.0 * noise.minor_rate)
     total = sum(float(z) for _, _, z in g.edges)
     correlators = _correlators(g, rho, sigma, columns)
-    values = (total - f * f * correlators @ np.array([c * c, c * s, s * s])) / 2.0
+    values = (total - f * f * correlators @ np.array([c * s, s * s])) / 2.0
     if np.ndim(gamma) == 0 and np.ndim(beta) == 0:
         return float(values[0, 0])
     return values

@@ -35,15 +35,15 @@ the L1 program, both forms, once per n.
 The exact engine keeps only the basis (revised form): each step takes the
 reduced costs from the dual system B^T y = c_B and the ratio test from
 B [x_B | d] = [b | a_e].
-``solve_lp`` solves the float basis exactly and checks it
-(``certify_basis``); a basis that is feasible but not optimal is pivoted on
-exactly from there (``exact_resume``); anything else, including a float
-"infeasible", a float engine that fails and a program beyond float64
-range, is solved exactly from the artificial basis (``exact_solve``).  The
-result is an exact rational optimum.  An exact phase 1 that ends with a
-nonzero artificial raises SimplexError: the L1 programs always have a
-feasible point.  All rules are deterministic, so identical inputs give
-identical results.
+``solve_lp`` has one exact path from the float basis: ``certify_basis``
+proves it optimal from its float solves, or else ``exact_resume`` solves
+it exactly and pivots on from it, with no pivot when it is optimal.  A
+singular or infeasible basis, a float "infeasible", a float engine that
+fails and a program beyond float64 range are solved exactly from the
+artificial basis (``exact_solve``).  The result is an exact rational
+optimum.  An exact phase 1 that ends with a nonzero artificial raises
+SimplexError: the L1 programs always have a feasible point.  All rules are
+deterministic, so identical inputs give identical results.
 
 ``certify_basis`` reads the basis's exact solutions off float64 solves and
 proves them in integers, instead of solving again (Applegate, Cook, Dash &
@@ -58,8 +58,8 @@ rint(2^20 B^-1) B is strictly diagonally dominant, so that B is
 nonsingular (Levy-Desplanques).  When all three hold, x_B = p / (d s) and
 y = r / e are the basis's exact solutions: p >= 0 makes the basis
 feasible, and r.a_j <= e c_j for every column j makes it optimal (weak
-duality, as c.x = b.y); a column with r.a_j > e c_j makes it "resume".  A
-negative p leaves the outcome, None, to elimination, like a failed check.
+duality, as c.x = b.y).  A column with r.a_j > e c_j, a negative p and a
+failed check all give None, which leaves the basis to ``exact_resume``.
 
 The checks are exact.  A, c, s b, p, r and the rounded inverse hold
 integers, and a guard checks, from their largest entries, that the terms
@@ -67,12 +67,13 @@ of every sum the checks form have magnitudes adding up to less than 2^53.
 So every partial sum is an integer that float64 holds, float64 forms each
 sum exactly, in any order, fused or not, and no float tolerance decides
 any outcome.  When the guard or a check fails, an artificial is basic, or
-A or c holds a non-integer, fraction-free elimination solves both systems
-instead (``_exact_certificate``), with the same outcome.  On the
-benchmark's 72 L1 programs the float certificate decides all 72.
+A or c holds a non-integer, ``exact_resume`` solves both basis systems by
+fraction-free elimination instead, and returns the same optimum when no
+column can enter.  On the benchmark's 72 L1 programs the float
+certificate decides all 72.
 
-Every exact solve of a linear system (the basis systems the float
-certificate leaves, and the L0 support systems of ``exactopt``) runs through
+Every exact solve of a linear system (the basis systems of the exact
+engine, and the L0 support systems of ``exactopt``) runs through
 ``_solve_integer``: fraction-free Gauss-Jordan elimination (Bareiss, Math.
 Comp. 22, 1968) on the rows of [mat | rhs], each scaled to integers by the
 lcm of its denominators and packed into one Python integer, the sum of
@@ -441,15 +442,20 @@ def _common_denominator(v: np.ndarray) -> int | None:
     return d
 
 
-def _float_certificate(b, c, basis, a, cost):
-    """certify_basis's outcome, (x, objective) or "resume", read off float64
-    solves and proven in integer arithmetic (see the module docstring); None
-    when the proof does not go through, which decides nothing.
+def certify_basis(a_rows, b, c, basis, floats=None) -> LPResult | None:
+    """The optimum at a phase-2 basis, read off float64 solves and proven in
+    integer arithmetic (see the module docstring), or None when the proof
+    does not go through or proves a reduced cost negative.
 
-    a and cost hold a_rows and c as ``_integer_floats`` makes them."""
+    Basis entries j >= len(c) name the artificial of row j - len(c).
+    floats, when given, is ``_integer_floats(a_rows, c)``, made once by the
+    caller.  None decides nothing: ``exact_resume`` then settles the basis.
+    """
+    floats = floats or _integer_floats(a_rows, c)
     bs = _scaled(b)  # s b, s the lcm of b's denominators
-    if max(basis) >= len(c) or max(map(abs, bs)) >= _EXACT:
+    if floats is None or max(basis) >= len(c) or max(map(abs, bs)) >= _EXACT:
         return None
+    a, cost = floats
     mat, bs_float, cost_b = a[:, basis], np.array(bs, dtype=float), cost[basis]
     try:
         inv = np.linalg.inv(mat)
@@ -476,52 +482,21 @@ def _float_certificate(b, c, basis, a, cost):
         return None
     # x_B = p / (d s) and y = r / e, exactly
     if (r @ a > e * cost).any():
-        return "resume"
+        return None
     x, den = [Fraction(0)] * len(c), d * math.lcm(*(v.denominator for v in b))
     p = p.tolist()
     for j, v in zip(basis, p):
         if v:
             x[j] = Fraction(int(v), den)
-    return x, Fraction(sum(c[j] * int(v) for j, v in zip(basis, p)), den)
-
-
-def _exact_certificate(a_rows, b, c, basis):
-    """certify_basis's outcome from fraction-free solves of both basis
-    systems."""
-    cols = _columns(a_rows, b)
-    x = _basic_solution(cols, b, basis, len(c))
-    if x is None:
-        return None
-    if _entering(cols, _integer_costs(c, len(b)), basis, range(len(c))) is not None:
-        return "resume"
-    return x, _objective(c, x)
-
-
-def certify_basis(a_rows, b, c, basis, floats=None):
-    """Exactly solve a phase-2 basis and check the optimality conditions.
-
-    Basis entries j >= len(c) name the artificial of row j - len(c), whose
-    value must be 0.  Returns (x, objective) when the basis is primal
-    feasible and no reduced cost is negative, "resume" when it is feasible
-    but not optimal, and None when it is singular or infeasible.
-
-    floats, when given, is ``_integer_floats(a_rows, c)``, made once by the
-    caller.  The float64 solves' rational reading decides when integer
-    checks prove it (``_float_certificate``).  Otherwise, and whenever
-    a_rows or c holds a non-integer, an artificial is basic or a check's
-    sums could leave float64's exact integers, fraction-free elimination
-    solves both basis systems (``_exact_certificate``).
-    """
-    floats = floats or _integer_floats(a_rows, c)
-    outcome = _float_certificate(b, c, basis, *floats) if floats else None
-    return outcome or _exact_certificate(a_rows, b, c, basis)
+    return LPResult(Fraction(sum(c[j] * int(v) for j, v in zip(basis, p)), den), x)
 
 
 def exact_resume(a_rows, b, c, basis):
-    """Continue exact phase-2 pivoting from a primal feasible basis.
+    """Exact phase-2 pivoting from a primal feasible basis to the optimum.
 
     Returns an LPResult, or None when the basis is singular or infeasible
-    (the caller should restart from scratch).
+    (the caller should restart from scratch).  On an optimal basis it makes
+    no pivot: no reduced cost is negative, which proves the basis optimal.
     """
     cols, basis = _columns(a_rows, b), list(basis)
     if _basic_solution(cols, b, basis, len(c)) is None:
@@ -548,11 +523,12 @@ def solve_lp(a_rows, b, c, floats=None) -> LPResult:
     given, is ``_integer_floats(a_rows, c)``: a_rows and c as exact float64
     arrays, which a caller solving many programs with the same integer rows
     and costs makes once.  The float engine runs on them, and
-    ``certify_basis`` reads them to certify its basis; a basis that is
-    primal feasible but not optimal is resumed with ``exact_resume``.
-    Whatever cannot be certified or resumed, and every float "infeasible"
-    or failure, is solved from scratch by ``exact_solve``; so is a program
-    with an entry beyond float64 range, which the float engine cannot hold.
+    ``certify_basis`` reads them to certify its basis.  A basis that it
+    does not certify is solved exactly by ``exact_resume``, which proves it
+    optimal or pivots on from it.  A singular or infeasible basis, every
+    float "infeasible" or failure, and a program with an entry beyond
+    float64 range, which the float engine cannot hold, are solved from
+    scratch by ``exact_solve``.
     """
     try:
         b_float = np.array(b, dtype=float)
@@ -562,12 +538,7 @@ def solve_lp(a_rows, b, c, floats=None) -> LPResult:
     else:
         basis = float_solve(a_float, b_float, c_float)
     if basis is not None:
-        cert = certify_basis(a_rows, b, c, basis, floats)
-        if cert == "resume":
-            res = exact_resume(a_rows, b, c, basis)
-            if res is not None:
-                return res
-        elif cert is not None:
-            x, obj = cert
-            return LPResult(obj, x)
+        res = certify_basis(a_rows, b, c, basis, floats) or exact_resume(a_rows, b, c, basis)
+        if res is not None:
+            return res
     return exact_solve(a_rows, b, c)

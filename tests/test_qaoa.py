@@ -318,7 +318,7 @@ def test_the_layers_on_the_readout_columns_are_the_full_layers_at_those_columns(
         for kind, g in [("cx", random_er_graph(n, rng.uniform(0.2, 0.9), weights, case)),
                         ("ms", realized_graph(seq))]:
             columns = qaoa._readout_columns(g)
-            assert columns[0] == 0 and np.all(np.diff(columns) > 0)
+            assert 0 not in columns and np.all(np.diff(columns) > 0)
             for u, v, _ in g.edges:
                 assert {1 << u, 1 << v, (1 << u) | (1 << v)} <= set(columns.tolist())
             if kind == "cx":
@@ -328,6 +328,9 @@ def test_the_layers_on_the_readout_columns_are_the_full_layers_at_those_columns(
                 rho, sigma = qaoa._ms_layer(seq, gammas, noise, columns)
                 full_rho, full_sigma = qaoa._ms_layer(seq, gammas, noise, everything)
             assert rho.shape == (3, 1 << (n - 1), len(columns))
+            # the diagonal (k = 0) stays uniform, so <Z_u Z_v> = 0 is not read
+            uniform = np.broadcast_to(np.eye(1, 1 << (n - 1)) / 2, (3, 1 << (n - 1)))
+            np.testing.assert_array_equal(full_rho[:, :, 0], uniform)
             np.testing.assert_array_equal(rho, full_rho[:, :, columns])
             np.testing.assert_array_equal(sigma, full_sigma[columns])
 
@@ -347,17 +350,17 @@ def test_the_readout_gathers_the_t_weighted_sums_of_the_stored_rows(n):
     walsh = qaoa._walsh(rows.copy(), n)
     stored = np.arange(1 << (n - 1))
     at = {k: i for i, k in enumerate(columns.tolist())}
-    want = np.zeros((3, 3))
+    want = np.zeros((3, 2))
     for u, v, z in g.edges:
         t = 1 - 2 * ((stored >> u ^ stored >> v) & 1)
         s = {k: 2 * sigma[at[k]] * np.einsum("x,gx->g", t, rows[:, :, at[k]])
-             for k in (0, 1 << u, 1 << v, 1 << u | 1 << v)}
+             for k in (1 << u, 1 << v, 1 << u | 1 << v)}
         pair = (1 << u ^ 1 << v) & ((1 << (n - 1)) - 1)
         for k, sum_k in s.items():
             np.testing.assert_allclose(2 * sigma[at[k]] * walsh[:, pair, at[k]], sum_k,
                                        rtol=0, atol=1e-12)
-        want += float(z) * np.stack([s[0].real, -(s[1 << u] + s[1 << v]).imag,
-                                     -s[1 << u | 1 << v].real], axis=1)
+        want += float(z) * np.stack([-(s[1 << u] + s[1 << v]).imag, -s[1 << u | 1 << v].real],
+                                    axis=1)
     np.testing.assert_allclose(qaoa._correlators(g, walsh, sigma, columns), want,
                                rtol=0, atol=1e-11)
 
@@ -378,6 +381,42 @@ def test_maxcut_brute_force_is_the_plain_scan(weights):
             assert maxcut_brute_force(g) == plain_max_cut(g)
     big = Graph.from_edges(3, [(0, 1, 10**30), (1, 2, 1), (0, 2, "1/2")])
     assert maxcut_brute_force(big) == plain_max_cut(big) == 10**30 + 1
+
+
+def fraction_sum_overflows(values):
+    """The reference: float() of the Fraction sum of the absolute values
+    overflows."""
+    try:
+        float(sum(map(abs, values), Fraction(0)))
+    except OverflowError:
+        return True
+    return False
+
+
+def test_the_float_range_check_overflows_like_the_fraction_sum():
+    """Absolute sums on both sides of the largest double M and of the
+    midpoint between M and 2^1024 (which rounds up, beyond float64), as
+    edge weights (cx) and as row strengths (ms), split over weights of
+    different denominators and signs."""
+    top = int(np.finfo(float).max)
+    tie = (1 << 1024) - (1 << 970)
+    refused = 0
+    for total in [top - 1, top, top + 1, tie - 1, tie, tie + 1, 1 << 1024]:
+        for extra in [Fraction(0), Fraction(-1, 7), Fraction(1, 5)]:
+            value = total + extra
+            for values in [[value], [-value / 2, value / 3, value / 6], [value - 1, Fraction(-1)]]:
+                overflows = fraction_sum_overflows(values)
+                refused += overflows
+                path = Graph(len(values) + 1, tuple((i, i + 1, w) for i, w in enumerate(values)))
+                seq = PulseSequence(2, tuple(range(len(values))), tuple(values))
+                for g, compilation, sequence in [(path, "cx", None), (Graph(2, ()), "ms", seq)]:
+                    if overflows:
+                        with pytest.raises(ValueError, match="float64 range"):
+                            qaoa._check_float_range(g, compilation, sequence)
+                    else:
+                        qaoa._check_float_range(g, compilation, sequence)
+    assert fraction_sum_overflows([tie]) and not fraction_sum_overflows([tie - Fraction(1, 7)])
+    assert 0 < refused < 63
 
 
 @pytest.mark.parametrize("name, g, construct", CASES, ids=[c[0] for c in CASES])
@@ -477,7 +516,7 @@ def test_a_simulation_holds_no_more_than_the_memory_cap_accounts_for(
     # the layers evolve only the readout's K columns of the 2^n: the peak
     # is a few (G, 2^(n-1), K) stacks
     width = len(qaoa._readout_columns(g))
-    assert width == 22
+    assert width == 21
     assert peak <= 4 * 16 * count_g * 2 ** (g.n - 1) * width
 
 

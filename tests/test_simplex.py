@@ -5,8 +5,8 @@ range), the exact engine (revised Bland pivoting on integer solves) and the
 float tableau against scipy's HiGHS, the float tableau's bases against a
 plain reference copy of its pivot rules, the exact engine on real L1
 cut-matrix LPs with pinned optimal vertices, the integer eliminator and
-certify_basis against Fraction elimination, and the float certificate
-against elimination on L1 programs and integer LPs."""
+exact_resume against Fraction elimination, and certify_basis, the float
+certificate, against elimination on L1 programs and integer LPs."""
 
 import itertools
 import math
@@ -21,7 +21,8 @@ from scipy.optimize import linprog
 from isingcoupler import parse_edge_list, random_er_graph, simplex, verify
 from isingcoupler.exactopt import _cut_columns, _l1_program, solve_l1
 from isingcoupler.graphs import couplings
-from isingcoupler.simplex import SimplexError, certify_basis, exact_solve, float_solve, solve_lp
+from isingcoupler.simplex import (LPResult, SimplexError, certify_basis, exact_resume, exact_solve,
+                                  float_solve, solve_lp)
 
 
 @pytest.fixture
@@ -72,7 +73,7 @@ def test_non_optimal_basis_resumes_to_the_exact_optimum(log, float_basis):
     float_basis(basis)
     res = solve_lp(a_rows, b, c)
     assert [(name, result if name == "certify_basis" else "ok") for name, result in log] == [
-        ("certify_basis", "resume"), ("exact_resume", "ok")]
+        ("certify_basis", None), ("exact_resume", "ok")]
     assert res.objective == -7 and res.x == OPTIMUM
 
 
@@ -81,8 +82,8 @@ def test_singular_basis_falls_back_to_exact_solve(log, float_basis):
     a_rows, b, c = exact_lp([[1, 1, 0], [0, 0, 1]], [2, 1], [1, 2, 0])
     float_basis([0, 1])
     res = solve_lp(a_rows, b, c)
-    assert [name for name, _ in log] == ["certify_basis", "exact_solve"]
-    assert log[0][1] is None
+    assert [name for name, _ in log] == ["certify_basis", "exact_resume", "exact_solve"]
+    assert log[0][1] is None and log[1][1] is None
     assert res.objective == 2 and res.x == [2, 0, 1]
 
 
@@ -91,7 +92,7 @@ def test_basis_with_a_nonzero_artificial_falls_back_to_exact_solve(log, float_ba
     a_rows, b, c = exact_lp([[1, 0], [0, 1]], [1, 1], [1, 1])
     float_basis([2, 1])
     res = solve_lp(a_rows, b, c)
-    assert log == [("certify_basis", None), ("exact_solve", res)]
+    assert log == [("certify_basis", None), ("exact_resume", None), ("exact_solve", res)]
     assert res.objective == 2 and res.x == [1, 1]
 
 
@@ -188,7 +189,7 @@ def test_exact_engine_solves_l1_cut_matrix_lps_to_the_pinned_vertex(monkeypatch,
                         (lambda a, b, c: None) if start == "restart" else phase_one_basis)
     res = solve_l1(g)
     expected = [("exact_solve", "ok")] if start == "restart" else [
-        ("certify_basis", "resume"), ("exact_resume", "ok")]
+        ("certify_basis", None), ("exact_resume", "ok")]
     assert [(name, result if name == "certify_basis" else "ok") for name, result in log] == expected
     assert res.objective == certified.objective and verify(res.sequence, g)
     assert list(zip(res.sequence.rows, map(str, res.sequence.strengths))) == L1_VERTICES[graph]
@@ -206,12 +207,13 @@ def highs_l1(g):
 @pytest.mark.parametrize("weights", [(), (1, 2, 3), (1, -1)], ids=["unweighted", "123", "pm1"])
 @pytest.mark.parametrize("n, seed", [(n, seed) for n in (6, 7, 8) for seed in range(5)])
 def test_float_basis_of_an_l1_program_certifies_as_optimal(log, n, weights, seed):
-    """The float engine hands certify_basis an optimal basis: no resume and
-    no exact restart, and the certified objective is HiGHS's."""
+    """The float engine hands certify_basis an optimal basis, which it
+    certifies: no exact_resume and no exact restart, and the certified
+    objective is HiGHS's."""
     g = random_er_graph(n, 0.2 + 0.15 * seed, weights, seed)
     res = solve_l1(g)
     assert [name for name, _ in log] == ["certify_basis"]
-    assert isinstance(log[0][1], tuple) and log[0][1][1] == res.objective
+    assert isinstance(log[0][1], LPResult) and log[0][1].objective == res.objective
     assert float(res.objective) == pytest.approx(highs_l1(g), rel=1e-9, abs=1e-9)
 
 
@@ -246,7 +248,8 @@ def test_phase_one_falls_back_to_blands_rule_after_m_degenerate_pivots(monkeypat
         fallbacks += stalled >= m and dantzig != bland
         stalled = stalled + 1 if step <= simplex.FLOAT_TOL else 0
     assert fallbacks > 0
-    assert [(name, isinstance(result, tuple)) for name, result in log] == [("certify_basis", True)]
+    assert [(name, isinstance(result, LPResult)) for name, result in log] == [
+        ("certify_basis", True)]
     assert verify(res.sequence, g)
     assert float(res.objective) == pytest.approx(highs_l1(g), rel=1e-9, abs=1e-9)
 
@@ -573,17 +576,47 @@ def reference_certificate(a_rows, b, c, basis):
     return x, sum(cj * xj for cj, xj in zip(c, x))
 
 
+def exact_optimum(a_rows, b, c):
+    """exact_solve's objective, or None when the LP is unbounded or
+    infeasible (the rational rows below no longer hold their x0)."""
+    try:
+        return exact_solve(a_rows, b, c).objective
+    except SimplexError:
+        return None
+
+
+def check_resume(a_rows, b, c, basis, optimum):
+    """exact_resume from basis against Fraction elimination: None exactly
+    when the basis is singular or infeasible, the basis's (x, objective)
+    when it is optimal, and the optimum (None: the LP is unbounded, which
+    resuming finds too) when it is not.  Returns elimination's outcome."""
+    expected = reference_certificate(a_rows, b, c, basis)
+    if expected == "resume" and optimum is None:
+        with pytest.raises(SimplexError, match="unbounded"):
+            exact_resume(a_rows, b, c, basis)
+        return expected
+    res = exact_resume(a_rows, b, c, basis)
+    if expected is None:
+        assert res is None
+    elif expected == "resume":
+        assert res.objective == optimum
+    else:
+        assert res == LPResult(expected[1], expected[0])
+    return expected
+
+
 def test_basis_with_a_negative_pivot_is_certified():
     # B = [[-1]]: the last pivot is -1, so x_0 = 1 has numerator -1, and the
     # reduced cost 2 of x_1 appears as -2 before the sign of d is applied
-    assert certify_basis([[-1, 1]], [Fraction(-1)], [Fraction(1), Fraction(1)], [0]) == (
-        [1, 0], 1)
+    lp = [[-1, 1]], [Fraction(-1)], [Fraction(1), Fraction(1)], [0]
+    assert exact_resume(*lp) == certify_basis(*lp) == LPResult(1, [1, 0])
 
 
-def test_certify_basis_decides_every_basis_like_fraction_elimination():
+def test_exact_resume_decides_every_basis_like_fraction_elimination():
     """Every choice of m basic columns, artificials included, of random LPs
     with rational rows, so that pivots of both signs and singular,
-    infeasible, non-optimal and optimal bases all occur."""
+    infeasible, non-optimal and optimal bases all occur.  certify_basis,
+    which declines rational rows, certifies none of them wrongly."""
     outcomes = set()
     for seed in range(12):
         rng = random.Random(seed)
@@ -592,9 +625,11 @@ def test_certify_basis_decides_every_basis_like_fraction_elimination():
         b = [Fraction(v) for v in b]
         c = [Fraction(v, rng.choice([1, 2])) - 1 for v in c]
         m, ns = len(a_rows), len(c)
+        optimum = exact_optimum(a_rows, b, c)
         for basis in itertools.islice(itertools.combinations(range(ns + m), m), 400):
-            expected = reference_certificate(a_rows, b, c, list(basis))
-            assert certify_basis(a_rows, b, c, list(basis)) == expected, (seed, basis)
+            expected = check_resume(a_rows, b, c, list(basis), optimum)
+            cert = certify_basis(a_rows, b, c, list(basis))
+            assert cert is None or cert == LPResult(expected[1], expected[0]), (seed, basis)
             outcomes.add(expected if expected in (None, "resume") else "optimal")
     assert outcomes == {None, "resume", "optimal"}
 
@@ -608,60 +643,69 @@ L1_WEIGHT_SETS = [(), (1, 2, 3), (1, -1), (1, -2, 5), (Fraction(1, 3), Fraction(
        st.integers(0, 2**32))
 @example(8, (1, Fraction(1, 999983)), 0.8, 0)  # scaled basic values 1/8 beside 249996.75
 def test_float_certificate_of_an_l1_basis_is_the_elimination_result(n, weights, p, seed):
-    """The float certificate decides the float basis of random L1 programs,
+    """certify_basis decides the float basis of random L1 programs,
     unweighted and weighted, with weights of small and large denominators,
-    and gives the (x, objective) of fraction-free elimination."""
+    and gives the optimum that fraction-free elimination proves."""
     a_rows, costs, floats = _l1_program(n)
     b = couplings(random_er_graph(n, p, weights, seed))
     basis = float_solve(floats[0], np.array(b, dtype=float), floats[1])
-    cert = simplex._float_certificate(b, costs, basis, *floats)
-    assert isinstance(cert, tuple)
-    assert cert == simplex._exact_certificate(a_rows, b, costs, basis)
+    cert = certify_basis(a_rows, b, costs, basis, floats)
+    assert isinstance(cert, LPResult)
+    assert cert == exact_resume(a_rows, b, costs, basis)
 
 
 def test_a_weight_beyond_the_exact_float_range_is_certified_by_elimination(log):
     """A weight of 10^15 + 1 makes basic values near 2.5 10^14, whose
     products with B's rows can sum beyond 2^53, so the guard declines the
-    float certificate and elimination certifies the basis."""
+    float certificate, and exact_resume proves the basis optimal with no
+    pivot: no column can enter."""
     g = parse_edge_list("n 6\n0 1 1000000000000001\n1 2\n2 3\n3 4\n4 5\n0 5 2\n")
     a_rows, costs, floats = _l1_program(6)
     b = couplings(g)
     basis = float_solve(floats[0], np.array(b, dtype=float), floats[1])
-    assert simplex._float_certificate(b, costs, basis, *floats) is None
-    cert = certify_basis(a_rows, b, costs, basis, floats)
-    assert cert == simplex._exact_certificate(a_rows, b, costs, basis)
-    assert cert[1] == 10**15 + 1
+    assert certify_basis(a_rows, b, costs, basis, floats) is None
+    cols = simplex._columns(a_rows, b)
+    integer_costs = simplex._integer_costs(costs, len(b))
+    assert simplex._entering(cols, integer_costs, basis, range(len(costs))) is None
+    res = exact_resume(a_rows, b, costs, basis)
+    assert res.objective == 10**15 + 1
     log.clear()
-    res = solve_l1(g)
-    assert [(name, isinstance(result, tuple)) for name, result in log] == [("certify_basis", True)]
-    assert res.objective == 10**15 + 1 and verify(res.sequence, g)
+    out = solve_l1(g)
+    assert log == [("certify_basis", None), ("exact_resume", res)]
+    assert out.objective == res.objective and verify(out.sequence, g)
 
 
 def test_float_certificate_decides_bases_of_integer_programs_like_fraction_elimination():
     """Every choice of m real basic columns of random integer LPs: whatever
-    the float certificate decides, optimal or "resume", is what Fraction
-    elimination decides, and it decides both kinds."""
-    decided = set()
+    certify_basis certifies is the optimum that Fraction elimination
+    proves, it certifies some, and it declines every basis that
+    elimination finds feasible but not optimal."""
+    certified = declined = 0
     for seed in range(40):
         a_rows, b, c = random_feasible_lp(seed)
         floats = simplex._integer_floats(a_rows, c)
         for basis in itertools.combinations(range(len(c)), len(b)):
-            cert = simplex._float_certificate(b, c, list(basis), *floats)
-            if cert is not None:
-                assert cert == reference_certificate(a_rows, b, c, list(basis)), (seed, basis)
-                decided.add(cert if cert == "resume" else "optimal")
-    assert decided == {"resume", "optimal"}
+            cert = certify_basis(a_rows, b, c, list(basis), floats)
+            expected = reference_certificate(a_rows, b, c, list(basis))
+            if expected == "resume":
+                assert cert is None, (seed, basis)
+                declined += 1
+            elif cert is not None:
+                assert cert == LPResult(expected[1], expected[0]), (seed, basis)
+                certified += 1
+    assert certified and declined
 
 
 def test_a_singular_basis_is_not_certified_from_a_wrong_float_inverse(monkeypatch):
     """B = [[1, 1], [1, 1]] is singular, yet B x = b and B^T y = c_B are
     consistent, and the pseudo-inverse reads integer solutions that pass
     both equations.  Only the check that the rounded inverse times B is
-    diagonally dominant refuses them, so the outcome stays elimination's."""
+    diagonally dominant refuses them, so exact_resume settles the basis,
+    as singular."""
     a_rows, b, c = [[1, 1, 0], [1, 1, 1]], [2, 2], [1, 1, 5]
     monkeypatch.setattr(simplex.np.linalg, "inv", np.linalg.pinv)
-    assert simplex._float_certificate(b, c, [0, 1], *simplex._integer_floats(a_rows, c)) is None
     assert certify_basis(a_rows, b, c, [0, 1]) is None
+    assert exact_resume(a_rows, b, c, [0, 1]) is None
 
 
 @pytest.mark.parametrize("a_rows, b, c, basis", [
@@ -677,5 +721,5 @@ def test_a_singular_basis_is_not_certified_from_a_wrong_float_inverse(monkeypatc
     ([[1, 1], [3, -2]], [8176407364587085, 8099980434827564], [0, 0], [0, 1]),
 ], ids=["primal", "dual", "guard"])
 def test_a_float_reading_is_refused_unless_integer_checks_prove_it(a_rows, b, c, basis):
-    assert simplex._float_certificate(b, c, basis, *simplex._integer_floats(a_rows, c)) is None
-    assert certify_basis(a_rows, b, c, basis) == reference_certificate(a_rows, b, c, basis)
+    assert certify_basis(a_rows, b, c, basis) is None
+    check_resume(a_rows, b, c, basis, exact_optimum(a_rows, b, c))
