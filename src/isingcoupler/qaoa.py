@@ -24,9 +24,10 @@ shares every piece of work that does not depend on both angles:
   Ising phase diagonals do.  So one pass over the circuit acts on one stack
   of all G gammas' density matrices at once (stored as below); every other
   op is the same for all of them.  The stack holds only the columns the
-  readout reads (below), G 2^(n-1) K entries for K of the 2^n columns, and
-  a call that MAX_SIMULATION_BYTES's (G + B) 4^n count puts over the cap is
-  refused before anything is built.
+  readout reads (below), G 2^(n-1) K entries for K of the 2^n columns.  A
+  call builds only arrays sized by those K columns, besides per-n bit
+  tables of n 2^n entries, and one that ``_simulation_bytes``'s count of
+  them puts over MAX_SIMULATION_BYTES is refused before anything is built.
 - The readout (below) takes two numbers per gamma from the stack, each a
   sum over the edges of two-qubit correlators, and two per beta; the whole
   grid is one (G, 2) @ (2, B) product.
@@ -132,10 +133,9 @@ consecutive rows and so change the noise.
 
 The ms layer evolves the stored rows, whose Ising phases are not diagonal
 in R, and takes R by one ``_walsh`` pass at its end.  Its tables are built
-once per layer: every row's phase lookup table in one exp, and every row's
-codes at the rows x ^ m of the stored x in one index.  The phase table is
-cached per n only: the ms codes (E(x) - E(x ^ k))/2 for every x, at the
-evolved columns k.
+once per layer: every row's phase lookup table in one exp, and the codes
+(E(x) - E(x ^ k))/2 for every x at the evolved columns k, from which each
+row reads the rows x ^ m of the stored x.
 
 The readout reads R and sigma directly.  The cost is
 C' = sum_e z (1 - Z_u Z_v)/2.  After the mixer U = prod_q exp(-i beta X_q),
@@ -191,10 +191,8 @@ from .graphs import Graph
 from .pulses import PulseSequence, verify
 
 MAX_BRUTE_FORCE_N = 20
-# Safety cap on (G + B) 4^n complex entries for a G x B grid.  It over-counts:
-# a simulation holds a few G 2^(n-1) K entries at its peak (the stack at the
-# readout's K columns, and a phase factor or a partner copy as large);
-# resizing it would change which calls are refused.
+# Safety cap on the bytes one simulation call allocates, as
+# ``_simulation_bytes`` counts them before anything is built.
 MAX_SIMULATION_BYTES = 1 << 30
 CX = "cx"
 MS = "ms"
@@ -316,18 +314,17 @@ def _bits(n: int) -> np.ndarray:
     return (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
 
 
-@functools.lru_cache(maxsize=None)
-def _ising_codes(n: int) -> np.ndarray:
-    """c(x, k) + n^2 // 4 for every x and k, as uint8, where
-    2 c(x, k) = E(x) - E(x ^ k) for the Ising energies
-    E(x) = sum_{i<j} z_i z_j, z_i = +-1 from bit i: with
-    s = n - 2 popcount(x), 2E = s^2 - n, and s^2 - s'^2 is a multiple of 4
-    of size at most n^2.  (The simulation cap keeps n <= 12, so int16 holds
-    every index and square.)"""
-    x = np.arange(1 << n, dtype=np.int16)
-    squares = ((n - 2 * _bits(n).sum(axis=0)) ** 2).astype(np.int16)
-    diff = squares[:, None] - squares[x[:, None] ^ x]
-    return (diff // 4 + n * n // 4).astype(np.uint8)
+def _ising_codes(n: int, columns: np.ndarray) -> np.ndarray:
+    """c(x, k) + n^2 // 4 for every x and each of the given columns k, a
+    (2^n, K) uint8 array, where 2 c(x, k) = E(x) - E(x ^ k) for the Ising
+    energies E(x) = sum_{i<j} z_i z_j, z_i = +-1 from bit i.  With
+    s = n - 2 popcount(x), 2E = s^2 - n, and every s^2 is n^2 mod 4, so
+    c(x, k) = q(x) - q(x ^ k) for q = s^2 // 4 in [0, n^2 // 4], and every
+    code lies in [0, 2 (n^2 // 4)], which uint8 holds up to n = 22."""
+    q = ((n - 2 * _bits(n).sum(axis=0)) ** 2 // 4).astype(np.uint8)
+    codes = n * n // 4 - q[np.arange(1 << n)[:, None] ^ columns]
+    codes += q[:, None]
+    return codes
 
 
 def _half_plus_states(count: int, n: int, width: int) -> np.ndarray:
@@ -441,11 +438,13 @@ def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec, columns:
     levels = np.arange(-(n * n // 4), n * n // 4 + 1)
     r = noise.minor_rate
     # Each row's Ising phase, at the energies E(x ^ mask), is lut[i] read at
-    # codes[i]; c fused minor channels mix qubit q at mixing[c, q].
+    # the codes of the rows x ^ mask; c fused minor channels mix qubit q at
+    # mixing[c, q].
     strengths = np.array([float(w) for w in seq.strengths])
     lut = np.exp(1j * np.multiply.outer(np.multiply.outer(strengths, gammas), levels))
-    codes = _ising_codes(n)[:, columns][stored ^ np.array(seq.rows, dtype=np.int64)[:, None]]
-    mixing = np.multiply.outer([0.0] + [(1.0 - (1.0 - r) ** c) / 2.0 for c in (1, 2)], 1 - bits)
+    codes = _ising_codes(n, columns)
+    mixing = np.multiply.outer([0.0] + [(1.0 - (1.0 - r) ** c) / 2.0 for c in (1, 2)],
+                               1 - bits).astype(complex)  # so ``_mix`` casts nothing
     # Round i holds, per qubit, the minor channels of the flips after row i-1
     # and before row i (module docstring).
     rounds = [[(a >> q & 1) + (b >> q & 1) for q in range(n)]
@@ -457,7 +456,7 @@ def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec, columns:
                 if c:
                     _mix(*partners[q], mixing[c, q])
         if i < len(seq.rows):
-            rho *= np.take(lut[i], codes[i], axis=1)
+            rho *= np.take(lut[i], codes[stored ^ seq.rows[i]], axis=1)
     # Dep on all n qubits scales every column k != 0 and leaves the uniform
     # diagonal (k = 0); the L rows' depolarizings apply as one at the end.
     keep = (1.0 - noise.major_rate) ** len(seq.rows)
@@ -496,6 +495,20 @@ def check_angles(values) -> np.ndarray:
     return angles
 
 
+def _simulation_bytes(n: int, width: int, count_g: int, count_b: int) -> int:
+    """The bytes a simulation of G gammas and B betas at n qubits holds at
+    most when its layers evolve K = width columns.  Per stored row, in
+    16-byte units: 4 G K for four (G, 2^(n-1), K) complex stacks (the
+    evolved stack, a phase factor or a partner copy as large, and the
+    mixings' temporaries); 2 K for the int64 index and the codes of
+    ``_ising_codes``, or the cx layer's per-edge tables (E < K); and 3 n for
+    ``_bits`` and ``_walsh_bits`` with their temporaries.  Then 64 bytes per
+    entry of the readout's (G + 1, B) float arrays, and 64 KiB for the
+    arrays that do not grow with n."""
+    return (16 * (1 << (n - 1)) * (width * (4 * count_g + 2) + 3 * n)
+            + 64 * count_b * (count_g + 1) + (64 << 10))
+
+
 def simulate_qaoa_p1(
     g: Graph,
     compilation: str,
@@ -518,10 +531,10 @@ def simulate_qaoa_p1(
         raise ValueError(f"unknown compilation {compilation!r}")
     _check_float_range(g, compilation, seq)
     n = g.n
-    if 16 * (len(gammas) + len(betas)) << (2 * n) > MAX_SIMULATION_BYTES:
+    columns = _readout_columns(g)
+    if _simulation_bytes(n, len(columns), len(gammas), len(betas)) > MAX_SIMULATION_BYTES:
         raise ValueError(f"n={n} with {len(gammas)} gammas and {len(betas)} betas needs more "
                          f"than the {MAX_SIMULATION_BYTES >> 30} GiB simulation limit")
-    columns = _readout_columns(g)
     rho, sigma = (_cx_layer(g, gammas, noise, columns) if compilation == CX
                   else _ms_layer(seq, gammas, noise, columns))
     c, s = np.cos(2.0 * betas), np.sin(2.0 * betas)
@@ -575,15 +588,16 @@ def optimize_angles(
     the smallest maximizing (gamma, beta) is among those simulated.
     """
     check_grid_resolution(grid_resolution)
-    cut = maxcut_brute_force(g)
-    if cut <= 0:
-        raise ValueError("graph has no positive cut; ratio undefined")
     steps = np.arange(grid_resolution)
     gammas = 2.0 * math.pi * steps / grid_resolution
     betas = math.pi * steps / grid_resolution
     if _periodic_layer(g, compilation, seq):
         gammas = gammas[: grid_resolution // 2 + 1]
     values = simulate_qaoa_p1(g, compilation, seq, gammas, betas, noise)
+    # the cut scans 2^(n-1) masks, so it follows the simulation's size check
+    cut = maxcut_brute_force(g)
+    if cut <= 0:
+        raise ValueError("graph has no positive cut; ratio undefined")
     cmax = float(cut)  # within float64: simulate_qaoa_p1 checked the weight sum
     near_max = values >= values.max() - TIE_TOLERANCE * max(1.0, cmax)
     i, j = divmod(int(np.flatnonzero(near_max)[0]), grid_resolution)

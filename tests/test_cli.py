@@ -383,12 +383,13 @@ def test_a_weight_beyond_float_range_exits_1_with_one_line(tmp_path, capsys, arg
 
 
 def test_simulate_beyond_the_memory_cap_exits_1_with_one_line(tmp_path, capsys):
-    """The ms scan of a 12-vertex path on the 8-point grid takes all 8 gammas
-    (star strengths are not integers) and needs (8 + 8) * 16 * 4^12 bytes."""
-    graph = write_graph(tmp_path, Graph.unweighted(12, [(i, i + 1) for i in range(11)]))
+    """The ms scan of an 18-vertex path on the 8-point grid takes all 8 gammas
+    (star strengths are not integers) at K = 35 columns of 2^17 stored rows,
+    which the simulator counts at 2.6 GB."""
+    graph = write_graph(tmp_path, Graph.unweighted(18, [(i, i + 1) for i in range(17)]))
     code, stdout, err = run(["simulate", graph, "--optimize", "--grid-res", "8"], capsys)
     assert code == cli.EXIT_FAILURE and stdout == ""
-    assert err.startswith("error: n=12 with 8 gammas and 8 betas ") and err.count("\n") == 1
+    assert err.startswith("error: n=18 with 8 gammas and 8 betas ") and err.count("\n") == 1
 
 
 def test_max_cut_is_exact_beyond_int64(tmp_path, capsys):

@@ -262,13 +262,18 @@ def test_ms_rows_flipping_overlapping_qubits_match_the_dense_oracle():
 @pytest.mark.parametrize("n", range(1, 10))
 def test_ising_codes_are_the_halved_energy_differences(n):
     """Every x, the top bit set included, reads (E(x) - E(x ^ k))/2 shifted
-    by n^2 // 4 into the table's unsigned range."""
+    by n^2 // 4 into the table's unsigned range, at every column and at
+    random sorted subsets of the columns."""
     energy = ising_energies(n)
     diffs = [[energy[x] - energy[x ^ k] for k in range(1 << n)] for x in range(1 << n)]
     assert all(d % 2 == 0 for row in diffs for d in row)
-    codes = qaoa._ising_codes(n)
-    assert codes.dtype == np.uint8 and codes.shape == (1 << n, 1 << n)
-    assert codes.tolist() == [[d // 2 + n * n // 4 for d in row] for row in diffs]
+    rng = np.random.default_rng(n)
+    subsets = [np.arange(1 << n)] + [
+        np.flatnonzero(rng.random(1 << n) < p) for p in (0.1, 0.5, 0.9)]
+    for columns in subsets:
+        codes = qaoa._ising_codes(n, columns)
+        assert codes.dtype == np.uint8 and codes.shape == (1 << n, len(columns))
+        assert codes.tolist() == [[row[k] // 2 + n * n // 4 for k in columns] for row in diffs]
 
 
 def test_ms_rows_with_repeated_and_complemented_masks_match_the_dense_oracle():
@@ -489,35 +494,65 @@ def test_bad_arguments_raise():
 
 
 def test_a_grid_beyond_the_memory_cap_is_refused_before_any_allocation():
-    """One gamma and one beta at n=13 need 2 * 16 * 4^13 bytes = 2 GiB."""
-    path = Graph.unweighted(13, [(i, i + 1) for i in range(12)])
-    with pytest.raises(ValueError, match=r"n=13 with 1 gammas and 1 betas .* 1 GiB"):
-        simulate_qaoa_p1(path, "cx", None, 0.1, 0.2)
+    """One gamma and one beta on a 20-vertex path evolve K = 39 columns of
+    2^19 stored rows, which the count puts at 2.5 GB."""
+    path = Graph.unweighted(20, [(i, i + 1) for i in range(19)])
+    assert qaoa._simulation_bytes(20, 39, 1, 1) > qaoa.MAX_SIMULATION_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"n=20 with 1 gammas and 1 betas .* 1 GiB"):
+            simulate_qaoa_p1(path, "cx", None, 0.1, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def traced_peak(g, compilation, count_g, count_b):
+    """The tracemalloc peak of one noisy simulation on a G x B grid, with
+    the per-n bit tables built inside the call."""
+    seq = union_of_stars(g) if compilation == "ms" else None
+    args = (g, compilation, seq, np.linspace(0.1, 6.0, count_g), np.linspace(0.1, 3.0, count_b),
+            NoiseSpec(0.02, 0.5))
+    qaoa._bits.cache_clear()
+    qaoa._walsh_bits.cache_clear()
+    tracemalloc.start()
+    try:
+        simulate_qaoa_p1(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("compilation", ["cx", "ms"])
 @pytest.mark.parametrize("count_g, count_b", [(16, 2), (2, 16)])
 def test_a_simulation_holds_no_more_than_the_memory_cap_accounts_for(
         compilation, count_g, count_b):
-    """The traced peak stays within the 16 (G + B) 4^n bytes that the call
-    checks against MAX_SIMULATION_BYTES."""
+    """The traced peak stays within the bytes ``_simulation_bytes`` counts
+    for the readout's K columns, which the call checks against
+    MAX_SIMULATION_BYTES."""
     g = random_er_graph(8, 0.5, (), 1)
-    seq = union_of_stars(g) if compilation == "ms" else None
-    args = (g, compilation, seq, np.linspace(0.1, 6.0, count_g), np.linspace(0.1, 3.0, count_b),
-            NoiseSpec(0.02, 0.5))
-    simulate_qaoa_p1(*args)  # the per-n tables are cached before the measured call
-    tracemalloc.start()
-    try:
-        simulate_qaoa_p1(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * (count_g + count_b) << (2 * g.n)
-    # the layers evolve only the readout's K columns of the 2^n: the peak
-    # is a few (G, 2^(n-1), K) stacks
     width = len(qaoa._readout_columns(g))
     assert width == 21
-    assert peak <= 4 * 16 * count_g * 2 ** (g.n - 1) * width
+    assert traced_peak(g, compilation, count_g, count_b) <= qaoa._simulation_bytes(
+        g.n, width, count_g, count_b)
+
+
+@pytest.mark.parametrize("compilation", ["cx", "ms"])
+@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize("shape", ["edge", "path"])
+def test_the_count_bounds_an_edge_and_a_path_beyond_the_papers_sizes(shape, n, compilation):
+    """A single edge (K = 3) and a path (K = 2n - 1) at n = 11 and 12, one
+    grid point and the 8 x 8 scan: the traced peak stays within the count,
+    and every call fits the cap."""
+    edges = [(0, 1)] if shape == "edge" else [(i, i + 1) for i in range(n - 1)]
+    g = Graph.unweighted(n, edges)
+    width = len(qaoa._readout_columns(g))
+    assert width == (3 if shape == "edge" else 2 * n - 1)
+    for count_g, count_b in [(1, 1), (8, 8)]:
+        count = qaoa._simulation_bytes(n, width, count_g, count_b)
+        assert count <= qaoa.MAX_SIMULATION_BYTES
+        assert traced_peak(g, compilation, count_g, count_b) <= count
 
 
 def test_scalar_angles_give_the_one_point_grid_value():
@@ -622,3 +657,19 @@ def test_one_scan_is_one_simulation_with_one_verify(monkeypatch):
     g = Graph.complete(4)
     optimize_angles(g, "ms", union_of_stars(g), NoiseSpec(0.01), grid_resolution=8)
     assert calls == {"simulate": 1, "verify": 1}
+
+
+def test_an_oversized_scan_is_refused_before_the_cut_is_scanned(monkeypatch):
+    """The ratio reads the Max-Cut value only after the simulation, so the
+    size check comes first; a graph with no positive cut is still refused."""
+    def no_scan(g):
+        raise AssertionError("the cut was scanned")
+
+    monkeypatch.setattr(qaoa, "maxcut_brute_force", no_scan)
+    path = Graph.unweighted(18, [(i, i + 1) for i in range(17)])
+    with pytest.raises(ValueError, match=r"n=18 with 5 gammas and 8 betas .* 1 GiB"):
+        optimize_angles(path, "cx", None, grid_resolution=8)
+    monkeypatch.undo()
+    negative = Graph.from_edges(3, [(0, 1, -1), (1, 2, -2)])
+    with pytest.raises(ValueError, match="no positive cut"):
+        optimize_angles(negative, "cx", None, grid_resolution=8)
