@@ -434,12 +434,17 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         raise CommandError(f"cannot write {out_dir}: {exc.strerror}")
     out = out_dir / f"{args.kind}.csv"
-    with _open_out(out) as fh:
-        first = next(rows)
-        writer = csv.DictWriter(fh, fieldnames=list(first))
-        writer.writeheader()
-        writer.writerow(first)
-        writer.writerows(rows)
+    fh = _open_out(out)
+    try:
+        with fh:
+            first = next(rows)
+            writer = csv.DictWriter(fh, fieldnames=list(first))
+            writer.writeheader()
+            writer.writerow(first)
+            writer.writerows(rows)
+    except (ValueError, CommandError):  # main makes these an exit code: keep no partial CSV
+        out.unlink()
+        raise
     _write_manifest(out, args)
     print(f"wrote {out}")
     return EXIT_OK

@@ -25,9 +25,9 @@ shares every piece of work that does not depend on both angles:
   of all G gammas' density matrices at once (stored as below); every other
   op is the same for all of them.  The stack holds only the columns the
   readout reads (below), G 2^(n-1) K entries for K of the 2^n columns.  A
-  call builds only arrays sized by those K columns, besides per-n bit
-  tables of n 2^n entries, and one that ``_simulation_bytes``'s count of
-  them puts over MAX_SIMULATION_BYTES is refused before anything is built.
+  call holds only what ``_simulation_bytes`` counts, and nothing after it
+  returns; one that the count puts over MAX_SIMULATION_BYTES is refused
+  before anything is built.
 - The readout (below) takes two numbers per gamma from the stack, each a
   sum over the edges of two-qubit correlators, and two per beta; the whole
   grid is one (G, 2) @ (2, B) product.
@@ -179,7 +179,6 @@ gamma: a strength of 3/2 or -1/4 does break the symmetry.
 
 from __future__ import annotations
 
-import functools
 import math
 import string
 from dataclasses import dataclass
@@ -233,16 +232,22 @@ def build_cost_operator(g: Graph) -> np.ndarray:
     return diag
 
 
+def _bits(values: np.ndarray, n: int) -> np.ndarray:
+    """Row q holds bit q of each of the values: an (n, len(values)) uint8
+    array."""
+    return (values >> np.arange(n)[:, None] & 1).astype(np.uint8)
+
+
 def _endpoints(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """The edges' endpoints u and v, as int64 arrays."""
     return np.array([(a, b) for a, b, _ in g.edges], dtype=np.int64).reshape(-1, 2).T
 
 
 def maxcut_brute_force(g: Graph) -> Fraction:
-    """Exact Max-Cut value by scanning every cut: the (2^(n-1), E) matrix of
-    which edges each bitmask x cuts, one byte an entry, times the weights
-    as integers.  x and its complement cut the same edges, so x runs over
-    the masks with bit n-1 clear."""
+    """Exact Max-Cut value by scanning every cut: the weights, as integers,
+    times the (E, 2^(n-1)) matrix of which masks x cut each edge, one byte
+    an entry.  x and its complement cut the same edges, so x runs over the
+    masks with bit n-1 clear."""
     if g.n > MAX_BRUTE_FORCE_N:
         raise ValueError(f"n={g.n} too large (limit {MAX_BRUTE_FORCE_N})")
     denom = math.lcm(*(z.denominator for _, _, z in g.edges)) if g.edges else 1
@@ -251,8 +256,8 @@ def maxcut_brute_force(g: Graph) -> Fraction:
     # beyond that the sums are Python integers
     dtype = np.int64 if sum(map(abs, weights)) < 1 << 63 else object
     u, v = _endpoints(g)
-    bits = (np.arange(1 << (g.n - 1))[:, None] >> np.arange(g.n) & 1).astype(np.uint8)
-    cuts = np.einsum("xe,e->x", bits[:, u] ^ bits[:, v], np.array(weights, dtype=dtype))
+    bits = _bits(np.arange(1 << (g.n - 1)), g.n)
+    cuts = np.einsum("ex,e->x", bits[u] ^ bits[v], np.array(weights, dtype=dtype))
     return Fraction(int(cuts.max()), denom)
 
 
@@ -308,12 +313,6 @@ def apply_depolarizing(rho: np.ndarray, qubits, lam: float, n: int) -> np.ndarra
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _bits(n: int) -> np.ndarray:
-    """Row q holds bit q of every index 0..2^n - 1, as int64."""
-    return (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
-
-
 def _ising_codes(n: int, columns: np.ndarray) -> np.ndarray:
     """c(x, k) + n^2 // 4 for every x and each of the given columns k, a
     (2^n, K) uint8 array, where 2 c(x, k) = E(x) - E(x ^ k) for the Ising
@@ -321,16 +320,12 @@ def _ising_codes(n: int, columns: np.ndarray) -> np.ndarray:
     s = n - 2 popcount(x), 2E = s^2 - n, and every s^2 is n^2 mod 4, so
     c(x, k) = q(x) - q(x ^ k) for q = s^2 // 4 in [0, n^2 // 4], and every
     code lies in [0, 2 (n^2 // 4)], which uint8 holds up to n = 22."""
-    q = ((n - 2 * _bits(n).sum(axis=0)) ** 2 // 4).astype(np.uint8)
-    codes = n * n // 4 - q[np.arange(1 << n)[:, None] ^ columns]
+    x = np.arange(1 << n)
+    by_popcount = np.array([(n - 2 * c) ** 2 // 4 for c in range(n + 1)], dtype=np.uint8)
+    q = by_popcount[np.bitwise_count(x)]
+    codes = n * n // 4 - q[x[:, None] ^ columns]
     codes += q[:, None]
     return codes
-
-
-def _half_plus_states(count: int, n: int, width: int) -> np.ndarray:
-    """The stored half of count copies of |+...+><+...+| at width columns k:
-    every entry 2^-n."""
-    return np.full((count, 1 << (n - 1), width), 1.0 / (1 << n), dtype=complex)
 
 
 def _partners(rho: np.ndarray, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -365,15 +360,6 @@ def _walsh(rho: np.ndarray, n: int) -> np.ndarray:
     return rho
 
 
-@functools.lru_cache(maxsize=None)
-def _walsh_bits(n: int) -> np.ndarray:
-    """Row q holds bit q of the even-weight f of each stored Walsh index
-    f' = 0..2^(n-1) - 1: its low n-1 bits are f', and bit n-1 is their
-    parity."""
-    low = np.arange(1 << (n - 1))
-    return _bits(n)[:, low | (_bits(n)[:, low].sum(axis=0) & 1) << (n - 1)]
-
-
 def _readout_columns(g: Graph) -> np.ndarray:
     """The sorted columns k that the readout reads: e_u, e_v and e_u ^ e_v
     of every edge."""
@@ -394,8 +380,11 @@ def _cx_layer(g: Graph, gammas: np.ndarray, noise: NoiseSpec, columns: np.ndarra
     walsh[:, 0] = 0.5
     u, v = _endpoints(g)
     z = np.array([float(w) for _, _, w in g.edges])
-    bits = _bits(n)[:, columns]  # of the evolved columns
-    fbits = _walsh_bits(n)
+    bits = _bits(columns, n)
+    # bit q of the even-weight f of each stored Walsh index f': its low n-1
+    # bits are f', and bit n-1 is their parity
+    fbits = _bits(np.arange(half), n)
+    fbits[n - 1] = np.bitwise_xor.reduce(fbits, axis=0)
     odd = bits[u] ^ bits[v]  # (E, K): where each edge's phase acts
     touched = bits[u] | bits[v]
     r = noise.minor_rate
@@ -432,8 +421,9 @@ def _ms_layer(seq: PulseSequence, gammas: np.ndarray, noise: NoiseSpec, columns:
     """(R, sigma) after the noisy ms cost layer at each gamma, as
     ``_cx_layer`` returns them."""
     n = seq.n
-    rho = _half_plus_states(len(gammas), n, len(columns))
-    bits = _bits(n)[:, columns]
+    # |+...+><+...+| has every entry 2^-n
+    rho = np.full((len(gammas), 1 << (n - 1), len(columns)), 1.0 / (1 << n), dtype=complex)
+    bits = _bits(columns, n)
     stored = np.arange(rho.shape[1])
     levels = np.arange(-(n * n // 4), n * n // 4 + 1)
     r = noise.minor_rate
@@ -501,11 +491,12 @@ def _simulation_bytes(n: int, width: int, count_g: int, count_b: int) -> int:
     16-byte units: 4 G K for four (G, 2^(n-1), K) complex stacks (the
     evolved stack, a phase factor or a partner copy as large, and the
     mixings' temporaries); 2 K for the int64 index and the codes of
-    ``_ising_codes``, or the cx layer's per-edge tables (E < K); and 3 n for
-    ``_bits`` and ``_walsh_bits`` with their temporaries.  Then 64 bytes per
-    entry of the readout's (G + 1, B) float arrays, and 64 KiB for the
+    ``_ising_codes``, or the cx layer's per-edge tables (E < K); and n for
+    the cx layer's uint8 Walsh-index bits with their int64 temporary (9 n
+    bytes a row), or ``_ising_codes``'s 2^n-entry tables.  Then 64 bytes
+    per entry of the readout's (G + 1, B) float arrays, and 64 KiB for the
     arrays that do not grow with n."""
-    return (16 * (1 << (n - 1)) * (width * (4 * count_g + 2) + 3 * n)
+    return (16 * (1 << (n - 1)) * (width * (4 * count_g + 2) + n)
             + 64 * count_b * (count_g + 1) + (64 << 10))
 
 

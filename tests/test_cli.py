@@ -385,7 +385,7 @@ def test_a_weight_beyond_float_range_exits_1_with_one_line(tmp_path, capsys, arg
 def test_simulate_beyond_the_memory_cap_exits_1_with_one_line(tmp_path, capsys):
     """The ms scan of an 18-vertex path on the 8-point grid takes all 8 gammas
     (star strengths are not integers) at K = 35 columns of 2^17 stored rows,
-    which the simulator counts at 2.6 GB."""
+    which the simulator counts at 2.5 GB."""
     graph = write_graph(tmp_path, Graph.unweighted(18, [(i, i + 1) for i in range(17)]))
     code, stdout, err = run(["simulate", graph, "--optimize", "--grid-res", "8"], capsys)
     assert code == cli.EXIT_FAILURE and stdout == ""
@@ -438,6 +438,34 @@ def test_a_directory_at_the_csv_path_fails_before_any_solve(tmp_path, capsys, mo
     code, _, _ = run(["sweep", "fig_random_unweighted", *SMALL["fig_random_unweighted"],
                       "--out-dir", str(tmp_path / "out")], capsys)
     assert code == cli.EXIT_FAILURE and calls == []
+
+
+def test_a_noise_sweep_the_simulation_cap_refuses_exits_1_and_leaves_no_csv(tmp_path, capsys):
+    """At grid 200000 the first row's readout alone counts far over the
+    cap, so the first simulation raises before it builds anything."""
+    out_dir = tmp_path / "out"
+    code, stdout, err = run(["sweep", "fig_noise", "--grid-res", "200000",
+                             "--out-dir", str(out_dir)], capsys)
+    assert code == cli.EXIT_FAILURE and stdout == ""
+    assert err.startswith("error: n=6 with 100001 gammas and 200000 betas ")
+    assert err.count("\n") == 1
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("error", [ValueError, cli.CommandError])
+def test_a_sweep_stopped_by_an_error_after_a_row_leaves_no_csv(tmp_path, capsys, monkeypatch,
+                                                               kind, error):
+    def rows(*args):
+        yield {"graph_id": 0}
+        raise error("the second row failed")
+
+    for name in ("_random_rows", "_worstcase_rows", "_noise_rows"):
+        monkeypatch.setattr(cli, name, rows)
+    code, stdout, err = run(["sweep", kind, *SMALL[kind], "--out-dir", str(tmp_path)], capsys)
+    assert code == cli.EXIT_FAILURE and stdout == ""
+    assert err == "error: the second row failed\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("kind, header", [

@@ -495,7 +495,7 @@ def test_bad_arguments_raise():
 
 def test_a_grid_beyond_the_memory_cap_is_refused_before_any_allocation():
     """One gamma and one beta on a 20-vertex path evolve K = 39 columns of
-    2^19 stored rows, which the count puts at 2.5 GB."""
+    2^19 stored rows, which the count puts at 2.1 GB."""
     path = Graph.unweighted(20, [(i, i + 1) for i in range(19)])
     assert qaoa._simulation_bytes(20, 39, 1, 1) > qaoa.MAX_SIMULATION_BYTES
     tracemalloc.start()
@@ -508,18 +508,16 @@ def test_a_grid_beyond_the_memory_cap_is_refused_before_any_allocation():
     assert peak < 1 << 20
 
 
-def traced_peak(g, compilation, count_g, count_b):
-    """The tracemalloc peak of one noisy simulation on a G x B grid, with
-    the per-n bit tables built inside the call."""
+def traced_memory(g, compilation, count_g, count_b):
+    """The bytes one noisy simulation on a G x B grid leaves allocated after
+    it returns, and its tracemalloc peak."""
     seq = union_of_stars(g) if compilation == "ms" else None
     args = (g, compilation, seq, np.linspace(0.1, 6.0, count_g), np.linspace(0.1, 3.0, count_b),
             NoiseSpec(0.02, 0.5))
-    qaoa._bits.cache_clear()
-    qaoa._walsh_bits.cache_clear()
     tracemalloc.start()
     try:
         simulate_qaoa_p1(*args)
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
@@ -534,7 +532,7 @@ def test_a_simulation_holds_no_more_than_the_memory_cap_accounts_for(
     g = random_er_graph(8, 0.5, (), 1)
     width = len(qaoa._readout_columns(g))
     assert width == 21
-    assert traced_peak(g, compilation, count_g, count_b) <= qaoa._simulation_bytes(
+    assert traced_memory(g, compilation, count_g, count_b)[1] <= qaoa._simulation_bytes(
         g.n, width, count_g, count_b)
 
 
@@ -552,7 +550,18 @@ def test_the_count_bounds_an_edge_and_a_path_beyond_the_papers_sizes(shape, n, c
     for count_g, count_b in [(1, 1), (8, 8)]:
         count = qaoa._simulation_bytes(n, width, count_g, count_b)
         assert count <= qaoa.MAX_SIMULATION_BYTES
-        assert traced_peak(g, compilation, count_g, count_b) <= count
+        assert traced_memory(g, compilation, count_g, count_b)[1] <= count
+
+
+@pytest.mark.parametrize("compilation, n", [("cx", 15), ("ms", 14)])
+def test_a_simulation_leaves_nothing_allocated_after_it_returns(compilation, n):
+    """A one-point call keeps no table between calls: it leaves less
+    allocated than a uint8 bit table of its stored rows would take
+    (n 2^(n-1) bytes).  Each n is one that no other call in the tests
+    simulates, so no earlier call could have built a table this one would
+    reuse."""
+    g = Graph.unweighted(n, [(0, 1)])
+    assert traced_memory(g, compilation, 1, 1)[0] < 64 << 10
 
 
 def test_scalar_angles_give_the_one_point_grid_value():
