@@ -43,6 +43,7 @@ from .graphs import (
     pair_order,
     parse_edge_list,
     random_er_graph,
+    read_fraction,
     serialize_edge_list,
 )
 from .pulses import evaluate, sequence_from_json, sequence_to_json, verify
@@ -93,17 +94,18 @@ def _usage(call, *args):
         raise CommandError(str(exc), EXIT_USAGE) from None
 
 
-def _number(kind, flag, text):
-    """text as a kind (int, float or Fraction); anything else is a usage error."""
+def _number(read, flag, text):
+    """text read by read (float, or ``read_fraction`` for an exact number);
+    a text it refuses is a usage error."""
     try:
-        return kind(text)
+        return read(text)
     except (ValueError, ZeroDivisionError):
         raise CommandError(f"{flag}: not a number: {text!r}", EXIT_USAGE) from None
 
 
 def _weights(text: str) -> list[Fraction]:
     """The comma list of a --weights flag."""
-    return [_number(Fraction, "--weights", w) for w in text.split(",")]
+    return [_number(read_fraction, "--weights", w) for w in text.split(",")]
 
 
 def _load_graph(path: str) -> Graph:
@@ -131,6 +133,15 @@ def _load_sequence(path: str):
 def _write_text(path, text: str):
     try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise CommandError(f"cannot write {path}: {exc.strerror}")
+
+
+def _remove(path):
+    """Remove the file at path, if any; one that cannot be removed is one
+    error line."""
+    try:
+        Path(path).unlink(missing_ok=True)
     except OSError as exc:
         raise CommandError(f"cannot write {path}: {exc.strerror}")
 
@@ -233,7 +244,7 @@ def _cmd_cost(args) -> int:
     durations = []
     for flag, text in (("--t-pi-us", args.t_pi_us),
                        ("--t-ising-per-ion-us", args.t_ising_per_ion_us)):
-        value = _number(Fraction, flag, text)
+        value = _number(read_fraction, flag, text)
         if value <= 0:  # checked here, so that the message names the flag
             raise CommandError(f"{flag}={value} must be positive", EXIT_USAGE)
         durations.append(value)
@@ -437,6 +448,8 @@ def _cmd_sweep(args) -> int:
     fh = _open_out(out)
     try:
         with fh:
+            # an earlier run's manifest would describe this CSV until this run's replaces it
+            _remove(f"{out}.manifest.json")
             first = next(rows)
             writer = csv.DictWriter(fh, fieldnames=list(first))
             writer.writeheader()
@@ -486,8 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cost", help="hardware execution-time estimate")
     p.add_argument("pulse")
-    p.add_argument("--t-pi-us", default=DEFAULT_T_PI_US, help="microseconds per flip round")
-    p.add_argument("--t-ising-per-ion-us", default=DEFAULT_T_ISING_PER_ION_US,
+    # text defaults, which _cmd_cost reads as it reads the flags
+    p.add_argument("--t-pi-us", default=str(DEFAULT_T_PI_US), help="microseconds per flip round")
+    p.add_argument("--t-ising-per-ion-us", default=str(DEFAULT_T_ISING_PER_ION_US),
                    help="microseconds per unit of Ising strength per ion")
     p.set_defaults(func=_cmd_cost)
 

@@ -8,9 +8,10 @@ construction for arbitrary weighted graphs with at most 3m+1 rows after
 merging.  For unweighted graphs, decomposing the edge set into at most n-1
 edge-disjoint stars (a center vertex against its leaves) and realizing each
 star as a biclique gives at most 3n-2 rows with total absolute strength at
-most n-1.  Each construction collects all its rows and merges them once:
-edge by edge through ``canonicalize``, the union of stars in integer units
-of mu/4.
+most n-1.  Each construction collects all its rows as integer counts of one
+unit and merges them once, through ``pulses.merge_rows`` as ``canonicalize``
+does: edge by edge in units of 1/(4d) over the ``integer_units`` of the
+weights, the union of stars in integer units of mu/4.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .graphs import Graph
-from .pulses import PulseSequence, canonicalize
+from .graphs import Graph, integer_units
+from .pulses import PulseSequence, merge_rows
 
 
 def _biclique_template(v2_mask: int, v3_mask: int) -> list[tuple[int, int]]:
@@ -48,10 +49,10 @@ def weighted_edge_by_edge(g: Graph) -> PulseSequence:
     canonicalization, leaving at most 3m+1 rows.
     """
     full = (1 << g.n) - 1
-    rows = []
-    for u, v, z in g.edges:
-        rows += biclique_rows(1 << v, full ^ (1 << u | 1 << v), z)
-    return canonicalize(PulseSequence.from_pairs(g.n, rows))
+    weights, d = integer_units([z for _, _, z in g.edges])
+    rows = [(mask, sign * w) for (u, v, _), w in zip(g.edges, weights)
+            for mask, sign in _biclique_template(1 << v, full ^ (1 << u | 1 << v))]
+    return merge_rows(g.n, rows, Fraction(1, 4 * d))
 
 
 def _require_uniform(g: Graph) -> Fraction:
@@ -107,17 +108,9 @@ def union_of_stars(g: Graph, order: Sequence[int] | None = None) -> PulseSequenc
         raise ValueError("order must be a permutation of 0..n-1")
     full = (1 << g.n) - 1
     position = {v: i for i, v in enumerate(order)}
-    # Every row's strength is a multiple of mu/4, so the rows merge as
-    # integers, in canonicalize's order: each row with bit 0 set is
-    # complemented, equal rows merge in first-seen order, and zeros go.
-    merged: dict[int, int] = {}
+    rows = []
     for i, center in enumerate(order):
         leaves = sum(1 << u for u in g.neighbors(center) if position[u] > i)
         if leaves:
-            for mask, sign in _biclique_template(leaves, full ^ (1 << center | leaves)):
-                key = mask ^ full if mask & 1 else mask
-                merged[key] = merged.get(key, 0) + sign
-    quarter = mu / 4
-    kept = [(mask, count) for mask, count in merged.items() if count]
-    return PulseSequence(g.n, tuple(mask for mask, _ in kept),
-                         tuple(count * quarter for _, count in kept))
+            rows += _biclique_template(leaves, full ^ (1 << center | leaves))
+    return merge_rows(g.n, rows, mu / 4)

@@ -221,14 +221,13 @@ from types import MappingProxyType
 import numpy as np
 
 from .constructions import union_of_stars, weighted_edge_by_edge
-from .graphs import Graph, couplings, pair_order, relabelings
+from .graphs import Graph, couplings, integer_units, pair_order, relabelings
 from .pulses import PulseSequence, coupling_sign, sequence_to_json
 # float_solve is unused here; perfbench's tracing test still checks that this
 # module holds the traced simplex.float_solve, and perfbench changes only
 # together with the benchmark.
 from .simplex import (  # noqa: F401
-    _field_width, _integer_floats, _pack, _packed_step, _scaled, _solve_integer, float_solve,
-    solve_lp)
+    _field_width, _integer_floats, _pack, _packed_step, _solve_integer, float_solve, solve_lp)
 
 MAX_EXACT_N = 8
 # Largest Gershgorin radius R the lower bound scans for integer eigenvalues:
@@ -362,7 +361,7 @@ def _search_supports(cols, b, best, floor, deadline, widths, symmetries=tuple, d
     timed_out) with entries the (row mask, strength) pairs of the best set
     found, or None when no set was accepted.
     """
-    b_int = _scaled(b)
+    b_int, _ = integer_units(b)
     # a minor holds at most m = len(b_int) cut columns, all of norm^2 m, and b_int
     k = _field_width(itertools.islice(cols.values(), len(b_int)), [b_int])
     half, mask = 1 << (k - 1), (1 << k) - 1
@@ -564,7 +563,7 @@ def _symmetries(n: int, b) -> np.ndarray:
     # union with it is the complement of one without it
     switches = np.array([t for t, col in _cut_columns(n).items()
                          if all(s > 0 or not v for s, v in zip(col, b))])
-    b_int = np.array(_scaled(b))
+    b_int = np.array(integer_units(b)[0])
     perms, pair_maps = relabelings(n)
     perms = perms[(b_int[pair_maps] == b_int).all(axis=1)][:MAX_SYMMETRIES // len(switches) + 1]
     masks = np.arange(0, 1 << n, 2)
@@ -680,10 +679,10 @@ def _lower_bound(n: int, b, cols, deadline):
 
 
 def _coupling_matrix(n: int, b) -> list[list[int]]:
-    """The symmetric coupling matrix A of b, scaled to integers as
-    ``_scaled`` scales b, with a zero diagonal."""
+    """The symmetric coupling matrix A of b in its ``integer_units``, with a
+    zero diagonal."""
     a = [[0] * n for _ in range(n)]
-    for (i, j), v in zip(pair_order(n), _scaled(b)):
+    for (i, j), v in zip(pair_order(n), integer_units(b)[0]):
         a[i][j] = a[j][i] = v
     return a
 
@@ -789,7 +788,7 @@ def _decide_n_rows(n: int, b, cols, spectrum, deadline):
         chosen = []
         if grow(chosen, sum(1 << r for r in range(len(masks)) if _horner(polys[r][r], t)), adj):
             # W_r = det(A + tI) / s_r^T adj(A + tI) s_r, in the units of b
-            d = _horner(det, t) / math.lcm(*(v.denominator for v in b))
+            d = _horner(det, t) / integer_units(b)[1]
             return True, [(masks[r], d / _horner(polys[r][r], t)) for r in chosen], nodes
     for _, _, restricted in reversed(roots):  # t = -lambda ascending
         if restricted:

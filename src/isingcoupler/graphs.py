@@ -10,6 +10,15 @@ i < j, in ``pair_order(n)``: the edge weight, or 0 for a non-edge.  That
 tuple is the target b of the cut-matrix system Q W = b, and
 ``pulses.evaluate`` returns a sequence's couplings in the same order.
 
+Exact numbers are read and scaled in one place each.  ``read_fraction`` is
+the one reader of a number's text (edge-list weights, pulse-file strengths
+and the CLI's exact flags); it refuses a literal whose numerator or
+denominator would pass Python's digit limit for integer text, by its
+exponent before it builds anything.  ``integer_units`` turns exact values
+into integers in one common unit, the one lcm of denominators taken in the
+package: the exact solvers, ``pulses.evaluate`` and ``canonicalize``, the
+constructions and the Max-Cut scan all count in it.
+
 ``relabelings(n)`` tabulates every vertex permutation with the pair each
 sends each pair to.  It keys the graph classes here (one numpy pass over
 the table per edge bitmask: 6 ms for every mask at n=5, 0.3 s at n=6) and
@@ -20,6 +29,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -103,6 +114,29 @@ class Graph:
         return out
 
 
+def read_fraction(text: str) -> Fraction:
+    """The exact value of a literal ``Fraction`` reads (an integer, a decimal
+    with an optional exponent, or p/q), or ValueError (ZeroDivisionError for
+    q = 0).  A literal whose numerator or denominator has more digits than
+    ``sys.get_int_max_str_digits()`` is refused: one with a larger exponent
+    before anything is built, the others when str() refuses them, as it
+    would on output."""
+    limit = sys.get_int_max_str_digits()
+    _, e, exponent = text.lower().partition("e")
+    if e and limit and abs(int(exponent)) > limit:
+        raise ValueError(f"exponent of {text!r} beyond {limit} digits")
+    value = Fraction(text)
+    str(value.numerator), str(value.denominator)  # ValueError past the limit
+    return value
+
+
+def integer_units(values) -> tuple[list[int], int]:
+    """(ints, d): the exact values (Fractions or ints) times d, the least
+    common multiple of their denominators (1 for no values)."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
@@ -147,7 +181,7 @@ def parse_edge_list(text: str) -> Graph:
         z = Fraction(1)
         if len(tokens) == 3:
             try:
-                z = Fraction(tokens[2])
+                z = read_fraction(tokens[2])
             except (ValueError, ZeroDivisionError):
                 raise GraphParseError(f"line {lineno}: bad weight {tokens[2]!r}")
         if z != 0:

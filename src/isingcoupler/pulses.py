@@ -19,12 +19,11 @@ sequence_from_json.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .graphs import Graph, couplings, pair_order
+from .graphs import Graph, couplings, integer_units, pair_order, read_fraction
 
 
 @dataclass(frozen=True)
@@ -74,11 +73,10 @@ def coupling_sign(mask: int, i: int, j: int) -> int:
 
 def evaluate(seq: PulseSequence) -> tuple[Fraction, ...]:
     """Couplings realized by the sequence, one per pair in pair_order(n),
-    in exact arithmetic: the strengths scaled by the lcm of their
-    denominators sum as integers, and each pair makes one Fraction."""
-    denom = math.lcm(*(w.denominator for w in seq.strengths))
-    rows = [(mask, w.numerator * (denom // w.denominator))
-            for mask, w in zip(seq.rows, seq.strengths)]
+    in exact arithmetic: the strengths' ``integer_units`` sum as integers,
+    and each pair makes one Fraction."""
+    counts, denom = integer_units(seq.strengths)
+    rows = list(zip(seq.rows, counts))
     return tuple(
         Fraction(sum(w * coupling_sign(mask, i, j) for mask, w in rows), denom)
         for i, j in pair_order(seq.n)
@@ -92,22 +90,28 @@ def verify(seq: PulseSequence, g: Graph) -> bool:
     return evaluate(seq) == couplings(g)
 
 
-def canonicalize(seq: PulseSequence) -> PulseSequence:
-    """Normalize rows, merge equal rows, and drop zero strengths.
-
-    Complementing a row leaves the realized coupling unchanged, so every
-    row with bit 0 set is first XORed with the all-ones mask; rows then
-    equal are merged, in first-seen order, by summing strengths, and rows
-    whose merged strength is zero are removed.  The realized coupling is
-    preserved; L0 and L1 never increase.
-    """
-    full = (1 << seq.n) - 1
-    merged: dict[int, Fraction] = {}
-    for mask, w in zip(seq.rows, seq.strengths):
+def merge_rows(n: int, rows: Iterable[tuple[int, int]], unit) -> PulseSequence:
+    """The canonical sequence of the (mask, count) rows, each of strength
+    count * unit.  Complementing a row leaves the realized coupling
+    unchanged, so every row with bit 0 set is first XORed with the all-ones
+    mask; rows then equal are merged, in first-seen order, by summing their
+    integer counts, and rows whose merged count is zero are removed."""
+    full = (1 << n) - 1
+    merged: dict[int, int] = {}
+    for mask, count in rows:
         key = mask ^ full if mask & 1 else mask
-        merged[key] = merged.get(key, Fraction(0)) + w
-    kept = [(mask, w) for mask, w in merged.items() if w != 0]
-    return PulseSequence.from_pairs(seq.n, kept)
+        merged[key] = merged.get(key, 0) + count
+    kept = [(mask, count) for mask, count in merged.items() if count]
+    return PulseSequence(n, tuple(mask for mask, _ in kept),
+                         tuple(count * unit for _, count in kept))
+
+
+def canonicalize(seq: PulseSequence) -> PulseSequence:
+    """Normalize rows, merge equal rows, and drop zero strengths: the
+    strengths' ``integer_units`` through ``merge_rows``, in units of 1/d.
+    The realized coupling is preserved; L0 and L1 never increase."""
+    counts, d = integer_units(seq.strengths)
+    return merge_rows(seq.n, zip(seq.rows, counts), Fraction(1, d))
 
 
 def sequence_to_json(seq: PulseSequence) -> str:
@@ -136,7 +140,9 @@ def sequence_from_json(text: str) -> PulseSequence:
             raise ValueError(f"bad mask {mask!r} for n={n}")
         rows.append(sum(1 << i for i, ch in enumerate(mask) if ch == "-"))
         try:
-            strengths.append(Fraction(w))
-        except (TypeError, ZeroDivisionError, OverflowError):
+            if isinstance(w, bool):  # JSON true is not the strength 1
+                raise TypeError
+            strengths.append(read_fraction(w) if isinstance(w, str) else Fraction(w))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             raise ValueError(f"bad strength {w!r}") from None
     return PulseSequence(n, tuple(rows), tuple(strengths))

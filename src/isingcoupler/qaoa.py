@@ -186,7 +186,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, integer_units
 from .pulses import PulseSequence, verify
 
 MAX_BRUTE_FORCE_N = 20
@@ -233,9 +233,11 @@ def build_cost_operator(g: Graph) -> np.ndarray:
 
 
 def _bits(values: np.ndarray, n: int) -> np.ndarray:
-    """Row q holds bit q of each of the values: an (n, len(values)) uint8
-    array."""
-    return (values >> np.arange(n)[:, None] & 1).astype(np.uint8)
+    """Row q holds bit q of each of the values, all below 2^n: an
+    (n, len(values)) uint8 array, shifted in uint32."""
+    bits = values.astype(np.uint32) >> np.arange(n, dtype=np.uint32)[:, None]
+    bits &= 1
+    return bits.astype(np.uint8)
 
 
 def _endpoints(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -250,8 +252,7 @@ def maxcut_brute_force(g: Graph) -> Fraction:
     masks with bit n-1 clear."""
     if g.n > MAX_BRUTE_FORCE_N:
         raise ValueError(f"n={g.n} too large (limit {MAX_BRUTE_FORCE_N})")
-    denom = math.lcm(*(z.denominator for _, _, z in g.edges)) if g.edges else 1
-    weights = [int(z * denom) for _, _, z in g.edges]
+    weights, denom = integer_units([z for _, _, z in g.edges])
     # int64 holds every cut sum while the absolute weights sum below 2^63;
     # beyond that the sums are Python integers
     dtype = np.int64 if sum(map(abs, weights)) < 1 << 63 else object
@@ -268,8 +269,8 @@ def _check_float_range(g: Graph, compilation: str, seq: PulseSequence | None) ->
     groups = [[z for _, _, z in g.edges], seq.strengths if compilation == MS else ()]
     try:
         for values in groups:  # the exact sum rounded once, as float() of a Fraction
-            denom = math.lcm(*(w.denominator for w in values))
-            sum(abs(w.numerator) * (denom // w.denominator) for w in values) / denom
+            ints, denom = integer_units(values)
+            sum(map(abs, ints)) / denom
     except OverflowError:
         raise ValueError("weights beyond float64 range: the simulation runs in float64") from None
 
@@ -492,7 +493,7 @@ def _simulation_bytes(n: int, width: int, count_g: int, count_b: int) -> int:
     evolved stack, a phase factor or a partner copy as large, and the
     mixings' temporaries); 2 K for the int64 index and the codes of
     ``_ising_codes``, or the cx layer's per-edge tables (E < K); and n for
-    the cx layer's uint8 Walsh-index bits with their int64 temporary (9 n
+    the cx layer's uint8 Walsh-index bits with their uint32 temporary (5 n
     bytes a row), or ``_ising_codes``'s 2^n-entry tables.  Then 64 bytes
     per entry of the readout's (G + 1, B) float arrays, and 64 KiB for the
     arrays that do not grow with n."""

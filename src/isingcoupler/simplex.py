@@ -75,12 +75,12 @@ certificate decides all 72.
 Every exact solve of a linear system (the basis systems of the exact
 engine, and the L0 support systems of ``exactopt``) runs through
 ``_solve_integer``: fraction-free Gauss-Jordan elimination (Bareiss, Math.
-Comp. 22, 1968) on the rows of [mat | rhs], each scaled to integers by the
-lcm of its denominators and packed into one Python integer, the sum of
-x_i 2^(k i) over its entries x_i, matrix entries lowest (``_pack``).  Rows
-are taken in order: one whose matrix part is zero is skipped if the whole
-row is, and is inconsistent otherwise; any other row v pivots on its first
-nonzero field r, and ``_packed_step`` replaces every other row u by
+Comp. 22, 1968) on the rows of [mat | rhs], each in its ``integer_units``
+and packed into one Python integer, the sum of x_i 2^(k i) over its
+entries x_i, matrix entries lowest (``_pack``).  Rows are taken in
+order: one whose matrix part is zero is skipped if the whole row is, and
+is inconsistent otherwise; any other row v pivots on its first nonzero
+field r, and ``_packed_step`` replaces every other row u by
 (v[r] u - u[r] v) / prev, prev the previous pivot.  By Sylvester's identity
 every entry is then, up to sign, a minor of the scaled system, so the
 division is exact, and no gcd is taken.  Packing is linear, so the step
@@ -106,6 +106,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .graphs import integer_units
 
 FLOAT_TOL = 1e-9
 _PIVOT_EPS = 1e-11
@@ -256,13 +258,6 @@ def float_solve(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> list[int] | N
     return tab.basis.tolist()
 
 
-def _scaled(b) -> list[int]:
-    """The Fractions (or ints) b times the least common multiple of their
-    denominators."""
-    scale = math.lcm(*(v.denominator for v in b))
-    return [v.numerator * (scale // v.denominator) for v in b]
-
-
 def _field_width(columns, extras) -> int:
     """Bits k per packed field, 2^(k-2) above every minor of some of columns
     and at most one of extras (Hadamard; each column norm taken as >= 1)."""
@@ -308,7 +303,8 @@ def _solve_integer(mat, rhs_cols):
     """
     s = len(mat[0])
     # a row times a nonzero constant has the same solutions
-    rows = [_scaled([*row, *(rhs[r] for rhs in rhs_cols)]) for r, row in enumerate(mat)]
+    rows = [integer_units([*row, *(rhs[r] for rhs in rhs_cols)])[0]
+            for r, row in enumerate(mat)]
     columns = list(zip(*rows))
     k = _field_width(columns[:s], columns[s:])
     matrix_part = (1 << k * s) - 1
@@ -356,11 +352,6 @@ def _basic_solution(cols, b, basis, ns):
         if j < ns:
             x[j] = Fraction(v, d)
     return x
-
-
-def _integer_costs(c, m):
-    """c scaled to integers (same reduced-cost signs), then 0 per artificial."""
-    return _scaled(c) + [0] * m
 
 
 def _entering(cols, cost, basis, candidates):
@@ -452,7 +443,7 @@ def certify_basis(a_rows, b, c, basis, floats=None) -> LPResult | None:
     caller.  None decides nothing: ``exact_resume`` then settles the basis.
     """
     floats = floats or _integer_floats(a_rows, c)
-    bs = _scaled(b)  # s b, s the lcm of b's denominators
+    bs, s = integer_units(b)  # s b
     if floats is None or max(basis) >= len(c) or max(map(abs, bs)) >= _EXACT:
         return None
     a, cost = floats
@@ -483,7 +474,7 @@ def certify_basis(a_rows, b, c, basis, floats=None) -> LPResult | None:
     # x_B = p / (d s) and y = r / e, exactly
     if (r @ a > e * cost).any():
         return None
-    x, den = [Fraction(0)] * len(c), d * math.lcm(*(v.denominator for v in b))
+    x, den = [Fraction(0)] * len(c), d * s
     p = p.tolist()
     for j, v in zip(basis, p):
         if v:
@@ -501,7 +492,8 @@ def exact_resume(a_rows, b, c, basis):
     cols, basis = _columns(a_rows, b), list(basis)
     if _basic_solution(cols, b, basis, len(c)) is None:
         return None
-    x = _pivot_exactly(cols, b, _integer_costs(c, len(b)), basis, len(c), True)
+    # c in integer units has the same reduced-cost signs; artificials cost 0
+    x = _pivot_exactly(cols, b, integer_units(c)[0] + [0] * len(b), basis, len(c), True)
     return LPResult(_objective(c, x), x)
 
 
@@ -512,7 +504,7 @@ def exact_solve(a_rows, b, c) -> LPResult:
     # phase 1 fails when a basic artificial is nonzero
     if _pivot_exactly(cols, b, [0] * ns + [1] * m, basis, ns, False) is None:
         raise SimplexError("LP is infeasible")
-    x = _pivot_exactly(cols, b, _integer_costs(c, m), basis, ns, True)
+    x = _pivot_exactly(cols, b, integer_units(c)[0] + [0] * m, basis, ns, True)
     return LPResult(_objective(c, x), x)
 
 

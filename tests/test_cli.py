@@ -3,9 +3,13 @@
 
 import csv
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -452,6 +456,32 @@ def test_a_noise_sweep_the_simulation_cap_refuses_exits_1_and_leaves_no_csv(tmp_
     assert list(out_dir.iterdir()) == []
 
 
+def test_a_failed_sweep_leaves_no_manifest_of_an_earlier_run(tmp_path, capsys):
+    """A sweep into the directory of an earlier one removes that run's
+    manifest once it opens the CSV, so a sweep that then fails leaves
+    neither file, and no manifest naming the first run."""
+    out_dir = tmp_path / "d2"
+    first = run(["sweep", "fig_noise", "--grid-res", "8", "--lambda-grid", "0.005",
+                 "--out-dir", str(out_dir)], capsys)
+    assert first[0] == cli.EXIT_OK
+    assert sorted(p.name for p in out_dir.iterdir()) == ["fig_noise.csv",
+                                                         "fig_noise.csv.manifest.json"]
+    second = run(["sweep", "fig_noise", "--grid-res", "200000", "--out-dir", str(out_dir)], capsys)
+    assert second[0] == cli.EXIT_FAILURE
+    assert list(out_dir.iterdir()) == []
+
+
+def test_a_directory_at_the_manifest_path_exits_1_with_one_line_and_no_csv(tmp_path, capsys):
+    """The manifest path is cleared before the first row: a directory there
+    is one error line, and the opened CSV is removed again."""
+    (tmp_path / "fig_noise.csv.manifest.json").mkdir()
+    code, stdout, err = run(["sweep", "fig_noise", "--grid-res", "8", "--lambda-grid", "0.005",
+                             "--out-dir", str(tmp_path)], capsys)
+    assert code == cli.EXIT_FAILURE and stdout == ""
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert not (tmp_path / "fig_noise.csv").exists()
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("error", [ValueError, cli.CommandError])
 def test_a_sweep_stopped_by_an_error_after_a_row_leaves_no_csv(tmp_path, capsys, monkeypatch,
@@ -479,6 +509,59 @@ def test_each_sweep_csv_starts_with_its_header_line(tmp_path, capsys, kind, head
     assert code == cli.EXIT_OK
     lines = (tmp_path / f"{kind}.csv").read_bytes().splitlines(keepends=True)
     assert lines[0] == f"{header}\r\n".encode()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("gen", "--weights"), ("sweep", "--weights"), ("cost", "--t-pi-us"),
+    ("cost", "--t-ising-per-ion-us")])
+def test_a_literal_beyond_the_digit_limit_is_a_usage_error_naming_its_flag(
+        tmp_path, capsys, command, flag):
+    """1e5000 has more digits than Python converts to text, so the flag that
+    holds it is refused before any work."""
+    (tmp_path / "p.json").write_text(sequence_to_json(union_of_stars(Graph.complete(3))))
+    out_dir = tmp_path / "out"
+    argv = {"gen": ["gen", "3", "0.5", "--weights", "1e5000"],
+            "sweep": ["sweep", "fig_random_weighted", "--weights", "1,1e5000",
+                      "--out-dir", str(out_dir)],
+            "cost": ["cost", str(tmp_path / "p.json"), flag, "1e5000"]}[command]
+    code, stdout, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE and stdout == ""
+    assert err == f"error: {flag}: not a number: '1e5000'\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "{graph}", "--out", "{out}"],
+    ["optimize", "{graph}", "--objective", "l1", "--out", "{out}"],
+    ["cost", "{pulse}"],
+], ids=["compile", "optimize-l1", "cost"])
+def test_an_input_literal_beyond_the_digit_limit_exits_1_with_one_line(tmp_path, capsys, argv):
+    """A weight or a strength of 1e5000 is refused where the file is read:
+    one error line naming it, and no output file."""
+    graph, pulse, out = tmp_path / "g.txt", tmp_path / "p.json", tmp_path / "o.json"
+    graph.write_text("n 2\n0 1 1e5000\n")
+    pulse.write_text('{"n": 2, "ops": [{"mask": "+-", "w": "1e5000"}]}')
+    code, stdout, err = run([a.format(graph=graph, pulse=pulse, out=out) for a in argv], capsys)
+    assert code == cli.EXIT_FAILURE and stdout == ""
+    assert err.count("\n") == 1
+    assert ("bad strength '1e5000'" if argv[0] == "cost" else "line 2: bad weight '1e5000'") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["weight", "strength"])
+def test_an_exponent_of_a_billion_is_refused_at_once(tmp_path, kind):
+    """1e999999999 is refused by its exponent, before Fraction would build
+    10^999999999 (which takes minutes): the process ends well within 10 s."""
+    graph, pulse = tmp_path / "g.txt", tmp_path / "p.json"
+    graph.write_text("n 2\n0 1 1e999999999\n")
+    pulse.write_text('{"n": 2, "ops": [{"mask": "+-", "w": "1e999999999"}]}')
+    argv = ["compile", str(graph)] if kind == "weight" else ["cost", str(pulse)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "isingcoupler.cli", *argv], capture_output=True,
+                          text=True, timeout=10, env=env)
+    assert done.returncode == cli.EXIT_FAILURE and done.stdout == ""
+    assert done.stderr.count("\n") == 1 and "1e999999999" in done.stderr
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from isingcoupler import (
     Graph, PulseSequence, biclique_rows, canonicalize, enumerate_labeled_graphs, evaluate,
-    union_of_stars, verify, weighted_edge_by_edge,
+    random_er_graph, union_of_stars, verify, weighted_edge_by_edge,
 )
 from isingcoupler.cli import noise_standin_graphs
 from isingcoupler.constructions import greedy_star_order
@@ -109,7 +109,8 @@ def fraction_union_of_stars(g):
     return canonicalize(PulseSequence.from_pairs(g.n, rows))
 
 
-@pytest.mark.parametrize("mu", [1, Fraction(3, 2), -2], ids=["one", "three_halves", "minus_two"])
+@pytest.mark.parametrize("mu", [1, Fraction(3, 2), -2, 10**400],
+                         ids=["one", "three_halves", "minus_two", "ten_to_400"])
 def test_union_of_stars_merged_as_integers_is_the_fraction_merge(mu):
     """Rows, their first-seen order and strengths equal the Fraction merge on
     every graph class with n <= 6."""
@@ -119,6 +120,28 @@ def test_union_of_stars_merged_as_integers_is_the_fraction_merge(mu):
             seq = union_of_stars(g)
             assert seq == fraction_union_of_stars(g)
             assert all(type(w) is Fraction for w in seq.strengths)
+
+
+def fraction_edge_by_edge(g):
+    """The edge-by-edge construction merged in Fractions: every edge's four
+    biclique rows, canonicalized together."""
+    full = (1 << g.n) - 1
+    rows = [row for u, v, z in g.edges
+            for row in biclique_rows(1 << v, full ^ (1 << u | 1 << v), z)]
+    return canonicalize(PulseSequence.from_pairs(g.n, rows))
+
+
+@pytest.mark.parametrize("weights", [(1, 2, 3), (Fraction(1, 2), -1, Fraction(3, 4)),
+                                     (10**400, 1)], ids=["1,2,3", "1/2,-1,3/4", "10^400,1"])
+def test_edge_by_edge_merged_in_integer_units_is_the_fraction_merge(weights):
+    """Rows, their first-seen order and strengths equal the Fraction merge on
+    every graph class with n <= 5 and on weighted ER(7, 0.5) graphs."""
+    graphs = [g for n in range(1, 6) for g in enumerate_labeled_graphs(n, distinct_only=True)]
+    graphs += [random_er_graph(7, 0.5, weights, seed) for seed in range(20)]
+    for g in graphs:
+        seq = weighted_edge_by_edge(g)
+        assert seq == fraction_edge_by_edge(g)
+        assert all(type(w) is Fraction for w in seq.strengths)
 
 
 def test_edge_by_edge_rows():

@@ -37,9 +37,11 @@ from isingcoupler import exactopt
 from isingcoupler.exactopt import (
     INCUMBENT_TIMEOUT, MAX_ROOT_COEFF, MAX_SCAN_RADIUS, OPTIMAL, _char_poly, _column_space,
     _cut_columns, _decide_n_rows, _default_incumbent, _l1_program, _lower_bound,
-    _rational_roots, _scaled, _search_supports, _symmetries,
+    _rational_roots, _search_supports, _symmetries,
 )
-from isingcoupler.graphs import canonical_edge_mask, couplings, pair_order, relabelings
+from isingcoupler.graphs import (
+    canonical_edge_mask, couplings, integer_units, pair_order, relabelings,
+)
 from isingcoupler.pulses import PulseSequence, canonicalize
 from isingcoupler.simplex import _field_width, _pack, _packed_step
 
@@ -211,7 +213,7 @@ def scan_reads(g):
     """The clock reads of the bound's Gershgorin scan: one per integer of
     [-R, R], R the largest absolute row sum of the scaled coupling matrix."""
     row_sums = [0] * g.n
-    for (i, j), v in zip(pair_order(g.n), _scaled(couplings(g))):
+    for (i, j), v in zip(pair_order(g.n), integer_units(couplings(g))[0]):
         row_sums[i] += abs(v)
         row_sums[j] += abs(v)
     return 2 * max(row_sums) + 1
@@ -964,7 +966,7 @@ def test_automorphisms_match_networkx():
     automorphisms, those whose pair map leaves the scaled couplings
     unchanged, are exactly the weight-preserving automorphisms."""
     for g in symmetry_cases():
-        b_int = np.array(_scaled(couplings(g)))
+        b_int = np.array(integer_units(couplings(g))[0])
         kept = (b_int[relabelings(g.n)[1]] == b_int).all(axis=1)
         assert kept.sum() == networkx_automorphisms(g), g.edges
 

@@ -12,6 +12,7 @@ from isingcoupler.graphs import (
     pair_order,
     parse_edge_list,
     random_er_graph,
+    read_fraction,
     relabelings,
     serialize_edge_list,
 )
@@ -60,6 +61,23 @@ def test_parse_zero_weight_dropped():
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(GraphParseError, match=fragment):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize("literal", [
+    "1e5000", "-1E+5000", "1e-5000", "1e4300", "0." + "0" * 4300 + "1", "1" * 4301,
+    "1/" + "1" * 4301, "1e" + "1" * 4400])
+def test_a_weight_beyond_the_digit_limit_is_a_bad_weight(literal):
+    """A weight whose numerator or denominator would have more digits than
+    Python converts to text is refused where it is read."""
+    with pytest.raises(GraphParseError, match=r"^line 2: bad weight "):
+        parse_edge_list(f"n 2\n0 1 {literal}\n")
+
+
+def test_read_fraction_reads_1e400_and_the_largest_literals_within_the_limit():
+    assert parse_edge_list("n 2\n0 1 1e400\n").edges[0][2] == 10**400
+    assert read_fraction("1e4299") == 10**4299
+    assert read_fraction("-25e-4298") == Fraction(-1, 4 * 10**4296)
+    assert read_fraction("1" * 4300 + "/3") == Fraction(int("1" * 4300), 3)
 
 
 def test_serialize_parse_round_trip():

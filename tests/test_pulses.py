@@ -1,10 +1,11 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from isingcoupler.graphs import Graph, couplings, pair_order, parse_edge_list
+from isingcoupler.graphs import Graph, couplings, integer_units, pair_order, parse_edge_list
 from isingcoupler.pulses import (
     PulseSequence,
     canonicalize,
@@ -191,6 +192,53 @@ def test_evaluate_matches_the_sign_vector_oracle_on_random_masks(case):
     assert evaluate(out) == got
 
 
+def fraction_canonicalize(seq):
+    """The canonical (row, strength) pairs merged in Fractions: rows with
+    bit 0 set complemented, equal rows summed in first-seen order, zeros
+    dropped."""
+    full = (1 << seq.n) - 1
+    merged = {}
+    for mask, w in zip(seq.rows, seq.strengths):
+        key = mask ^ full if mask & 1 else mask
+        merged[key] = merged.get(key, Fraction(0)) + w
+    return [(mask, w) for mask, w in merged.items() if w]
+
+
+strengths = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.sampled_from([Fraction(10**400), Fraction(-(10**400), 3), Fraction(1, 10**400)]))
+
+
+@st.composite
+def cancelling_sequences(draw):
+    """Rows of mixed denominators, some followed later by their complement
+    (or themselves) with the opposite strength, so that they cancel."""
+    n = draw(st.integers(1, 6))
+    full = (1 << n) - 1
+    pairs = draw(st.lists(st.tuples(st.integers(0, full), strengths), max_size=8))
+    for mask, w in draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []:
+        pairs.append((mask ^ full if draw(st.booleans()) else mask, -w))
+    return n, pairs
+
+
+@given(cancelling_sequences())
+@example((3, []))
+@example((2, [(1, Fraction(10**400)), (2, Fraction(-(10**400))), (0, Fraction(1, 6))]))
+@settings(max_examples=200, deadline=None)
+def test_integer_units_and_canonicalize_match_the_fraction_reference(case):
+    """integer_units gives each value as an integer over the least common
+    denominator d (its gcd with d and all the integers is 1), and
+    canonicalize gives the rows and strengths of the Fraction merge."""
+    n, pairs = case
+    values = [w for _, w in pairs]
+    ints, d = integer_units(values)
+    assert [Fraction(x, d) for x in ints] == values and math.gcd(d, *ints) == 1
+    seq = PulseSequence.from_pairs(n, pairs)
+    out = canonicalize(seq)
+    assert list(zip(out.rows, out.strengths)) == fraction_canonicalize(seq)
+    assert all(type(w) is Fraction for w in out.strengths)
+
+
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_rows_are_masks_in_0_to_2_to_the_n(n):
     PulseSequence.from_pairs(n, [(0, 1), ((1 << n) - 1, 1)])
@@ -231,6 +279,20 @@ def test_sequence_json_rejects_bad_mask():
 def test_sequence_json_rejects_malformed_input_with_value_error(text):
     with pytest.raises(ValueError):
         sequence_from_json(text)
+
+
+@pytest.mark.parametrize("w", ["1e5000", "1e-5000", "0." + "0" * 4300 + "1", True, False],
+                         ids=["1e5000", "1e-5000", "long-decimal", "true", "false"])
+def test_sequence_json_refuses_a_strength_beyond_the_digit_limit_or_a_boolean(w):
+    """A strength whose numerator or denominator would pass Python's digit
+    limit for integer text, and a JSON boolean, are bad strengths."""
+    with pytest.raises(ValueError, match="bad strength"):
+        sequence_from_json(json.dumps({"n": 2, "ops": [{"mask": "+-", "w": w}]}))
+
+
+def test_sequence_json_reads_a_strength_of_1e400():
+    seq = sequence_from_json('{"n": 2, "ops": [{"mask": "+-", "w": "1e400"}]}')
+    assert seq.strengths == (Fraction(10**400),)
 
 
 def test_sequence_json_reads_the_sequence_of_an_optimizer_result():

@@ -20,7 +20,7 @@ from scipy.optimize import linprog
 
 from isingcoupler import parse_edge_list, random_er_graph, simplex, verify
 from isingcoupler.exactopt import _cut_columns, _l1_program, solve_l1
-from isingcoupler.graphs import couplings
+from isingcoupler.graphs import couplings, integer_units
 from isingcoupler.simplex import (LPResult, SimplexError, certify_basis, exact_resume, exact_solve,
                                   float_solve, solve_lp)
 
@@ -665,7 +665,7 @@ def test_a_weight_beyond_the_exact_float_range_is_certified_by_elimination(log):
     basis = float_solve(floats[0], np.array(b, dtype=float), floats[1])
     assert certify_basis(a_rows, b, costs, basis, floats) is None
     cols = simplex._columns(a_rows, b)
-    integer_costs = simplex._integer_costs(costs, len(b))
+    integer_costs = integer_units(costs)[0] + [0] * len(b)
     assert simplex._entering(cols, integer_costs, basis, range(len(costs))) is None
     res = exact_resume(a_rows, b, costs, basis)
     assert res.objective == 10**15 + 1
