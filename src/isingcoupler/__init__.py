@@ -36,7 +36,6 @@ from .timing import TimingParams, estimate_time_us
 from .qaoa import (
     NoiseSpec,
     apply_depolarizing,
-    build_cost_operator,
     maxcut_brute_force,
     optimize_angles,
     simulate_qaoa_p1,

@@ -3,14 +3,18 @@
 Exit codes: 0 success, 1 verification/parse failure, 2 finished with an
 unproven incumbent (time limit reached), 3 usage error.  Every setting is a
 flag of the command, or sweep kind, that reads it; any other flag, and any
-abbreviated one, is a usage error.  Every file-producing command writes a
-``<output>.manifest.json`` sidecar recording the invocation, seed, version,
-and wall time; its ``command`` replays the run.
+abbreviated one, is a usage error.  A file-producing command opens its
+output once every flag is checked and every input read, before the work,
+and writes a ``<output>.manifest.json`` sidecar recording the invocation,
+seed, version, and wall time when the work finishes (exit 0 or 2); its
+``command`` replays the run.  A command that fails with exit 1 after the
+open leaves neither file, and no file of an earlier run at that path.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -130,71 +134,73 @@ def _load_sequence(path: str):
         raise CommandError(f"{path}: bad pulse JSON ({exc})")
 
 
-def _write_text(path, text: str):
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError in the block is one error line naming path."""
     try:
-        Path(path).write_text(text)
+        yield
     except OSError as exc:
-        raise CommandError(f"cannot write {path}: {exc.strerror}")
+        raise CommandError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _remove(path):
-    """Remove the file at path, if any; one that cannot be removed is one
-    error line."""
+@contextlib.contextmanager
+def _output(path, args, newline=None):
+    """The file at path, opened for writing (None when path is empty), and
+    its ``<path>.manifest.json``.  A command opens it once every flag is
+    checked and every input read, and does its work in the block: an
+    earlier run's manifest goes at the open, a block ending in an error that
+    main makes an exit code (ValueError, CommandError) removes the file, and
+    one that finishes writes the manifest."""
+    if not path:
+        yield None
+        return
+    manifest = Path(f"{path}.manifest.json")
+    with _writing(path):
+        fh = open(path, "w", newline=newline)
     try:
-        Path(path).unlink(missing_ok=True)
-    except OSError as exc:
-        raise CommandError(f"cannot write {path}: {exc.strerror}")
-
-
-def _open_out(path):
-    """path opened for writing a CSV; a path that cannot be written is one
-    error line."""
-    try:
-        return open(path, "w", newline="")
-    except OSError as exc:
-        raise CommandError(f"cannot write {path}: {exc.strerror}")
-
-
-def _write_manifest(out_path: Path, args_ns):
-    manifest = {
-        "command": shlex.join(["isingcoupler", *args_ns._argv]),
-        "subcommand": args_ns.command,
-        "inputs": [args_ns.graph] if hasattr(args_ns, "graph") else [],
-        "seed": getattr(args_ns, "seed", None),
-        "tool_version": __version__,
-        "wall_time_ms": round((time.monotonic() - args_ns._started) * 1000, 3),
-    }
-    _write_text(f"{out_path}.manifest.json", json.dumps(manifest, indent=2))
+        with _writing(path), fh:
+            with _writing(manifest):
+                manifest.unlink(missing_ok=True)
+            yield fh
+        with _writing(manifest):
+            manifest.write_text(json.dumps({
+                "command": shlex.join(["isingcoupler", *args._argv]),
+                "subcommand": args.command,
+                "inputs": [args.graph] if hasattr(args, "graph") else [],
+                "seed": getattr(args, "seed", None),
+                "tool_version": __version__,
+                "wall_time_ms": round((time.monotonic() - args._started) * 1000, 3),
+            }, indent=2))
+    except (ValueError, CommandError):
+        Path(path).unlink()
+        raise
 
 
 def _cmd_gen(args) -> int:
     weights = _weights(args.weights) if args.weights else []
     g = _usage(random_er_graph, args.n, args.p, weights, args.seed)
-    text = serialize_edge_list(g)
+    with _output(args.out, args) as fh:
+        (fh or sys.stdout).write(serialize_edge_list(g))
     if args.out:
-        _write_text(args.out, text)
-        _write_manifest(Path(args.out), args)
         print(f"wrote {args.out} (n={g.n}, m={g.m})")
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 
 def _cmd_compile(args) -> int:
     g = _load_graph(args.graph)
-    if args.method == "stars":
-        if g.m > 0 and g.uniform_weight() is None:
-            raise CommandError("method requires unweighted (uniform-weight) graph")
-        seq = union_of_stars(g)
-        bound = 3 * g.n - 2
-    else:
-        seq = weighted_edge_by_edge(g)
-        bound = 3 * g.m + 1
-    if not verify(seq, g):
-        raise CommandError("internal error: compiled sequence failed verification")
-    if args.out:
-        _write_text(args.out, sequence_to_json(seq) + "\n")
-        _write_manifest(Path(args.out), args)
+    if args.method == "stars" and g.m > 0 and g.uniform_weight() is None:
+        raise CommandError("method requires unweighted (uniform-weight) graph")
+    with _output(args.out, args) as fh:
+        if args.method == "stars":
+            seq = union_of_stars(g)
+            bound = 3 * g.n - 2
+        else:
+            seq = weighted_edge_by_edge(g)
+            bound = 3 * g.m + 1
+        if not verify(seq, g):
+            raise CommandError("internal error: compiled sequence failed verification")
+        if fh:
+            fh.write(sequence_to_json(seq) + "\n")
     print(
         f"n={g.n} m={g.m} method={args.method} L0={seq.l0} L1={seq.l1} "
         f"bound={bound} verified=true"
@@ -213,13 +219,13 @@ def _cmd_optimize(args) -> int:
             "use compile for a construction",
             EXIT_USAGE,
         )
-    if args.objective == "l1":
-        result = solve_l1(g)
-    else:
-        result = solve_l0(g, time_limit=time_limit)
-    if args.out:
-        _write_text(args.out, result.to_json() + "\n")
-        _write_manifest(Path(args.out), args)
+    with _output(args.out, args) as fh:
+        if args.objective == "l1":
+            result = solve_l1(g)
+        else:
+            result = solve_l0(g, time_limit=time_limit)
+        if fh:
+            fh.write(result.to_json() + "\n")
     print(
         f"objective={result.objective} kind={result.objective_kind} "
         f"status={result.status} nodes={result.nodes_explored} "
@@ -440,25 +446,15 @@ def _cmd_sweep(args) -> int:
         _usage(SplitMix64, args.seed)
         rows = _random_rows(args, weights)
     out_dir = Path(args.out_dir)
-    try:
+    with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CommandError(f"cannot write {out_dir}: {exc.strerror}")
     out = out_dir / f"{args.kind}.csv"
-    fh = _open_out(out)
-    try:
-        with fh:
-            # an earlier run's manifest would describe this CSV until this run's replaces it
-            _remove(f"{out}.manifest.json")
-            first = next(rows)
-            writer = csv.DictWriter(fh, fieldnames=list(first))
-            writer.writeheader()
-            writer.writerow(first)
-            writer.writerows(rows)
-    except (ValueError, CommandError):  # main makes these an exit code: keep no partial CSV
-        out.unlink()
-        raise
-    _write_manifest(out, args)
+    with _output(out, args, newline="") as fh:
+        first = next(rows)
+        writer = csv.DictWriter(fh, fieldnames=list(first))
+        writer.writeheader()
+        writer.writerow(first)
+        writer.writerows(rows)
     print(f"wrote {out}")
     return EXIT_OK
 

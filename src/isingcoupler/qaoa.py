@@ -223,15 +223,6 @@ class NoiseSpec:
 ZERO_NOISE = NoiseSpec(0.0)
 
 
-def build_cost_operator(g: Graph) -> np.ndarray:
-    """Diagonal of C': the cut value of every computational basis state."""
-    idx = np.arange(1 << g.n)
-    diag = np.zeros(1 << g.n)
-    for u, v, z in g.edges:
-        diag += (((idx >> u) ^ (idx >> v)) & 1) * float(z)
-    return diag
-
-
 def _bits(values: np.ndarray, n: int) -> np.ndarray:
     """Row q holds bit q of each of the values, all below 2^n: an
     (n, len(values)) uint8 array, shifted in uint32."""
@@ -590,7 +581,10 @@ def optimize_angles(
     cut = maxcut_brute_force(g)
     if cut <= 0:
         raise ValueError("graph has no positive cut; ratio undefined")
-    cmax = float(cut)  # within float64: simulate_qaoa_p1 checked the weight sum
+    # no overflow (simulate_qaoa_p1 checked the weight sum), but a tiny cut rounds to 0
+    cmax = float(cut)
+    if cmax <= 0:
+        raise ValueError("maximum cut underflows float64; ratio undefined")
     near_max = values >= values.max() - TIE_TOLERANCE * max(1.0, cmax)
     i, j = divmod(int(np.flatnonzero(near_max)[0]), grid_resolution)
     value = float(values[i, j])

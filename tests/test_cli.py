@@ -396,6 +396,16 @@ def test_simulate_beyond_the_memory_cap_exits_1_with_one_line(tmp_path, capsys):
     assert err.startswith("error: n=18 with 8 gammas and 8 betas ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("compilation", ["cx", "ms"])
+def test_a_maximum_cut_below_float64_range_exits_1_with_one_line(tmp_path, capsys, compilation):
+    graph = tmp_path / "tiny.txt"
+    graph.write_text("n 2\n0 1 1e-400\n")
+    code, stdout, err = run(["simulate", str(graph), "--compilation", compilation, "--optimize",
+                             "--grid-res", "8"], capsys)
+    assert code == cli.EXIT_FAILURE and stdout == ""
+    assert err == "error: maximum cut underflows float64; ratio undefined\n"
+
+
 def test_max_cut_is_exact_beyond_int64(tmp_path, capsys):
     """Cut sums of 1e30 overflow int64; the Max-Cut value stays exact and
     the simulation runs."""
@@ -411,9 +421,16 @@ def test_max_cut_is_exact_beyond_int64(tmp_path, capsys):
     ["gen", "4", "0.5", "--out", "{missing}"],
     ["compile", "{graph}", "--out", "{missing}"],
     ["optimize", "{graph}", "--objective", "l1", "--out", "{missing}"],
+    ["optimize", "{graph}", "--out", "{missing}"],
     ["sweep", "fig_worstcase", "--out-dir", "{file}"],
-], ids=["gen", "compile", "optimize", "sweep"])
-def test_an_unwritable_output_path_exits_1_with_one_line(tmp_path, capsys, argv):
+], ids=["gen", "compile", "optimize", "optimize-l0", "sweep"])
+def test_an_unwritable_output_path_exits_1_with_one_line(tmp_path, capsys, monkeypatch, argv):
+    """The output is opened before the work: no construction or solve runs."""
+    def not_called(*args, **kwargs):
+        raise AssertionError("the work ran before the output was opened")
+
+    for name in ("union_of_stars", "weighted_edge_by_edge", "solve_l0", "solve_l1"):
+        monkeypatch.setattr(cli, name, not_called)
     paths = {"missing": str(tmp_path / "no" / "such" / "x.json"), "file": str(tmp_path / "afile"),
              "graph": write_graph(tmp_path, Graph.complete(4))}
     (tmp_path / "afile").write_text("")
@@ -422,6 +439,52 @@ def test_an_unwritable_output_path_exits_1_with_one_line(tmp_path, capsys, argv)
     assert code == cli.EXIT_FAILURE and stdout == ""
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
     assert not (tmp_path / "no").exists()
+
+
+def earlier_optimize(tmp_path, capsys):
+    """o.json and its manifest, written by a successful optimize."""
+    out = tmp_path / "o.json"
+    code, _, _ = run(["optimize", write_graph(tmp_path, Graph.complete(3)), "--out", str(out)],
+                     capsys)
+    assert code == cli.EXIT_OK
+    return out, tmp_path / "o.json.manifest.json"
+
+
+def test_an_optimize_that_fails_after_the_open_leaves_neither_file(tmp_path, capsys):
+    """float64 cannot hold the weight, so the L0 search refuses it, and the
+    earlier run's output and manifest are both gone."""
+    out, manifest = earlier_optimize(tmp_path, capsys)
+    graph = tmp_path / "big.txt"
+    graph.write_text("n 2\n0 1 1e400\n")
+    code, stdout, err = run(["optimize", str(graph), "--out", str(out)], capsys)
+    assert code == cli.EXIT_FAILURE and stdout == ""
+    assert "float64 range" in err and err.count("\n") == 1
+    assert not out.exists() and not manifest.exists()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["{graph}", "--objective", "l1", "--time-limit", "1"], cli.EXIT_USAGE),
+    (["{missing}"], cli.EXIT_FAILURE),
+], ids=["usage-error", "missing-graph"])
+def test_an_optimize_refused_before_the_open_leaves_an_earlier_output_untouched(
+        tmp_path, capsys, argv, expected):
+    files = earlier_optimize(tmp_path, capsys)
+    before = [path.read_bytes() for path in files]
+    paths = {"graph": str(tmp_path / "g.txt"), "missing": str(tmp_path / "missing.txt")}
+    code, stdout, _ = run(["optimize", *[arg.format(**paths) for arg in argv],
+                           "--out", str(files[0])], capsys)
+    assert code == expected and stdout == ""
+    assert [path.read_bytes() for path in files] == before
+
+
+def test_an_unproven_optimize_replaces_both_files(tmp_path, capsys):
+    out, manifest = earlier_optimize(tmp_path, capsys)
+    graph = write_graph(tmp_path, random_er_graph(7, 0.6, (1, 2, 3), 1), "w7.txt")
+    argv = ["optimize", graph, "--time-limit", "0.001", "--out", str(out)]
+    code, _, _ = run(argv, capsys)
+    assert code == cli.EXIT_INCUMBENT
+    assert json.loads(out.read_text())["status"] == INCUMBENT_TIMEOUT
+    assert json.loads(manifest.read_text())["command"] == shlex.join(["isingcoupler", *argv])
 
 
 @pytest.mark.parametrize("kind", KINDS)

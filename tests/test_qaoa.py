@@ -124,6 +124,15 @@ def ising_energies(n):
             for x in range(1 << n)]
 
 
+def build_cost_operator(g):
+    """Diagonal of C': the cut value of every computational basis state."""
+    idx = np.arange(1 << g.n)
+    diag = np.zeros(1 << g.n)
+    for u, v, z in g.edges:
+        diag += (((idx >> u) ^ (idx >> v)) & 1) * float(z)
+    return diag
+
+
 def simulate_qaoa_p1_statevector(g, compilation, seq, gamma, beta):
     """Noise-free cross-check using a pure state instead of a density matrix."""
     n = g.n
@@ -148,7 +157,7 @@ def simulate_qaoa_p1_statevector(g, compilation, seq, gamma, beta):
     else:
         raise ValueError(f"unknown compilation {compilation!r}")
     psi = mixer(n, beta) @ psi
-    return float(np.sum(qaoa.build_cost_operator(g) * np.abs(psi) ** 2))
+    return float(np.sum(build_cost_operator(g) * np.abs(psi) ** 2))
 
 
 def walsh_matrix(bits):
@@ -690,3 +699,14 @@ def test_an_oversized_scan_is_refused_before_the_cut_is_scanned(monkeypatch):
     negative = Graph.from_edges(3, [(0, 1, -1), (1, 2, -2)])
     with pytest.raises(ValueError, match="no positive cut"):
         optimize_angles(negative, "cx", None, grid_resolution=8)
+
+
+@pytest.mark.parametrize("compilation", ["cx", "ms"])
+def test_a_positive_cut_that_underflows_float64_is_refused(compilation):
+    """A cut of 1e-400 is positive, but its float is 0, so no ratio can be
+    formed: one ValueError, which does not say the cut is not positive."""
+    g = Graph.from_edges(2, [(0, 1, Fraction(1, 10**400))])
+    assert maxcut_brute_force(g) > 0
+    with pytest.raises(ValueError, match="^maximum cut underflows float64; ratio undefined$"):
+        optimize_angles(g, compilation, union_of_stars(g) if compilation == "ms" else None,
+                        grid_resolution=8)
