@@ -40,7 +40,6 @@ from .exactopt import (
 from .graphs import (
     MAX_ENUMERATION_N,
     Graph,
-    GraphParseError,
     check_weights,
     couplings,
     enumerate_labeled_graphs,
@@ -112,26 +111,19 @@ def _weights(text: str) -> list[Fraction]:
     return [_number(read_fraction, "--weights", w) for w in text.split(",")]
 
 
-def _load_graph(path: str) -> Graph:
+def _load(path: str, kind: str, parse):
+    """parse of the text of the <kind> file at path.  A missing, unreadable
+    or malformed file is one error line naming it; malformed is a
+    ValueError of the parse, or of decoding the text."""
     try:
-        return parse_edge_list(Path(path).read_text())
+        return parse(Path(path).read_text())
     except FileNotFoundError:
-        raise CommandError(f"graph file not found: {path}")
+        raise CommandError(f"{kind} file not found: {path}") from None
     except OSError as exc:
-        raise CommandError(f"cannot read graph file {path}: {exc.strerror}")
-    except GraphParseError as exc:
-        raise CommandError(f"{path}: {exc}")
-
-
-def _load_sequence(path: str):
-    try:
-        return sequence_from_json(Path(path).read_text())
-    except FileNotFoundError:
-        raise CommandError(f"pulse file not found: {path}")
-    except OSError as exc:
-        raise CommandError(f"cannot read pulse file {path}: {exc.strerror}")
+        raise CommandError(f"cannot read {kind} file {path}: {exc.strerror}") from None
     except ValueError as exc:
-        raise CommandError(f"{path}: bad pulse JSON ({exc})")
+        detail = f"bad pulse JSON ({exc})" if kind == "pulse" else exc
+        raise CommandError(f"{path}: {detail}") from None
 
 
 @contextlib.contextmanager
@@ -187,8 +179,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    g = _load_graph(args.graph)
-    if args.method == "stars" and g.m > 0 and g.uniform_weight() is None:
+    g = _load(args.graph, "graph", parse_edge_list)
+    if args.method == "stars" and g.uniform_weight() is None:
         raise CommandError("method requires unweighted (uniform-weight) graph")
     with _output(args.out, args) as fh:
         if args.method == "stars":
@@ -212,7 +204,7 @@ def _cmd_optimize(args) -> int:
     if args.objective == "l1" and "time_limit" in args:
         raise CommandError("--time-limit is read only by --objective l0", EXIT_USAGE)
     time_limit = _usage(check_time_limit, getattr(args, "time_limit", DEFAULT_TIME_LIMIT))
-    g = _load_graph(args.graph)
+    g = _load(args.graph, "graph", parse_edge_list)
     if g.n > MAX_EXACT_N:
         raise CommandError(
             f"n={g.n} exceeds the exact-solve limit of {MAX_EXACT_N}; "
@@ -235,8 +227,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
-    seq = _load_sequence(args.pulse)
+    g = _load(args.graph, "graph", parse_edge_list)
+    seq = _load(args.pulse, "pulse", sequence_from_json)
     if seq.n != g.n:
         raise CommandError(f"qubit count mismatch: sequence {seq.n} vs graph {g.n}")
     for (i, j), realized, target in zip(pair_order(g.n), evaluate(seq), couplings(g)):
@@ -255,7 +247,7 @@ def _cmd_cost(args) -> int:
             raise CommandError(f"{flag}={value} must be positive", EXIT_USAGE)
         durations.append(value)
     params = TimingParams(*durations)
-    seq = _load_sequence(args.pulse)
+    seq = _load(args.pulse, "pulse", sequence_from_json)
     total_us = estimate_time_us(seq, params)
     print(
         f"n={seq.n} L0={seq.l0} L1={seq.l1} t_pi_us={params.t_pi_us} "
@@ -291,13 +283,13 @@ def _cmd_simulate(args) -> int:
     noise = _usage(NoiseSpec, args.noise_lambda)
     if args.pulse and args.compilation == CX:
         raise CommandError("--pulse is read only by --compilation ms", EXIT_USAGE)
-    g = _load_graph(args.graph)
+    g = _load(args.graph, "graph", parse_edge_list)
     seq = None
     if args.compilation == MS:
         if args.pulse:
-            seq = _load_sequence(args.pulse)
+            seq = _load(args.pulse, "pulse", sequence_from_json)
         else:
-            if g.m > 0 and g.uniform_weight() is None:
+            if g.uniform_weight() is None:
                 raise CommandError("ms simulation of a weighted graph needs --pulse")
             seq = union_of_stars(g)
     if args.optimize:

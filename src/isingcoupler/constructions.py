@@ -56,8 +56,6 @@ def weighted_edge_by_edge(g: Graph) -> PulseSequence:
 
 
 def _require_uniform(g: Graph) -> Fraction:
-    if g.m == 0:
-        return Fraction(1)
     mu = g.uniform_weight()
     if mu is None:
         raise ValueError("construction requires a uniform-weight graph")

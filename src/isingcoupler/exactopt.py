@@ -304,7 +304,7 @@ def _l1_program(n: int) -> tuple[tuple, tuple, tuple[np.ndarray, np.ndarray]]:
 
 
 def _default_incumbent(g: Graph) -> PulseSequence:
-    if g.uniform_weight() is not None or g.m == 0:
+    if g.uniform_weight() is not None:
         return union_of_stars(g)
     return weighted_edge_by_edge(g)
 

@@ -11,13 +11,14 @@ tuple is the target b of the cut-matrix system Q W = b, and
 ``pulses.evaluate`` returns a sequence's couplings in the same order.
 
 Exact numbers are read and scaled in one place each.  ``read_fraction`` is
-the one reader of a number's text (edge-list weights, pulse-file strengths
-and the CLI's exact flags); it refuses a literal whose numerator or
-denominator would pass Python's digit limit for integer text, by its
-exponent before it builds anything.  ``integer_units`` turns exact values
-into integers in one common unit, the one lcm of denominators taken in the
-package: the exact solvers, ``pulses.evaluate`` and ``canonicalize``, the
-constructions and the Max-Cut scan all count in it.
+the one reader of a number's text (edge-list weights, the CLI's exact flags
+and every number of a pulse file, whether a string or a JSON number); it
+refuses a literal whose numerator or denominator would pass Python's digit
+limit for integer text, by its exponent before it builds anything.
+``integer_units`` turns exact values into integers in one common unit, the
+one lcm of denominators taken in the package: the exact solvers,
+``pulses.evaluate`` and ``canonicalize``, the constructions and the Max-Cut
+scan all count in it.
 
 ``relabelings(n)`` tabulates every vertex permutation with the pair each
 sends each pair to.  It keys the graph classes here (one numpy pass over
@@ -98,10 +99,9 @@ class Graph:
         return len(self.edges)
 
     def uniform_weight(self) -> Fraction | None:
-        """The common edge weight, or None if weights differ (or no edges)."""
-        if not self.edges:
-            return None
-        weights = {z for _, _, z in self.edges}
+        """The common edge weight, or None if weights differ; 1 for an
+        edgeless graph, which is unweighted."""
+        weights = {z for _, _, z in self.edges} or {Fraction(1)}
         return weights.pop() if len(weights) == 1 else None
 
     def neighbors(self, v: int) -> set[int]:

@@ -13,7 +13,9 @@ result.
 
 The JSON format writes a row as n characters, '-' for a flipped qubit and
 '+' otherwise; those strings exist only in sequence_to_json and
-sequence_from_json.
+sequence_from_json.  A strength ``w`` is written as a string, and may be
+read from a string or a JSON number: ``graphs.read_fraction`` reads both
+exactly, so ``0.1`` and ``"0.1"`` are the same strength 1/10.
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ def sequence_to_json(seq: PulseSequence) -> str:
 def sequence_from_json(text: str) -> PulseSequence:
     """Parse a pulse file, or an ``optimize --out`` result holding one under
     "sequence"; ValueError for anything malformed."""
-    obj = json.loads(text)
+    # every number is exact: no float is built, so NaN and Infinity are refused
+    obj = json.loads(text, parse_float=read_fraction, parse_constant=read_fraction)
     if isinstance(obj, dict) and "sequence" in obj:
         obj = obj["sequence"]
     if not isinstance(obj, dict) or not isinstance(obj.get("ops"), list):
@@ -143,6 +146,6 @@ def sequence_from_json(text: str) -> PulseSequence:
             if isinstance(w, bool):  # JSON true is not the strength 1
                 raise TypeError
             strengths.append(read_fraction(w) if isinstance(w, str) else Fraction(w))
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        except (TypeError, ValueError, ZeroDivisionError):
             raise ValueError(f"bad strength {w!r}") from None
     return PulseSequence(n, tuple(rows), tuple(strengths))

@@ -75,13 +75,17 @@ certificate decides all 72.
 Every exact solve of a linear system (the basis systems of the exact
 engine, and the L0 support systems of ``exactopt``) runs through
 ``_solve_integer``: fraction-free Gauss-Jordan elimination (Bareiss, Math.
-Comp. 22, 1968) on the rows of [mat | rhs], each in its ``integer_units``
-and packed into one Python integer, the sum of x_i 2^(k i) over its
-entries x_i, matrix entries lowest (``_pack``).  Rows are taken in
-order: one whose matrix part is zero is skipped if the whole row is, and
-is inconsistent otherwise; any other row v pivots on its first nonzero
-field r, and ``_packed_step`` replaces every other row u by
-(v[r] u - u[r] v) / prev, prev the previous pivot.  By Sylvester's identity
+Comp. 22, 1968) on the rows of [mat | rhs] in integers: row r's matrix
+part times its own unit d_r (its ``integer_units``), and its right-hand
+sides times d_r q, q the one unit of all right-hand sides.  The solutions
+are then q x, and a tiny right-hand side (a weight of 1e-400) widens only
+the right-hand-side fields, not every matrix field of its row.  Each row
+is packed into one Python integer, the sum of x_i 2^(k i) over its
+entries x_i, matrix entries lowest (``_pack``).  Rows are taken in order:
+one whose matrix part is zero is skipped if the whole row is, and is
+inconsistent otherwise; any other row v pivots on its first nonzero field
+r, and ``_packed_step`` replaces every other row u by (v[r] u - u[r] v) /
+prev, prev the previous pivot.  By Sylvester's identity
 every entry is then, up to sign, a minor of the scaled system, so the
 division is exact, and no gcd is taken.  Packing is linear, so the step
 acts field by field; products may carry across fields, but decoding the
@@ -90,11 +94,11 @@ first nonzero field, and field i is ((U + 2^(k i - 1)) >> k i) mod 2^k,
 re-centred, the half unit absorbing the borrow of negative lower fields.
 ``_field_width`` sets k by Hadamard's inequality on column norms, since a
 minor holds some matrix columns and at most one other (a right-hand side).
-After s pivots each pivot row holds the last pivot d on its diagonal and
-num in its right-hand-side fields, x = num / d; so x is negative where
-num * d is, and the ratio of two entries of one solve is the ratio of their
-numerators: Fractions are built only for those ratios and for a solution
-that is returned.
+After s pivots each pivot row holds the last pivot p on its diagonal and
+num in its right-hand-side fields, and with d = p q, x = num / d; so x is
+negative where num * d is, and the ratio of two entries of one solve is the
+ratio of their numerators: Fractions are built only for those ratios and
+for a solution that is returned.
 """
 
 from __future__ import annotations
@@ -302,9 +306,13 @@ def _solve_integer(mat, rhs_cols):
     dependent or some right-hand side is inconsistent.
     """
     s = len(mat[0])
-    # a row times a nonzero constant has the same solutions
-    rows = [integer_units([*row, *(rhs[r] for rhs in rhs_cols)])[0]
-            for r, row in enumerate(mat)]
+    # a row times a nonzero constant has the same solutions, and every
+    # right-hand side times q has the solutions times q
+    rhs_units, q = integer_units([*itertools.chain(*rhs_cols)])
+    rows = []
+    for r, row in enumerate(mat):
+        ints, d = integer_units(row)
+        rows.append([*ints, *(d * x for x in rhs_units[r::len(mat)])])
     columns = list(zip(*rows))
     k = _field_width(columns[:s], columns[s:])
     matrix_part = (1 << k * s) - 1
@@ -326,7 +334,7 @@ def _solve_integer(mat, rhs_cols):
         for num in nums:
             row, x = divmod(row + half, 1 << k)
             num[piv] = x - half
-    return prev, nums
+    return prev * q, nums
 
 
 def _columns(a_rows, b):

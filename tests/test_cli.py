@@ -366,6 +366,49 @@ def test_a_directory_for_an_input_file_exits_1_with_one_line(tmp_path, capsys, a
     assert err.startswith("error: ") and err.count("\n") == 1 and paths["dir"] in err
 
 
+@pytest.mark.parametrize("kind, argv", [("graph", ["optimize"]), ("pulse", ["cost"])])
+@pytest.mark.parametrize("case, expected", [
+    ("missing", "{kind} file not found: {path}"),
+    ("directory", "cannot read {kind} file {path}: Is a directory"),
+    ("malformed", "{path}: {detail}"),
+], ids=["missing", "directory", "malformed"])
+def test_an_input_file_that_cannot_be_loaded_is_one_error_line(
+        tmp_path, capsys, kind, argv, case, expected):
+    """Both input kinds go through one loader: each failure is exit 1 and
+    this line, byte for byte, on stderr."""
+    path = tmp_path / "input"
+    if case == "directory":
+        path.mkdir()
+    elif case == "malformed":
+        path.write_text("{")
+    detail = {"graph": "line 1: expected header 'n <count>'",
+              "pulse": "bad pulse JSON (Expecting property name enclosed in double quotes: "
+                       "line 1 column 2 (char 1))"}[kind]
+    code, stdout, err = run([*argv, str(path)], capsys)
+    assert (code, stdout) == (cli.EXIT_FAILURE, "")
+    assert err == "error: " + expected.format(kind=kind, path=path, detail=detail) + "\n"
+
+
+def test_a_graph_file_that_is_not_utf8_is_one_line_naming_it(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"n 2\n0 1\xff\n")
+    code, stdout, err = run(["optimize", str(path)], capsys)
+    assert (code, stdout) == (cli.EXIT_FAILURE, "")
+    assert err == (f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 7: "
+                   "invalid start byte\n")
+
+
+def test_verify_reads_a_json_number_strength_exactly(tmp_path, capsys):
+    """"w": 0.1 is the strength 1/10, not the float nearest it, so the row
+    realizes the edge of weight 0.1 exactly."""
+    pulse = tmp_path / "p.json"
+    pulse.write_text('{"n": 2, "ops": [{"mask": "++", "w": 0.1}]}')
+    graph = tmp_path / "g.txt"
+    graph.write_text("n 2\n0 1 0.1\n")
+    code, stdout, _ = run(["verify", str(pulse), str(graph)], capsys)
+    assert code == cli.EXIT_OK and stdout == "verified=true n=2 m=1 L0=1 L1=1/10\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["optimize", "{graph}"],
     ["simulate", "{graph}", "--compilation", "cx", "--optimize", "--grid-res", "8"],

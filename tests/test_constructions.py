@@ -97,7 +97,7 @@ def test_union_of_stars_rows_in_an_explicit_order(g, order, expected):
 def fraction_union_of_stars(g):
     """The union of stars merged in Fractions: every star's four biclique
     rows, canonicalized together."""
-    mu = g.uniform_weight() if g.m else Fraction(1)
+    mu = g.uniform_weight()
     order = greedy_star_order(g)
     full = (1 << g.n) - 1
     position = {v: i for i, v in enumerate(order)}

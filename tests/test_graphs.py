@@ -29,6 +29,13 @@ def test_parse_empty_graph():
     assert g.n == 2 and g.edges == ()
 
 
+@pytest.mark.parametrize("text, weight", [
+    ("n 2", Fraction(1)), ("n 3\n0 1 2/3\n1 2 2/3", Fraction(2, 3)), ("n 3\n0 1\n1 2 2", None),
+], ids=["edgeless", "uniform", "mixed"])
+def test_uniform_weight_is_the_common_weight_and_1_without_edges(text, weight):
+    assert parse_edge_list(text).uniform_weight() == weight
+
+
 def test_parse_rational_weight():
     g = parse_edge_list("n 3\n0 1 1/2")
     assert g.edges[0][2] == Fraction(1, 2)

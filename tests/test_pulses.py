@@ -272,10 +272,13 @@ def test_sequence_json_rejects_bad_mask():
 @pytest.mark.parametrize("text", [
     '{"n": 3, "ops": [{"mask": "+-+"}]}',
     '{"n": 3, "ops": [{"mask": "+-+", "w": Infinity}]}',
+    '{"n": 3, "ops": [{"mask": "+-+", "w": -Infinity}]}',
+    '{"n": 3, "ops": [{"mask": "+-+", "w": NaN}]}',
     '{"n": 3, "ops": 5}',
     '{"n": 0, "ops": []}',
     '{"n": 3, "ops": [[]]}',
-], ids=["missing-w", "infinite-w", "ops-not-a-list", "zero-n", "op-not-an-object"])
+], ids=["missing-w", "infinite-w", "minus-infinite-w", "nan-w", "ops-not-a-list", "zero-n",
+        "op-not-an-object"])
 def test_sequence_json_rejects_malformed_input_with_value_error(text):
     with pytest.raises(ValueError):
         sequence_from_json(text)
@@ -290,6 +293,17 @@ def test_sequence_json_refuses_a_strength_beyond_the_digit_limit_or_a_boolean(w)
         sequence_from_json(json.dumps({"n": 2, "ops": [{"mask": "+-", "w": w}]}))
 
 
+@pytest.mark.parametrize("literal, strength", [
+    ("0.1", Fraction(1, 10)), ("-0.25", Fraction(-1, 4)), ("3", Fraction(3)),
+    ("1e-400", Fraction(1, 10**400)), ("1e400", Fraction(10**400)),
+])
+def test_sequence_json_reads_a_json_number_strength_exactly(literal, strength):
+    """A strength written as a JSON number is read_fraction of its literal,
+    as one written as a string is: no float is built."""
+    seq = sequence_from_json('{"n": 2, "ops": [{"mask": "+-", "w": %s}]}' % literal)
+    assert seq.strengths == (strength,) and type(seq.strengths[0]) is Fraction
+
+
 def test_sequence_json_reads_a_strength_of_1e400():
     seq = sequence_from_json('{"n": 2, "ops": [{"mask": "+-", "w": "1e400"}]}')
     assert seq.strengths == (Fraction(10**400),)
@@ -297,7 +311,8 @@ def test_sequence_json_reads_a_strength_of_1e400():
 
 def test_sequence_json_reads_the_sequence_of_an_optimizer_result():
     seq = PulseSequence.from_pairs(3, [(0b010, Fraction(-1, 2)), (0, 2)])
-    doc = {"status": "optimal", "objective": "5/2", "sequence": json.loads(sequence_to_json(seq))}
+    doc = {"status": "optimal", "objective": "5/2", "sequence": json.loads(sequence_to_json(seq)),
+           "wall_time_ms": 12.345}  # a float of the document, not of the sequence
     assert sequence_from_json(json.dumps(doc)) == seq
 
 

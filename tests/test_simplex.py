@@ -479,8 +479,9 @@ def linear_systems(draw):
     """An m x s matrix (s <= 6, m <= s + 2) of small ints, some rows
     rational, with one or two right-hand sides, each either consistent by
     construction or drawn at random.  Sometimes a column is a multiple of
-    another, a row's matrix part is zero, or one column or the first
-    right-hand side has entries up to 10^30."""
+    another, a row's matrix part is zero, one column or the first
+    right-hand side has entries up to 10^30, or the last right-hand side is
+    divided by an integer up to 10^30."""
     s = draw(st.integers(1, 6))
     m = draw(st.integers(s, s + 2))
     mat = []
@@ -506,6 +507,8 @@ def linear_systems(draw):
             rhs_cols.append([sum(a * v for a, v in zip(row, x)) for row in mat])
         else:
             rhs_cols.append(draw(st.lists(st.integers(-bound, bound), min_size=m, max_size=m)))
+    q = draw(st.one_of(st.just(1), st.integers(1, 10**30)))
+    rhs_cols[-1] = [Fraction(v, q) for v in rhs_cols[-1]]
     return mat, rhs_cols
 
 
@@ -520,6 +523,8 @@ def linear_systems(draw):
 @example(([[1, 2], [0, 0], [3, 1]], [[5, 0, 5]]))  # a zero row, skipped
 @example(([[1, 1], [1, 2], [2, 3]], [[2, 3, 6]]))  # row 2 reduces to 0 = 1
 @example(([[0, 2, 1], [1, 0, 0], [3, 1, 0]], [[3, 1, 4]]))  # row 0 leads in column 1
+# right-hand sides of different denominators, one of them 10^400
+@example(([[1, 1], [1, -1]], [[Fraction(1, 10**400), 1], [1, Fraction(2, 3)]]))
 def test_integer_elimination_matches_fraction_elimination(system):
     mat, rhs_cols = system
     expected = fraction_gauss_jordan(mat, rhs_cols)
@@ -552,6 +557,25 @@ def test_field_width_takes_hadamards_bound_on_column_norms():
     assert 1 << (k - 2) > math.isqrt(28**28 * 28 * 10**800)
     # only the largest extra column counts, and a zero column counts as 1
     assert simplex._field_width(columns + [[0] * 28], [[1] * 28, big]) == k
+
+
+def test_a_tiny_right_hand_side_leaves_every_field_narrow(monkeypatch):
+    """One weight of 10^-400 puts the denominator 10^400 in b alone.  Each
+    basis system's matrix rows keep their own unit (1 here) and only the
+    right-hand sides take 10^400, so every field stays near Hadamard's
+    bound of the +-1 columns and one 10^400-sized column, about 1,360
+    bits; a unit per whole row would scale matrix rows by 10^400 too."""
+    widths, field_width = [], simplex._field_width
+
+    def recording(columns, extras):
+        widths.append(field_width(columns, extras))
+        return widths[-1]
+
+    monkeypatch.setattr(simplex, "_field_width", recording)
+    g = parse_edge_list("n 6\n0 1 1e-400\n1 2\n2 3\n3 4\n4 5\n0 5 2\n")
+    res = solve_l1(g)
+    assert (res.objective, res.sequence.l0) == (2, 12) and verify(res.sequence, g)
+    assert widths and max(widths) < 2000
 
 
 def reference_certificate(a_rows, b, c, basis):
