@@ -52,6 +52,7 @@ from .graphs import (
 from .pulses import evaluate, sequence_from_json, sequence_to_json, verify
 from .qaoa import (
     CX,
+    DEFAULT_GRID_RESOLUTION,
     MS,
     NoiseSpec,
     check_angles,
@@ -275,7 +276,7 @@ def _cmd_simulate(args) -> int:
             raise CommandError(f"--{dest.replace('_', '-')} is read only "
                                f"{'without' if args.optimize else 'with'} --optimize", EXIT_USAGE)
     gamma, beta = getattr(args, "gamma", 0.0), getattr(args, "beta", 0.0)
-    grid_res = getattr(args, "grid_res", 32)
+    grid_res = getattr(args, "grid_res", DEFAULT_GRID_RESOLUTION)
     if args.optimize:
         _usage(check_grid_resolution, grid_res)
     else:
@@ -294,19 +295,12 @@ def _cmd_simulate(args) -> int:
             seq = union_of_stars(g)
     if args.optimize:
         gamma, beta, expectation, ratio = optimize_angles(
-            g, args.compilation, seq, noise, grid_resolution=grid_res
-        )
-        print(
-            f"compilation={args.compilation} lambda={args.noise_lambda} "
-            f"gamma={gamma:.6f} beta={beta:.6f} "
-            f"expectation={expectation:.9f} ratio={ratio:.9f}"
-        )
+            g, args.compilation, seq, noise, grid_resolution=grid_res)
+        tail = f" ratio={ratio:.9f}"
     else:
-        value = simulate_qaoa_p1(g, args.compilation, seq, gamma, beta, noise)
-        print(
-            f"compilation={args.compilation} lambda={args.noise_lambda} "
-            f"gamma={gamma:.6f} beta={beta:.6f} expectation={value:.9f}"
-        )
+        expectation, tail = simulate_qaoa_p1(g, args.compilation, seq, gamma, beta, noise), ""
+    print(f"compilation={args.compilation} lambda={args.noise_lambda} gamma={gamma:.6f} "
+          f"beta={beta:.6f} expectation={expectation:.9f}{tail}")
     return EXIT_OK
 
 
@@ -498,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compilation", choices=[CX, MS], default=MS)
     p.add_argument("--pulse", help="ms pulse sequence (default: union of stars)")
     p.add_argument("--lambda", dest="noise_lambda", type=float, default=0.0)
-    # absent unless given: the angles (0) are read without --optimize, the grid (32) with it
+    # absent unless given: the angles (0) are read without --optimize, the grid
+    # (DEFAULT_GRID_RESOLUTION) with it
     p.add_argument("--gamma", type=float, default=argparse.SUPPRESS)
     p.add_argument("--beta", type=float, default=argparse.SUPPRESS)
     p.add_argument("--optimize", action="store_true")
@@ -528,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     worstcase.add_argument("--n-max", type=int, default=5, help="covers n = 3..n-max")
     noise.add_argument("--lambda-grid", default="0.001,0.005,0.01",
                        help="comma list of major depolarizing rates")
-    noise.add_argument("--grid-res", type=int, default=32, help="points per angle in the scan")
+    noise.add_argument("--grid-res", type=int, default=DEFAULT_GRID_RESOLUTION,
+                       help="points per angle in the scan")
     return parser
 
 

@@ -65,28 +65,21 @@ def _require_uniform(g: Graph) -> Fraction:
 def greedy_star_order(g: Graph) -> list[int]:
     """Vertex order that peels off the largest residual star first.
 
-    Repeatedly picks the vertex of maximum residual degree (ties broken by
-    lowest index) and removes its remaining edges; vertices never picked are
-    appended in index order.
+    While an edge remains, takes the vertex of maximum residual degree
+    (``max`` keeps the first, so ties go to the lowest index) and removes
+    its edges, which leaves it none; the vertices never taken follow in
+    index order.
     """
     _require_uniform(g)
-    adj = {v: g.neighbors(v) for v in range(g.n)}
+    adj = [g.neighbors(v) for v in range(g.n)]
     order = []
-    picked = set()
-    while True:
-        best, best_deg = None, 0
-        for v in range(g.n):
-            if v not in picked and len(adj[v]) > best_deg:
-                best, best_deg = v, len(adj[v])
-        if best is None:
-            break
-        order.append(best)
-        picked.add(best)
-        for u in adj[best]:
-            adj[u].discard(best)
-        adj[best] = set()
-    order.extend(v for v in range(g.n) if v not in picked)
-    return order
+    while any(adj):
+        center = max(range(g.n), key=lambda v: len(adj[v]))
+        order.append(center)
+        for u in adj[center]:
+            adj[u].discard(center)
+        adj[center] = set()
+    return order + [v for v in range(g.n) if v not in order]
 
 
 def union_of_stars(g: Graph, order: Sequence[int] | None = None) -> PulseSequence:

@@ -198,6 +198,8 @@ MS = "ms"
 # Grid values within this fraction of max(1, C_max) of the maximum are ties:
 # exact ties (every gamma=0 point, for one) differ only by float rounding.
 TIE_TOLERANCE = 1e-9
+# Points per angle in ``optimize_angles``' scan, unless the caller says.
+DEFAULT_GRID_RESOLUTION = 32
 
 
 @dataclass(frozen=True)
@@ -554,7 +556,7 @@ def optimize_angles(
     compilation: str,
     seq: PulseSequence | None,
     noise: NoiseSpec = ZERO_NOISE,
-    grid_resolution: int = 32,
+    grid_resolution: int = DEFAULT_GRID_RESOLUTION,
 ) -> tuple[float, float, float, float]:
     """Best (gamma, beta) on a dense grid, the expectation there, and its
     approximation ratio.

@@ -229,6 +229,22 @@ def test_simulate_verifies_an_ms_sequence_once(tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_OK and len(calls) == 1
 
 
+@pytest.mark.parametrize("flags, line", [
+    (["--compilation", "cx", "--lambda", "0.01", "--gamma", "0.3", "--beta", "0.2"],
+     "compilation=cx lambda=0.01 gamma=0.300000 beta=0.200000 expectation=3.570881262"),
+    (["--lambda", "0.01", "--gamma", "0.3", "--beta", "0.2"],
+     "compilation=ms lambda=0.01 gamma=0.300000 beta=0.200000 expectation=3.532157676"),
+    (["--compilation", "ms", "--lambda", "0.01", "--optimize", "--grid-res", "8"],
+     "compilation=ms lambda=0.01 gamma=0.785398 beta=0.392699 expectation=4.311180210"
+     " ratio=0.718530035"),
+], ids=["cx-point", "ms-default-point", "ms-optimize"])
+def test_simulate_prints_one_whole_line(tmp_path, capsys, flags, line):
+    """The 6-cycle's output line, byte for byte: a ratio only under --optimize."""
+    cycle = dict(cli.noise_standin_graphs())["cycle_c6"]
+    code, stdout, err = run(["simulate", write_graph(tmp_path, cycle), *flags], capsys)
+    assert (code, stdout, err) == (cli.EXIT_OK, line + "\n", "")
+
+
 def test_a_pulse_with_the_cx_compilation_exits_3_before_the_graph_is_read(tmp_path, capsys):
     code, stdout, err = run(["simulate", str(tmp_path / "missing.txt"), "--compilation", "cx",
                              "--pulse", str(tmp_path / "missing.json"), "--gamma", "0.3"],

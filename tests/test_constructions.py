@@ -94,6 +94,38 @@ def test_union_of_stars_rows_in_an_explicit_order(g, order, expected):
     assert rows_and_strengths(union_of_stars(g, order)) == expected
 
 
+def reference_star_order(g):
+    """The greedy order as a loop over the vertices not yet picked: the
+    first of maximum residual degree, until none has an edge left."""
+    adj = {v: g.neighbors(v) for v in range(g.n)}
+    order = []
+    picked = set()
+    while True:
+        best, best_deg = None, 0
+        for v in range(g.n):
+            if v not in picked and len(adj[v]) > best_deg:
+                best, best_deg = v, len(adj[v])
+        if best is None:
+            break
+        order.append(best)
+        picked.add(best)
+        for u in adj[best]:
+            adj[u].discard(best)
+        adj[best] = set()
+    order.extend(v for v in range(g.n) if v not in picked)
+    return order
+
+
+def test_greedy_star_order_is_the_reference_loop():
+    """Every labeled graph with n <= 5, whose ties cover every tie-break,
+    and ER graphs with n = 6..14 at five densities."""
+    graphs = [g for n in range(1, 6) for g in enumerate_labeled_graphs(n)]
+    graphs += [random_er_graph(n, p, (), seed) for n in range(6, 15)
+               for p in (0.1, 0.3, 0.5, 0.7, 0.9) for seed in range(8)]
+    for g in graphs:
+        assert greedy_star_order(g) == reference_star_order(g)
+
+
 def fraction_union_of_stars(g):
     """The union of stars merged in Fractions: every star's four biclique
     rows, canonicalized together."""

@@ -43,7 +43,7 @@ from isingcoupler.graphs import (
     canonical_edge_mask, couplings, integer_units, pair_order, relabelings,
 )
 from isingcoupler.pulses import PulseSequence, canonicalize
-from isingcoupler.simplex import _field_width, _pack, _packed_step
+from isingcoupler.simplex import _field_width, _pack, _packed_step, solve_lp
 
 FROZEN_L0 = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "frozen.json").read_text())["l0"]
@@ -886,6 +886,35 @@ def test_solve_l1_matches_highs(n, weights):
         assert res.objective == res.sequence.l1
         assert isinstance(res.objective, Fraction)
         assert float(res.objective) == pytest.approx(highs_l1(g), rel=1e-9, abs=1e-9)
+
+
+def pair_merge(n, x):
+    """The rows W_t = x[2t] - x[2t + 1] of every pair t with a nonzero
+    column, in order of t, dropping a W_t of 0."""
+    masks = list(_cut_columns(n))
+    entries = []
+    for t in sorted({j >> 1 for j, v in enumerate(x) if v}):
+        w = x[2 * t] - x[2 * t + 1]
+        if w != 0:
+            entries.append((masks[t], w))
+    return PulseSequence.from_pairs(n, entries)
+
+
+@pytest.mark.parametrize("weights", [(), (1, 2, 3), (1, -1), (Fraction(1, 2), 3)],
+                         ids=["unweighted", "one_two_three", "plus_minus_one", "half_three"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_solve_l1_reads_one_row_per_nonzero_column(n, weights):
+    """Columns 2t and 2t + 1 of the L1 program are negations of each other,
+    so the basic solution solve_lp returns is nonzero on at most one of
+    them, and solve_l1's rows, one per nonzero column, are the pair merge."""
+    a_rows, costs, floats = _l1_program(n)
+    for p, seed in itertools.product((0.3, 0.6, 0.9), range(2)):
+        g = random_er_graph(n, p, weights, seed)
+        x = solve_lp(a_rows, couplings(g), costs, floats).x
+        assert not any(x[j] and x[j + 1] for j in range(0, len(x), 2))
+        seq = solve_l1(g).sequence
+        expected = pair_merge(n, x)
+        assert (seq.rows, seq.strengths) == (expected.rows, expected.strengths)
 
 
 def outcome(res):
