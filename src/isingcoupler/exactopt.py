@@ -894,11 +894,8 @@ def solve_l1(g: Graph) -> OptResult:
     start = time.monotonic()
     n = g.n
     a_rows, costs, floats = _l1_program(n)
-    if not a_rows:
-        return OptResult(
-            PulseSequence.empty(n), Fraction(0), "l1", OPTIMAL, 0, 0.0
-        )
-    x = solve_lp(a_rows, couplings(g), costs, floats).x
+    # n = 1 has no qubit pair: no row, and the empty sequence is optimal
+    x = solve_lp(a_rows, couplings(g), costs, floats).x if a_rows else []
     # W_t = W+_t - W-_t, from columns 2t and 2t + 1, which are negations
     # of each other: a basic solution is nonzero on at most one of them
     masks = list(_cut_columns(n))

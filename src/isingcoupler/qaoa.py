@@ -180,7 +180,6 @@ gamma: a strength of 3/2 or -1/4 does break the symmetry.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -233,25 +232,30 @@ def _bits(values: np.ndarray, n: int) -> np.ndarray:
     return bits.astype(np.uint8)
 
 
-def _endpoints(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The edges' endpoints u and v, as int64 arrays."""
-    return np.array([(a, b) for a, b, _ in g.edges], dtype=np.int64).reshape(-1, 2).T
+def _edge_table(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per edge, in the order of g.edges: the endpoints u and v, as int64
+    arrays, the weight z as a float, and the stored Walsh index
+    g' = (e_u ^ e_v) mod 2^(n-1) of its parity (-1)^(x_u ^ x_v) (module
+    docstring)."""
+    u, v = np.array([(a, b) for a, b, _ in g.edges], dtype=np.int64).reshape(-1, 2).T
+    z = np.array([float(w) for _, _, w in g.edges])
+    return u, v, z, (1 << u ^ 1 << v) & ((1 << (g.n - 1)) - 1)
 
 
 def maxcut_brute_force(g: Graph) -> Fraction:
     """Exact Max-Cut value by scanning every cut: the weights, as integers,
     times the (E, 2^(n-1)) matrix of which masks x cut each edge, one byte
     an entry.  x and its complement cut the same edges, so x runs over the
-    masks with bit n-1 clear."""
+    masks with bit n-1 clear.  No weight is rounded to a float."""
     if g.n > MAX_BRUTE_FORCE_N:
         raise ValueError(f"n={g.n} too large (limit {MAX_BRUTE_FORCE_N})")
     weights, denom = integer_units([z for _, _, z in g.edges])
     # int64 holds every cut sum while the absolute weights sum below 2^63;
     # beyond that the sums are Python integers
     dtype = np.int64 if sum(map(abs, weights)) < 1 << 63 else object
-    u, v = _endpoints(g)
     bits = _bits(np.arange(1 << (g.n - 1)), g.n)
-    cuts = np.einsum("ex,e->x", bits[u] ^ bits[v], np.array(weights, dtype=dtype))
+    cut = bits[[u for u, _, _ in g.edges]] ^ bits[[v for _, v, _ in g.edges]]
+    cuts = np.einsum("ex,e->x", cut, np.array(weights, dtype=dtype))
     return Fraction(int(cuts.max()), denom)
 
 
@@ -268,43 +272,28 @@ def _check_float_range(g: Graph, compilation: str, seq: PulseSequence | None) ->
         raise ValueError("weights beyond float64 range: the simulation runs in float64") from None
 
 
-def _diagonal_blocks(rho: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """A writeable view of the blocks of rho (a matrix or a stack) whose row
-    and column bits agree on every qubit in qubits.  Its last len(qubits)
-    axes pick the block; the axes before them index within it."""
-    row = string.ascii_letters[:n]  # one einsum letter per qubit axis
-    col = [row[q] if q in qubits else string.ascii_letters[n + q] for q in range(n)]
-    order = range(n - 1, -1, -1)  # the most significant qubit is the first axis
-    source = "".join(row[q] for q in order) + "".join(col[q] for q in order)
-    free = [q for q in order if q not in qubits]
-    target = "".join(row[q] for q in free) + "".join(col[q] for q in free)
-    target += "".join(row[q] for q in qubits)
-    t = rho.reshape(rho.shape[:-2] + (2,) * (2 * n))
-    return np.einsum(f"...{source}->...{target}", t)
-
-
 def apply_depolarizing(rho: np.ndarray, qubits, lam: float, n: int) -> np.ndarray:
     """rho -> (1-lam) rho + lam * (maximally mixed on qubits (x) the partial
     trace of rho over them).
 
     rho is one density matrix or a stack (..., 2^n, 2^n) of them; the input
-    is never modified.  On the qubit set S the channel keeps the
-    off-diagonal blocks (row and column bits differ somewhere on S) scaled by
-    1-lam, and adds lam times the mean of the 2^|S| diagonal blocks to each
-    of them.
+    is never modified.  This is the module docstring's rule on the qubit set
+    S, entry by entry: the mixed term is 0 at (x, y) where x and y differ on
+    S, and elsewhere the partial trace at their bits off S, divided by 2^|S|.
     """
+    qubits = set(qubits)
     if not 0.0 <= lam <= 1.0:
         raise ValueError("depolarizing rate must be in [0, 1]")
-    qubits = tuple(sorted(set(qubits)))
     if any(q < 0 or q >= n for q in qubits):
         raise ValueError("qubit index out of range")
     if lam == 0.0 or not qubits:
         return rho
-    out = (1.0 - lam) * rho
-    block_axes = tuple(range(-len(qubits), 0))
-    mean = _diagonal_blocks(rho, qubits, n).mean(axis=block_axes, keepdims=True)
-    _diagonal_blocks(out, qubits, n)[...] += lam * mean
-    return out
+    s = sum(1 << int(q) for q in qubits)
+    x = np.arange(1 << n)
+    off, on = x[x & s == 0], x[x & ~s == 0]
+    trace = sum(rho[..., off | a, :][..., off | a] for a in on) / len(on)
+    i = np.searchsorted(off, x & ~s)
+    return (1.0 - lam) * rho + lam * np.where((x[:, None] ^ x) & s, 0.0, trace[..., i[:, None], i])
 
 
 def _ising_codes(n: int, columns: np.ndarray) -> np.ndarray:
@@ -372,8 +361,7 @@ def _cx_layer(g: Graph, gammas: np.ndarray, noise: NoiseSpec, columns: np.ndarra
     # |+...+><+...+| has every entry 2^-n: 1/2 summed over the stored rows
     walsh = np.zeros((len(gammas), half, len(columns)), dtype=complex)
     walsh[:, 0] = 0.5
-    u, v = _endpoints(g)
-    z = np.array([float(w) for _, _, w in g.edges])
+    u, v, z, pair = _edge_table(g)
     bits = _bits(columns, n)
     # bit q of the even-weight f of each stored Walsh index f': its low n-1
     # bits are f', and bit n-1 is their parity
@@ -391,12 +379,11 @@ def _cx_layer(g: Graph, gammas: np.ndarray, noise: NoiseSpec, columns: np.ndarra
     k_class = 2 - odd - touched
     # CNOT Rz_v(-gamma z) CNOT = exp(i gamma z/2 Z_u Z_v) multiplies entry
     # (x, k) by cos(gamma z) + i s(x) sin(gamma z) where k_u != k_v,
-    # s(x) = (-1)^(x_u ^ x_v), which pairs R[f'] with R[f' ^ g'],
-    # g' = (e_u ^ e_v) mod 2^(n-1)
+    # s(x) = (-1)^(x_u ^ x_v), which pairs R[f'] with R[f' ^ g']
     angles = np.multiply.outer(z, gammas)
     cos = np.where(odd[:, None], np.cos(angles)[:, :, None], 1.0)
     isin = 1j * np.where(odd[:, None], np.sin(angles)[:, :, None], 0.0)
-    partners = np.arange(half) ^ ((1 << u ^ 1 << v) & (half - 1))[:, None]
+    partners = np.arange(half) ^ pair[:, None]
     paired = np.empty_like(walsh)
     for e in range(len(z)):
         # on the first edge R is 0 off f' = 0, where every factor is 1
@@ -455,9 +442,7 @@ def _correlators(g: Graph, walsh: np.ndarray, sigma: np.ndarray,
     z <Y_u Y_v> on the states whose stored Walsh coefficients are walsh, at
     the sorted columns k, and whose Z-type factor sigma is not yet applied
     (module docstring)."""
-    u, v = _endpoints(g)
-    z = np.array([float(w) for _, _, w in g.edges])
-    pair = (1 << u ^ 1 << v) & (walsh.shape[1] - 1)  # each edge's f'
+    u, v, z, pair = _edge_table(g)
     k = np.stack([1 << v, 1 << u, (1 << u) | (1 << v)], axis=1)
     cols = np.searchsorted(columns, k)  # each k's position in the stack
     # the stored rows are half of the sum over x

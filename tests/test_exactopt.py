@@ -917,6 +917,16 @@ def test_solve_l1_reads_one_row_per_nonzero_column(n, weights):
         assert (seq.rows, seq.strengths) == (expected.rows, expected.strengths)
 
 
+def test_solve_l1_of_one_vertex_is_the_empty_sequence():
+    """n = 1 has no qubit pair, so the program has no row and nothing to
+    realize."""
+    res = solve_l1(Graph(1, ()))
+    assert res.sequence == PulseSequence.empty(1) and res.sequence.rows == ()
+    assert (res.objective, res.objective_kind, res.status, res.nodes_explored) == (
+        0, "l1", OPTIMAL, 0)
+    assert type(res.objective) is Fraction
+
+
 def outcome(res):
     return res.objective, res.status, res.nodes_explored, res.sequence
 

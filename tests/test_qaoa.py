@@ -384,11 +384,13 @@ def plain_max_cut(g):
                for x in range(1 << g.n))
 
 
-@pytest.mark.parametrize("weights", [(), (1, 2, 3), ("1/2", -1, "3/4"), (10**30, -1, "1/3")],
-                         ids=["none", "123", "mixed", "huge"])
+@pytest.mark.parametrize("weights", [(), (1, 2, 3), ("1/2", -1, "3/4"), (10**30, -1, "1/3"),
+                                     (10**400, -1, "1/3")],
+                         ids=["none", "123", "mixed", "huge", "beyond_float"])
 def test_maxcut_brute_force_is_the_plain_scan(weights):
     """The vectorized scan against a plain one, for n = 1..8; a weight of
-    10^30 puts the sums past int64, onto Python integers."""
+    10^30 puts the sums past int64, onto Python integers, and one of 10^400
+    has no float64 value, so the scan must not round the weights to floats."""
     for n in range(1, 9):
         for seed in range(3):
             g = random_er_graph(n, 0.6, weights, seed)
@@ -452,14 +454,16 @@ def random_density(n, seed):
     return rho / rho.trace()
 
 
-@pytest.mark.parametrize("qubits", [(1,), (2,), (0, 3), (3, 1), (0, 1, 2, 3)])
+@pytest.mark.parametrize("qubits", [(1,), (2,), (0, 3), (3, 1), (0, 1, 2, 3), np.array([3, 1])])
 def test_apply_depolarizing_is_the_pauli_mixture(qubits):
-    rho = random_density(4, sum(qubits))
+    """Also for a numpy array of qubits, and for a one-pass iterator."""
+    rho = random_density(4, int(sum(qubits)))
     out = apply_depolarizing(rho, qubits, 0.3, 4)
-    np.testing.assert_allclose(out, depolarize(rho, qubits, 0.3, 4), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(out, depolarize(rho, tuple(qubits), 0.3, 4), rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(apply_depolarizing(rho, iter(tuple(qubits)), 0.3, 4), out)
     assert abs(out.trace() - 1) < 1e-14 and is_physical_density(out)
     full = apply_depolarizing(rho, qubits, 1.0, 4)
-    np.testing.assert_allclose(full, depolarize(rho, qubits, 1.0, 4), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(full, depolarize(rho, tuple(qubits), 1.0, 4), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("qubits", [(2,), (0, 3), (0, 1, 2, 3)])
